@@ -9,11 +9,13 @@
 //! fixpoints per CPU** in an [`RtaCache`], so each decision re-runs RTA
 //! only for the CPUs it actually touches:
 //!
-//! * [`AdmissionEngine::try_admit`] places a batch of tasks with the
-//!   same decreasing-utilization bin-packing heuristics and the same exact
-//!   RMWP response-time test as the offline partitioner — all-or-nothing,
-//!   so a partially admissible tenant leaves no residue (including no
-//!   cache residue);
+//! * [`AdmissionEngine::try_admit`] places a batch of tasks in
+//!   decreasing-utilization order with the engine's bin-packing heuristic
+//!   and the exact RMWP response-time test — all-or-nothing, so a
+//!   partially admissible tenant leaves no residue (including no cache
+//!   residue). This is the only placement procedure in the crate: the
+//!   offline [`crate::Partition`] is one batch admitted into an empty
+//!   engine;
 //! * [`AdmissionEngine::evict`] removes tasks, drops exactly the victim
 //!   CPUs' fixpoints, and reports how the optional deadlines of the
 //!   survivors *grow* (less interference);
@@ -29,8 +31,8 @@
 //!
 //! The engine honours the whole [`PlacementPolicy`] family: under
 //! [`PlacementPolicy::SemiPartitioned`] a task that fits nowhere whole is
-//! split across two CPUs (the same split-aware `2T`-arrival RTA term as
-//! the offline partitioner), and under
+//! split across two CPUs (each host sees a `2T`-arrival subtask), and
+//! under
 //! [`PlacementPolicy::SemiFederated`] a parallel-heavy task receives a
 //! dedicated-core grant for its wind-up band plus a packed mandatory
 //! residual. Either way every bin's analysis remains a pure function of
@@ -42,6 +44,10 @@
 //! except a granted core's wind-up band, which preempts everything —
 //! matching the RTQ level assignment the serving layer deploys, so the
 //! admission test analyzes exactly the priority order that will run.
+//! Every resident also carries a *rank* that sorts before the period: it
+//! is zero for every online admission, which leaves the order above, and
+//! is the task's index in the deployed priority order for an offline
+//! build, where RM-US HPQ tasks outrank shorter periods.
 //!
 //! # Examples
 //!
@@ -76,7 +82,7 @@ use core::fmt;
 use rtseed_model::{HwThreadId, Span, TaskSpec};
 use serde::{Deserialize, Serialize};
 
-use crate::partition::{bin_task_for, PartitionHeuristic, PlacementPolicy, Residency};
+use crate::partition::{PartitionHeuristic, PlacementPolicy};
 use crate::rmwp::{analyze_ordered, BinTask};
 
 /// Opaque handle to one task admitted by an [`AdmissionEngine`].
@@ -340,6 +346,50 @@ impl RtaCache {
     }
 }
 
+/// How a task resides in a placement bin.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Residency {
+    /// The whole task: both real-time parts, arrival `T`.
+    Whole,
+    /// Restricted-migration split subtask: whole jobs, arrival `2T`.
+    Split,
+    /// A federated task's wind-up in the grant core's top band.
+    FedWindup,
+    /// A federated task's mandatory residual, deadline `T − w`.
+    FedResidual,
+}
+
+/// The [`BinTask`] analysis entry for `spec` residing in a bin as `kind`.
+fn bin_task_for(spec: &TaskSpec, kind: Residency) -> BinTask {
+    match kind {
+        Residency::Whole | Residency::Split => BinTask {
+            arrival: if kind == Residency::Split {
+                spec.period() * 2
+            } else {
+                spec.period()
+            },
+            deadline: spec.deadline(),
+            mandatory: spec.mandatory(),
+            windup: spec.windup(),
+            deadline_only: spec.windup().is_zero() && spec.optional_count() == 0,
+        },
+        Residency::FedWindup => BinTask {
+            arrival: spec.period(),
+            deadline: spec.deadline(),
+            mandatory: Span::ZERO,
+            windup: spec.windup(),
+            deadline_only: false,
+        },
+        Residency::FedResidual => BinTask {
+            arrival: spec.period(),
+            deadline: spec.deadline() - spec.windup(),
+            mandatory: spec.mandatory(),
+            windup: Span::ZERO,
+            deadline_only: true,
+        },
+    }
+}
+
 /// One bin resident: its stable key, spec and residency kind, in
 /// admission order. A split task owns one entry in each of its two host
 /// bins; a federated task owns a [`Residency::FedWindup`] entry in its
@@ -352,6 +402,19 @@ struct Entry {
     spec: TaskSpec,
     kind: Residency,
     primary: bool,
+    /// Sorts before the period within a bin; see [`Candidate::rank`].
+    rank: u32,
+}
+
+/// A task being placed: what a probe adds to a bin's residents.
+#[derive(Debug, Clone, Copy)]
+struct Candidate<'a> {
+    key: TaskKey,
+    spec: &'a TaskSpec,
+    /// Zero for every online admission, so a bin orders by `(band, period,
+    /// key)`; the index in the deployed priority order for an offline
+    /// build ([`AdmissionEngine::admit_ranked`]).
+    rank: u32,
 }
 
 /// The share of bin utilization one entry accounts for.
@@ -389,9 +452,10 @@ struct TouchedBin {
     saved_fix: Option<CpuFixpoints>,
 }
 
-/// Incremental online admission engine: the per-hardware-thread bins of
-/// the offline [`crate::Partition`], kept alive between decisions, with
-/// per-CPU RMWP fixpoints memoised in an [`RtaCache`].
+/// Incremental online admission engine: per-hardware-thread bins kept
+/// alive between decisions, with per-CPU RMWP fixpoints memoised in an
+/// [`RtaCache`]. The offline [`crate::Partition`] is one batch admitted
+/// into an empty engine.
 ///
 /// Operations return a typed [`AdmissionDecision`]; rejected operations
 /// leave the engine (bins, utilizations *and* cache) exactly as before.
@@ -561,25 +625,36 @@ impl AdmissionEngine {
         tasks: &[TaskSpec],
         base: u64,
     ) -> AdmissionDecision {
+        self.admit(tasks, base, None)
+    }
+
+    /// The offline build: admits `tasks` into an empty engine as one batch
+    /// with keys `0..tasks.len()`, where `ranks[i]` — the index of task
+    /// `i` in the deployed priority order — decides priority within a bin
+    /// ahead of the period.
+    pub(crate) fn admit_ranked(&mut self, tasks: &[TaskSpec], ranks: &[u32]) -> AdmissionDecision {
+        assert_eq!(self.resident_tasks(), 0, "ranks order one whole population");
+        self.next_key = tasks.len() as u64;
+        self.admit(tasks, 0, Some(ranks))
+    }
+
+    fn admit(&mut self, tasks: &[TaskSpec], base: u64, ranks: Option<&[u32]>) -> AdmissionDecision {
         if tasks.is_empty() {
             return AdmissionDecision::Rejected(RejectReason::EmptySubmission);
         }
         if self.caching {
-            match self.place_batch(tasks, base) {
-                Ok((placement, touched)) => {
-                    self.admitted_from_touched(tasks, base, placement, touched)
-                }
+            match self.place_batch(tasks, base, ranks) {
+                Ok((placement, touched)) => self.admitted_from_touched(base, placement, touched),
                 Err(reason) => AdmissionDecision::Rejected(reason),
             }
         } else {
             let old = self.full_snapshot();
-            match self.place_batch(tasks, base) {
+            match self.place_batch(tasks, base, ranks) {
                 Ok((placement, _)) => {
                     let new = self.full_snapshot();
-                    let admitted = admitted_tasks(tasks.len(), base, &placement, &new);
                     AdmissionDecision::Admitted(Admission {
                         od_updates: od_deltas(&old, &new),
-                        tasks: admitted,
+                        tasks: admitted_tasks(base, &placement, &new),
                     })
                 }
                 Err(reason) => AdmissionDecision::Rejected(reason),
@@ -594,7 +669,6 @@ impl AdmissionEngine {
     /// index to match the full-sweep path.
     fn admitted_from_touched(
         &mut self,
-        tasks: &[TaskSpec],
         base: u64,
         placement: Vec<Placed>,
         touched: Vec<TouchedBin>,
@@ -602,31 +676,34 @@ impl AdmissionEngine {
         let touched_bins: Vec<usize> = touched.iter().map(|t| t.bin).collect();
         let read = self.read_set(&touched_bins);
         let mut old_pairs = Vec::new();
-        let mut new_pairs = Vec::new();
         for &b in &read {
-            if let Some(t) = touched.iter().find(|t| t.bin == b) {
-                collect_pairs(&self.bins[b][..t.saved_len], &t.old_ods, &mut old_pairs);
-                let ods = self
-                    .cache
-                    .optional_deadlines(b)
-                    .expect("touched bins were analyzed during placement")
-                    .to_vec();
-                collect_pairs(&self.bins[b], &ods, &mut new_pairs);
-            } else {
-                // Split partner outside the touched set: unmutated, so it
-                // contributes the same pairs to both snapshots.
-                let ods = self.ods_of(b);
-                collect_pairs(&self.bins[b], &ods, &mut old_pairs);
-                collect_pairs(&self.bins[b], &ods, &mut new_pairs);
+            match touched.iter().find(|t| t.bin == b) {
+                Some(t) => {
+                    collect_pairs(&self.bins[b][..t.saved_len], &t.old_ods, &mut old_pairs);
+                }
+                // Split partner outside the touched set: unmutated.
+                None => {
+                    let ods = self.ods_of(b);
+                    collect_pairs(&self.bins[b], &ods, &mut old_pairs);
+                }
             }
         }
-        let old_pairs = merge_min(old_pairs);
-        let new_pairs = merge_min(new_pairs);
-        let admitted = admitted_tasks(tasks.len(), base, &placement, &new_pairs);
+        let new_pairs = self.od_pairs(&read);
         AdmissionDecision::Admitted(Admission {
-            od_updates: od_deltas(&old_pairs, &new_pairs),
-            tasks: admitted,
+            od_updates: od_deltas(&merge_min(old_pairs), &new_pairs),
+            tasks: admitted_tasks(base, &placement, &new_pairs),
         })
+    }
+
+    /// The current `(key, OD)` pairs of `bins`' residents, a split task's
+    /// two host ODs collapsed to their minimum.
+    fn od_pairs(&mut self, bins: &[usize]) -> Vec<(TaskKey, Span)> {
+        let mut pairs = Vec::new();
+        for &b in bins {
+            let ods = self.ods_of(b);
+            collect_pairs(&self.bins[b], &ods, &mut pairs);
+        }
+        merge_min(pairs)
     }
 
     /// The bins whose OD pairs must be read when `bins` were mutated: the
@@ -673,6 +750,67 @@ impl AdmissionEngine {
         }
     }
 
+    /// The global id of local CPU `bin`.
+    fn hw(&self, bin: usize) -> HwThreadId {
+        HwThreadId(self.cpu_base + bin as u32)
+    }
+
+    /// The shared-pool bins (granted bins have left it) in the order the
+    /// heuristic tries them.
+    fn candidate_bins(&self) -> Vec<usize> {
+        let mut bins: Vec<usize> = (0..self.bins.len())
+            .filter(|&b| self.grant_of[b].is_none())
+            .collect();
+        let util = &self.bin_util;
+        match self.heuristic {
+            PartitionHeuristic::FirstFitDecreasing => {}
+            PartitionHeuristic::BestFitDecreasing => bins.sort_by(|&a, &b| {
+                util[b]
+                    .partial_cmp(&util[a])
+                    .expect("finite utilization")
+                    .then(a.cmp(&b))
+            }),
+            PartitionHeuristic::WorstFitDecreasing => bins.sort_by(|&a, &b| {
+                util[a]
+                    .partial_cmp(&util[b])
+                    .expect("finite utilization")
+                    .then(a.cmp(&b))
+            }),
+        }
+        bins
+    }
+
+    /// The RMWP test of `bin` with `cand` added as `kind`: the bin's new
+    /// fixpoints if it stays schedulable.
+    fn probe(&mut self, bin: usize, cand: &Candidate<'_>, kind: Residency) -> Option<CpuFixpoints> {
+        self.cache.note_recompute(bin);
+        analyze_bin(&self.bins[bin], Some((cand, kind)))
+    }
+
+    /// Makes `cand` a resident of `bin`, whose fixpoints become `fix`.
+    fn commit(
+        &mut self,
+        touched: &mut Vec<TouchedBin>,
+        bin: usize,
+        cand: &Candidate<'_>,
+        kind: Residency,
+        primary: bool,
+        fix: CpuFixpoints,
+    ) {
+        self.touch(touched, bin);
+        self.bins[bin].push(Entry {
+            key: cand.key,
+            spec: cand.spec.clone(),
+            kind,
+            primary,
+            rank: cand.rank,
+        });
+        self.bin_util[bin] += util_for(cand.spec, kind);
+        if self.caching {
+            self.cache.store(bin, fix);
+        }
+    }
+
     /// Places every task of the batch, mutating bins/utilization/cache in
     /// place and recording rollback state per touched bin. On failure the
     /// rollback has already been applied.
@@ -680,8 +818,8 @@ impl AdmissionEngine {
         &mut self,
         tasks: &[TaskSpec],
         base: u64,
+        ranks: Option<&[u32]>,
     ) -> Result<(Vec<Placed>, Vec<TouchedBin>), RejectReason> {
-        let m = self.bins.len();
         let mut order: Vec<usize> = (0..tasks.len()).collect();
         order.sort_by(|&a, &b| {
             let ua = tasks[a].utilization();
@@ -693,176 +831,126 @@ impl AdmissionEngine {
 
         let mut placement = vec![
             Placed {
-                hw: HwThreadId(self.cpu_base),
+                hw: self.hw(0),
                 kind: PlacementKind::Whole,
             };
             tasks.len()
         ];
         let mut touched: Vec<TouchedBin> = Vec::new();
         for &i in &order {
-            let spec = &tasks[i];
-            // Granted bins leave the shared pool.
-            let mut candidates: Vec<usize> =
-                (0..m).filter(|&b| self.grant_of[b].is_none()).collect();
-            match self.heuristic {
-                PartitionHeuristic::FirstFitDecreasing => {}
-                PartitionHeuristic::BestFitDecreasing => {
-                    candidates.sort_by(|&a, &b| {
-                        self.bin_util[b]
-                            .partial_cmp(&self.bin_util[a])
-                            .expect("finite utilization")
-                            .then(a.cmp(&b))
-                    });
+            let cand = Candidate {
+                key: TaskKey(base + i as u64),
+                spec: &tasks[i],
+                rank: ranks.map_or(0, |r| r[i]),
+            };
+            let bins = self.candidate_bins();
+            let placed = self
+                .place_whole(&cand, &bins, &mut touched)
+                .or_else(|| self.place_split(&cand, &bins, &mut touched))
+                .or_else(|| self.place_federated(&cand, &bins, &mut touched));
+            match placed {
+                Some(p) => placement[i] = p,
+                None => {
+                    self.rollback(&touched);
+                    return Err(RejectReason::Unschedulable { index: i });
                 }
-                PartitionHeuristic::WorstFitDecreasing => {
-                    candidates.sort_by(|&a, &b| {
-                        self.bin_util[a]
-                            .partial_cmp(&self.bin_util[b])
-                            .expect("finite utilization")
-                            .then(a.cmp(&b))
-                    });
-                }
-            }
-
-            let key = TaskKey(base + i as u64);
-            let mut placed = false;
-            for &bin in &candidates {
-                self.cache.note_recompute(bin);
-                let Some(fix) =
-                    analyze_bin(&self.bins[bin], Some((key, spec, Residency::Whole)))
-                else {
-                    continue;
-                };
-                self.touch(&mut touched, bin);
-                self.bins[bin].push(Entry {
-                    key,
-                    spec: spec.clone(),
-                    kind: Residency::Whole,
-                    primary: true,
-                });
-                self.bin_util[bin] += spec.utilization();
-                if self.caching {
-                    self.cache.store(bin, fix);
-                }
-                placement[i] = Placed {
-                    hw: HwThreadId(self.cpu_base + bin as u32),
-                    kind: PlacementKind::Whole,
-                };
-                placed = true;
-                break;
-            }
-            // Semi-partitioned fallback: split into two subtasks pinned to
-            // two CPUs, each receiving every other job (arrival `2T`,
-            // deadline `T`). Both host bins must pass the split-aware RTA.
-            if !placed && self.policy == PlacementPolicy::SemiPartitioned {
-                'pairs: for pi in 0..candidates.len() {
-                    for pj in (pi + 1)..candidates.len() {
-                        let (a, b) = (candidates[pi], candidates[pj]);
-                        self.cache.note_recompute(a);
-                        let Some(fix_a) =
-                            analyze_bin(&self.bins[a], Some((key, spec, Residency::Split)))
-                        else {
-                            continue 'pairs;
-                        };
-                        self.cache.note_recompute(b);
-                        let Some(fix_b) =
-                            analyze_bin(&self.bins[b], Some((key, spec, Residency::Split)))
-                        else {
-                            continue;
-                        };
-                        self.touch(&mut touched, a);
-                        self.touch(&mut touched, b);
-                        for (bin, fix, primary) in [(a, fix_a, true), (b, fix_b, false)] {
-                            self.bins[bin].push(Entry {
-                                key,
-                                spec: spec.clone(),
-                                kind: Residency::Split,
-                                primary,
-                            });
-                            self.bin_util[bin] += spec.utilization() / 2.0;
-                            if self.caching {
-                                self.cache.store(bin, fix);
-                            }
-                        }
-                        placement[i] = Placed {
-                            hw: HwThreadId(self.cpu_base + a as u32),
-                            kind: PlacementKind::Split {
-                                secondary: HwThreadId(self.cpu_base + b as u32),
-                            },
-                        };
-                        placed = true;
-                        break 'pairs;
-                    }
-                }
-            }
-            // Semi-federated fallback: grant a core's top band to the
-            // parallel phase (wind-up runs there with response exactly w),
-            // and pack the mandatory residual into another shared bin with
-            // deadline T − w. Grant bins are tried in index order; their
-            // earlier residents must stay schedulable under the new band.
-            if !placed
-                && self.policy == PlacementPolicy::SemiFederated
-                && spec.optional_utilization() >= 1.0
-            {
-                'grants: for g in 0..m {
-                    if self.grant_of[g].is_some() {
-                        continue;
-                    }
-                    self.cache.note_recompute(g);
-                    let Some(fix_g) =
-                        analyze_bin(&self.bins[g], Some((key, spec, Residency::FedWindup)))
-                    else {
-                        continue;
-                    };
-                    for &bin in &candidates {
-                        if bin == g {
-                            continue;
-                        }
-                        self.cache.note_recompute(bin);
-                        let Some(fix_r) = analyze_bin(
-                            &self.bins[bin],
-                            Some((key, spec, Residency::FedResidual)),
-                        ) else {
-                            continue;
-                        };
-                        self.touch(&mut touched, g);
-                        self.touch(&mut touched, bin);
-                        self.bins[g].push(Entry {
-                            key,
-                            spec: spec.clone(),
-                            kind: Residency::FedWindup,
-                            primary: false,
-                        });
-                        self.bins[bin].push(Entry {
-                            key,
-                            spec: spec.clone(),
-                            kind: Residency::FedResidual,
-                            primary: true,
-                        });
-                        self.grant_of[g] = Some(key);
-                        self.bin_util[g] += spec.windup() / spec.period();
-                        self.bin_util[bin] += spec.mandatory() / spec.period();
-                        if self.caching {
-                            self.cache.store(g, fix_g);
-                            self.cache.store(bin, fix_r);
-                        }
-                        placement[i] = Placed {
-                            hw: HwThreadId(self.cpu_base + bin as u32),
-                            kind: PlacementKind::Federated {
-                                granted: HwThreadId(self.cpu_base + g as u32),
-                            },
-                        };
-                        placed = true;
-                        break 'grants;
-                    }
-                }
-            }
-            if !placed {
-                self.rollback(&touched);
-                return Err(RejectReason::Unschedulable { index: i });
             }
         }
         Ok((placement, touched))
+    }
+
+    /// The paper's rule: the first candidate bin that still passes the
+    /// RMWP test with the whole task added.
+    fn place_whole(
+        &mut self,
+        cand: &Candidate<'_>,
+        bins: &[usize],
+        touched: &mut Vec<TouchedBin>,
+    ) -> Option<Placed> {
+        for &bin in bins {
+            if let Some(fix) = self.probe(bin, cand, Residency::Whole) {
+                self.commit(touched, bin, cand, Residency::Whole, true, fix);
+                return Some(Placed {
+                    hw: self.hw(bin),
+                    kind: PlacementKind::Whole,
+                });
+            }
+        }
+        None
+    }
+
+    /// Semi-partitioned fallback: split into two subtasks pinned to two
+    /// CPUs, each receiving every other job (arrival `2T`, deadline `T`).
+    /// Both host bins must pass the split-aware RTA.
+    fn place_split(
+        &mut self,
+        cand: &Candidate<'_>,
+        bins: &[usize],
+        touched: &mut Vec<TouchedBin>,
+    ) -> Option<Placed> {
+        if self.policy != PlacementPolicy::SemiPartitioned {
+            return None;
+        }
+        for (i, &a) in bins.iter().enumerate() {
+            let Some(fix_a) = self.probe(a, cand, Residency::Split) else {
+                continue;
+            };
+            for &b in &bins[i + 1..] {
+                let Some(fix_b) = self.probe(b, cand, Residency::Split) else {
+                    continue;
+                };
+                self.commit(touched, a, cand, Residency::Split, true, fix_a);
+                self.commit(touched, b, cand, Residency::Split, false, fix_b);
+                return Some(Placed {
+                    hw: self.hw(a),
+                    kind: PlacementKind::Split {
+                        secondary: self.hw(b),
+                    },
+                });
+            }
+        }
+        None
+    }
+
+    /// Semi-federated fallback: grant a core's top band to the parallel
+    /// phase (wind-up runs there with response exactly `w`), and pack the
+    /// mandatory residual into another shared bin with deadline `T − w`.
+    /// Grant bins are tried in index order; their earlier residents must
+    /// stay schedulable under the new band.
+    fn place_federated(
+        &mut self,
+        cand: &Candidate<'_>,
+        bins: &[usize],
+        touched: &mut Vec<TouchedBin>,
+    ) -> Option<Placed> {
+        if self.policy != PlacementPolicy::SemiFederated
+            || cand.spec.optional_utilization() < 1.0
+        {
+            return None;
+        }
+        for g in 0..self.bins.len() {
+            if self.grant_of[g].is_some() {
+                continue;
+            }
+            let Some(fix_g) = self.probe(g, cand, Residency::FedWindup) else {
+                continue;
+            };
+            for &bin in bins.iter().filter(|&&bin| bin != g) {
+                let Some(fix_r) = self.probe(bin, cand, Residency::FedResidual) else {
+                    continue;
+                };
+                self.commit(touched, g, cand, Residency::FedWindup, false, fix_g);
+                self.commit(touched, bin, cand, Residency::FedResidual, true, fix_r);
+                self.grant_of[g] = Some(cand.key);
+                return Some(Placed {
+                    hw: self.hw(bin),
+                    kind: PlacementKind::Federated {
+                        granted: self.hw(g),
+                    },
+                });
+            }
+        }
+        None
     }
 
     fn rollback(&mut self, touched: &[TouchedBin]) {
@@ -895,11 +983,7 @@ impl AdmissionEngine {
             return Vec::new();
         }
         let read = self.read_set(&victims);
-        let mut old_pairs = Vec::new();
-        for &b in &read {
-            let ods = self.ods_of(b);
-            collect_pairs(&self.bins[b], &ods, &mut old_pairs);
-        }
+        let old_pairs = self.od_pairs(&read);
         for &b in &victims {
             self.cache.invalidate(b);
             if self.grant_of[b].is_some_and(|k| keys.contains(&k)) {
@@ -916,12 +1000,7 @@ impl AdmissionEngine {
             };
             self.cache.store(b, fix);
         }
-        let mut new_pairs = Vec::new();
-        for &b in &read {
-            let ods = self.ods_of(b);
-            collect_pairs(&self.bins[b], &ods, &mut new_pairs);
-        }
-        od_deltas(&merge_min(old_pairs), &merge_min(new_pairs))
+        od_deltas(&old_pairs, &self.od_pairs(&read))
     }
 
     fn remove_keys(&mut self, keys: &[TaskKey]) {
@@ -960,12 +1039,7 @@ impl AdmissionEngine {
             Vec::new()
         };
         let old_pairs = if self.caching {
-            let mut pairs = Vec::new();
-            for &b in &read {
-                let ods = self.ods_of(b);
-                collect_pairs(&self.bins[b], &ods, &mut pairs);
-            }
-            merge_min(pairs)
+            self.od_pairs(&read)
         } else {
             self.full_snapshot()
         };
@@ -991,11 +1065,11 @@ impl AdmissionEngine {
             let kind = self.bins[b][idx].kind;
             self.bin_util[b] += util_for(spec, kind) - util_for(&old_spec, kind);
         }
-        let mut hw = HwThreadId(self.cpu_base);
+        let mut hw = self.hw(0);
         let mut kind = PlacementKind::Whole;
         for &(b, idx) in &locs {
             let e = &self.bins[b][idx];
-            let global = HwThreadId(self.cpu_base + b as u32);
+            let global = self.hw(b);
             match e.kind {
                 Residency::Whole => hw = global,
                 Residency::Split if e.primary => hw = global,
@@ -1014,12 +1088,7 @@ impl AdmissionEngine {
             }
         }
         let new_pairs = if self.caching {
-            let mut pairs = Vec::new();
-            for &b in &read {
-                let ods = self.ods_of(b);
-                collect_pairs(&self.bins[b], &ods, &mut pairs);
-            }
-            merge_min(pairs)
+            self.od_pairs(&read)
         } else {
             self.full_snapshot()
         };
@@ -1091,18 +1160,19 @@ impl AdmissionEngine {
 }
 
 fn admitted_tasks(
-    n: usize,
     base: u64,
     placement: &[Placed],
     new_pairs: &[(TaskKey, Span)],
 ) -> Vec<AdmittedTask> {
-    (0..n)
-        .map(|i| {
+    placement
+        .iter()
+        .enumerate()
+        .map(|(i, placed)| {
             let key = TaskKey(base + i as u64);
             AdmittedTask {
                 key,
-                hw_thread: placement[i].hw,
-                kind: placement[i].kind,
+                hw_thread: placed.hw,
+                kind: placed.kind,
                 optional_deadline: lookup(new_pairs, key)
                     .expect("admitted task has an analyzed OD"),
             }
@@ -1110,58 +1180,38 @@ fn admitted_tasks(
         .collect()
 }
 
-/// RMWP-analyzes `bin` (+ optional `candidate`) under within-bin Rate
-/// Monotonic order — a granted wind-up band first, then (period,
-/// key/candidate-last). Returns the per-task fixpoints in `bin` member
-/// order (candidate last, if present), or `None` if unschedulable.
+/// RMWP-analyzes `bin` (+ optional `candidate`) in within-bin priority
+/// order: a granted wind-up band first, then `(rank, period, key)` — Rate
+/// Monotonic whenever the ranks are equal. Returns the per-task fixpoints
+/// in `bin` member order (candidate last, if present), or `None` if
+/// unschedulable.
 fn analyze_bin(
     bin: &[Entry],
-    candidate: Option<(TaskKey, &TaskSpec, Residency)>,
+    candidate: Option<(&Candidate<'_>, Residency)>,
 ) -> Option<CpuFixpoints> {
-    let n = bin.len() + usize::from(candidate.is_some());
-    let spec_of = |i: usize| -> &TaskSpec {
-        if i < bin.len() {
-            &bin[i].spec
-        } else {
-            candidate.expect("index beyond bin implies candidate").1
-        }
-    };
-    let key_of = |i: usize| -> TaskKey {
-        if i < bin.len() {
-            bin[i].key
-        } else {
-            candidate.expect("index beyond bin implies candidate").0
-        }
-    };
-    let kind_of = |i: usize| -> Residency {
-        if i < bin.len() {
-            bin[i].kind
-        } else {
-            candidate.expect("index beyond bin implies candidate").2
-        }
-    };
-    // (band, period, key) sort: the grant core's wind-up band preempts
-    // everything; the candidate's key is larger than every resident's, so
-    // ties put it last — matching its admission order once committed.
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by_key(|&i| {
-        (
-            kind_of(i) != Residency::FedWindup,
-            spec_of(i).period(),
-            key_of(i),
-        )
-    });
-    let entries: Vec<BinTask> = idx
+    // The candidate's key is larger than every resident's, so ties put it
+    // last — matching its admission order once committed.
+    let mut members: Vec<_> = bin
         .iter()
-        .map(|&i| bin_task_for(spec_of(i), kind_of(i)))
+        .map(|e| (e.kind, e.rank, &e.spec, e.key))
+        .chain(candidate.map(|(c, kind)| (kind, c.rank, c.spec, c.key)))
+        .enumerate()
+        .collect();
+    members.sort_by_key(|&(_, (kind, rank, spec, key))| {
+        (kind != Residency::FedWindup, rank, spec.period(), key)
+    });
+    let entries: Vec<BinTask> = members
+        .iter()
+        .map(|&(_, (kind, _, spec, _))| bin_task_for(spec, kind))
         .collect();
     let fixes = analyze_ordered(&entries).ok()?;
+    let n = members.len();
     let mut fix = CpuFixpoints {
         optional_deadlines: vec![Span::ZERO; n],
         mandatory_responses: vec![Span::ZERO; n],
         windup_responses: vec![Span::ZERO; n],
     };
-    for (local, &orig) in idx.iter().enumerate() {
+    for (local, &(orig, _)) in members.iter().enumerate() {
         fix.optional_deadlines[orig] = fixes[local].optional_deadline;
         fix.mandatory_responses[orig] = fixes[local].mandatory_response;
         fix.windup_responses[orig] = fixes[local].windup_response;
@@ -1328,13 +1378,54 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_offline_partition_on_rejection() {
-        // Mirror of partition.rs's `overload_reported`: five 0.6-U tasks
-        // on 4 threads fail identically through the incremental path.
-        let mut eng = AdmissionEngine::new(4, PartitionHeuristic::FirstFitDecreasing);
-        let batch: Vec<TaskSpec> = (0..5).map(|i| heavy(&format!("t{i}"))).collect();
-        assert!(!eng.try_admit(&batch).is_admitted());
-        assert!(eng.try_admit(&batch[..4]).is_admitted());
+    fn online_admissions_order_a_bin_by_period_then_key() {
+        // Arrival order is deliberately not Rate Monotonic and has a
+        // period tie, which the earlier key wins.
+        let specs = [
+            task("slow", 400, 20, 20),
+            task("fast", 50, 2, 2),
+            task("mid_a", 100, 5, 5),
+            task("mid_b", 100, 10, 5),
+        ];
+        let mut eng = AdmissionEngine::new(1, PartitionHeuristic::FirstFitDecreasing);
+        for spec in &specs {
+            eng.try_admit(std::slice::from_ref(spec)).admitted().unwrap();
+        }
+        // An engine that only ever admitted online holds one rank…
+        assert!(eng.bins[0].iter().all(|e| e.rank == 0));
+        // …so its fixpoints are those of plain (period, key) order.
+        let rm = [1, 2, 3, 0];
+        let entries: Vec<BinTask> = rm
+            .iter()
+            .map(|&i| bin_task_for(&specs[i], Residency::Whole))
+            .collect();
+        let fixes = analyze_ordered(&entries).unwrap();
+        let got = eng.cache().fixpoints(0).unwrap();
+        for (local, &i) in rm.iter().enumerate() {
+            assert_eq!(got.optional_deadlines[i], fixes[local].optional_deadline);
+            assert_eq!(got.mandatory_responses[i], fixes[local].mandatory_response);
+            assert_eq!(got.windup_responses[i], fixes[local].windup_response);
+        }
+        // The tie is real: mid_a (earlier key) is not delayed by mid_b.
+        assert_eq!(got.windup_responses[2], Span::from_millis(5 + 4));
+        assert_eq!(got.windup_responses[3], Span::from_millis(5 + 4 + 10));
+    }
+
+    #[test]
+    fn ranked_batch_orders_a_bin_by_rank_before_period() {
+        // The offline build's entry point: the long-period task is ranked
+        // first (as an RM-US HPQ task would be), so it delays the short-
+        // period one instead of the other way round.
+        let specs = [task("short", 50, 5, 5), task("long", 100, 10, 10)];
+        let mut eng = AdmissionEngine::new(1, PartitionHeuristic::FirstFitDecreasing);
+        let a = eng.admit_ranked(&specs, &[1, 0]).admitted().unwrap();
+        assert_eq!(a.tasks[0].key, TaskKey(0));
+        assert_eq!(a.tasks[0].optional_deadline, Span::from_millis(50 - (5 + 20)));
+        assert_eq!(a.tasks[1].optional_deadline, Span::from_millis(100 - 10));
+        // Keys handed out afterwards do not collide with the batch's.
+        eng.evict(&[TaskKey(0)]);
+        let b = eng.try_admit(&[light("later")]).admitted().unwrap();
+        assert_eq!(b.tasks[0].key, TaskKey(2));
     }
 
     // ---- placement-policy family --------------------------------------

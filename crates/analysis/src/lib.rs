@@ -8,12 +8,14 @@
 //! * **RMWP optional-deadline calculation** and schedulability test
 //!   ([`rmwp`]) — the offline analysis that makes semi-fixed-priority
 //!   scheduling possible (paper §III and Theorems 1–2 of §IV-A),
-//! * **partitioned task assignment** for P-RMWP ([`partition`]),
-//! * incremental **online admission control** over the same bins and the
-//!   same RMWP test ([`admission`]) — per-CPU response-time fixpoints are
+//! * incremental **admission control** ([`admission`]): the one placement
+//!   procedure (bin-packing heuristic + exact RMWP test + the split and
+//!   federated-grant fallbacks) — per-CPU response-time fixpoints are
 //!   memoised in an [`RtaCache`], so each decision re-analyzes only the
 //!   CPUs it touches; this is what the serving layer consults on every
 //!   tenant arrival/departure,
+//! * **partitioned task assignment** for P-RMWP ([`partition`]): the whole
+//!   task set admitted as one batch into an empty engine,
 //! * **sharded admission** over disjoint CPU partitions ([`shard`]) for
 //!   parallel batched rounds at tenant scale,
 //! * synthetic **task-set generators** ([`taskgen`]).
@@ -58,10 +60,7 @@ pub use admission::{
     Admission, AdmissionDecision, AdmissionEngine, AdmittedTask, CpuFixpoints, OdUpdate,
     PlacementKind, RejectReason, RtaCache, TaskKey,
 };
-pub use partition::{
-    Partition, PartitionError, PartitionHeuristic, PartitionedPlacement, PlacementPolicy,
-    PlacementStrategy, SemiFederatedPlacement, SemiPartitionedPlacement,
-};
+pub use partition::{Partition, PartitionError, PartitionHeuristic, PlacementPolicy};
 pub use shard::ShardedAdmission;
 pub use rmwp::{RmwpAnalysis, RmwpError};
 pub use rta::{response_time, RtaError};

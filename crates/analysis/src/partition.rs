@@ -2,17 +2,19 @@
 //!
 //! P-RMWP assigns every task's mandatory thread to one hardware thread
 //! *offline*; mandatory and wind-up parts never migrate (§II-A, §IV-B).
-//! This module provides the classic bin-packing heuristics with the RMWP
-//! response-time admission test from [`crate::rmwp`]: a task fits on a
-//! hardware thread iff the tasks already there plus the candidate are RMWP-
-//! schedulable together.
+//! A task fits on a hardware thread iff the tasks already there plus the
+//! candidate are RMWP-schedulable together ([`crate::rmwp`]). This module
+//! names the bin-packing heuristics and the placement-policy family; the
+//! placement procedure itself lives in [`crate::admission`], and a
+//! [`Partition`] is what one batch admission of the whole task set into
+//! an empty [`AdmissionEngine`] decided.
 
 use core::fmt;
 
 use rtseed_model::{HwThreadId, Span, TaskId, TaskSet, TaskSpec, Topology};
 use serde::{Deserialize, Serialize};
 
-use crate::rmwp::{analyze_ordered, BinTask};
+use crate::admission::{AdmissionDecision, AdmissionEngine, PlacementKind, RejectReason};
 
 /// Bin-packing heuristic for partitioned assignment. All heuristics
 /// consider tasks in decreasing-utilization order (the "-decreasing"
@@ -88,15 +90,6 @@ impl PlacementPolicy {
         PlacementPolicy::SemiPartitioned,
         PlacementPolicy::SemiFederated,
     ];
-
-    /// The strategy object implementing this policy's placement contract.
-    pub fn strategy(self) -> &'static dyn PlacementStrategy {
-        match self {
-            PlacementPolicy::Partitioned => &PartitionedPlacement,
-            PlacementPolicy::SemiPartitioned => &SemiPartitionedPlacement,
-            PlacementPolicy::SemiFederated => &SemiFederatedPlacement,
-        }
-    }
 }
 
 impl fmt::Display for PlacementPolicy {
@@ -107,98 +100,6 @@ impl fmt::Display for PlacementPolicy {
             PlacementPolicy::SemiFederated => "semi-federated",
         };
         f.write_str(s)
-    }
-}
-
-/// The contract every placement-policy family member satisfies.
-///
-/// Given a task set, a topology, a packing heuristic and the deployed
-/// priority order, produce a [`Partition`] such that:
-///
-/// 1. **Soundness** — every hardware thread's resident entries (whole
-///    tasks, split subtasks at their `2T` arrival, federated residuals)
-///    pass the exact RMWP response-time test under the given priorities;
-/// 2. **Determinism** — the assignment is a pure function of the inputs
-///    (ties broken by task id / bin index, never by iteration order of a
-///    hash map or by wall clock);
-/// 3. **Conservative extension** — whenever plain partitioned placement
-///    would succeed for a task, the policy places it identically, so
-///    disabling the policy's extra mechanism reproduces plain P-RMWP
-///    byte-for-byte.
-pub trait PlacementStrategy: fmt::Debug + Sync {
-    /// Places `set` onto `topology` honouring `order` (highest priority
-    /// first).
-    ///
-    /// # Errors
-    ///
-    /// [`PartitionError::TaskDoesNotFit`] if some task cannot be placed
-    /// even with the policy's fallback mechanism.
-    fn place(
-        &self,
-        set: &TaskSet,
-        topology: &Topology,
-        heuristic: PartitionHeuristic,
-        order: Vec<TaskId>,
-    ) -> Result<Partition, PartitionError>;
-}
-
-/// [`PlacementPolicy::Partitioned`] as a strategy object.
-#[derive(Debug)]
-pub struct PartitionedPlacement;
-
-/// [`PlacementPolicy::SemiPartitioned`] as a strategy object.
-#[derive(Debug)]
-pub struct SemiPartitionedPlacement;
-
-/// [`PlacementPolicy::SemiFederated`] as a strategy object.
-#[derive(Debug)]
-pub struct SemiFederatedPlacement;
-
-impl PlacementStrategy for PartitionedPlacement {
-    fn place(
-        &self,
-        set: &TaskSet,
-        topology: &Topology,
-        heuristic: PartitionHeuristic,
-        order: Vec<TaskId>,
-    ) -> Result<Partition, PartitionError> {
-        Partition::compute_with_policy(set, topology, heuristic, order, PlacementPolicy::Partitioned)
-    }
-}
-
-impl PlacementStrategy for SemiPartitionedPlacement {
-    fn place(
-        &self,
-        set: &TaskSet,
-        topology: &Topology,
-        heuristic: PartitionHeuristic,
-        order: Vec<TaskId>,
-    ) -> Result<Partition, PartitionError> {
-        Partition::compute_with_policy(
-            set,
-            topology,
-            heuristic,
-            order,
-            PlacementPolicy::SemiPartitioned,
-        )
-    }
-}
-
-impl PlacementStrategy for SemiFederatedPlacement {
-    fn place(
-        &self,
-        set: &TaskSet,
-        topology: &Topology,
-        heuristic: PartitionHeuristic,
-        order: Vec<TaskId>,
-    ) -> Result<Partition, PartitionError> {
-        Partition::compute_with_policy(
-            set,
-            topology,
-            heuristic,
-            order,
-            PlacementPolicy::SemiFederated,
-        )
     }
 }
 
@@ -272,161 +173,55 @@ impl Partition {
         policy: PlacementPolicy,
     ) -> Result<Partition, PartitionError> {
         assert_eq!(order.len(), set.len(), "order must cover every task");
-        let mut rank = vec![usize::MAX; set.len()];
-        for (r, id) in order.iter().enumerate() {
-            rank[id.index()] = r;
+        let mut ranks = vec![u32::MAX; set.len()];
+        for (rank, id) in order.iter().enumerate() {
+            ranks[id.index()] = rank as u32;
         }
         assert!(
-            rank.iter().all(|&r| r != usize::MAX),
+            ranks.iter().all(|&r| r != u32::MAX),
             "order must be a permutation of the task ids"
         );
-        let m = topology.hw_threads() as usize;
-        let mut bins: Vec<Vec<Member>> = vec![Vec::new(); m];
-        let mut bin_util = vec![0.0f64; m];
-        let mut assignment = vec![HwThreadId(0); set.len()];
-        let mut secondary: Vec<Option<HwThreadId>> = vec![None; set.len()];
-        let mut granted: Vec<Option<HwThreadId>> = vec![None; set.len()];
-
-        // Placement considers tasks in decreasing utilization (ties by id
-        // for determinism) — independent of the priority order above.
-        let mut fit_order: Vec<TaskId> = set.ids().collect();
-        fit_order.sort_by(|a, b| {
-            let ua = set.task(*a).utilization();
-            let ub = set.task(*b).utilization();
-            ub.partial_cmp(&ua)
-                .expect("utilizations are finite")
-                .then(a.0.cmp(&b.0))
-        });
-
-        // Bins already granted to a federated task's parallel phase leave
-        // the shared pool for all later placements.
-        let mut grant_of_bin: Vec<bool> = vec![false; m];
-
-        for &id in &fit_order {
-            let u = set.task(id).utilization();
-            let mut candidates: Vec<usize> =
-                (0..m).filter(|&b| !grant_of_bin[b]).collect();
-            match heuristic {
-                PartitionHeuristic::FirstFitDecreasing => {}
-                PartitionHeuristic::BestFitDecreasing => {
-                    candidates.sort_by(|&a, &b| {
-                        bin_util[b]
-                            .partial_cmp(&bin_util[a])
-                            .expect("finite utilization")
-                            .then(a.cmp(&b))
-                    });
-                }
-                PartitionHeuristic::WorstFitDecreasing => {
-                    candidates.sort_by(|&a, &b| {
-                        bin_util[a]
-                            .partial_cmp(&bin_util[b])
-                            .expect("finite utilization")
-                            .then(a.cmp(&b))
-                    });
-                }
+        // The set's tasks in id order, borrowed as the slice they are stored in.
+        let tasks: &[TaskSpec] = set.into_iter().as_slice();
+        let mut engine = AdmissionEngine::new(topology.hw_threads() as usize, heuristic)
+            .with_placement(policy);
+        let admission = match engine.admit_ranked(tasks, &ranks) {
+            AdmissionDecision::Admitted(admission) => admission,
+            AdmissionDecision::Rejected(RejectReason::Unschedulable { index }) => {
+                return Err(PartitionError::TaskDoesNotFit {
+                    task: TaskId(index as u32),
+                });
             }
+            other => unreachable!("a non-empty batch admission cannot end in {other:?}"),
+        };
 
-            let spec = set.task(id);
-            let mut placed = false;
-            for &bin in &candidates {
-                let whole = Member { id, kind: Residency::Whole };
-                if admits(set, &bins[bin], whole, &rank) {
-                    bins[bin].push(whole);
-                    bin_util[bin] += u;
-                    assignment[id.index()] = HwThreadId(bin as u32);
-                    placed = true;
-                    break;
-                }
-            }
-            // Semi-partitioned fallback: split into two subtasks pinned to
-            // two CPUs, each receiving every other job (arrival `2T`,
-            // deadline `T`). Both host bins must pass the split-aware RTA.
-            if !placed && policy == PlacementPolicy::SemiPartitioned {
-                'pairs: for i in 0..candidates.len() {
-                    for j in (i + 1)..candidates.len() {
-                        let (a, b) = (candidates[i], candidates[j]);
-                        let sub = Member { id, kind: Residency::Split };
-                        if admits(set, &bins[a], sub, &rank)
-                            && admits(set, &bins[b], sub, &rank)
-                        {
-                            bins[a].push(sub);
-                            bins[b].push(sub);
-                            bin_util[a] += u / 2.0;
-                            bin_util[b] += u / 2.0;
-                            assignment[id.index()] = HwThreadId(a as u32);
-                            secondary[id.index()] = Some(HwThreadId(b as u32));
-                            placed = true;
-                            break 'pairs;
-                        }
-                    }
-                }
-            }
-            // Semi-federated fallback: grant a core's top band to the
-            // parallel phase (wind-up runs there with response exactly w),
-            // and pack the mandatory residual into another shared bin with
-            // deadline T − w. Grant bins are tried in index order; their
-            // earlier residents must stay schedulable under the new band.
-            if !placed
-                && policy == PlacementPolicy::SemiFederated
-                && spec.optional_utilization() >= 1.0
-            {
-                let windup = Member { id, kind: Residency::FedWindup };
-                let residual = Member { id, kind: Residency::FedResidual };
-                'grants: for g in (0..m).filter(|&g| !grant_of_bin[g]) {
-                    if !admits(set, &bins[g], windup, &rank) {
-                        continue;
-                    }
-                    for &bin in &candidates {
-                        if bin == g {
-                            continue;
-                        }
-                        if admits(set, &bins[bin], residual, &rank) {
-                            bins[g].push(windup);
-                            bins[bin].push(residual);
-                            grant_of_bin[g] = true;
-                            bin_util[g] += spec.windup() / spec.period();
-                            bin_util[bin] += spec.mandatory() / spec.period();
-                            assignment[id.index()] = HwThreadId(bin as u32);
-                            granted[id.index()] = Some(HwThreadId(g as u32));
-                            placed = true;
-                            break 'grants;
-                        }
-                    }
-                }
-            }
-            if !placed {
-                return Err(PartitionError::TaskDoesNotFit { task: id });
-            }
-        }
-
-        // Compute final per-thread analyses to extract optional deadlines.
-        // A split task's effective OD is the minimum over its two hosts; a
-        // federated task's OD comes from its wind-up entry on the grant
-        // core (`T − w`), never from the residual's synthetic deadline.
-        let mut optional_deadline = vec![Span::MAX; set.len()];
-        for members in bins.iter().filter(|b| !b.is_empty()) {
-            let mut members = members.clone();
-            sort_bin(&mut members, &rank);
-            let entries = bin_entries(set, &members);
-            let fix = analyze_ordered(&entries).expect("bin admitted incrementally");
-            for (local, member) in members.iter().enumerate() {
-                if member.kind == Residency::FedResidual {
-                    continue;
-                }
-                let slot = &mut optional_deadline[member.id.index()];
-                *slot = (*slot).min(fix[local].optional_deadline);
-            }
-        }
-
+        // Keys are task ids: the batch was keyed `0..n` in id order.
+        let placed = &admission.tasks;
         Ok(Partition {
-            assignment,
-            optional_deadline,
-            per_thread: bins
-                .into_iter()
-                .map(|b| b.into_iter().map(|m| m.id).collect())
+            assignment: placed.iter().map(|t| t.hw_thread).collect(),
+            optional_deadline: placed.iter().map(|t| t.optional_deadline).collect(),
+            per_thread: (0..engine.hw_threads())
+                .map(|cpu| {
+                    engine
+                        .residents_on(cpu)
+                        .map(|(key, _)| TaskId(key.0 as u32))
+                        .collect()
+                })
                 .collect(),
-            secondary,
-            granted,
+            secondary: placed
+                .iter()
+                .map(|t| match t.kind {
+                    PlacementKind::Split { secondary } => Some(secondary),
+                    _ => None,
+                })
+                .collect(),
+            granted: placed
+                .iter()
+                .map(|t| match t.kind {
+                    PlacementKind::Federated { granted } => Some(granted),
+                    _ => None,
+                })
+                .collect(),
         })
     }
 
@@ -486,86 +281,6 @@ impl Partition {
     pub fn granted_core_of(&self, task: TaskId) -> Option<HwThreadId> {
         self.granted[task.index()]
     }
-}
-
-/// How a task resides in a placement bin. Shared with the online
-/// [`crate::admission`] engine so both placement paths analyze identical
-/// bin contents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Residency {
-    /// The whole task: both real-time parts, arrival `T`.
-    Whole,
-    /// Restricted-migration split subtask: whole jobs, arrival `2T`.
-    Split,
-    /// A federated task's wind-up in the grant core's top band.
-    FedWindup,
-    /// A federated task's mandatory residual, deadline `T − w`.
-    FedResidual,
-}
-
-/// One resident of a placement bin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Member {
-    id: TaskId,
-    kind: Residency,
-}
-
-/// Priority order within a bin: the grant core's wind-up band preempts
-/// everything, then the deployed priority order.
-fn sort_bin(members: &mut [Member], rank: &[usize]) {
-    members.sort_by_key(|m| {
-        (
-            usize::from(m.kind != Residency::FedWindup),
-            rank[m.id.index()],
-        )
-    });
-}
-
-/// The [`BinTask`] analysis entry for `spec` residing in a bin as `kind`.
-pub(crate) fn bin_task_for(spec: &TaskSpec, kind: Residency) -> BinTask {
-    match kind {
-        Residency::Whole | Residency::Split => BinTask {
-            arrival: if kind == Residency::Split {
-                spec.period() * 2
-            } else {
-                spec.period()
-            },
-            deadline: spec.deadline(),
-            mandatory: spec.mandatory(),
-            windup: spec.windup(),
-            deadline_only: spec.windup().is_zero() && spec.optional_count() == 0,
-        },
-        Residency::FedWindup => BinTask {
-            arrival: spec.period(),
-            deadline: spec.deadline(),
-            mandatory: Span::ZERO,
-            windup: spec.windup(),
-            deadline_only: false,
-        },
-        Residency::FedResidual => BinTask {
-            arrival: spec.period(),
-            deadline: spec.deadline() - spec.windup(),
-            mandatory: spec.mandatory(),
-            windup: Span::ZERO,
-            deadline_only: true,
-        },
-    }
-}
-
-/// Priority-ordered [`BinTask`] entries for a bin's members (callers sort
-/// `members` with [`sort_bin`] first when order matters).
-fn bin_entries(set: &TaskSet, members: &[Member]) -> Vec<BinTask> {
-    members
-        .iter()
-        .map(|m| bin_task_for(set.task(m.id), m.kind))
-        .collect()
-}
-
-fn admits(set: &TaskSet, existing: &[Member], candidate: Member, rank: &[usize]) -> bool {
-    let mut members: Vec<Member> = existing.to_vec();
-    members.push(candidate);
-    sort_bin(&mut members, rank);
-    analyze_ordered(&bin_entries(set, &members)).is_ok()
 }
 
 /// Error from [`Partition::compute`].
@@ -703,20 +418,34 @@ mod tests {
     }
 
     #[test]
-    fn strategy_objects_match_compute_with_policy() {
-        let set = heavy(4);
-        let topo = Topology::quad_core_smt2();
+    fn does_not_fit_names_first_unplaceable_task_in_utilization_order() {
+        // Placement order is decreasing utilization: 3 (0.7), then 1 and 2
+        // (0.6 each, ties by id), then 0 (0.2). Tasks 3 and 1 take the two
+        // CPUs; task 2 is the first that fits nowhere, and the batch index
+        // the engine reports maps straight to its task id.
+        let set = TaskSet::new(vec![
+            task("light", 100, 10, 10),
+            task("h1", 100, 30, 30),
+            task("h2", 100, 30, 30),
+            task("h3", 100, 35, 35),
+        ])
+        .unwrap();
+        let topo = Topology::new(1, 2).unwrap();
         for policy in PlacementPolicy::ALL {
-            let via_trait = policy
-                .strategy()
-                .place(&set, &topo, PartitionHeuristic::FirstFitDecreasing, set.rm_order())
-                .unwrap();
-            let direct = compute_policy(&set, &topo, policy).unwrap();
-            for id in set.ids() {
-                assert_eq!(via_trait.hw_thread_of(id), direct.hw_thread_of(id), "{policy}");
-                assert_eq!(via_trait.secondary_of(id), direct.secondary_of(id), "{policy}");
-            }
+            let err = compute_policy(&set, &topo, policy).unwrap_err();
+            assert_eq!(err, PartitionError::TaskDoesNotFit { task: TaskId(2) }, "{policy}");
         }
+        // Without task 2 the rest fits, the light task beside a heavy one.
+        let rest = TaskSet::new(vec![
+            task("light", 100, 10, 10),
+            task("h1", 100, 30, 30),
+            task("h3", 100, 35, 35),
+        ])
+        .unwrap();
+        let p = compute_policy(&rest, &topo, PlacementPolicy::Partitioned).unwrap();
+        assert_eq!(p.hw_thread_of(TaskId(2)), HwThreadId(0));
+        assert_eq!(p.hw_thread_of(TaskId(1)), HwThreadId(1));
+        assert_eq!(p.used_threads(), 2);
     }
 
     #[test]
