@@ -19,43 +19,21 @@
 //! parts are scheduled globally.
 //!
 //! All protocol decisions — part lifecycle, banking, budget cuts, OD
-//! termination, QoS — live in the shared [`Engine`](crate::engine); this
-//! module is a *driver* that owns only the global-dispatch mechanism (the
-//! shared RT queue, migration accounting, and per-CPU optional queues).
-//! Fault-plan CPU stalls run through the same engine input as the
-//! partitioned simulator, so faulted workloads are comparable across both.
+//! termination, QoS — live in the shared [`Engine`](crate::engine), and the
+//! event loop (release, completion, OD termination, stall windows, abort)
+//! in the crate's one discrete-event driver; this module supplies only its
+//! global-dispatch substrate: the shared RT queue, processor choice,
+//! preemption and migration accounting. Faulted workloads are therefore
+//! comparable with the partitioned simulator event for event.
 
-use rtseed_model::{HwThreadId, Priority, Span, Time};
-use rtseed_sim::{EventQueue, FifoReadyQueue};
+use rtseed_model::{HwThreadId, Priority, Span};
+use rtseed_sim::FifoReadyQueue;
 
 use crate::config::SystemConfig;
-use crate::engine::{AfterMandatory, Cursor, Engine, OdAction, WindupCommand};
+use crate::des::{Driver, Running, SimArena, Substrate, Work};
+use crate::engine::{Cursor, Engine, StopTarget};
 use crate::executor::{Backend, ExecError, Executor, Outcome, RunConfig};
-use crate::obs::{QueueBand, QueueOp, TraceEvent};
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Work {
-    task: usize,
-    cursor: Cursor,
-}
-
-#[derive(Debug)]
-enum Event {
-    Release { task: usize, retried: bool },
-    OdExpire { task: usize, seq: u64 },
-    Complete { cpu: usize, gen: u64 },
-    WindupReady { task: usize, seq: u64 },
-    StallStart { cpu: usize, duration: Span },
-    StallEnd { cpu: usize },
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Running {
-    work: Work,
-    prio: Priority,
-    since: Time,
-    gen: u64,
-}
+use crate::obs::{QueueOp, TraceEvent};
 
 /// The global (G-RMWP) executor. Unlike [`crate::exec_sim::SimExecutor`],
 /// real-time parts are **not** pinned: they run wherever a processor is
@@ -86,14 +64,21 @@ impl GlobalExecutor {
 
     /// Runs the global simulation to completion.
     pub fn run(&self) -> Outcome {
-        let mut state = GlobalState::new(self);
-        state.run(self.run.jobs);
-        let GlobalState {
+        let eng = Engine::new(&self.config, &self.run);
+        let sub = Global {
+            rt_queue: FifoReadyQueue::new(),
+            last_cpu: vec![None; eng.task_count()],
+            migration_cost: self.run.migration_cost,
+            migrations: 0,
+            dispatches: 0,
+        };
+        let hw_threads = self.config.topology().hw_threads() as usize;
+        let mut state = Driver::new_in(&mut SimArena::new(), hw_threads, eng, sub);
+        state.run_closed(&self.config, &self.run);
+        let Driver {
             eng,
             now,
-            migrations,
-            migration_overhead,
-            dispatches,
+            sub,
             events_processed,
             ..
         } = state;
@@ -101,9 +86,9 @@ impl GlobalExecutor {
         Outcome {
             qos: out.qos,
             overheads: out.overheads,
-            migrations,
-            migration_overhead,
-            dispatches,
+            migrations: sub.migrations,
+            migration_overhead: sub.migration_cost * sub.migrations,
+            dispatches: sub.dispatches,
             trace: out.trace,
             metrics: out.metrics,
             faults: out.faults,
@@ -128,288 +113,164 @@ impl Executor for GlobalExecutor {
     }
 }
 
-struct GlobalState<'a> {
-    run: &'a RunConfig,
-    now: Time,
-    events: EventQueue<Event>,
-    // One global queue for RT parts; per-cpu queues for optional parts
-    // (they are pinned by the assignment policy).
+/// Global dispatch under the shared driver: one ready queue for all
+/// real-time parts, the driver's per-CPU queues for the (pinned) optional
+/// parts, and the migration reference point of every task. The substrate
+/// is costless — no Δm/Δb/Δs wake-up events, no per-part Δe — because this
+/// executor isolates the migration effect; a part is runnable the instant
+/// the protocol says so.
+#[derive(Debug)]
+struct Global {
     rt_queue: FifoReadyQueue<Work>,
-    opt_queues: Vec<FifoReadyQueue<Work>>,
-    cpus: Vec<Option<Running>>,
-    /// Depth of overlapping fault-plan stall windows per processor; > 0
-    /// means the processor executes nothing and global dispatch skips it.
-    stalled: Vec<u32>,
-    /// Last processor each task's real-time side ran on (the migration
-    /// reference point — a driver concern, not protocol state).
+    /// Last processor each task's real-time side ran on (a driver
+    /// concern, not protocol state).
     last_cpu: Vec<Option<usize>>,
-    eng: Engine,
-    gen: u64,
+    migration_cost: Span,
     migrations: u64,
-    migration_overhead: Span,
     dispatches: u64,
-    events_processed: u64,
 }
 
-impl<'a> GlobalState<'a> {
-    fn new(exec: &'a GlobalExecutor) -> GlobalState<'a> {
-        let m = exec.config.topology().hw_threads() as usize;
-        let mut eng = Engine::new(&exec.config, &exec.run);
-        if exec.run.jobs > 0 {
-            eng.trace_policy_decisions(&exec.config);
-        }
-        let n = eng.task_count();
-        GlobalState {
-            run: &exec.run,
-            now: Time::ZERO,
-            events: EventQueue::new(),
-            rt_queue: FifoReadyQueue::new(),
-            opt_queues: (0..m).map(|_| FifoReadyQueue::new()).collect(),
-            cpus: vec![None; m],
-            stalled: vec![0; m],
-            last_cpu: vec![None; n],
-            eng,
-            gen: 0,
-            migrations: 0,
-            migration_overhead: Span::ZERO,
-            dispatches: 0,
-            events_processed: 0,
+impl Substrate for Global {
+    fn wake_mandatory(d: &mut Driver<Self>, task: usize) {
+        let cursor = Cursor::Mandatory;
+        Self::ready(d, Work { task, cursor });
+    }
+
+    fn signal_optionals(d: &mut Driver<Self>, task: usize, np: usize) {
+        for k in 0..np {
+            let cursor = Cursor::Optional(k as u32);
+            Self::ready(d, Work { task, cursor });
         }
     }
 
-    fn run(&mut self, jobs: u64) {
-        if jobs == 0 {
-            return;
-        }
-        for t in 0..self.eng.task_count() {
-            self.events.push(
-                Time::ZERO,
-                Event::Release {
-                    task: t,
-                    retried: false,
-                },
-            );
-        }
-        // Planned CPU stall windows enter the same event queue as everything
-        // else — the global backend models them exactly like the
-        // partitioned simulator does.
-        for stall in self.run.fault_plan.stalls() {
-            let cpu = stall.hw as usize;
-            if cpu >= self.cpus.len() {
-                continue;
+    fn ready(d: &mut Driver<Self>, work: Work) {
+        match work.cursor {
+            Cursor::Optional(k) => {
+                let hw = d.eng.placement(work.task, k as usize);
+                let prio = d.eng.opt_prio(work.task);
+                d.trace_queue(QueueOp::Enqueue, prio, work.task, Some(hw));
+                d.cpus[hw].queue.enqueue(prio, work);
             }
-            self.events.push(
-                stall.at,
-                Event::StallStart {
-                    cpu,
-                    duration: stall.duration,
-                },
-            );
-            self.events
-                .push(stall.at + stall.duration, Event::StallEnd { cpu });
-        }
-        while self.eng.has_live_tasks() {
-            let Some((at, ev)) = self.events.pop() else {
-                break;
-            };
-            self.now = at;
-            self.events_processed += 1;
-            match ev {
-                Event::Release { task, retried } => self.on_release(task, retried, jobs),
-                Event::OdExpire { task, seq } => self.on_od(task, seq),
-                Event::Complete { cpu, gen } => self.on_complete(cpu, gen),
-                Event::WindupReady { task, seq } => self.on_windup_ready(task, seq),
-                Event::StallStart { cpu, duration } => self.on_stall_start(cpu, duration),
-                Event::StallEnd { cpu } => self.on_stall_end(cpu),
+            Cursor::Mandatory | Cursor::Windup => {
+                let prio = d.eng.mand_prio(work.task);
+                // The global RT queue is bound to no hardware thread.
+                d.trace_queue(QueueOp::Enqueue, prio, work.task, None);
+                d.sub.rt_queue.enqueue(prio, work);
             }
         }
     }
 
-    fn on_release(&mut self, task: usize, retried: bool, jobs: u64) {
-        // A job may complete at the very instant of the next release; the
-        // completion event is already queued ahead of us (FIFO), so requeue
-        // the release once to let it land before declaring an overrun.
-        if self.eng.job_in_flight(task) && !retried {
-            self.events.push(
-                self.now,
-                Event::Release {
-                    task,
-                    retried: true,
-                },
-            );
-            return;
+    fn terminate(d: &mut Driver<Self>, work: Work, target: StopTarget) {
+        if Self::take_off(d, target.hw, work, target.prio) {
+            d.trace_queue(QueueOp::Remove, target.prio, work.task, Some(target.hw));
         }
-        if self.eng.jobs_done(task) > 0 || self.eng.job_in_flight(task) {
-            if self.eng.job_in_flight(task) {
-                self.abort_job(task);
-            }
-            if self.eng.jobs_done(task) >= jobs {
-                return;
-            }
-        }
-        let rel = self.eng.release(task, self.now);
+    }
 
-        // The mandatory part enters the global RT queue immediately: this
-        // substrate is costless (no Δm — the overhead model lives in
-        // exec_sim; this executor isolates the migration effect).
-        let prio = self.eng.mand_prio(task);
-        self.eng.trace(
-            self.now,
-            TraceEvent::Queue {
-                band: QueueBand::of(prio),
-                op: QueueOp::Enqueue,
-                job: rel.job,
-                // Global RT queue: not bound to any hardware thread.
-                hw: None,
-            },
-        );
-        self.rt_queue.enqueue(
-            prio,
-            Work {
-                task,
-                cursor: Cursor::Mandatory,
-            },
-        );
-        if rel.has_parts {
-            if let Some(at) = self.eng.arm_timer(task, self.now) {
-                self.events.push(at, Event::OdExpire { task, seq: rel.seq });
-            }
+    fn stop(d: &mut Driver<Self>, hw: usize, work: Work, prio: Priority) {
+        Self::take_off(d, hw, work, prio);
+    }
+
+    fn requeue(d: &mut Driver<Self>, hw: usize, r: Running) {
+        match r.work.cursor {
+            // An interrupted RT part is up for grabs again: it may resume
+            // on another processor.
+            Cursor::Mandatory | Cursor::Windup => d.sub.rt_queue.enqueue_front(r.prio, r.work),
+            Cursor::Optional(_) => d.cpus[hw].queue.enqueue_front(r.prio, r.work),
         }
-        if let Some(at) = rel.next_release {
-            self.events.push(
-                at,
-                Event::Release {
-                    task,
-                    retried: false,
-                },
-            );
-        }
-        self.dispatch_all();
+    }
+
+    fn dispatch(d: &mut Driver<Self>, _hw: usize) {
+        Self::settle(d);
     }
 
     /// Global dispatch: while the RT queue's best beats some processor's
     /// current work (or an idle processor exists), place it there. Then
     /// fill remaining idle processors with their pinned optional parts.
-    fn dispatch_all(&mut self) {
-        // Real-time parts go anywhere (preferring the task's last cpu when
-        // idle, else any idle cpu, else the weakest-running cpu).
-        while let Some(best) = self.rt_queue.peek_highest_priority() {
-            let Some(cpu) = self.pick_cpu(best) else {
+    fn settle(d: &mut Driver<Self>) {
+        while let Some(best) = d.sub.rt_queue.peek_highest_priority() {
+            let Some(cpu) = Self::pick_cpu(d, best) else {
                 break;
             };
-            let (prio, work) = self.rt_queue.dequeue_highest().expect("peeked");
-            self.preempt(cpu);
-            self.start(cpu, work, prio);
+            let (prio, work) = d.sub.rt_queue.dequeue_highest().expect("peeked");
+            if let Some(r) = d.vacate(cpu) {
+                Self::requeue(d, cpu, r);
+            }
+            Self::start(d, cpu, work, prio);
         }
         // Optional parts only ever run on their own (pinned) processor.
-        for cpu in 0..self.cpus.len() {
-            if self.cpus[cpu].is_none() && self.stalled[cpu] == 0 {
-                if let Some((prio, work)) = self.opt_queues[cpu].dequeue_highest() {
-                    self.start(cpu, work, prio);
+        for cpu in 0..d.cpus.len() {
+            if d.cpus[cpu].running.is_none() && d.cpus[cpu].stalled == 0 {
+                if let Some((prio, work)) = d.cpus[cpu].queue.dequeue_highest() {
+                    Self::start(d, cpu, work, prio);
                 }
             }
         }
     }
+}
 
+impl Global {
     /// The processor the best RT work should take: last-used if idle, any
     /// idle, else the lowest-priority running processor if it is strictly
     /// weaker. Stalled processors are never candidates. `None` if nothing
     /// beats it.
-    fn pick_cpu(&self, best: Priority) -> Option<usize> {
+    fn pick_cpu(d: &Driver<Self>, best: Priority) -> Option<usize> {
         // Peek the head work of the best level to honour affinity.
-        let work = *self.rt_queue.iter_at(best).next()?;
-        let avail = |c: usize| self.stalled[c] == 0;
+        let work = *d.sub.rt_queue.iter_at(best).next()?;
+        let avail = |c: usize| d.cpus[c].stalled == 0;
+        let running = |c: usize| d.cpus[c].running.map(|r| r.prio);
         // Placement-policy bindings are hard even under global dispatch: a
         // split task's job runs wholly on its release-time CPU (so the only
         // migrations are at job boundaries), and a federated wind-up runs
         // on its granted core. The work waits if its CPU is busy with
         // higher-priority work, exactly like the weakest-processor rule.
-        if let Some(bound) = self.bound_cpu(&work) {
+        if let Some(bound) = Self::bound_cpu(d, &work) {
             if !avail(bound) {
                 return None;
             }
-            if self.cpus[bound].is_none() {
-                return Some(bound);
-            }
-            let running = self.cpus[bound].map(|r| r.prio).expect("busy");
-            return (best > running).then_some(bound);
+            return running(bound).is_none_or(|p| best > p).then_some(bound);
         }
-        if let Some(cpu) = self.last_cpu[work.task] {
-            if avail(cpu) && self.cpus[cpu].is_none() {
+        if let Some(cpu) = d.sub.last_cpu[work.task] {
+            if avail(cpu) && running(cpu).is_none() {
                 return Some(cpu);
             }
         }
-        if let Some(idle) = (0..self.cpus.len()).find(|&c| avail(c) && self.cpus[c].is_none())
-        {
+        if let Some(idle) = (0..d.cpus.len()).find(|&c| avail(c) && running(c).is_none()) {
             return Some(idle);
         }
-        let weakest = (0..self.cpus.len())
+        let weakest = (0..d.cpus.len())
             .filter(|&c| avail(c))
-            .min_by_key(|&c| self.cpus[c].map(|r| r.prio).expect("all busy"))?;
-        let weakest_prio = self.cpus[weakest].map(|r| r.prio).expect("busy");
-        (best > weakest_prio).then_some(weakest)
+            .min_by_key(|&c| running(c).expect("all busy"))?;
+        (best > running(weakest).expect("busy")).then_some(weakest)
     }
 
     /// The CPU `work` is hard-bound to under the placement policy, if any:
     /// the job-bound host of a split task (either real-time part), or the
     /// granted core for a federated task's wind-up.
-    fn bound_cpu(&self, work: &Work) -> Option<usize> {
+    fn bound_cpu(d: &Driver<Self>, work: &Work) -> Option<usize> {
         if work.cursor == Cursor::Windup {
-            if let Some(granted) = self.eng.granted_hw(work.task) {
+            if let Some(granted) = d.eng.granted_hw(work.task) {
                 return Some(granted);
             }
         }
-        self.eng
+        d.eng
             .secondary_hw(work.task)
-            .map(|_| self.eng.mandatory_hw(work.task))
+            .map(|_| d.eng.mandatory_hw(work.task))
     }
 
-    fn preempt(&mut self, cpu: usize) {
-        let Some(run) = self.cpus[cpu].take() else {
-            return;
-        };
-        let ran = self.now.saturating_elapsed_since(run.since);
-        self.eng.bank(run.work.task, run.work.cursor, ran);
-        match run.work.cursor {
-            Cursor::Mandatory | Cursor::Windup => {
-                self.rt_queue.enqueue_front(run.prio, run.work);
-            }
-            Cursor::Optional(_) => {
-                self.opt_queues[cpu].enqueue_front(run.prio, run.work);
-            }
-        }
-    }
-
-    fn start(&mut self, cpu: usize, work: Work, prio: Priority) {
-        // Hot path: build the queue event only when someone is recording.
-        if self.eng.tracing() {
-            let job = self.eng.job(work.task);
-            self.eng.trace(
-                self.now,
-                TraceEvent::Queue {
-                    band: QueueBand::of(prio),
-                    op: QueueOp::Dispatch,
-                    job,
-                    hw: Some(HwThreadId(cpu as u32)),
-                },
-            );
-        }
+    fn start(d: &mut Driver<Self>, cpu: usize, work: Work, prio: Priority) {
+        d.trace_queue(QueueOp::Dispatch, prio, work.task, Some(cpu));
         if matches!(work.cursor, Cursor::Mandatory | Cursor::Windup) {
-            self.dispatches += 1;
-            let from = self.last_cpu[work.task].filter(|&c| c != cpu);
-            if from.is_some() {
+            d.sub.dispatches += 1;
+            let from = d.sub.last_cpu[work.task].replace(cpu).filter(|&c| c != cpu);
+            if let Some(from) = from {
                 // Migration: cold caches on the new processor. A legitimate
                 // system overhead, so the supervisor budget absorbs it too
                 // (migrations alone must not trip cuts).
-                self.eng.add_migration_debt(work.task, self.run.migration_cost);
-                self.migrations += 1;
-                self.migration_overhead += self.run.migration_cost;
-            }
-            self.last_cpu[work.task] = Some(cpu);
-            if let Some(from) = from {
-                let job = self.eng.job(work.task);
-                self.eng.trace(
-                    self.now,
+                d.eng.add_migration_debt(work.task, d.sub.migration_cost);
+                d.sub.migrations += 1;
+                let job = d.eng.job(work.task);
+                d.eng.trace(
+                    d.now,
                     TraceEvent::Migrated {
                         job,
                         from: HwThreadId(from as u32),
@@ -418,227 +279,28 @@ impl<'a> GlobalState<'a> {
                 );
             }
         }
-        let remaining = self.eng.on_dispatch(work.task, work.cursor, cpu, self.now);
-        self.gen += 1;
-        let gen = self.gen;
-        self.cpus[cpu] = Some(Running {
-            work,
-            prio,
-            since: self.now,
-            gen,
-        });
-        self.events
-            .push(self.now + remaining, Event::Complete { cpu, gen });
+        d.start(cpu, work, prio);
     }
 
-    fn on_complete(&mut self, cpu: usize, gen: u64) {
-        let Some(run) = self.cpus[cpu] else { return };
-        if run.gen != gen {
-            return;
-        }
-        self.cpus[cpu] = None;
-        let work = run.work;
-        if matches!(work.cursor, Cursor::Mandatory | Cursor::Windup) {
-            // Bank the slice; the engine cuts the part at its supervisor
-            // budget if demand remains.
-            let ran = self.now.saturating_elapsed_since(run.since);
-            self.eng.bank(work.task, work.cursor, ran);
-            self.eng.cut_if_over_budget(work.task, work.cursor, self.now);
-        }
+    /// Takes `work` off whichever processor runs it (banking what it ran)
+    /// or out of the queue it waits in; `true` if it was queued. Real-time
+    /// parts may be anywhere, optional parts only on `hw`.
+    fn take_off(d: &mut Driver<Self>, hw: usize, work: Work, prio: Priority) -> bool {
+        let runs = |d: &Driver<Self>, c: usize| d.cpus[c].running.is_some_and(|r| r.work == work);
         match work.cursor {
-            Cursor::Mandatory => {
-                let after = self.eng.mandatory_completed(work.task, self.now);
-                self.after_mandatory(work.task, after);
-            }
-            Cursor::Windup => {
-                self.eng.windup_completed(work.task, self.now);
-            }
-            Cursor::Optional(k) => {
-                if let Some(cmd) = self.eng.optional_completed(work.task, k, self.now) {
-                    self.apply_windup(work.task, cmd);
+            Cursor::Optional(_) => {
+                if runs(d, hw) {
+                    d.vacate(hw);
                 }
+                d.cpus[hw].queue.remove(prio, &work)
             }
-        }
-        self.dispatch_all();
-    }
-
-    /// Maps the engine's post-mandatory decision onto the global substrate:
-    /// signalled parts enter their pinned per-CPU queues (costlessly — the
-    /// Δb/Δs model lives in exec_sim), otherwise the wind-up command runs.
-    fn after_mandatory(&mut self, task: usize, after: AfterMandatory) {
-        match after {
-            AfterMandatory::Windup(cmd) => self.apply_windup(task, cmd),
-            AfterMandatory::Signal { np } => {
-                for k in 0..np {
-                    let hw = self.eng.placement(task, k);
-                    let prio = self.eng.opt_prio(task);
-                    if self.eng.tracing() {
-                        let job = self.eng.job(task);
-                        self.eng.trace(
-                            self.now,
-                            TraceEvent::Queue {
-                                band: QueueBand::of(prio),
-                                op: QueueOp::Enqueue,
-                                job,
-                                hw: Some(HwThreadId(hw as u32)),
-                            },
-                        );
-                    }
-                    self.opt_queues[hw].enqueue(
-                        prio,
-                        Work {
-                            task,
-                            cursor: Cursor::Optional(k as u32),
-                        },
-                    );
+            Cursor::Mandatory | Cursor::Windup => {
+                if let Some(cpu) = (0..d.cpus.len()).find(|&c| runs(d, c)) {
+                    d.vacate(cpu);
                 }
+                d.sub.rt_queue.remove(prio, &work)
             }
         }
-    }
-
-    /// Maps a wind-up command onto the event queue (a `Finished` or
-    /// `AlreadyScheduled` command needs no mechanism).
-    fn apply_windup(&mut self, task: usize, cmd: WindupCommand) {
-        if let WindupCommand::At { at, seq } = cmd {
-            self.events.push(at, Event::WindupReady { task, seq });
-        }
-    }
-
-    fn on_windup_ready(&mut self, task: usize, seq: u64) {
-        if self.eng.windup_ready(task, seq, self.now) {
-            let prio = self.eng.mand_prio(task);
-            let job = self.eng.job(task);
-            self.eng.trace(
-                self.now,
-                TraceEvent::Queue {
-                    band: QueueBand::of(prio),
-                    op: QueueOp::Enqueue,
-                    job,
-                    hw: None,
-                },
-            );
-            self.rt_queue.enqueue(
-                prio,
-                Work {
-                    task,
-                    cursor: Cursor::Windup,
-                },
-            );
-            self.dispatch_all();
-        }
-    }
-
-    fn on_od(&mut self, task: usize, seq: u64) {
-        match self.eng.od_expired(task, seq, self.now) {
-            OdAction::Stale | OdAction::Handled => {}
-            OdAction::Terminate { np } => {
-                // Terminate every un-ended part, in part order (no per-part
-                // Δe here — costless substrate).
-                for k in 0..np {
-                    let Some(target) = self.eng.plan_terminate(task, k) else {
-                        continue;
-                    };
-                    self.stop_optional(target.hw, task, k, target.prio);
-                    self.eng.commit_terminate(task, k, self.now);
-                }
-                let cmd = self.eng.finish_termination(task, self.now);
-                self.apply_windup(task, cmd);
-                self.dispatch_all();
-            }
-        }
-    }
-
-    /// Stops optional part `k` on `cpu`, whether running or queued.
-    fn stop_optional(&mut self, cpu: usize, task: usize, k: usize, prio: Priority) {
-        let work = Work {
-            task,
-            cursor: Cursor::Optional(k as u32),
-        };
-        if let Some(r) = self.cpus[cpu] {
-            if r.work == work {
-                self.cpus[cpu] = None;
-                let ran = self.now.saturating_elapsed_since(r.since);
-                self.eng.bank(task, work.cursor, ran);
-            }
-        }
-        if self.opt_queues[cpu].remove(prio, &work) && self.eng.tracing() {
-            let job = self.eng.job(task);
-            self.eng.trace(
-                self.now,
-                TraceEvent::Queue {
-                    band: QueueBand::of(prio),
-                    op: QueueOp::Remove,
-                    job,
-                    hw: Some(HwThreadId(cpu as u32)),
-                },
-            );
-        }
-    }
-
-    fn on_stall_start(&mut self, cpu: usize, duration: Span) {
-        self.eng.stall_started(cpu, duration, self.now);
-        self.stalled[cpu] += 1;
-        // Whatever was running loses the processor; its banked progress is
-        // kept and it resumes at the head of its queue when the stall
-        // window closes (the RT side may meanwhile migrate elsewhere).
-        if let Some(r) = self.cpus[cpu].take() {
-            let ran = self.now.saturating_elapsed_since(r.since);
-            self.eng.bank(r.work.task, r.work.cursor, ran);
-            match r.work.cursor {
-                Cursor::Mandatory | Cursor::Windup => {
-                    self.rt_queue.enqueue_front(r.prio, r.work);
-                    // A stalled RT part is up for grabs again: re-dispatch
-                    // so it can migrate to a healthy processor.
-                    self.dispatch_all();
-                }
-                Cursor::Optional(_) => {
-                    self.opt_queues[cpu].enqueue_front(r.prio, r.work);
-                }
-            }
-        }
-    }
-
-    fn on_stall_end(&mut self, cpu: usize) {
-        self.stalled[cpu] = self.stalled[cpu].saturating_sub(1);
-        if self.stalled[cpu] == 0 {
-            self.dispatch_all();
-        }
-    }
-
-    fn abort_job(&mut self, task: usize) {
-        // Scrub any queued or running work of this task.
-        let mand_prio = self.eng.mand_prio(task);
-        for cursor in [Cursor::Mandatory, Cursor::Windup] {
-            let work = Work { task, cursor };
-            self.rt_queue.remove(mand_prio, &work);
-            for c in 0..self.cpus.len() {
-                if self.cpus[c].is_some_and(|r| r.work == work) {
-                    let r = self.cpus[c].take().expect("checked");
-                    let ran = self.now.saturating_elapsed_since(r.since);
-                    self.eng.bank(task, cursor, ran);
-                }
-            }
-        }
-        for k in 0..self.eng.part_count(task) {
-            if self.eng.part_ended(task, k) {
-                continue;
-            }
-            let work = Work {
-                task,
-                cursor: Cursor::Optional(k as u32),
-            };
-            let hw = self.eng.placement(task, k);
-            let prio = self.eng.opt_prio(task);
-            self.opt_queues[hw].remove(prio, &work);
-            if self.cpus[hw].is_some_and(|r| r.work == work) {
-                let r = self.cpus[hw].take().expect("checked");
-                let ran = self.now.saturating_elapsed_since(r.since);
-                self.eng.bank(task, work.cursor, ran);
-            }
-            self.eng.abort_part(task, k, self.now);
-        }
-        self.eng.finish_abort(task, self.now);
-        self.dispatch_all();
     }
 }
 
@@ -646,7 +308,7 @@ impl<'a> GlobalState<'a> {
 mod tests {
     use super::*;
     use crate::policy::AssignmentPolicy;
-    use rtseed_model::{TaskSet, TaskSpec, Topology};
+    use rtseed_model::{TaskSet, TaskSpec, Time, Topology};
     use rtseed_sim::{FaultPlan, FaultTarget};
 
     fn task(name: &str, period_ms: u64, m_ms: u64, w_ms: u64, np: usize) -> TaskSpec {

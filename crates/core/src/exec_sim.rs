@@ -25,81 +25,19 @@
 //! level); equal-priority optional parts sharing a hardware thread are
 //! serialized FIFO. Everything is deterministic in the run seed.
 //!
-//! All protocol decisions live in the shared [`Engine`](crate::engine):
-//! this module is a *driver* that owns only the discrete-event mechanism —
-//! the event queue, per-CPU ready queues and preemption, and the
-//! [`OverheadModel`] whose RNG stream is sampled in exactly the order the
-//! protocol performs the underlying actions.
-
-use rtseed_model::{HwThreadId, Priority, Span, Time};
-use rtseed_sim::{EventQueue, FifoReadyQueue, OverheadKind, OverheadModel};
+//! All protocol decisions live in the shared [`Engine`](crate::engine) and
+//! the event loop in the crate's one discrete-event driver, here over its
+//! partitioned substrate (per-CPU ready queues, preemption, and the
+//! calibrated [`OverheadModel`](rtseed_sim::OverheadModel)). This module is
+//! the front-end for a closed task set: release every task at `t = 0`,
+//! queue the fault plan's stall windows, step until no task is live.
 
 use crate::config::SystemConfig;
-use crate::engine::{AfterMandatory, Cursor, Engine, OdAction, WindupCommand};
+use crate::des::Driver;
+use crate::engine::Engine;
 use crate::executor::{Backend, ExecError, Executor, Outcome, RunConfig};
-use crate::obs::{QueueBand, QueueOp, TraceEvent};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Work {
-    task: usize,
-    cursor: Cursor,
-}
-
-#[derive(Debug)]
-enum Event {
-    Release { task: usize, retried: bool },
-    Ready { work: Work },
-    Complete { hw: usize, gen: u64 },
-    OdExpire { task: usize, seq: u64 },
-    WindupReady { task: usize, seq: u64 },
-    StallStart { hw: usize, duration: Span },
-    StallEnd { hw: usize },
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Running {
-    work: Work,
-    prio: Priority,
-    since: Time,
-    gen: u64,
-}
-
-#[derive(Debug, Default)]
-struct Cpu {
-    queue: FifoReadyQueue<Work>,
-    running: Option<Running>,
-    /// Depth of overlapping fault-plan stall windows; > 0 means the
-    /// hardware thread executes nothing.
-    stalled: u32,
-}
-
-/// Reusable per-worker scratch for [`SimExecutor::run_in`].
-///
-/// Holds everything a simulation run allocates on its hot path — the
-/// event-queue slab, the per-CPU ready queues, the Δb signal buffer and a
-/// recycled [`Engine`] (task vector, supervisor, recorder ring) — so a
-/// worker pool can execute thousands of runs with a handful of allocations
-/// per worker instead of a handful per run.
-///
-/// The arena carries **no cross-run state**: every buffer is cleared (or
-/// rebuilt from the new configuration) before the next run touches it, so
-/// `run_in` with a hot arena is byte-identical to a cold [`SimExecutor::run`]
-/// — a contract the differential tests below pin down.
-#[derive(Debug, Default)]
-pub struct SimArena {
-    events: EventQueue<Event>,
-    cpus: Vec<Cpu>,
-    signal_scratch: Vec<Time>,
-    engine: Option<Engine>,
-}
-
-impl SimArena {
-    /// An empty arena; buffers grow to each run's high-water mark and are
-    /// kept for the next run.
-    pub fn new() -> SimArena {
-        SimArena::default()
-    }
-}
+pub use crate::des::SimArena;
 
 /// The simulation executor.
 #[derive(Debug)]
@@ -131,9 +69,27 @@ impl SimExecutor {
     /// buffers for the duration of the run and returns them (grown, never
     /// carrying state) before producing the [`Outcome`].
     pub fn run_in(&self, arena: &mut SimArena) -> Outcome {
-        let mut sim = SimState::from_arena(&self.config, &self.run_cfg, arena);
-        sim.run();
-        sim.into_outcome(arena)
+        let (cfg, run) = (&self.config, &self.run_cfg);
+        // An engine parked in the arena is reset in place, not reallocated.
+        let eng = match arena.engine.take() {
+            Some(mut eng) => {
+                eng.reset(cfg, run);
+                eng
+            }
+            None => Engine::new(cfg, run),
+        };
+        let mut sim = Driver::partitioned_in(arena, *cfg.topology(), run, eng);
+        sim.run_closed(cfg, run);
+        let (out, events_processed) = sim.finish(Some(arena));
+        Outcome {
+            overheads: out.overheads,
+            qos: out.qos,
+            trace: out.trace,
+            metrics: out.metrics,
+            faults: out.faults,
+            events_processed,
+            ..Default::default()
+        }
     }
 }
 
@@ -152,516 +108,15 @@ impl Executor for SimExecutor {
     }
 }
 
-struct SimState<'a> {
-    run: &'a RunConfig,
-    now: Time,
-    events: EventQueue<Event>,
-    cpus: Vec<Cpu>,
-    eng: Engine,
-    model: OverheadModel,
-    gen_counter: u64,
-    events_processed: u64,
-    /// Reused buffer for per-part signal ready-times (Δb loop): cleared
-    /// and refilled each mandatory completion instead of reallocated.
-    signal_scratch: Vec<Time>,
-}
-
-impl<'a> SimState<'a> {
-    /// Builds run state on top of `arena`'s recycled buffers: the event
-    /// queue and ready queues are cleared, the CPU vector is resized to the
-    /// new topology, and the engine (if one is parked in the arena) is
-    /// reset in place instead of reallocated.
-    fn from_arena(cfg: &'a SystemConfig, run: &'a RunConfig, arena: &mut SimArena) -> SimState<'a> {
-        let topology = *cfg.topology();
-        let mut events = std::mem::take(&mut arena.events);
-        events.clear();
-        let mut cpus = std::mem::take(&mut arena.cpus);
-        for cpu in &mut cpus {
-            cpu.queue.clear();
-            cpu.running = None;
-            cpu.stalled = 0;
-        }
-        cpus.resize_with(topology.hw_threads() as usize, Cpu::default);
-        let mut signal_scratch = std::mem::take(&mut arena.signal_scratch);
-        signal_scratch.clear();
-        let mut eng = match arena.engine.take() {
-            Some(mut eng) => {
-                eng.reset(cfg, run);
-                eng
-            }
-            None => Engine::new(cfg, run),
-        };
-        if run.jobs > 0 {
-            // One decision event per task records where the assignment
-            // policy placed its optional parts (paper Fig. 8).
-            eng.trace_policy_decisions(cfg);
-        }
-        SimState {
-            run,
-            now: Time::ZERO,
-            events,
-            cpus,
-            eng,
-            model: OverheadModel::new(run.calibration, topology, run.load, run.seed),
-            gen_counter: 0,
-            events_processed: 0,
-            signal_scratch,
-        }
-    }
-
-    /// Extracts the run's measurements and parks every buffer (and the
-    /// engine) back in `arena` for the next run.
-    fn into_outcome(self, arena: &mut SimArena) -> Outcome {
-        let SimState {
-            mut eng,
-            now,
-            events_processed,
-            events,
-            cpus,
-            signal_scratch,
-            ..
-        } = self;
-        let out = eng.take_output(now);
-        arena.events = events;
-        arena.cpus = cpus;
-        arena.signal_scratch = signal_scratch;
-        arena.engine = Some(eng);
-        Outcome {
-            overheads: out.overheads,
-            qos: out.qos,
-            trace: out.trace,
-            metrics: out.metrics,
-            faults: out.faults,
-            events_processed,
-            ..Default::default()
-        }
-    }
-
-    fn run(&mut self) {
-        if self.run.jobs == 0 {
-            return;
-        }
-        for t in 0..self.eng.task_count() {
-            self.events.push(
-                Time::ZERO,
-                Event::Release {
-                    task: t,
-                    retried: false,
-                },
-            );
-        }
-        // Planned CPU stall windows enter the same event queue as everything
-        // else, so a faulted run replays exactly like a healthy one.
-        for stall in self.run.fault_plan.stalls() {
-            let hw = stall.hw as usize;
-            if hw >= self.cpus.len() {
-                continue;
-            }
-            self.events.push(
-                stall.at,
-                Event::StallStart {
-                    hw,
-                    duration: stall.duration,
-                },
-            );
-            self.events
-                .push(stall.at + stall.duration, Event::StallEnd { hw });
-        }
-        while self.eng.has_live_tasks() {
-            let Some((at, event)) = self.events.pop() else {
-                break;
-            };
-            debug_assert!(at >= self.now, "event time went backwards");
-            self.now = at;
-            self.events_processed += 1;
-            match event {
-                Event::Release { task, retried } => self.on_release_inner(task, retried),
-                Event::Ready { work } => self.on_ready(work),
-                Event::Complete { hw, gen } => self.on_complete(hw, gen),
-                Event::OdExpire { task, seq } => self.on_od_expire(task, seq),
-                Event::WindupReady { task, seq } => self.on_windup_ready(task, seq),
-                Event::StallStart { hw, duration } => self.on_stall_start(hw, duration),
-                Event::StallEnd { hw } => self.on_stall_end(hw),
-            }
-        }
-    }
-
-    // ----- event handlers -------------------------------------------------
-
-    fn on_release_inner(&mut self, task: usize, retried: bool) {
-        // A job may complete at the very instant of the next release; the
-        // completion event is already queued ahead of us (FIFO), so requeue
-        // the release once to let it land before declaring an overrun.
-        if self.eng.job_in_flight(task) && !retried {
-            self.events.push(
-                self.now,
-                Event::Release {
-                    task,
-                    retried: true,
-                },
-            );
-            return;
-        }
-        // Abort a job that overran into its next release (deadline missed
-        // hard): finalize it so the new job starts clean.
-        if self.eng.jobs_done(task) > 0 || self.eng.job_in_flight(task) {
-            if self.eng.job_in_flight(task) {
-                self.abort_job(task);
-            }
-            if self.eng.jobs_done(task) >= self.run.jobs {
-                return;
-            }
-        }
-
-        let release = self.now;
-        let rel = self.eng.release(task, release);
-
-        // Δm: wake-up latency before the mandatory thread is runnable.
-        let dm = self.model.begin_mandatory();
-        self.eng.sample(OverheadKind::BeginMandatory, dm);
-        self.events.push(
-            release + dm,
-            Event::Ready {
-                work: Work {
-                    task,
-                    cursor: Cursor::Mandatory,
-                },
-            },
-        );
-
-        // The optional-deadline timer (armed per job; the handler no-ops if
-        // the Table I signal-mask defect broke the timer). The fault plan
-        // may delay the one-shot or lose it outright.
-        if rel.has_parts {
-            if let Some(at) = self.eng.arm_timer(task, release) {
-                self.events.push(at, Event::OdExpire { task, seq: rel.seq });
-            }
-        }
-
-        // Periodic releases continue while jobs remain.
-        if let Some(at) = rel.next_release {
-            self.events.push(
-                at,
-                Event::Release {
-                    task,
-                    retried: false,
-                },
-            );
-        }
-    }
-
-    fn on_ready(&mut self, work: Work) {
-        let (hw, prio) = match work.cursor {
-            Cursor::Mandatory => {
-                (self.eng.mandatory_hw(work.task), self.eng.mand_prio(work.task))
-            }
-            // The wind-up runs on the federated task's granted core; for
-            // everything else `windup_hw` is the (job-bound) mandatory CPU.
-            Cursor::Windup => {
-                (self.eng.windup_hw(work.task), self.eng.mand_prio(work.task))
-            }
-            Cursor::Optional(k) => (
-                self.eng.placement(work.task, k as usize),
-                self.eng.opt_prio(work.task),
-            ),
-        };
-        // Hot path: build the queue event only when someone is recording.
-        if self.eng.tracing() {
-            let job = self.eng.job(work.task);
-            self.eng.trace(
-                self.now,
-                TraceEvent::Queue {
-                    band: QueueBand::of(prio),
-                    op: QueueOp::Enqueue,
-                    job,
-                    hw: Some(HwThreadId(hw as u32)),
-                },
-            );
-        }
-        self.cpus[hw].queue.enqueue(prio, work);
-        self.resched(hw);
-    }
-
-    fn on_complete(&mut self, hw: usize, gen: u64) {
-        let Some(running) = self.cpus[hw].running else {
-            return;
-        };
-        if running.gen != gen {
-            return; // stale completion (preempted or terminated meanwhile)
-        }
-        self.cpus[hw].running = None;
-        let work = running.work;
-        if matches!(work.cursor, Cursor::Mandatory | Cursor::Windup) {
-            // Bank what actually ran; the engine cuts the part at its
-            // supervisor budget if demand remains.
-            let ran = self.now.saturating_elapsed_since(running.since);
-            self.eng.bank(work.task, work.cursor, ran);
-            self.eng.cut_if_over_budget(work.task, work.cursor, self.now);
-        }
-        match work.cursor {
-            Cursor::Mandatory => {
-                let after = self.eng.mandatory_completed(work.task, self.now);
-                self.after_mandatory(work.task, after);
-            }
-            Cursor::Optional(k) => {
-                if let Some(cmd) = self.eng.optional_completed(work.task, k, self.now) {
-                    self.apply_windup(work.task, cmd);
-                }
-            }
-            Cursor::Windup => {
-                self.eng.windup_completed(work.task, self.now);
-            }
-        }
-        self.resched(hw);
-    }
-
-    /// Maps the engine's post-mandatory decision onto the event queue: the
-    /// Δb `pthread_cond_signal` loop and the Δs mandatory→optional switch
-    /// for signalled parts, or the wind-up command otherwise.
-    fn after_mandatory(&mut self, task: usize, after: AfterMandatory) {
-        match after {
-            AfterMandatory::Windup(cmd) => self.apply_windup(task, cmd),
-            AfterMandatory::Signal { np } => {
-                // Δb: the signal loop over all parallel optional threads,
-                // executed sequentially by the mandatory thread. The
-                // ready-time buffer is a reused scratch vector (taken out
-                // of self to keep the borrow checker happy across the model
-                // calls), so the signalling loop allocates nothing after
-                // the first job.
-                let mut ready_times = std::mem::take(&mut self.signal_scratch);
-                ready_times.clear();
-                let mut cum = Span::ZERO;
-                for _ in 0..np {
-                    cum += self.model.signal_one_optional();
-                    ready_times.push(self.now + cum);
-                }
-                self.eng.sample(OverheadKind::BeginOptional, cum);
-
-                // Δs: the mandatory→optional context switch; parts placed
-                // on the mandatory thread's own processor additionally wait
-                // for it.
-                let ds = self.model.switch_to_optional(np);
-                self.eng.sample(OverheadKind::SwitchToOptional, ds);
-
-                let mandatory_hw = self.eng.mandatory_hw(task);
-                for (k, &base) in ready_times.iter().enumerate() {
-                    let at = if self.eng.placement(task, k) == mandatory_hw {
-                        base + ds
-                    } else {
-                        base
-                    };
-                    self.events.push(
-                        at,
-                        Event::Ready {
-                            work: Work {
-                                task,
-                                cursor: Cursor::Optional(k as u32),
-                            },
-                        },
-                    );
-                }
-                self.signal_scratch = ready_times;
-            }
-        }
-    }
-
-    /// Maps a wind-up command onto the event queue (a `Finished` or
-    /// `AlreadyScheduled` command needs no mechanism).
-    fn apply_windup(&mut self, task: usize, cmd: WindupCommand) {
-        if let WindupCommand::At { at, seq } = cmd {
-            self.events.push(at, Event::WindupReady { task, seq });
-        }
-    }
-
-    fn on_od_expire(&mut self, task: usize, seq: u64) {
-        match self.eng.od_expired(task, seq, self.now) {
-            OdAction::Stale | OdAction::Handled => {}
-            OdAction::Terminate { np } => {
-                // Terminate every un-ended part, in part order. Termination
-                // handling is serialized — the O(npᵢ) mechanism behind
-                // Fig. 13 — and hops between cores cost extra under load.
-                for k in 0..np {
-                    let Some(target) = self.eng.plan_terminate(task, k) else {
-                        continue;
-                    };
-                    let cost = self.model.end_one_part(target.cross_core);
-                    self.eng.note_termination_cost(cost);
-                    // Remove the part from its processor (running or
-                    // queued).
-                    self.stop_work(
-                        target.hw,
-                        Work {
-                            task,
-                            cursor: Cursor::Optional(k as u32),
-                        },
-                        target.prio,
-                    );
-                    self.eng.commit_terminate(task, k, self.now);
-                }
-                let cmd = self.eng.finish_termination(task, self.now);
-                self.apply_windup(task, cmd);
-            }
-        }
-    }
-
-    fn on_windup_ready(&mut self, task: usize, seq: u64) {
-        if self.eng.windup_ready(task, seq, self.now) {
-            self.on_ready(Work {
-                task,
-                cursor: Cursor::Windup,
-            });
-        }
-    }
-
-    fn on_stall_start(&mut self, hw: usize, duration: Span) {
-        self.eng.stall_started(hw, duration, self.now);
-        self.cpus[hw].stalled += 1;
-        // Whatever was running loses the processor; its banked progress is
-        // kept and it resumes at the head of its priority level when the
-        // stall window closes.
-        if let Some(r) = self.cpus[hw].running.take() {
-            let ran = self.now.saturating_elapsed_since(r.since);
-            self.eng.bank(r.work.task, r.work.cursor, ran);
-            self.cpus[hw].queue.enqueue_front(r.prio, r.work);
-        }
-    }
-
-    fn on_stall_end(&mut self, hw: usize) {
-        self.cpus[hw].stalled = self.cpus[hw].stalled.saturating_sub(1);
-        if self.cpus[hw].stalled == 0 {
-            self.resched(hw);
-        }
-    }
-
-    // ----- helpers --------------------------------------------------------
-
-    /// Forcibly ends a job that is still incomplete at its next release.
-    fn abort_job(&mut self, task: usize) {
-        // Scrub real-time work (the wind-up may live on a federated
-        // task's granted core rather than the mandatory CPU).
-        let mand_hw = self.eng.mandatory_hw(task);
-        let windup_hw = self.eng.windup_hw(task);
-        let mand_prio = self.eng.mand_prio(task);
-        self.stop_work(
-            mand_hw,
-            Work {
-                task,
-                cursor: Cursor::Mandatory,
-            },
-            mand_prio,
-        );
-        self.stop_work(
-            windup_hw,
-            Work {
-                task,
-                cursor: Cursor::Windup,
-            },
-            mand_prio,
-        );
-        // Scrub optional work and finalize outcomes.
-        for k in 0..self.eng.part_count(task) {
-            if self.eng.part_ended(task, k) {
-                continue;
-            }
-            let hw = self.eng.placement(task, k);
-            let opt_prio = self.eng.opt_prio(task);
-            self.stop_work(
-                hw,
-                Work {
-                    task,
-                    cursor: Cursor::Optional(k as u32),
-                },
-                opt_prio,
-            );
-            self.eng.abort_part(task, k, self.now);
-        }
-        self.eng.finish_abort(task, self.now);
-    }
-
-    /// Stops `work` on `hw` whether it is currently running or queued.
-    fn stop_work(&mut self, hw: usize, work: Work, prio: Priority) {
-        let cpu = &mut self.cpus[hw];
-        if cpu.running.is_some_and(|r| r.work == work) {
-            let r = cpu.running.take().expect("checked");
-            // Bank the execution it achieved up to now.
-            let ran = self.now.saturating_elapsed_since(r.since);
-            self.eng.bank(work.task, work.cursor, ran);
-            self.resched(hw);
-        } else if self.cpus[hw].queue.remove(prio, &work) && self.eng.tracing() {
-            let job = self.eng.job(work.task);
-            self.eng.trace(
-                self.now,
-                TraceEvent::Queue {
-                    band: QueueBand::of(prio),
-                    op: QueueOp::Remove,
-                    job,
-                    hw: Some(HwThreadId(hw as u32)),
-                },
-            );
-        }
-    }
-
-    /// SCHED_FIFO dispatch for one processor: preempt if a higher-priority
-    /// thread is waiting, then fill an idle processor with the best thread.
-    fn resched(&mut self, hw: usize) {
-        // A stalled hardware thread dispatches nothing until the window
-        // closes (the stall handler already vacated it).
-        if self.cpus[hw].stalled > 0 {
-            return;
-        }
-        // Preemption check.
-        if let Some(running) = self.cpus[hw].running {
-            let waiting = self.cpus[hw].queue.peek_highest_priority();
-            if waiting.is_some_and(|p| p > running.prio) {
-                self.cpus[hw].running = None;
-                let ran = self.now.saturating_elapsed_since(running.since);
-                self.eng.bank(running.work.task, running.work.cursor, ran);
-                // Preempted SCHED_FIFO threads resume at the head of their
-                // level.
-                self.cpus[hw]
-                    .queue
-                    .enqueue_front(running.prio, running.work);
-            } else {
-                return;
-            }
-        }
-        // Dispatch the best waiting thread.
-        let Some((prio, work)) = self.cpus[hw].queue.dequeue_highest() else {
-            return;
-        };
-        if self.eng.tracing() {
-            let job = self.eng.job(work.task);
-            self.eng.trace(
-                self.now,
-                TraceEvent::Queue {
-                    band: QueueBand::of(prio),
-                    op: QueueOp::Dispatch,
-                    job,
-                    hw: Some(HwThreadId(hw as u32)),
-                },
-            );
-        }
-        let remaining = self.eng.on_dispatch(work.task, work.cursor, hw, self.now);
-        self.gen_counter += 1;
-        let gen = self.gen_counter;
-        self.cpus[hw].running = Some(Running {
-            work,
-            prio,
-            since: self.now,
-            gen,
-        });
-        self.events.push(self.now + remaining, Event::Complete { hw, gen });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::TraceEvent;
     use crate::policy::AssignmentPolicy;
     use crate::supervisor::SupervisorConfig;
     use crate::termination::TerminationMode;
-    use rtseed_model::{TaskId, TaskSet, TaskSpec, Topology};
-    use rtseed_sim::{FaultPlan, FaultTarget, TimerFault};
+    use rtseed_model::{Span, TaskId, TaskSet, TaskSpec, Time, Topology};
+    use rtseed_sim::{FaultPlan, FaultTarget, OverheadKind, TimerFault};
 
     fn paper_set(np: usize) -> TaskSet {
         let t = TaskSpec::builder("τ1")
@@ -802,88 +257,6 @@ mod tests {
         assert_eq!(a.overheads, b.overheads);
         assert_eq!(a.trace, b.trace);
         assert!(a.faults.is_clean());
-    }
-
-    #[test]
-    fn arena_reuse_is_observably_identical_to_fresh_runs() {
-        // One hot arena across heterogeneous back-to-back runs (different
-        // np, topology, jobs, faults) must reproduce what a cold executor
-        // produces for each — i.e. the arena carries no cross-run state.
-        let mut arena = SimArena::new();
-        let runs: Vec<SimExecutor> = vec![
-            executor(
-                32,
-                AssignmentPolicy::AllByAll,
-                RunConfig {
-                    jobs: 5,
-                    trace: crate::obs::TraceConfig::enabled(),
-                    ..Default::default()
-                },
-            ),
-            // Smaller topology than the previous run: the CPU vector must
-            // shrink, and stale queues on dropped CPUs must not leak.
-            {
-                let t = TaskSpec::builder("small")
-                    .period(Span::from_millis(100))
-                    .mandatory(Span::from_millis(10))
-                    .windup(Span::from_millis(10))
-                    .optional_parts(2, Span::from_millis(100))
-                    .build()
-                    .unwrap();
-                SimExecutor::new(
-                    SystemConfig::build(
-                        TaskSet::new(vec![t]).unwrap(),
-                        Topology::uniprocessor(),
-                        AssignmentPolicy::OneByOne,
-                    )
-                    .unwrap(),
-                    RunConfig {
-                        jobs: 3,
-                        seed: 7,
-                        ..Default::default()
-                    },
-                )
-            },
-            executor(
-                8,
-                AssignmentPolicy::TwoByTwo,
-                RunConfig {
-                    jobs: 6,
-                    seed: 99,
-                    fault_plan: FaultPlan::new(99).with_random_overruns(
-                        rtseed_sim::RandomOverruns {
-                            probability: 0.4,
-                            min_factor: 2.0,
-                            max_factor: 6.0,
-                            target: FaultTarget::Mandatory,
-                        },
-                    ),
-                    supervisor: SupervisorConfig::armed(),
-                    trace: crate::obs::TraceConfig::enabled(),
-                    ..Default::default()
-                },
-            ),
-            executor(
-                4,
-                AssignmentPolicy::OneByOne,
-                RunConfig {
-                    jobs: 0,
-                    ..Default::default()
-                },
-            ),
-        ];
-        for (i, exec) in runs.iter().enumerate() {
-            let hot = exec.run_in(&mut arena);
-            let cold = exec.run();
-            assert_eq!(hot.qos, cold.qos, "run {i}: qos diverged");
-            assert_eq!(hot.overheads, cold.overheads, "run {i}: overheads diverged");
-            assert_eq!(hot.trace, cold.trace, "run {i}: trace diverged");
-            assert_eq!(hot.faults, cold.faults, "run {i}: faults diverged");
-            assert_eq!(
-                hot.events_processed, cold.events_processed,
-                "run {i}: event count diverged"
-            );
-        }
     }
 
     #[test]

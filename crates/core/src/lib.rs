@@ -27,7 +27,10 @@
 //!   wind-up), shared by every executor; backends are thin drivers.
 //! * [`exec_sim::SimExecutor`] — runs the full Fig. 6 protocol on the
 //!   `rtseed-sim` discrete-event many-core substrate, measuring the four
-//!   overheads (Δm, Δb, Δs, Δe) exactly as §V-B does.
+//!   overheads (Δm, Δb, Δs, Δe) exactly as §V-B does. Its event loop is
+//!   the crate's one discrete-event driver, which also runs under
+//!   [`exec_global::GlobalExecutor`] (global dispatch, migration cost)
+//!   and the serving layer.
 //! * [`runtime::NativeExecutor`] — runs the same protocol on real Linux
 //!   threads with `SCHED_FIFO`/affinity via `libc` (degrading gracefully
 //!   without privileges; see `RuntimeReport`).
@@ -76,6 +79,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod config;
+mod des;
 pub mod engine;
 pub mod exec_global;
 pub mod exec_sim;

@@ -26,12 +26,12 @@
 //! working across tenants, so a misbehaving tenant degrades into
 //! optional-part shedding rather than taking down its neighbours.
 //!
-//! The scheduling substrate is the *same* discrete-event mechanism as
-//! [`SimExecutor`](crate::exec_sim::SimExecutor) — per-CPU SCHED_FIFO
-//! ready queues, the deterministic event queue, and the calibrated
-//! [`OverheadModel`](rtseed_sim::OverheadModel) sampled in protocol order
-//! — driving the shared sans-IO engine with dynamic task arrival and
-//! departure.
+//! The scheduling substrate is the same discrete-event driver that runs
+//! under [`SimExecutor`](crate::exec_sim::SimExecutor) — one event loop,
+//! per-CPU SCHED_FIFO ready queues, the deterministic event queue, and
+//! the calibrated [`OverheadModel`](rtseed_sim::OverheadModel) sampled in
+//! protocol order — driving the shared sans-IO engine with dynamic task
+//! arrival and departure.
 //!
 //! ## Priorities across tenants
 //!

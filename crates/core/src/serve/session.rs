@@ -1,5 +1,6 @@
 //! The [`SessionManager`] itself: state, tenant lifecycle, and the
-//! discrete-event loop (the exec_sim mechanism, verbatim).
+//! arbitration of churn, deferred-admission retries and scheduling events
+//! over the crate's discrete-event driver.
 
 use std::collections::VecDeque;
 
@@ -8,18 +9,14 @@ use rtseed_analysis::{
     ShardedAdmission, TaskKey,
 };
 use rtseed_model::{
-    HwThreadId, Priority, SessionId, Span, TaskId, TaskSpec, TenantId, TenantState, Time,
-    Topology,
+    Priority, SessionId, Span, TaskId, TaskSpec, TenantId, TenantState, Time, Topology,
 };
-use rtseed_sim::{
-    ChurnAction, ChurnPlan, EventQueue, FifoReadyQueue, OverheadKind, OverheadModel,
-};
+use rtseed_sim::{ChurnAction, ChurnPlan};
 
-use crate::engine::{
-    AfterMandatory, Cursor, Engine, OdAction, TaskParams, TenantSignal, WindupCommand,
-};
+use crate::des::{Driver, Partitioned};
+use crate::engine::{Engine, TaskParams, TenantSignal};
 use crate::executor::{Outcome, RunConfig};
-use crate::obs::{Histogram, QueueBand, QueueOp, TraceEvent};
+use crate::obs::{Histogram, TraceEvent};
 use crate::policy::AssignmentPolicy;
 use crate::supervisor::SupervisorConfig;
 
@@ -44,40 +41,6 @@ pub fn mandatory_priority_for_period(period: Span) -> Priority {
     Priority::new(level).expect("level was clamped into the RTQ band")
 }
 
-// ----- discrete-event mechanism (mirrors exec_sim) ------------------------
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) struct Work {
-    pub(super) task: usize,
-    pub(super) cursor: Cursor,
-}
-
-#[derive(Debug)]
-pub(super) enum Event {
-    Release { task: usize, retried: bool },
-    Ready { work: Work },
-    Complete { hw: usize, gen: u64 },
-    OdExpire { task: usize, seq: u64 },
-    WindupReady { task: usize, seq: u64 },
-    StallStart { hw: usize, duration: Span },
-    StallEnd { hw: usize },
-}
-
-#[derive(Debug, Clone, Copy)]
-pub(super) struct Running {
-    work: Work,
-    prio: Priority,
-    since: Time,
-    gen: u64,
-}
-
-#[derive(Debug, Default)]
-pub(super) struct Cpu {
-    queue: FifoReadyQueue<Work>,
-    running: Option<Running>,
-    stalled: u32,
-}
-
 /// One admitted task: the admission engine's handle and the engine slot
 /// it was bound to.
 #[derive(Debug, Clone, Copy)]
@@ -95,33 +58,7 @@ pub(super) struct Tenant {
     pub(super) tasks: Vec<Binding>,
 }
 
-/// Reusable allocations for serving sessions: the event queue, per-CPU
-/// ready queues, the signal scratch buffer, and a parked [`Engine`].
-/// Churn-replay workers (e.g. `churnbench`) recycle one arena across many
-/// [`SessionManager`] runs so repeated sessions stop cold-starting the
-/// executor: construction reuses the previous session's buffers instead
-/// of reallocating them.
-///
-/// The arena carries **no cross-run state**: every buffer is cleared (or
-/// rebuilt from the new topology) before the next session touches it, so
-/// a session built over a hot arena is byte-identical to a cold
-/// [`SessionManager::new`] — a contract the serving differential tests
-/// pin down.
-#[derive(Debug, Default)]
-pub struct ServeArena {
-    events: EventQueue<Event>,
-    cpus: Vec<Cpu>,
-    signal_scratch: Vec<Time>,
-    engine: Option<Engine>,
-}
-
-impl ServeArena {
-    /// An empty arena; buffers grow to each session's high-water mark and
-    /// are kept for the next session.
-    pub fn new() -> ServeArena {
-        ServeArena::default()
-    }
-}
+pub use crate::des::SimArena as ServeArena;
 
 /// The serving layer: accepts tenant task-set submissions at runtime,
 /// admission-tests them, and drives the admitted population through the
@@ -132,16 +69,10 @@ pub struct SessionManager {
     pub(super) topology: Topology,
     pub(super) policy: AssignmentPolicy,
     pub(super) run: RunConfig,
-    pub(super) now: Time,
-    pub(super) events: EventQueue<Event>,
-    pub(super) cpus: Vec<Cpu>,
-    pub(super) eng: Engine,
-    pub(super) model: OverheadModel,
+    /// Clock, event queue, engine and per-CPU run state.
+    pub(super) des: Driver<Partitioned>,
     pub(super) ctl: ShardedAdmission,
     pub(super) heuristic: PartitionHeuristic,
-    pub(super) gen_counter: u64,
-    pub(super) events_processed: u64,
-    pub(super) signal_scratch: Vec<Time>,
     pub(super) tenants: Vec<Tenant>,
     /// Live (admitted, not departed) task bindings: admission key →
     /// engine slot, for applying OD deltas.
@@ -180,13 +111,6 @@ impl SessionManager {
         run: RunConfig,
         arena: &mut ServeArena,
     ) -> SessionManager {
-        let mut cpus = std::mem::take(&mut arena.cpus);
-        for cpu in &mut cpus {
-            cpu.queue.clear();
-            cpu.running = None;
-            cpu.stalled = 0;
-        }
-        cpus.resize_with(topology.hw_threads() as usize, Cpu::default);
         let eng = match arena.engine.take() {
             Some(mut eng) => {
                 eng.reset_empty(topology, &run);
@@ -194,41 +118,17 @@ impl SessionManager {
             }
             None => Engine::empty(topology, &run),
         };
-        let model = OverheadModel::new(run.calibration, topology, run.load, run.seed);
-        let mut events = std::mem::take(&mut arena.events);
-        events.clear();
-        // Planned CPU stall windows enter the queue up front, exactly as in
-        // the one-shot simulator.
-        for stall in run.fault_plan.stalls() {
-            let hw = stall.hw as usize;
-            if hw >= topology.hw_threads() as usize {
-                continue;
-            }
-            events.push(
-                stall.at,
-                Event::StallStart {
-                    hw,
-                    duration: stall.duration,
-                },
-            );
-            events.push(stall.at + stall.duration, Event::StallEnd { hw });
-        }
-        let mut signal_scratch = std::mem::take(&mut arena.signal_scratch);
-        signal_scratch.clear();
+        let mut des = Driver::partitioned_in(arena, topology, &run, eng);
+        // Planned CPU stall windows enter the queue up front, before any
+        // release exists.
+        des.plan_stalls(&run.fault_plan);
         SessionManager {
             topology,
             policy,
             ctl: ShardedAdmission::new(topology.hw_threads() as usize, 1, heuristic),
             heuristic,
             run,
-            now: Time::ZERO,
-            events,
-            cpus,
-            eng,
-            model,
-            gen_counter: 0,
-            events_processed: 0,
-            signal_scratch,
+            des,
             tenants: Vec::new(),
             bindings: Vec::new(),
             counters: ServeCounters::default(),
@@ -254,7 +154,7 @@ impl SessionManager {
     pub fn with_guard(mut self, cfg: GuardConfig) -> SessionManager {
         if cfg.enabled && !self.run.supervisor.enabled {
             self.run.supervisor = SupervisorConfig::tenant_scoped();
-            self.eng.rearm_supervisor(self.run.supervisor);
+            self.des.eng.rearm_supervisor(self.run.supervisor);
         }
         self.guard = ServeGuard::new(cfg);
         self
@@ -346,7 +246,7 @@ impl SessionManager {
 
     /// The current simulated time (advances during [`SessionManager::run`]).
     pub fn now(&self) -> Time {
-        self.now
+        self.des.now
     }
 
     /// Number of tenants currently admitted (not departed).
@@ -388,8 +288,8 @@ impl SessionManager {
         let tenant = TenantId(self.tenants.len() as u32);
         let session = SessionId(tenant.0 as u64);
         self.counters.admissions += 1;
-        self.eng.trace(
-            self.now,
+        self.des.eng.trace(
+            self.des.now,
             TraceEvent::TenantAdmitted {
                 tenant,
                 tasks: tasks.len() as u32,
@@ -418,8 +318,8 @@ impl SessionManager {
                     .map(|h| h.index())
                     .collect(),
             };
-            let id = TaskId(self.eng.task_count() as u32);
-            let idx = self.eng.add_task(TaskParams {
+            let id = TaskId(self.des.eng.task_count() as u32);
+            let idx = self.des.eng.add_task(TaskParams {
                 id,
                 tenant: Some(tenant),
                 mandatory_hw: admitted.hw_thread.index(),
@@ -435,9 +335,9 @@ impl SessionManager {
                 optional: spec.optional_parts().to_vec(),
                 od: admitted.optional_deadline,
             });
-            if np > 0 && self.eng.tracing() {
-                self.eng.trace(
-                    self.now,
+            if np > 0 && self.des.eng.tracing() {
+                self.des.eng.trace(
+                    self.des.now,
                     TraceEvent::PolicyDecision {
                         task: id,
                         policy: self.policy.label(),
@@ -451,13 +351,7 @@ impl SessionManager {
                 engine_idx: idx,
             });
             if self.run.jobs > 0 {
-                self.events.push(
-                    self.now,
-                    Event::Release {
-                        task: idx,
-                        retried: false,
-                    },
-                );
+                self.des.start_task(idx, self.des.now);
             }
         }
         self.apply_od_updates(&admission.od_updates);
@@ -509,10 +403,10 @@ impl SessionManager {
         let bound = self.tenants[pos].tasks.clone();
         let tenant = self.tenants[pos].id;
         for b in &bound {
-            if self.eng.job_in_flight(b.engine_idx) {
-                self.abort_job(b.engine_idx);
+            if self.des.eng.job_in_flight(b.engine_idx) {
+                self.des.abort_job(b.engine_idx);
             }
-            self.eng.remove_task(b.engine_idx);
+            self.des.eng.remove_task(b.engine_idx);
         }
         let keys: Vec<TaskKey> = bound.iter().map(|b| b.key).collect();
         let updates = self.ctl.evict(&keys);
@@ -523,7 +417,7 @@ impl SessionManager {
         } else {
             TraceEvent::TenantDeparted { tenant }
         };
-        self.eng.trace(self.now, ev);
+        self.des.eng.trace(self.des.now, ev);
         self.tenants[pos].state = state;
     }
 
@@ -535,7 +429,7 @@ impl SessionManager {
             return;
         }
         let mut signals = std::mem::take(&mut self.guard_scratch);
-        self.eng.drain_tenant_signals(&mut signals);
+        self.des.eng.drain_tenant_signals(&mut signals);
         for &(tenant, sig) in &signals {
             let pos = tenant.0 as usize;
             debug_assert!(self.tenants[pos].id == tenant);
@@ -560,12 +454,12 @@ impl SessionManager {
             LadderTransition::Shed => {
                 self.counters.sheds += 1;
                 self.set_tenant_keep(pos, Some(keep_ppm));
-                self.eng.trace(self.now, TraceEvent::TenantShed { tenant });
+                self.des.eng.trace(self.des.now, TraceEvent::TenantShed { tenant });
             }
             LadderTransition::Quarantine => {
                 self.counters.quarantines += 1;
                 self.set_tenant_keep(pos, Some(0));
-                self.eng.trace(self.now, TraceEvent::TenantQuarantined { tenant });
+                self.des.eng.trace(self.des.now, TraceEvent::TenantQuarantined { tenant });
             }
             LadderTransition::Evict => {
                 self.counters.evictions += 1;
@@ -581,7 +475,7 @@ impl SessionManager {
                     _ => None,
                 };
                 self.set_tenant_keep(pos, keep);
-                self.eng.trace(self.now, TraceEvent::TenantRecovered { tenant });
+                self.des.eng.trace(self.des.now, TraceEvent::TenantRecovered { tenant });
             }
         }
     }
@@ -593,17 +487,17 @@ impl SessionManager {
         for i in 0..self.tenants[pos].tasks.len() {
             let b = self.tenants[pos].tasks[i];
             let keep = keep_ppm.map(|ppm| {
-                let np = self.eng.part_count(b.engine_idx) as u64;
+                let np = self.des.eng.part_count(b.engine_idx) as u64;
                 ((np * u64::from(ppm)) / 1_000_000) as usize
             });
-            self.eng.set_optional_keep(b.engine_idx, keep);
+            self.des.eng.set_optional_keep(b.engine_idx, keep);
         }
     }
 
     pub(super) fn apply_od_updates(&mut self, updates: &[OdUpdate]) {
         for u in updates {
             if let Some(b) = self.bindings.iter().find(|b| b.key == u.key) {
-                self.eng.set_od(b.engine_idx, u.optional_deadline);
+                self.des.eng.set_od(b.engine_idx, u.optional_deadline);
                 self.counters.od_updates_applied += 1;
             }
         }
@@ -646,8 +540,8 @@ impl SessionManager {
         loop {
             let churn_at = plan.events().get(next_churn).map(|e| e.at);
             let retry_at = self.next_deferred_at();
-            let sim_at = self.events.peek_time();
-            if churn_at.is_none() && retry_at.is_none() && !self.eng.has_live_tasks() {
+            let sim_at = self.des.next_event_time();
+            if churn_at.is_none() && retry_at.is_none() && !self.des.eng.has_live_tasks() {
                 break;
             }
             let take_churn = churn_at.is_some_and(|c| {
@@ -657,8 +551,8 @@ impl SessionManager {
                 let ev = plan.events()[next_churn].clone();
                 next_churn += 1;
                 self.counters.churn_events += 1;
-                if ev.at > self.now {
-                    self.now = ev.at;
+                if ev.at > self.des.now {
+                    self.des.now = ev.at;
                 }
                 match ev.action {
                     ChurnAction::Arrive { name, tasks } => {
@@ -676,27 +570,15 @@ impl SessionManager {
             let take_retry = retry_at.is_some_and(|r| sim_at.is_none_or(|s| r <= s));
             if take_retry {
                 let r = retry_at.expect("checked by take_retry");
-                if r > self.now {
-                    self.now = r;
+                if r > self.des.now {
+                    self.des.now = r;
                 }
                 self.admission_round(false);
                 self.pump_guard();
                 continue;
             }
-            let Some((at, event)) = self.events.pop() else {
+            if !self.des.step() {
                 break;
-            };
-            debug_assert!(at >= self.now, "event time went backwards");
-            self.now = at;
-            self.events_processed += 1;
-            match event {
-                Event::Release { task, retried } => self.on_release(task, retried),
-                Event::Ready { work } => self.on_ready(work),
-                Event::Complete { hw, gen } => self.on_complete(hw, gen),
-                Event::OdExpire { task, seq } => self.on_od_expire(task, seq),
-                Event::WindupReady { task, seq } => self.on_windup_ready(task, seq),
-                Event::StallStart { hw, duration } => self.on_stall_start(hw, duration),
-                Event::StallEnd { hw } => self.on_stall_end(hw),
             }
             self.pump_guard();
         }
@@ -704,32 +586,14 @@ impl SessionManager {
 
     fn finish_in(self, arena: Option<&mut ServeArena>) -> ServeOutcome {
         let SessionManager {
-            mut eng,
-            mut events,
-            mut cpus,
-            mut signal_scratch,
-            now,
-            events_processed,
+            des,
             tenants,
             counters,
             guard,
             deferred_latency,
             ..
         } = self;
-        let out = eng.take_output(now);
-        if let Some(arena) = arena {
-            events.clear();
-            for cpu in &mut cpus {
-                cpu.queue.clear();
-                cpu.running = None;
-                cpu.stalled = 0;
-            }
-            signal_scratch.clear();
-            arena.events = events;
-            arena.cpus = cpus;
-            arena.signal_scratch = signal_scratch;
-            arena.engine = Some(eng);
-        }
+        let (out, events_processed) = des.finish(arena);
         let tenant_outcomes = tenants
             .into_iter()
             .map(|t| TenantOutcome {
@@ -765,329 +629,5 @@ impl SessionManager {
             counters,
             deferred_latency,
         }
-    }
-
-    // ----- event handlers (the exec_sim mechanism, verbatim) --------------
-
-    fn on_release(&mut self, task: usize, retried: bool) {
-        if self.eng.job_in_flight(task) && !retried {
-            self.events.push(
-                self.now,
-                Event::Release {
-                    task,
-                    retried: true,
-                },
-            );
-            return;
-        }
-        if self.eng.jobs_done(task) > 0 || self.eng.job_in_flight(task) {
-            if self.eng.job_in_flight(task) {
-                self.abort_job(task);
-            }
-            if self.eng.task_retired(task) {
-                return; // quota exhausted or the tenant departed
-            }
-        }
-
-        let release = self.now;
-        let rel = self.eng.release(task, release);
-
-        let dm = self.model.begin_mandatory();
-        self.eng.sample(OverheadKind::BeginMandatory, dm);
-        self.events.push(
-            release + dm,
-            Event::Ready {
-                work: Work {
-                    task,
-                    cursor: Cursor::Mandatory,
-                },
-            },
-        );
-
-        if rel.has_parts {
-            if let Some(at) = self.eng.arm_timer(task, release) {
-                self.events.push(at, Event::OdExpire { task, seq: rel.seq });
-            }
-        }
-
-        if let Some(at) = rel.next_release {
-            self.events.push(
-                at,
-                Event::Release {
-                    task,
-                    retried: false,
-                },
-            );
-        }
-    }
-
-    fn on_ready(&mut self, work: Work) {
-        // The tenant may have departed between signalling and readiness.
-        if self.eng.task_retired(work.task) && !self.eng.job_in_flight(work.task) {
-            return;
-        }
-        let (hw, prio) = match work.cursor {
-            Cursor::Mandatory => (
-                self.eng.mandatory_hw(work.task),
-                self.eng.mand_prio(work.task),
-            ),
-            // The wind-up runs on a federated task's granted core; for
-            // everything else `windup_hw` is the (job-bound) mandatory CPU.
-            Cursor::Windup => (
-                self.eng.windup_hw(work.task),
-                self.eng.mand_prio(work.task),
-            ),
-            Cursor::Optional(k) => (
-                self.eng.placement(work.task, k as usize),
-                self.eng.opt_prio(work.task),
-            ),
-        };
-        if self.eng.tracing() {
-            let job = self.eng.job(work.task);
-            self.eng.trace(
-                self.now,
-                TraceEvent::Queue {
-                    band: QueueBand::of(prio),
-                    op: QueueOp::Enqueue,
-                    job,
-                    hw: Some(HwThreadId(hw as u32)),
-                },
-            );
-        }
-        self.cpus[hw].queue.enqueue(prio, work);
-        self.resched(hw);
-    }
-
-    fn on_complete(&mut self, hw: usize, gen: u64) {
-        let Some(running) = self.cpus[hw].running else {
-            return;
-        };
-        if running.gen != gen {
-            return; // stale completion (preempted or terminated meanwhile)
-        }
-        self.cpus[hw].running = None;
-        let work = running.work;
-        if matches!(work.cursor, Cursor::Mandatory | Cursor::Windup) {
-            let ran = self.now.saturating_elapsed_since(running.since);
-            self.eng.bank(work.task, work.cursor, ran);
-            self.eng.cut_if_over_budget(work.task, work.cursor, self.now);
-        }
-        match work.cursor {
-            Cursor::Mandatory => {
-                let after = self.eng.mandatory_completed(work.task, self.now);
-                self.after_mandatory(work.task, after);
-            }
-            Cursor::Optional(k) => {
-                if let Some(cmd) = self.eng.optional_completed(work.task, k, self.now) {
-                    self.apply_windup(work.task, cmd);
-                }
-            }
-            Cursor::Windup => {
-                self.eng.windup_completed(work.task, self.now);
-            }
-        }
-        self.resched(hw);
-    }
-
-    fn after_mandatory(&mut self, task: usize, after: AfterMandatory) {
-        match after {
-            AfterMandatory::Windup(cmd) => self.apply_windup(task, cmd),
-            AfterMandatory::Signal { np } => {
-                let mut ready_times = std::mem::take(&mut self.signal_scratch);
-                ready_times.clear();
-                let mut cum = Span::ZERO;
-                for _ in 0..np {
-                    cum += self.model.signal_one_optional();
-                    ready_times.push(self.now + cum);
-                }
-                self.eng.sample(OverheadKind::BeginOptional, cum);
-
-                let ds = self.model.switch_to_optional(np);
-                self.eng.sample(OverheadKind::SwitchToOptional, ds);
-
-                let mandatory_hw = self.eng.mandatory_hw(task);
-                for (k, &base) in ready_times.iter().enumerate() {
-                    let at = if self.eng.placement(task, k) == mandatory_hw {
-                        base + ds
-                    } else {
-                        base
-                    };
-                    self.events.push(
-                        at,
-                        Event::Ready {
-                            work: Work {
-                                task,
-                                cursor: Cursor::Optional(k as u32),
-                            },
-                        },
-                    );
-                }
-                self.signal_scratch = ready_times;
-            }
-        }
-    }
-
-    fn apply_windup(&mut self, task: usize, cmd: WindupCommand) {
-        if let WindupCommand::At { at, seq } = cmd {
-            self.events.push(at, Event::WindupReady { task, seq });
-        }
-    }
-
-    fn on_od_expire(&mut self, task: usize, seq: u64) {
-        match self.eng.od_expired(task, seq, self.now) {
-            OdAction::Stale | OdAction::Handled => {}
-            OdAction::Terminate { np } => {
-                for k in 0..np {
-                    let Some(target) = self.eng.plan_terminate(task, k) else {
-                        continue;
-                    };
-                    let cost = self.model.end_one_part(target.cross_core);
-                    self.eng.note_termination_cost(cost);
-                    self.stop_work(
-                        target.hw,
-                        Work {
-                            task,
-                            cursor: Cursor::Optional(k as u32),
-                        },
-                        target.prio,
-                    );
-                    self.eng.commit_terminate(task, k, self.now);
-                }
-                let cmd = self.eng.finish_termination(task, self.now);
-                self.apply_windup(task, cmd);
-            }
-        }
-    }
-
-    fn on_windup_ready(&mut self, task: usize, seq: u64) {
-        if self.eng.windup_ready(task, seq, self.now) {
-            self.on_ready(Work {
-                task,
-                cursor: Cursor::Windup,
-            });
-        }
-    }
-
-    fn on_stall_start(&mut self, hw: usize, duration: Span) {
-        self.eng.stall_started(hw, duration, self.now);
-        self.cpus[hw].stalled += 1;
-        if let Some(r) = self.cpus[hw].running.take() {
-            let ran = self.now.saturating_elapsed_since(r.since);
-            self.eng.bank(r.work.task, r.work.cursor, ran);
-            self.cpus[hw].queue.enqueue_front(r.prio, r.work);
-        }
-    }
-
-    fn on_stall_end(&mut self, hw: usize) {
-        self.cpus[hw].stalled = self.cpus[hw].stalled.saturating_sub(1);
-        if self.cpus[hw].stalled == 0 {
-            self.resched(hw);
-        }
-    }
-
-    fn abort_job(&mut self, task: usize) {
-        // The wind-up may live on a federated task's granted core rather
-        // than the mandatory CPU.
-        let mand_hw = self.eng.mandatory_hw(task);
-        let windup_hw = self.eng.windup_hw(task);
-        let mand_prio = self.eng.mand_prio(task);
-        self.stop_work(
-            mand_hw,
-            Work {
-                task,
-                cursor: Cursor::Mandatory,
-            },
-            mand_prio,
-        );
-        self.stop_work(
-            windup_hw,
-            Work {
-                task,
-                cursor: Cursor::Windup,
-            },
-            mand_prio,
-        );
-        for k in 0..self.eng.part_count(task) {
-            if self.eng.part_ended(task, k) {
-                continue;
-            }
-            let hw = self.eng.placement(task, k);
-            let opt_prio = self.eng.opt_prio(task);
-            self.stop_work(
-                hw,
-                Work {
-                    task,
-                    cursor: Cursor::Optional(k as u32),
-                },
-                opt_prio,
-            );
-            self.eng.abort_part(task, k, self.now);
-        }
-        self.eng.finish_abort(task, self.now);
-    }
-
-    fn stop_work(&mut self, hw: usize, work: Work, prio: Priority) {
-        let cpu = &mut self.cpus[hw];
-        if cpu.running.is_some_and(|r| r.work == work) {
-            let r = cpu.running.take().expect("checked");
-            let ran = self.now.saturating_elapsed_since(r.since);
-            self.eng.bank(work.task, work.cursor, ran);
-            self.resched(hw);
-        } else if self.cpus[hw].queue.remove(prio, &work) && self.eng.tracing() {
-            let job = self.eng.job(work.task);
-            self.eng.trace(
-                self.now,
-                TraceEvent::Queue {
-                    band: QueueBand::of(prio),
-                    op: QueueOp::Remove,
-                    job,
-                    hw: Some(HwThreadId(hw as u32)),
-                },
-            );
-        }
-    }
-
-    fn resched(&mut self, hw: usize) {
-        if self.cpus[hw].stalled > 0 {
-            return;
-        }
-        if let Some(running) = self.cpus[hw].running {
-            let waiting = self.cpus[hw].queue.peek_highest_priority();
-            if waiting.is_some_and(|p| p > running.prio) {
-                self.cpus[hw].running = None;
-                let ran = self.now.saturating_elapsed_since(running.since);
-                self.eng.bank(running.work.task, running.work.cursor, ran);
-                self.cpus[hw]
-                    .queue
-                    .enqueue_front(running.prio, running.work);
-            } else {
-                return;
-            }
-        }
-        let Some((prio, work)) = self.cpus[hw].queue.dequeue_highest() else {
-            return;
-        };
-        if self.eng.tracing() {
-            let job = self.eng.job(work.task);
-            self.eng.trace(
-                self.now,
-                TraceEvent::Queue {
-                    band: QueueBand::of(prio),
-                    op: QueueOp::Dispatch,
-                    job,
-                    hw: Some(HwThreadId(hw as u32)),
-                },
-            );
-        }
-        let remaining = self.eng.on_dispatch(work.task, work.cursor, hw, self.now);
-        self.gen_counter += 1;
-        let gen = self.gen_counter;
-        self.cpus[hw].running = Some(Running {
-            work,
-            prio,
-            since: self.now,
-            gen,
-        });
-        self.events.push(self.now + remaining, Event::Complete { hw, gen });
     }
 }

@@ -200,7 +200,7 @@ impl SessionManager {
         }
         let tenant = TenantId(self.tenants.len() as u32);
         let session = SessionId(tenant.0 as u64);
-        self.eng.trace(self.now, TraceEvent::TenantRejected { tenant, reason });
+        self.des.eng.trace(self.des.now, TraceEvent::TenantRejected { tenant, reason });
         self.tenants.push(Tenant {
             id: tenant,
             session,
@@ -219,15 +219,15 @@ impl SessionManager {
             return Submission::Rejected(self.record_rejection(name, RejectReason::QueueFull));
         }
         self.counters.deferred_submissions += 1;
-        if self.eng.tracing() {
-            self.eng.trace(self.now, TraceEvent::SubmissionDeferred { name: name.clone() });
+        if self.des.eng.tracing() {
+            self.des.eng.trace(self.des.now, TraceEvent::SubmissionDeferred { name: name.clone() });
         }
         self.deferred.push_back(Deferred {
             name,
             tasks,
-            since: self.now,
-            deadline: self.now + cfg.retry_deadline,
-            next_retry: self.now + cfg.retry_backoff.max(Span::from_nanos(1)),
+            since: self.des.now,
+            deadline: self.des.now + cfg.retry_deadline,
+            next_retry: self.des.now + cfg.retry_backoff.max(Span::from_nanos(1)),
             attempts: 0,
         });
         Submission::Deferred
@@ -258,7 +258,7 @@ impl SessionManager {
         let mut slots = Vec::with_capacity(queue.len());
         let mut batch = Vec::new();
         for d in queue {
-            if !(force || d.next_retry <= self.now) {
+            if !(force || d.next_retry <= self.des.now) {
                 slots.push(RoundSlot::NotDue(d));
                 continue;
             }
@@ -288,13 +288,13 @@ impl SessionManager {
                 RoundSlot::Try(d) => {
                     match decisions.next().expect("one decision per batched entry") {
                         AdmissionDecision::Admitted(admission) => {
-                            let waited = self.now.saturating_elapsed_since(d.since);
+                            let waited = self.des.now.saturating_elapsed_since(d.since);
                             let tenant = self.bind_admission(d.name, &d.tasks, admission);
                             self.counters.deferred_admissions += 1;
                             self.deferred_latency.record_span(waited);
-                            if self.eng.tracing() {
-                                self.eng.trace(
-                                    self.now,
+                            if self.des.eng.tracing() {
+                                self.des.eng.trace(
+                                    self.des.now,
                                     TraceEvent::DeferredAdmitted { tenant, waited },
                                 );
                             }
@@ -319,7 +319,7 @@ impl SessionManager {
     /// The still-failing tail of a retry: reject past the deadline,
     /// otherwise double the backoff (capped) and keep the entry parked.
     fn backoff_or_expire(&mut self, mut d: Deferred) -> Option<Deferred> {
-        if self.now >= d.deadline {
+        if self.des.now >= d.deadline {
             self.record_rejection(d.name, RejectReason::RetryDeadline);
             return None;
         }
@@ -334,7 +334,7 @@ impl SessionManager {
         }
         // Strictly after `now` (deadline > now here), so retries make
         // progress even with a degenerate zero backoff.
-        d.next_retry = (self.now + backoff.max(Span::from_nanos(1))).min(d.deadline);
+        d.next_retry = (self.des.now + backoff.max(Span::from_nanos(1))).min(d.deadline);
         Some(d)
     }
 }

@@ -120,6 +120,12 @@ impl<T> EventQueue<T> {
 
     /// Removes and returns the earliest event, FIFO among equals.
     /// O(log n), allocation-free.
+    ///
+    /// Forced inline: the discrete-event driver pops one event type from
+    /// two loops (partitioned and global dispatch), and with two callers
+    /// LLVM leaves this out of line, which costs the simulators about
+    /// 11 ns an event (a fifth of the whole per-event budget).
+    #[inline(always)]
     pub fn pop(&mut self) -> Option<(Time, T)> {
         let &(key, slot) = self.heap.first()?;
         let last = self.heap.pop().expect("non-empty");

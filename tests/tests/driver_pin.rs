@@ -238,7 +238,7 @@ impl Reached {
         self.migrations += out.migrations;
     }
 
-    fn assert_offline(&self, who: &str) {
+    fn assert_all(&self, who: &str) {
         assert!(self.runs > 0 && self.refused > 0, "{who}: {self:?}");
         assert!(self.stalls > 0 && self.misses > 0, "{who}: {self:?}");
         assert!(self.timer_faults > 0 && self.budget_cuts > 0, "{who}: {self:?}");
@@ -287,7 +287,7 @@ fn offline_fingerprint(
             }
         }
     }
-    reached.assert_offline(who);
+    reached.assert_all(who);
     (fp.0, reached)
 }
 
@@ -394,11 +394,7 @@ fn session_manager_fingerprint_is_pinned() {
             }
         }
     }
-    assert!(reached.runs > 0 && reached.refused > 0, "{reached:?}");
-    assert!(reached.stalls > 0 && reached.misses > 0, "{reached:?}");
-    assert!(reached.timer_faults > 0 && reached.budget_cuts > 0, "{reached:?}");
-    assert!(reached.split_jobs > 0 && reached.grants > 0, "{reached:?}");
-    assert!(reached.removes > 0, "{reached:?}");
+    reached.assert_all("serve");
     assert!(left_mid_job > 0, "no healthy run aborted the leaver's job in flight");
     assert!(unknown_leavers > 0, "every leaver was admitted");
     assert!(ladder_moves > 0, "the armed guard never moved a tenant");

@@ -402,11 +402,13 @@ fn placement_policies_replay_byte_deterministically() {
 }
 
 /// A session built over a hot [`ServeArena`] (buffers and engine recycled
-/// from a previous session) replays byte-identically to a cold
-/// construction — nothing leaks through the arena.
+/// from a previous session, or from a [`SimExecutor`] run — it is the one
+/// arena type) replays byte-identically to a cold construction, and so
+/// does the executor run in between — nothing leaks through the arena.
 #[test]
 fn hot_arena_session_is_byte_identical_to_cold() {
     use rtseed::serve::ServeArena;
+    use rtseed::{SimExecutor, SystemConfig};
 
     let session = || {
         let mut mgr = two_cpu_manager(3, PlacementPolicy::SemiPartitioned);
@@ -436,9 +438,27 @@ fn hot_arena_session_is_byte_identical_to_cold() {
 
     let cold = session().run();
     let cold_trace = export::jsonl(&cold.outcome.trace);
+    // A closed set on another topology, run between the sessions.
+    let desk = desk_task_set("desk", &["A", "B"], 3, Span::from_millis(50)).unwrap();
+    let executor = SimExecutor::new(
+        SystemConfig::build(
+            TaskSet::new(desk).unwrap(),
+            Topology::quad_core_smt2(),
+            AssignmentPolicy::TwoByTwo,
+        )
+        .unwrap(),
+        RunConfig {
+            jobs: 4,
+            seed: 11,
+            trace: TraceConfig::enabled(),
+            ..RunConfig::default()
+        },
+    );
+    let cold_sim = executor.run();
 
-    // Three consecutive sessions through one arena: the first warms it,
-    // the rest replay over recycled buffers and a parked engine.
+    // Three consecutive sessions through one arena, an executor run after
+    // each: the first session warms the arena, everything after replays
+    // over recycled buffers and an engine the other front-end parked.
     let mut arena = ServeArena::new();
     for round in 0..3 {
         let out = session_in(&mut arena).run_in(&mut arena);
@@ -448,5 +468,13 @@ fn hot_arena_session_is_byte_identical_to_cold() {
             "hot arena session diverged from cold construction (round {round})"
         );
         assert_eq!(out.counters, cold.counters, "round {round}");
+        let sim = executor.run_in(&mut arena);
+        assert_eq!(
+            export::jsonl(&sim.trace),
+            export::jsonl(&cold_sim.trace),
+            "hot arena executor run diverged from a cold run (round {round})"
+        );
+        assert_eq!(sim.qos, cold_sim.qos, "round {round}");
+        assert_eq!(sim.events_processed, cold_sim.events_processed, "round {round}");
     }
 }
