@@ -38,6 +38,7 @@ use std::process::ExitCode;
 
 use rtseed_analysis::taskgen::{generate, TaskGenConfig};
 use rtseed_analysis::{AdmissionEngine, PartitionHeuristic, PlacementPolicy};
+use rtseed_bench::harness::{Args, Doc, Row};
 use rtseed_model::{Span, Topology};
 use rtseed_sim::splitmix64;
 
@@ -202,43 +203,31 @@ fn run_grid(cfg: &AblateConfig) -> Vec<PointResult> {
     points
 }
 
-fn render_json(mode: &str, cfg: &AblateConfig, points: &[PointResult]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": 1,");
-    let _ = writeln!(out, "  \"bench\": \"ablate\",");
-    let _ = writeln!(out, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(out, "  \"master_seed\": {},", cfg.master_seed);
+fn render(mode: &str, cfg: &AblateConfig, points: &[PointResult]) -> String {
     let utils: Vec<String> = cfg.utilizations.iter().map(|u| format!("{u:.2}")).collect();
-    let _ = writeln!(
-        out,
-        "  \"grid\": {{\"utilizations\": [{}], \"sweeps\": [\"sequential\", \"parallel\"], \
-         \"reps\": {}, \"tasks\": {}, \"topology\": \"{}x{}\"}},",
-        utils.join(", "),
-        cfg.reps,
-        cfg.tasks,
-        cfg.cores,
-        cfg.smt,
-    );
-    let _ = writeln!(out, "  \"points\": [");
-    for (i, p) in points.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"sweep\": \"{}\", \"util\": {:.2}, \"placement\": \"{}\", \
-             \"submitted\": {}, \"admitted\": {}, \"admitted_util_ppm\": {}}}",
-            p.sweep,
-            cfg.utilizations[p.util_idx],
-            p.policy,
-            p.submitted,
-            p.admitted,
-            p.admitted_util_ppm,
-        );
-        let _ = writeln!(out, "{}", if i + 1 < points.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ]");
-    out.push_str("}\n");
-    out
+    let grid = Row::new()
+        .raw("utilizations", format_args!("[{}]", utils.join(", ")))
+        .raw("sweeps", format_args!("{:?}", SWEEPS.map(|s| s.name)))
+        .int("reps", cfg.reps)
+        .int("tasks", cfg.tasks)
+        .str("topology", format_args!("{}x{}", cfg.cores, cfg.smt));
+    let rows: Vec<Row> = points
+        .iter()
+        .map(|p| {
+            Row::new()
+                .str("sweep", p.sweep)
+                .float("util", cfg.utilizations[p.util_idx], 2)
+                .str("placement", p.policy)
+                .int("submitted", p.submitted)
+                .int("admitted", p.admitted)
+                .int("admitted_util_ppm", p.admitted_util_ppm)
+        })
+        .collect();
+    Doc::new("ablate", mode)
+        .field("master_seed", cfg.master_seed)
+        .field("grid", grid)
+        .array("points", &rows)
+        .finish()
 }
 
 /// Finds the point for `(sweep, util_idx, policy)` — the grid is full, so
@@ -303,27 +292,16 @@ fn print_table(cfg: &AblateConfig, points: &[PointResult]) {
 }
 
 fn main() -> ExitCode {
-    let mut quick = false;
-    let mut seed = 42u64;
-    let mut out_path = String::from("BENCH_ablate.json");
-    let mut check = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--check" => check = true,
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs a number")
-            }
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            other => {
-                eprintln!("ablate: unknown argument {other}");
-                return ExitCode::FAILURE;
-            }
-        }
+    let mut args = Args::from_env("ablate");
+    let quick = args.flag("--quick");
+    let check = args.flag("--check");
+    let seed = args.value("--seed").unwrap_or(42u64);
+    let out_path = args
+        .value("--out")
+        .unwrap_or_else(|| String::from("BENCH_ablate.json"));
+    if let Err(usage) = args.finish() {
+        eprintln!("{usage}");
+        return ExitCode::FAILURE;
     }
     let mode = if quick { "quick" } else { "full" };
     let cfg = if quick {
@@ -344,7 +322,7 @@ fn main() -> ExitCode {
         cfg.master_seed
     );
     let points = run_grid(&cfg);
-    let json = render_json(mode, &cfg, &points);
+    let json = render(mode, &cfg, &points);
     print_table(&cfg, &points);
 
     let mut failed = false;
@@ -354,7 +332,7 @@ fn main() -> ExitCode {
             failed = true;
         }
         // Determinism: a full re-run must render byte-identical JSON.
-        let again = render_json(mode, &cfg, &run_grid(&cfg));
+        let again = render(mode, &cfg, &run_grid(&cfg));
         if again != json {
             eprintln!("ablate: FAIL — re-run JSON differs (non-deterministic sweep)");
             failed = true;

@@ -42,52 +42,31 @@
 //!   reaches the speedup floor. The floor is **relative to the host's own
 //!   single-worker rate** — never an absolute events/sec — and is clamped
 //!   by `available_parallelism`, so the gate is meaningful on a 64-core
-//!   box and trivially satisfied on a 1-core runner.
-//!   `MCBENCH_MIN_SPEEDUP` (default 2.0) sets the uncapped floor.
+//!   box and trivially satisfied on a 1-core runner: `min(2.0, 0.45 ×
+//!   slots)` with `slots = min(workers, available_parallelism)`.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
-use rtseed_bench::mc::{aggregate, render_aggregates_json, run_pool, McConfig, RunSummary};
+use rtseed_bench::harness::{timed, Args, Row};
+use rtseed_bench::mc::{
+    aggregate, aggregates_doc, render_aggregates_json, run_pool, CellAggregate, McConfig,
+};
 
 fn available_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-struct Timed {
-    runs: Vec<RunSummary>,
-    wall_ms: f64,
-    events: u64,
-    events_per_sec: f64,
-}
-
-fn timed_pool(cfg: &McConfig, workers: usize) -> Timed {
-    let start = Instant::now();
-    let runs = run_pool(cfg, workers);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+/// One timed execution of the grid on `workers` threads: the cells, the
+/// wall milliseconds of the pool alone and the aggregate events/sec.
+fn timed_pool(cfg: &McConfig, workers: usize) -> (Vec<CellAggregate>, f64, f64) {
+    let (runs, wall_ms) = timed(|| run_pool(cfg, workers));
     let events: u64 = runs.iter().map(|r| r.events).sum();
-    Timed {
-        runs,
-        wall_ms,
-        events,
-        events_per_sec: events as f64 / (wall_ms / 1e3),
-    }
-}
-
-/// Splices the perf section into the deterministic aggregate JSON (which
-/// ends `"  ]\n}\n"`), keeping the byte-compared half untouched.
-fn with_perf(deterministic: &str, perf: &str) -> String {
-    let body = deterministic
-        .trim_end()
-        .strip_suffix('}')
-        .expect("aggregate JSON ends with a brace")
-        .trim_end();
-    format!("{body},\n  \"perf\": {perf}\n}}\n")
+    (aggregate(cfg, &runs), wall_ms, events as f64 / (wall_ms / 1e3))
 }
 
 /// A terminal heatmap: schedulable fraction per (utilization × np), one
 /// block per (policy × placement × topology) layer.
-fn print_heatmap(cfg: &McConfig, cells: &[rtseed_bench::mc::CellAggregate]) {
+fn print_heatmap(cfg: &McConfig, cells: &[CellAggregate]) {
     for policy in &cfg.policies {
         for placement in &cfg.placements {
             for &(cores, smt) in &cfg.topologies {
@@ -123,36 +102,21 @@ fn print_heatmap(cfg: &McConfig, cells: &[rtseed_bench::mc::CellAggregate]) {
 }
 
 fn main() -> ExitCode {
-    let mut quick = false;
-    let mut workers = available_parallelism();
-    let mut seed = 42u64;
-    let mut out_path = String::from("BENCH_mcbench.json");
-    let mut check = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--check" => check = true,
-            "--workers" => {
-                workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--workers needs a count")
-            }
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs a number")
-            }
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            other => {
-                eprintln!("mcbench: unknown argument {other}");
-                return ExitCode::FAILURE;
-            }
-        }
+    let mut args = Args::from_env("mcbench");
+    let quick = args.flag("--quick");
+    let check = args.flag("--check");
+    let workers = args
+        .value("--workers")
+        .unwrap_or_else(available_parallelism)
+        .max(1);
+    let seed = args.value("--seed").unwrap_or(42u64);
+    let out_path = args
+        .value("--out")
+        .unwrap_or_else(|| String::from("BENCH_mcbench.json"));
+    if let Err(usage) = args.finish() {
+        eprintln!("{usage}");
+        return ExitCode::FAILURE;
     }
-    let workers = workers.max(1);
     let mode = if quick { "quick" } else { "full" };
     let cfg = if quick {
         McConfig::quick(seed)
@@ -168,37 +132,32 @@ fn main() -> ExitCode {
         workers,
         cfg.master_seed
     );
-    let pooled = timed_pool(&cfg, workers);
-    let cells = aggregate(&cfg, &pooled.runs);
-    let deterministic = render_aggregates_json(mode, &cfg, &cells);
+    let (cells, wall_ms, events_per_sec) = timed_pool(&cfg, workers);
     println!(
-        "mcbench: {} events in {:.1} ms = {:.0} events/sec aggregate",
-        pooled.events, pooled.wall_ms, pooled.events_per_sec
+        "mcbench: {} events in {wall_ms:.1} ms = {events_per_sec:.0} events/sec aggregate",
+        cells.iter().map(|c| c.events).sum::<u64>()
     );
     print_heatmap(&cfg, &cells);
 
-    let mut perf = format!(
-        "{{\"workers\": {}, \"available_parallelism\": {}, \"wall_ms\": {:.3}, \
-         \"events_per_sec\": {:.1}",
-        workers,
-        available_parallelism(),
-        pooled.wall_ms,
-        pooled.events_per_sec
-    );
+    let mut perf = Row::new()
+        .int("workers", workers)
+        .int("available_parallelism", available_parallelism())
+        .float("wall_ms", wall_ms, 3)
+        .float("events_per_sec", events_per_sec, 1);
 
     let mut failed = false;
     if check {
         // (a) Worker-fan-out invariance: the deterministic JSON from one
         // worker must be byte-identical to the pooled run's.
-        let single = timed_pool(&cfg, 1);
-        let single_cells = aggregate(&cfg, &single.runs);
+        let (single_cells, _, single_rate) = timed_pool(&cfg, 1);
         let single_json = render_aggregates_json(mode, &cfg, &single_cells);
-        if single_json != deterministic {
+        let pooled_json = render_aggregates_json(mode, &cfg, &cells);
+        if single_json != pooled_json {
             let at = single_json
                 .bytes()
-                .zip(deterministic.bytes())
+                .zip(pooled_json.bytes())
                 .position(|(a, b)| a != b)
-                .unwrap_or_else(|| single_json.len().min(deterministic.len()));
+                .unwrap_or_else(|| single_json.len().min(pooled_json.len()));
             eprintln!(
                 "mcbench: FAIL — aggregates depend on worker count \
                  (first divergence at byte {at})"
@@ -207,16 +166,12 @@ fn main() -> ExitCode {
         }
         // (b) Speedup floor, relative to this host's own single-worker
         // rate and clamped by its parallelism — never an absolute rate.
-        let speedup = pooled.events_per_sec / single.events_per_sec;
-        let requested: f64 = std::env::var("MCBENCH_MIN_SPEEDUP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2.0);
+        let speedup = events_per_sec / single_rate;
         let slots = workers.min(available_parallelism()) as f64;
-        let floor = requested.min(0.45 * slots);
+        let floor = 2.0_f64.min(0.45 * slots);
         println!(
-            "mcbench: single-worker {:.0} events/sec, speedup {:.2}× (floor {:.2}×)",
-            single.events_per_sec, speedup, floor
+            "mcbench: single-worker {single_rate:.0} events/sec, speedup {speedup:.2}× \
+             (floor {floor:.2}×)"
         );
         if speedup < floor {
             eprintln!(
@@ -224,18 +179,16 @@ fn main() -> ExitCode {
             );
             failed = true;
         }
-        use std::fmt::Write as _;
-        let _ = write!(
-            perf,
-            ", \"single_worker_events_per_sec\": {:.1}, \"speedup\": {:.3}, \
-             \"speedup_floor\": {:.3}",
-            single.events_per_sec, speedup, floor
-        );
+        perf = perf
+            .float("single_worker_events_per_sec", single_rate, 1)
+            .float("speedup", speedup, 3)
+            .float("speedup_floor", floor, 3);
     }
-    perf.push('}');
 
-    let json = with_perf(&deterministic, &perf);
-    std::fs::write(&out_path, &json).expect("write benchmark output");
+    let json = aggregates_doc(mode, &cfg, &cells)
+        .field("perf", perf)
+        .finish();
+    std::fs::write(&out_path, json).expect("write benchmark output");
     println!("mcbench: wrote {out_path}");
     if failed {
         return ExitCode::FAILURE;

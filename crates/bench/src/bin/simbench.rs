@@ -17,7 +17,8 @@
 //!     {"bench": "phi_57x4_np228", "config": {"cores": 57, "smt": 4,
 //!      "tasks": 1, "np": 228, "jobs": 100, "seed": 0},
 //!      "events": 123456, "repeats": 5, "wall_ms": 12.345,
-//!      "events_per_sec": 10000000.0}
+//!      "events_per_sec": 10000000.0, "wall_ms_min": 11.9,
+//!      "events_per_sec_best": 10400000.0}
 //!   ]
 //! }
 //! ```
@@ -25,23 +26,27 @@
 //! Usage:
 //!
 //! ```text
-//! simbench [--quick] [--out PATH] [--check BASELINE] [--repeats N]
+//! simbench [--quick] [--out PATH] [--repeats N]
 //! ```
 //!
 //! * `--quick`     reduced sweep (fewer jobs/repeats) for CI smoke runs;
 //! * `--out PATH`  where to write the JSON (default `BENCH_simbench.json`);
-//! * `--check B`   compare events/sec per point against baseline JSON `B`
-//!   and exit non-zero if any point regresses more than the tolerance
-//!   (30 % by default, `SIMBENCH_TOLERANCE=0.5` to widen).
+//! * `--repeats N` timed repeats per point (default 3 quick / 5 full).
+//!
+//! There is no `--check`: the only thing a repeat must reproduce is the
+//! point's event count, and [`measure`] asserts that on every run. An
+//! events/sec floor recorded on another day fails or passes with the
+//! host's phase, not with the code (EXPERIMENTS.md has the counts); a
+//! dispatcher regression is read off interleaved parent/change pairs.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
 use rtseed::config::SystemConfig;
 use rtseed::exec_sim::SimExecutor;
 use rtseed::executor::RunConfig;
 use rtseed::policy::AssignmentPolicy;
 use rtseed_analysis::taskgen::{generate, TaskGenConfig};
+use rtseed_bench::harness::{measure, timed, Args, Doc, Row};
 use rtseed_bench::paper_task_set;
 use rtseed_model::{Span, TaskSet, Topology};
 
@@ -56,20 +61,6 @@ struct Point {
     np: usize,
     jobs: u64,
     seed: u64,
-}
-
-/// A measured sweep point. `wall_ms`/`events_per_sec` are the median of
-/// the repeats; `wall_ms_min`/`events_per_sec_best` the fastest repeat.
-/// On a contended host the minimum is the robust statistic — interference
-/// only ever *adds* wall time — so regression checks compare best-of.
-struct Measured {
-    point: Point,
-    events: u64,
-    repeats: usize,
-    wall_ms: f64,
-    events_per_sec: f64,
-    wall_ms_min: f64,
-    events_per_sec_best: f64,
 }
 
 fn task_set(p: &Point) -> TaskSet {
@@ -90,47 +81,6 @@ fn task_set(p: &Point) -> TaskSet {
     }
 }
 
-fn run_once(cfg: &SystemConfig, jobs: u64, seed: u64) -> (u64, f64) {
-    let run = RunConfig {
-        jobs,
-        seed,
-        ..RunConfig::default()
-    };
-    let start = Instant::now();
-    let out = SimExecutor::new(cfg.clone(), run).run();
-    let wall = start.elapsed().as_secs_f64() * 1e3;
-    (out.events_processed, wall)
-}
-
-fn measure(point: Point, repeats: usize) -> Measured {
-    let topo = Topology::new(point.cores, point.smt).expect("non-degenerate");
-    let cfg = SystemConfig::build(task_set(&point), topo, AssignmentPolicy::OneByOne)
-        .expect("sweep point is schedulable");
-    // Warmup: populate allocator caches and branch predictors; also pins
-    // down the event count, which must be identical across repeats (the
-    // simulator is deterministic in the seed).
-    let (events, _) = run_once(&cfg, point.jobs, point.seed);
-    let mut walls: Vec<f64> = (0..repeats)
-        .map(|_| {
-            let (e, wall) = run_once(&cfg, point.jobs, point.seed);
-            assert_eq!(e, events, "non-deterministic event count in {}", point.name);
-            wall
-        })
-        .collect();
-    walls.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let wall_ms = walls[walls.len() / 2];
-    let wall_ms_min = walls[0];
-    Measured {
-        events,
-        repeats,
-        wall_ms,
-        events_per_sec: events as f64 / (wall_ms / 1e3),
-        wall_ms_min,
-        events_per_sec_best: events as f64 / (wall_ms_min / 1e3),
-        point,
-    }
-}
-
 /// The sweep: topology size (1×1 → 57×4 → 128×4) at paper-style load,
 /// plus task-set size on the paper's Xeon Phi 3120A.
 fn sweep(quick: bool) -> Vec<Point> {
@@ -146,138 +96,62 @@ fn sweep(quick: bool) -> Vec<Point> {
     ]
 }
 
-fn render_json(mode: &str, results: &[Measured]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": 1,");
-    let _ = writeln!(out, "  \"bench\": \"simbench\",");
-    let _ = writeln!(out, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(out, "  \"points\": [");
-    for (i, m) in results.iter().enumerate() {
-        let p = &m.point;
-        let _ = write!(
-            out,
-            "    {{\"bench\": \"{}\", \"config\": {{\"cores\": {}, \"smt\": {}, \
-             \"tasks\": {}, \"np\": {}, \"jobs\": {}, \"seed\": {}}}, \
-             \"events\": {}, \"repeats\": {}, \"wall_ms\": {:.3}, \
-             \"events_per_sec\": {:.1}, \"wall_ms_min\": {:.3}, \
-             \"events_per_sec_best\": {:.1}}}",
-            p.name, p.cores, p.smt, p.tasks, p.np, p.jobs, p.seed,
-            m.events, m.repeats, m.wall_ms, m.events_per_sec,
-            m.wall_ms_min, m.events_per_sec_best,
-        );
-        let _ = writeln!(out, "{}", if i + 1 < results.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ]");
-    out.push_str("}\n");
-    out
-}
-
-/// Extracts the best events/sec for `bench` from a baseline file in this
-/// harness's own schema (a purpose-built scanner, not a general JSON
-/// parser — the workspace is offline and the schema is ours). Prefers
-/// `events_per_sec_best`, falling back to the median field for baselines
-/// written before the best-of statistic existed.
-fn baseline_events_per_sec(baseline: &str, bench: &str) -> Option<f64> {
-    let anchor = format!("\"bench\": \"{bench}\"");
-    let at = baseline.find(&anchor)?;
-    let point = &baseline[at + anchor.len()..];
-    // Bound the scan at the next point's anchor so a missing field is not
-    // satisfied by a neighbour.
-    let point = &point[..point.find("\"bench\": ").unwrap_or(point.len())];
-    let field = |key: &str| {
-        let vs = point.find(key)? + key.len();
-        let rest = &point[vs..];
-        let end = rest.find(|c: char| c != '.' && !c.is_ascii_digit())?;
-        rest[..end].parse().ok()
-    };
-    field("\"events_per_sec_best\": ").or_else(|| field("\"events_per_sec\": "))
-}
-
-fn check(results: &[Measured], baseline_path: &str) -> Result<(), String> {
-    let baseline = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    let tolerance: f64 = std::env::var("SIMBENCH_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.30);
-    let mut failures = Vec::new();
-    for m in results {
-        let Some(base) = baseline_events_per_sec(&baseline, m.point.name) else {
-            eprintln!("simbench: no baseline for {}, skipping", m.point.name);
-            continue;
-        };
-        let floor = base * (1.0 - tolerance);
-        // Best-of-repeats: robust to CI-host interference, which only ever
-        // slows runs down — a genuine regression slows even the best run.
-        if m.events_per_sec_best < floor {
-            failures.push(format!(
-                "{}: best {:.0} events/sec < {:.0} (baseline {:.0} − {:.0} %)",
-                m.point.name,
-                m.events_per_sec_best,
-                floor,
-                base,
-                tolerance * 100.0
-            ));
-        }
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("\n"))
-    }
-}
-
 fn main() -> ExitCode {
-    let mut quick = false;
-    let mut out_path = String::from("BENCH_simbench.json");
-    let mut baseline: Option<String> = None;
-    let mut repeats: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--check" => baseline = Some(args.next().expect("--check needs a path")),
-            "--repeats" => {
-                repeats = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--repeats needs a count"),
-                )
-            }
-            other => {
-                eprintln!("simbench: unknown argument {other}");
-                return ExitCode::FAILURE;
-            }
-        }
+    let mut args = Args::from_env("simbench");
+    let quick = args.flag("--quick");
+    let out_path = args
+        .value("--out")
+        .unwrap_or_else(|| String::from("BENCH_simbench.json"));
+    let repeats = args.value("--repeats").unwrap_or(if quick { 3 } else { 5 });
+    if let Err(usage) = args.finish() {
+        eprintln!("{usage}");
+        return ExitCode::FAILURE;
     }
-    let repeats = repeats.unwrap_or(if quick { 3 } else { 5 });
-    let mode = if quick { "quick" } else { "full" };
 
-    let mut results = Vec::new();
-    for point in sweep(quick) {
-        let name = point.name;
-        let m = measure(point, repeats);
+    let mut rows = Vec::new();
+    for p in sweep(quick) {
+        let topo = Topology::new(p.cores, p.smt).expect("non-degenerate");
+        let cfg = SystemConfig::build(task_set(&p), topo, AssignmentPolicy::OneByOne)
+            .expect("sweep point is schedulable");
+        // The pinned result is the event count: the simulator is
+        // deterministic in the seed.
+        let (events, t) = measure(p.name, repeats, || {
+            let run = RunConfig {
+                jobs: p.jobs,
+                seed: p.seed,
+                ..RunConfig::default()
+            };
+            let (out, wall_ms) = timed(|| SimExecutor::new(cfg.clone(), run).run());
+            (out.events_processed, wall_ms)
+        });
         println!(
-            "{name:>18}: {:>9} events, median {:>9.3} ms = {:>12.0} ev/s, \
+            "{:>18}: {events:>9} events, median {:>9.3} ms = {:>12.0} ev/s, \
              best {:>9.3} ms = {:>12.0} ev/s (n={repeats})",
-            m.events, m.wall_ms, m.events_per_sec, m.wall_ms_min, m.events_per_sec_best
+            p.name,
+            t.wall_ms,
+            t.rate(events),
+            t.wall_ms_min,
+            t.rate_best(events)
         );
-        results.push(m);
+        let config = Row::new()
+            .int("cores", p.cores)
+            .int("smt", p.smt)
+            .int("tasks", p.tasks)
+            .int("np", p.np)
+            .int("jobs", p.jobs)
+            .int("seed", p.seed);
+        rows.push(
+            Row::new()
+                .str("bench", p.name)
+                .raw("config", config)
+                .int("events", events)
+                .timing(&t, Some(("events_per_sec", events))),
+        );
     }
 
-    let json = render_json(mode, &results);
-    std::fs::write(&out_path, &json).expect("write benchmark output");
+    let mode = if quick { "quick" } else { "full" };
+    let json = Doc::new("simbench", mode).array("points", &rows).finish();
+    std::fs::write(&out_path, json).expect("write benchmark output");
     println!("simbench: wrote {out_path}");
-
-    if let Some(baseline_path) = baseline {
-        if let Err(report) = check(&results, &baseline_path) {
-            eprintln!("simbench: events/sec regression against {baseline_path}:\n{report}");
-            return ExitCode::FAILURE;
-        }
-        println!("simbench: no regression against {baseline_path}");
-    }
     ExitCode::SUCCESS
 }

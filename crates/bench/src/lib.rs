@@ -12,10 +12,15 @@
 //! | `table1_termination` | Table I + behavioral consequences |
 //! | `ablation_qos` | (extension) QoS vs np per policy |
 //! | `ablation_partition` | (extension) partition heuristics |
+//!
+//! The four measured benches (`simbench`, `churnbench`, `mcbench`,
+//! `ablate`) share one command line, timing loop and schema-1 JSON writer:
+//! [`harness`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod harness;
 pub mod mc;
 
 use rtseed::config::SystemConfig;

@@ -38,6 +38,8 @@ use rtseed_analysis::{PartitionHeuristic, PlacementPolicy};
 use rtseed_model::{Span, Topology};
 use rtseed_sim::{splitmix64, FaultPlan, FaultTarget, RandomOverruns};
 
+use crate::harness::{Doc, Row};
+
 /// The Monte-Carlo grid: every `(utilization × np × policy × placement
 /// × topology)` cell is sampled `reps` times with independent seeded
 /// task sets and fault plans.
@@ -388,81 +390,60 @@ pub fn aggregate(cfg: &McConfig, runs: &[RunSummary]) -> Vec<CellAggregate> {
     cells
 }
 
-/// Renders the deterministic half of the schema-1 JSON: the grid
-/// definition and the per-cell aggregates, **excluding** anything
-/// wall-clock-dependent. This is the byte string the worker-invariance
-/// test and the golden fixture compare; `mcbench` appends a separate
-/// `perf` section to the file it writes.
-pub fn render_aggregates_json(mode: &str, cfg: &McConfig, cells: &[CellAggregate]) -> String {
-    use std::fmt::Write as _;
-    let total_events: u64 = cells.iter().map(|c| c.events).sum();
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": 1,");
-    let _ = writeln!(out, "  \"bench\": \"mcbench\",");
-    let _ = writeln!(out, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(out, "  \"master_seed\": {},", cfg.master_seed);
-    let _ = writeln!(
-        out,
-        "  \"grid\": {{\"utilizations\": {}, \"np\": {:?}, \"policies\": {:?}, \
-         \"placements\": {:?}, \"topologies\": {:?}, \
-         \"reps\": {}, \"tasks\": {}, \"jobs\": {}, \"runs\": {}}},",
-        fmt_f64_list(&cfg.utilizations),
-        cfg.np_values,
-        cfg.policies.iter().map(|p| p.to_string()).collect::<Vec<_>>(),
-        cfg.placements.iter().map(|p| p.to_string()).collect::<Vec<_>>(),
-        cfg.topologies
-            .iter()
-            .map(|(c, s)| format!("{c}x{s}"))
-            .collect::<Vec<_>>(),
-        cfg.reps,
-        cfg.tasks,
-        cfg.jobs,
-        cfg.total_runs(),
-    );
-    let _ = writeln!(out, "  \"total_events\": {total_events},");
-    let _ = writeln!(out, "  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"util\": {:.2}, \"np\": {}, \"policy\": \"{}\", \
-             \"placement\": \"{}\", \"topo\": \"{}x{}\", \"runs\": {}, \
-             \"admitted\": {}, \"schedulable_ppm\": {}, \"qos_ppm_p10\": {}, \
-             \"qos_ppm_p50\": {}, \"qos_ppm_p90\": {}, \"misses\": {}, \
-             \"jobs\": {}, \"events\": {}}}",
-            c.utilization,
-            c.np,
-            c.policy,
-            c.placement,
-            c.cores,
-            c.smt,
-            c.runs,
-            c.admitted,
-            c.schedulable_ppm,
-            c.qos_ppm_p10,
-            c.qos_ppm_p50,
-            c.qos_ppm_p90,
-            c.misses,
-            c.jobs,
-            c.events,
-        );
-        let _ = writeln!(out, "{}", if i + 1 < cells.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ]");
-    out.push_str("}\n");
-    out
+/// A JSON list of the items' display forms, each quoted.
+fn quoted<T: std::fmt::Display>(items: impl IntoIterator<Item = T>) -> String {
+    let names: Vec<String> = items.into_iter().map(|i| i.to_string()).collect();
+    format!("{names:?}")
 }
 
-fn fmt_f64_list(vals: &[f64]) -> String {
-    let mut s = String::from("[");
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&format!("{v:.2}"));
-    }
-    s.push(']');
-    s
+/// The deterministic half of the schema-1 document: the grid definition
+/// and the per-cell aggregates, **excluding** anything
+/// wall-clock-dependent. `mcbench` adds its `perf` field to this and
+/// writes the result; [`render_aggregates_json`] closes it as is.
+pub fn aggregates_doc(mode: &str, cfg: &McConfig, cells: &[CellAggregate]) -> Doc {
+    let utilizations: Vec<String> = cfg.utilizations.iter().map(|u| format!("{u:.2}")).collect();
+    let topologies = cfg.topologies.iter().map(|(c, s)| format!("{c}x{s}"));
+    let grid = Row::new()
+        .raw("utilizations", format_args!("[{}]", utilizations.join(", ")))
+        .raw("np", format_args!("{:?}", cfg.np_values))
+        .raw("policies", quoted(&cfg.policies))
+        .raw("placements", quoted(&cfg.placements))
+        .raw("topologies", quoted(topologies))
+        .int("reps", cfg.reps)
+        .int("tasks", cfg.tasks)
+        .int("jobs", cfg.jobs)
+        .int("runs", cfg.total_runs());
+    let rows: Vec<Row> = cells
+        .iter()
+        .map(|c| {
+            Row::new()
+                .float("util", c.utilization, 2)
+                .int("np", c.np)
+                .str("policy", c.policy)
+                .str("placement", c.placement)
+                .str("topo", format_args!("{}x{}", c.cores, c.smt))
+                .int("runs", c.runs)
+                .int("admitted", c.admitted)
+                .int("schedulable_ppm", c.schedulable_ppm)
+                .int("qos_ppm_p10", c.qos_ppm_p10)
+                .int("qos_ppm_p50", c.qos_ppm_p50)
+                .int("qos_ppm_p90", c.qos_ppm_p90)
+                .int("misses", c.misses)
+                .int("jobs", c.jobs)
+                .int("events", c.events)
+        })
+        .collect();
+    Doc::new("mcbench", mode)
+        .field("master_seed", cfg.master_seed)
+        .field("grid", grid)
+        .field("total_events", cells.iter().map(|c| c.events).sum::<u64>())
+        .array("cells", &rows)
+}
+
+/// Renders [`aggregates_doc`]: the byte string the worker-invariance
+/// test and the golden fixture compare.
+pub fn render_aggregates_json(mode: &str, cfg: &McConfig, cells: &[CellAggregate]) -> String {
+    aggregates_doc(mode, cfg, cells).finish()
 }
 
 #[cfg(test)]

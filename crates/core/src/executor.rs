@@ -115,9 +115,6 @@ pub struct RunConfig {
     pub seed: u64,
     /// Optional-part termination mechanism (Table I).
     pub termination: TerminationMode,
-    /// Deprecated switch for trace collection; prefer `trace`. When set,
-    /// tracing is enabled with the default ring capacity.
-    pub collect_trace: bool,
     /// Observability sink: whether and how to record a [`Trace`].
     pub trace: TraceConfig,
     /// Fraction of the declared mandatory/wind-up WCET the actual
@@ -150,7 +147,6 @@ impl Default for RunConfig {
             calibration: Calibration::default(),
             seed: 0,
             termination: TerminationMode::SigjmpTimer,
-            collect_trace: false,
             trace: TraceConfig::disabled(),
             rt_exec_fraction: 0.75,
             fault_plan: FaultPlan::none(),
@@ -169,13 +165,9 @@ impl RunConfig {
         }
     }
 
-    /// The effective trace configuration, honouring the deprecated
-    /// `collect_trace` switch.
+    /// The trace configuration the engine's recorder is built from.
     pub fn trace_config(&self) -> TraceConfig {
-        TraceConfig {
-            enabled: self.trace.enabled || self.collect_trace,
-            capacity: self.trace.capacity,
-        }
+        self.trace
     }
 
     /// Validates the configuration.
@@ -495,17 +487,6 @@ mod tests {
             ..Default::default()
         };
         assert!(cfg.validate().is_ok());
-    }
-
-    #[test]
-    fn collect_trace_enables_the_sink() {
-        let cfg = RunConfig {
-            collect_trace: true,
-            ..Default::default()
-        };
-        let t = cfg.trace_config();
-        assert!(t.enabled);
-        assert_eq!(t.capacity, TraceConfig::DEFAULT_CAPACITY);
     }
 
     #[test]

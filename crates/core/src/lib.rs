@@ -20,8 +20,6 @@
 //!   (HPQ 99 / RTQ 50–98 / NRTQ 1–49), optional deadlines, and the
 //!   optional-part **assignment policy** (One by One / Two by Two /
 //!   All by All, paper Fig. 8).
-//! * [`queues`] — the middleware's four logical queues (RTQ, NRTQ, SQ, HPQ)
-//!   over the kernel's per-CPU FIFO priority queues.
 //! * [`engine::Engine`] — the backend-independent P-RMWP part state
 //!   machine (release → mandatory → parallel optional → OD termination →
 //!   wind-up), shared by every executor; backends are thin drivers.
@@ -89,7 +87,6 @@ pub mod policy;
 pub mod prelude;
 pub mod priority;
 pub mod profile;
-pub mod queues;
 pub mod report;
 pub mod runtime;
 pub mod serve;

@@ -7,6 +7,10 @@
 //!   Monotonic order (shorter period ⇒ higher level).
 //! * Parallel optional threads occupy **NRTQ** levels 1–49, always exactly
 //!   49 below their mandatory thread (paper: mandatory 90 ⇒ optional 41).
+//! * The **SQ** (sleep queue) is not a priority level: a task whose optional
+//!   parts all finish early sleeps there until its optional deadline
+//!   releases the wind-up part. Each hardware thread's HPQ/RTQ/NRTQ bands
+//!   live in one `rtseed_sim::FifoReadyQueue`.
 
 use core::fmt;
 

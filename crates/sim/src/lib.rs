@@ -7,12 +7,13 @@
 //! machine model the middleware runs on instead:
 //!
 //! * a deterministic **event queue** ([`eventq`]) with stable FIFO ordering
-//!   of simultaneous events,
+//!   of simultaneous events — also the timer subsystem: a one-shot
+//!   optional-deadline timer (the `timer_settime` analogue of paper
+//!   Fig. 7) is an event stamped with its job's sequence number, and a
+//!   stale one is dropped by the engine,
 //! * per-hardware-thread **SCHED_FIFO ready queues** ([`readyq`]) mirroring
 //!   Linux's 99 priority levels with FIFO order within a level (paper
 //!   Fig. 5's "double circular linked list" queues),
-//! * one-shot **optional-deadline timers** with cancellation ([`timer`],
-//!   the `timer_settime` analogue of paper Fig. 7),
 //! * the three **background loads** of §V-B (`NoLoad`, `CpuLoad`,
 //!   `CpuMemoryLoad`) ([`load`]),
 //! * a calibrated **overhead/contention model** ([`overhead`]) producing the
@@ -43,7 +44,6 @@ pub mod fault;
 pub mod load;
 pub mod overhead;
 pub mod readyq;
-pub mod timer;
 
 pub use chaos::ChaosPlan;
 pub use churn::{splitmix64, ChurnAction, ChurnEvent, ChurnPlan};
@@ -55,4 +55,3 @@ pub use fault::{
 pub use load::BackgroundLoad;
 pub use overhead::{Calibration, OverheadKind, OverheadModel, OverheadSample};
 pub use readyq::FifoReadyQueue;
-pub use timer::{TimerHandle, TimerWheel};

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rtseed_model::{Priority, Time};
-use rtseed_sim::{EventQueue, FifoReadyQueue, TimerWheel};
+use rtseed_sim::{EventQueue, FifoReadyQueue};
 
 proptest! {
     /// Popping the event queue always yields non-decreasing times, and
@@ -49,29 +49,5 @@ proptest! {
         }
         prop_assert_eq!(count, items.len());
         prop_assert!(q.is_empty());
-    }
-
-    /// Cancelled timers never fire; uncancelled ones fire exactly once.
-    #[test]
-    fn timer_wheel_cancellation(deadlines in prop::collection::vec(0u64..1000, 1..50), cancel_mask in any::<u64>()) {
-        let mut w = TimerWheel::new();
-        let mut handles = Vec::new();
-        for (i, &d) in deadlines.iter().enumerate() {
-            handles.push((w.arm(Time::from_nanos(d), i), i));
-        }
-        let mut cancelled = std::collections::HashSet::new();
-        for (h, i) in &handles {
-            if cancel_mask >> (i % 64) & 1 == 1 {
-                w.cancel(*h);
-                cancelled.insert(*i);
-            }
-        }
-        let mut fired = std::collections::HashSet::new();
-        while let Some((at, i)) = w.pop_expired(Time::from_nanos(2000)) {
-            prop_assert_eq!(at, Time::from_nanos(deadlines[i]));
-            prop_assert!(!cancelled.contains(&i), "cancelled timer fired");
-            prop_assert!(fired.insert(i), "timer fired twice");
-        }
-        prop_assert_eq!(fired.len() + cancelled.len(), deadlines.len());
     }
 }

@@ -6,6 +6,7 @@
 use rtseed::config::SystemConfig;
 use rtseed::exec_sim::SimExecutor;
 use rtseed::executor::{Outcome, RunConfig};
+use rtseed::obs::TraceConfig;
 use rtseed::policy::AssignmentPolicy;
 use rtseed::termination::TerminationMode;
 use rtseed::SupervisorConfig;
@@ -108,7 +109,7 @@ fn acceptance_degraded_mode_saves_deadlines_and_recovers() {
 fn chaos_cfg(seed: u64) -> RunConfig {
     RunConfig {
         jobs: 10,
-        collect_trace: true,
+        trace: TraceConfig::enabled(),
         fault_plan: FaultPlan::new(seed)
             .with_random_overruns(RandomOverruns {
                 probability: 0.3,
@@ -179,7 +180,7 @@ fn acceptance_global_backend_models_cpu_stalls() {
     .unwrap();
     let run_cfg = || RunConfig {
         jobs: 3,
-        collect_trace: true,
+        trace: TraceConfig::enabled(),
         fault_plan: FaultPlan::new(0).with_cpu_stall(CpuStall {
             hw: 0,
             at: rtseed_model::Time::ZERO,

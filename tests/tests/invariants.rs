@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use rtseed::config::SystemConfig;
 use rtseed::exec_sim::SimExecutor;
 use rtseed::executor::RunConfig;
+use rtseed::obs::TraceConfig;
 use rtseed::policy::AssignmentPolicy;
 use rtseed_analysis::rmwp::RmwpAnalysis;
 use rtseed_analysis::taskgen::{generate, TaskGenConfig};
@@ -173,7 +174,7 @@ fn determinism_across_identical_runs() {
             RunConfig {
                 jobs: 5,
                 seed: 99,
-                collect_trace: true,
+                trace: TraceConfig::enabled(),
                 ..Default::default()
             },
         )
