@@ -275,12 +275,6 @@ impl RtaCache {
         }
     }
 
-    /// Number of CPUs tracked.
-    #[inline]
-    pub fn cpu_count(&self) -> usize {
-        self.cpus.len()
-    }
-
     /// `true` if `cpu`'s fixpoints are memoised (always, between public
     /// engine operations, unless caching is disabled or the entry was
     /// explicitly invalidated).
@@ -537,12 +531,6 @@ impl AdmissionEngine {
     #[inline]
     pub fn cpu_base(&self) -> u32 {
         self.cpu_base
-    }
-
-    /// `true` if the per-CPU fixpoint memo is enabled.
-    #[inline]
-    pub fn is_caching(&self) -> bool {
-        self.caching
     }
 
     /// The placement policy governing fallback placement.

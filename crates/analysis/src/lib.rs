@@ -50,7 +50,6 @@
 pub mod admission;
 pub mod bounds;
 pub mod partition;
-pub mod practical;
 pub mod rmwp;
 pub mod rta;
 pub mod shard;

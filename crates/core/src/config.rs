@@ -100,14 +100,8 @@ impl SystemConfig {
         let placements = set
             .iter()
             .map(|(id, spec)| {
-                // A federated task's parallel phase owns its granted core:
-                // every optional part runs there, preserving the analysed
-                // top-band isolation instead of the shared-policy spread.
-                if let Some(granted) = partition.granted_core_of(id) {
-                    vec![granted; spec.optional_count()]
-                } else {
-                    policy.placements(&topology, spec.optional_count())
-                }
+                let granted = partition.granted_core_of(id);
+                policy.placements_or_granted(&topology, spec.optional_count(), granted)
             })
             .collect();
         Ok(SystemConfig {

@@ -203,10 +203,10 @@ impl<S: Substrate> Driver<S> {
         if run.jobs == 0 {
             return;
         }
-        // One decision event per task records where the assignment policy
-        // placed its optional parts (paper Fig. 8).
-        self.eng.trace_policy_decisions(cfg);
+        // One decision event per task, ahead of the first release, records
+        // where the assignment policy placed its optional parts (Fig. 8).
         for task in 0..self.eng.task_count() {
+            self.eng.trace_policy_decision(task, cfg.policy(), Time::ZERO);
             self.start_task(task, Time::ZERO);
         }
         self.plan_stalls(&run.fault_plan);

@@ -44,9 +44,10 @@ use rtseed_model::{
 use rtseed_sim::{FaultPlan, FaultTarget, OverheadKind, TimerFault};
 
 use crate::config::SystemConfig;
-use crate::executor::RunConfig;
+use crate::executor::{Outcome, RunConfig};
 use crate::obs::{MetricsRegistry, Trace, TraceEvent, TraceRecorder};
 use crate::obs::{QueueBand, QueueOp};
+use crate::policy::AssignmentPolicy;
 use crate::report::{FaultReport, OverheadReport};
 use crate::supervisor::{OverloadSupervisor, SupervisorConfig};
 use crate::termination::TerminationMode;
@@ -188,11 +189,28 @@ pub struct EngineOutput {
     pub tenant_qos: Vec<(TenantId, QosSummary)>,
 }
 
-/// Static description of one task for dynamic addition to a running
-/// engine ([`Engine::add_task`]): everything the offline construction path
-/// reads from a
-/// [`SystemConfig`], but owned, so the serving layer can construct it from
-/// an admission decision at runtime.
+impl EngineOutput {
+    /// The [`Outcome`] of a simulated run: what the engine measured plus
+    /// the driver's event count, every backend-specific field at its
+    /// default. (`tenant_qos` has no place in an `Outcome`; the serving
+    /// layer reads it first.)
+    pub fn into_outcome(self, events_processed: u64) -> Outcome {
+        Outcome {
+            qos: self.qos,
+            overheads: self.overheads,
+            faults: self.faults,
+            metrics: self.metrics,
+            trace: self.trace,
+            events_processed,
+            ..Default::default()
+        }
+    }
+}
+
+/// The one description of a placed task: what [`Engine::add_task`] takes,
+/// whoever places the task. A closed set's tasks are read out of their
+/// [`SystemConfig`] by [`TaskParams::from_config`]; the serving layer
+/// builds one per task of an admission decision at runtime.
 #[derive(Debug, Clone)]
 pub struct TaskParams {
     /// The task's identity (unique within this engine).
@@ -217,8 +235,8 @@ pub struct TaskParams {
     pub period: Span,
     /// Relative deadline `Dᵢ`.
     pub deadline: Span,
-    /// Mandatory WCET `mᵢ` (as declared; the engine applies the run's
-    /// `rt_exec_fraction`, matching [`Engine::new`]).
+    /// Mandatory WCET `mᵢ` (as declared; [`Engine::add_task`] applies the
+    /// run's `rt_exec_fraction`).
     pub mandatory: Span,
     /// Wind-up WCET `wᵢ` (as declared, see `mandatory`).
     pub windup: Span,
@@ -226,6 +244,38 @@ pub struct TaskParams {
     pub optional: Vec<Span>,
     /// Relative optional deadline from the admission analysis.
     pub od: Span,
+}
+
+impl TaskParams {
+    /// Task `id` of a closed set, as `cfg` placed it offline: no tenant,
+    /// WCETs as declared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn from_config(cfg: &SystemConfig, id: TaskId) -> TaskParams {
+        let spec = cfg.set().get(id).expect("task id out of range");
+        TaskParams {
+            id,
+            tenant: None,
+            mandatory_hw: cfg.mandatory_hw(id).index(),
+            secondary_hw: cfg.secondary_hw(id).map(|h| h.index()),
+            granted_hw: cfg.granted_hw(id).map(|h| h.index()),
+            placements: cfg
+                .optional_placements(id)
+                .iter()
+                .map(|h| h.index())
+                .collect(),
+            mand_prio: cfg.priorities().mandatory(id),
+            opt_prio: cfg.priorities().optional(id),
+            period: spec.period(),
+            deadline: spec.deadline(),
+            mandatory: spec.mandatory(),
+            windup: spec.windup(),
+            optional: spec.optional_parts().to_vec(),
+            od: cfg.optional_deadline(id),
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -249,21 +299,9 @@ impl PartState {
 
 #[derive(Debug)]
 struct TaskState {
-    // Static configuration.
-    id: TaskId,
-    tenant: Option<TenantId>,
-    mandatory_hw: usize,
-    secondary_hw: Option<usize>,
-    granted_hw: Option<usize>,
-    placements: Vec<usize>,
-    mand_prio: Priority,
-    opt_prio: Priority,
-    period: Span,
-    deadline: Span,
-    mandatory: Span,
-    windup: Span,
-    optional: Vec<Span>,
-    od: Span,
+    /// Static configuration, as handed to [`Engine::add_task`] (the WCETs
+    /// already scaled by the run's `rt_exec_fraction`).
+    p: TaskParams,
     // Per-job state.
     seq: u64,
     release: Time,
@@ -293,12 +331,12 @@ struct TaskState {
 
 impl TaskState {
     fn od_time(&self) -> Time {
-        self.release + self.od
+        self.release + self.p.od
     }
 
     fn job(&self) -> JobId {
         JobId {
-            task: self.id,
+            task: self.p.id,
             seq: self.seq,
         }
     }
@@ -308,16 +346,18 @@ impl TaskState {
     }
 
     fn requested_optional(&self) -> Span {
-        self.optional.iter().copied().sum()
+        self.p.optional.iter().copied().sum()
     }
 }
 
 /// The shared P-RMWP part state machine (see the [module docs](self)).
 ///
 /// One `Engine` instance drives either a whole task set (simulation and
-/// global backends, [`Engine::new`]) or a single task (one per native
+/// global backends, [`Engine::new`]), a single task (one per native
 /// thread, [`Engine::single_task`]; per-thread outputs are merged by the
-/// native executor).
+/// native executor), or an open population (the serving layer,
+/// [`Engine::empty`]). All three start empty and take every task through
+/// [`Engine::add_task`].
 #[derive(Debug)]
 pub struct Engine {
     tasks: Vec<TaskState>,
@@ -348,78 +388,23 @@ pub struct Engine {
     pending_achieved: Span,
 }
 
-fn build_task(cfg: &SystemConfig, id: TaskId, rt_exec_fraction: f64) -> TaskState {
-    let spec = cfg.set().get(id).expect("task id out of range");
-    TaskState {
-        id,
-        tenant: None,
-        mandatory_hw: cfg.mandatory_hw(id).index(),
-        secondary_hw: cfg.secondary_hw(id).map(|h| h.index()),
-        granted_hw: cfg.granted_hw(id).map(|h| h.index()),
-        placements: cfg
-            .optional_placements(id)
-            .iter()
-            .map(|h| h.index())
-            .collect(),
-        mand_prio: cfg.priorities().mandatory(id),
-        opt_prio: cfg.priorities().optional(id),
-        period: spec.period(),
-        deadline: spec.deadline(),
-        mandatory: spec.mandatory().mul_f64(rt_exec_fraction),
-        windup: spec.windup().mul_f64(rt_exec_fraction),
-        optional: spec.optional_parts().to_vec(),
-        od: cfg.optional_deadline(id),
-        seq: 0,
-        release: Time::ZERO,
-        phase: JobPhase::Done, // becomes Released at first release
-        rt_remaining: Span::ZERO,
-        rt_budget: Span::ZERO,
-        parts: Vec::new(),
-        windup_scheduled: false,
-        in_sq: false,
-        overran: false,
-        shed: false,
-        optional_keep: None,
-        timer_broken: false,
-        jobs_done: 0,
-    }
+/// The run's `rt_exec_fraction`, checked to lie within `(0, 1]`.
+fn checked_fraction(run: &RunConfig) -> f64 {
+    assert!(
+        run.rt_exec_fraction > 0.0 && run.rt_exec_fraction <= 1.0,
+        "rt_exec_fraction must be within (0, 1]"
+    );
+    run.rt_exec_fraction
 }
 
 impl Engine {
-    /// Creates an engine for every task of `cfg` with run parameters `run`.
+    /// Creates an engine for every task of `cfg` with run parameters
+    /// `run`: an [`Engine::empty`] one that every task of the closed set
+    /// then enters, in task order, through [`Engine::add_task`].
     pub fn new(cfg: &SystemConfig, run: &RunConfig) -> Engine {
-        assert!(
-            run.rt_exec_fraction > 0.0 && run.rt_exec_fraction <= 1.0,
-            "rt_exec_fraction must be within (0, 1]"
-        );
-        let tasks: Vec<TaskState> = cfg
-            .set()
-            .iter()
-            .map(|(id, _)| build_task(cfg, id, run.rt_exec_fraction))
-            .collect();
-        let live = tasks.len();
-        let sup = OverloadSupervisor::new(run.supervisor, tasks.len());
-        Engine {
-            tasks,
-            jobs: run.jobs,
-            live,
-            rt_exec_fraction: run.rt_exec_fraction,
-            fault_plan: run.fault_plan.clone(),
-            termination: run.termination,
-            topology: *cfg.topology(),
-            sup,
-            qos: QosSummary::new(),
-            tenant_qos: Vec::new(),
-            tenant_signals: Vec::new(),
-            overheads: OverheadReport::new(),
-            metrics: MetricsRegistry::new(),
-            rec: TraceRecorder::new(run.trace_config()),
-            term_at: Time::ZERO,
-            term_handling: Span::ZERO,
-            term_max_lag: Span::ZERO,
-            term_prev_core: None,
-            pending_achieved: Span::ZERO,
-        }
+        let mut eng = Engine::empty(*cfg.topology(), run);
+        eng.add_closed_set(cfg);
+        eng
     }
 
     /// Re-initializes this engine in place for a fresh run of `cfg`/`run`,
@@ -439,88 +424,54 @@ impl Engine {
     ///
     /// Panics unless `0 < run.rt_exec_fraction ≤ 1` (like [`Engine::new`]).
     pub fn reset(&mut self, cfg: &SystemConfig, run: &RunConfig) {
-        assert!(
-            run.rt_exec_fraction > 0.0 && run.rt_exec_fraction <= 1.0,
-            "rt_exec_fraction must be within (0, 1]"
-        );
-        self.tasks.clear();
-        self.tasks.extend(
-            cfg.set()
-                .iter()
-                .map(|(id, _)| build_task(cfg, id, run.rt_exec_fraction)),
-        );
-        self.jobs = run.jobs;
-        self.live = self.tasks.len();
-        self.rt_exec_fraction = run.rt_exec_fraction;
-        self.fault_plan.clone_from(&run.fault_plan);
-        self.termination = run.termination;
-        self.topology = *cfg.topology();
-        self.sup = OverloadSupervisor::new(run.supervisor, self.tasks.len());
-        self.qos = QosSummary::new();
-        self.tenant_qos.clear();
-        self.tenant_signals.clear();
-        self.overheads = OverheadReport::new();
-        self.metrics = MetricsRegistry::new();
-        self.rec.reset(run.trace_config());
-        self.term_at = Time::ZERO;
-        self.term_handling = Span::ZERO;
-        self.term_max_lag = Span::ZERO;
-        self.term_prev_core = None;
-        self.pending_achieved = Span::ZERO;
+        self.reset_empty(*cfg.topology(), run);
+        self.add_closed_set(cfg);
+    }
+
+    /// Adds every task of `cfg`, in task order, to an engine that holds
+    /// none. The slots are reserved up front, so a closed run allocates
+    /// once for the task vector however many tasks enter.
+    fn add_closed_set(&mut self, cfg: &SystemConfig) {
+        let n = cfg.set().len();
+        self.tasks.reserve_exact(n);
+        self.sup.reserve(n);
+        for id in cfg.set().ids() {
+            self.add_task(TaskParams::from_config(cfg, id));
+        }
     }
 
     /// Creates an engine driving only task `id` of `cfg` (the native
     /// runtime runs one engine per task thread and merges the outputs).
     ///
     /// Fault injection and the overload supervisor are simulation-side
-    /// concerns and stay disabled here.
+    /// concerns: whatever `run` carries for them, this engine injects
+    /// nothing and cuts nothing.
     pub fn single_task(cfg: &SystemConfig, id: TaskId, run: &RunConfig) -> Engine {
-        assert!(
-            run.rt_exec_fraction > 0.0 && run.rt_exec_fraction <= 1.0,
-            "rt_exec_fraction must be within (0, 1]"
-        );
-        let tasks = vec![build_task(cfg, id, run.rt_exec_fraction)];
-        Engine {
-            tasks,
-            jobs: run.jobs,
-            live: 1,
-            rt_exec_fraction: run.rt_exec_fraction,
-            fault_plan: FaultPlan::default(),
-            termination: run.termination,
-            topology: *cfg.topology(),
-            sup: OverloadSupervisor::new(SupervisorConfig::default(), 1),
-            qos: QosSummary::new(),
-            tenant_qos: Vec::new(),
-            tenant_signals: Vec::new(),
-            overheads: OverheadReport::new(),
-            metrics: MetricsRegistry::new(),
-            rec: TraceRecorder::new(run.trace_config()),
-            term_at: Time::ZERO,
-            term_handling: Span::ZERO,
-            term_max_lag: Span::ZERO,
-            term_prev_core: None,
-            pending_achieved: Span::ZERO,
-        }
+        let mut eng = Engine::empty(*cfg.topology(), run);
+        eng.fault_plan = FaultPlan::default();
+        eng.rearm_supervisor(SupervisorConfig::default());
+        eng.add_task(TaskParams::from_config(cfg, id));
+        eng
     }
 
-    /// Creates an engine with **no tasks** on `topology`: the serving
-    /// layer's starting point. Tasks arrive later through
-    /// [`Engine::add_task`] as tenants are admitted, and leave through
-    /// [`Engine::remove_task`] as they depart.
+    /// Creates an engine with **no tasks** on `topology`: the starting
+    /// point of every front-end. Tasks arrive through [`Engine::add_task`]
+    /// — all at once for a closed set, one admission at a time in the
+    /// serving layer — and leave through [`Engine::remove_task`].
     ///
     /// `run` supplies everything run-scoped: the per-task job quota, the
     /// `rt_exec_fraction`, the termination mode, fault plan, supervisor
     /// config, and trace sink.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < run.rt_exec_fraction ≤ 1`.
     pub fn empty(topology: Topology, run: &RunConfig) -> Engine {
-        assert!(
-            run.rt_exec_fraction > 0.0 && run.rt_exec_fraction <= 1.0,
-            "rt_exec_fraction must be within (0, 1]"
-        );
         Engine {
             tasks: Vec::new(),
             jobs: run.jobs,
             live: 0,
-            rt_exec_fraction: run.rt_exec_fraction,
+            rt_exec_fraction: checked_fraction(run),
             fault_plan: run.fault_plan.clone(),
             termination: run.termination,
             topology,
@@ -541,23 +492,19 @@ impl Engine {
 
     /// Re-initializes this engine in place as if freshly built by
     /// [`Engine::empty`], but reusing the task vector's and tenant
-    /// buffers' allocations — the serving-layer counterpart of
-    /// [`Engine::reset`], used by churn-replay workers recycling one
-    /// engine across many sessions. Every piece of run state is
-    /// overwritten; a hot engine must reproduce a cold one byte-for-byte.
+    /// buffers' allocations (churn-replay workers recycle one engine
+    /// across many sessions this way, Monte-Carlo workers through
+    /// [`Engine::reset`]). Every piece of run state is overwritten; a hot
+    /// engine must reproduce a cold one byte-for-byte.
     ///
     /// # Panics
     ///
     /// Panics unless `0 < run.rt_exec_fraction ≤ 1` (like [`Engine::empty`]).
     pub fn reset_empty(&mut self, topology: Topology, run: &RunConfig) {
-        assert!(
-            run.rt_exec_fraction > 0.0 && run.rt_exec_fraction <= 1.0,
-            "rt_exec_fraction must be within (0, 1]"
-        );
         self.tasks.clear();
         self.jobs = run.jobs;
         self.live = 0;
-        self.rt_exec_fraction = run.rt_exec_fraction;
+        self.rt_exec_fraction = checked_fraction(run);
         self.fault_plan.clone_from(&run.fault_plan);
         self.termination = run.termination;
         self.topology = topology;
@@ -575,40 +522,31 @@ impl Engine {
         self.pending_achieved = Span::ZERO;
     }
 
-    // ----- dynamic task arrival / departure -------------------------------
+    // ----- task arrival / departure ---------------------------------------
 
-    /// Adds a task mid-run and returns its engine index (dense, stable for
-    /// the engine's lifetime — departed tasks keep their slot so indices
-    /// in the driver's in-flight events never dangle).
+    /// Adds a task and returns its engine index (dense, stable for the
+    /// engine's lifetime — departed tasks keep their slot so indices in
+    /// the driver's in-flight events never dangle). The only way a task
+    /// enters an engine, before the run or in the middle of it.
     ///
-    /// The new task starts with zero jobs done and its phase `Done`; the
-    /// driver schedules its first release. Its job quota is the engine's
-    /// `run.jobs`, counted from arrival.
-    pub fn add_task(&mut self, params: TaskParams) -> usize {
+    /// The declared mandatory and wind-up WCETs are scaled by the run's
+    /// `rt_exec_fraction` here. The new task starts with zero jobs done
+    /// and its phase `Done`; the driver schedules its first release. Its
+    /// job quota is the engine's `run.jobs`, counted from arrival.
+    pub fn add_task(&mut self, mut params: TaskParams) -> usize {
         let idx = self.tasks.len();
         if let Some(tenant) = params.tenant {
             if !self.tenant_qos.iter().any(|(t, _)| *t == tenant) {
                 self.tenant_qos.push((tenant, QosSummary::new()));
             }
         }
+        params.mandatory = params.mandatory.mul_f64(self.rt_exec_fraction);
+        params.windup = params.windup.mul_f64(self.rt_exec_fraction);
         self.tasks.push(TaskState {
-            id: params.id,
-            tenant: params.tenant,
-            mandatory_hw: params.mandatory_hw,
-            secondary_hw: params.secondary_hw,
-            granted_hw: params.granted_hw,
-            placements: params.placements,
-            mand_prio: params.mand_prio,
-            opt_prio: params.opt_prio,
-            period: params.period,
-            deadline: params.deadline,
-            mandatory: params.mandatory.mul_f64(self.rt_exec_fraction),
-            windup: params.windup.mul_f64(self.rt_exec_fraction),
-            optional: params.optional,
-            od: params.od,
+            p: params,
             seq: 0,
             release: Time::ZERO,
-            phase: JobPhase::Done,
+            phase: JobPhase::Done, // becomes Released at first release
             rt_remaining: Span::ZERO,
             rt_budget: Span::ZERO,
             parts: Vec::new(),
@@ -668,12 +606,7 @@ impl Engine {
     /// because admission analyzed the new neighbour's interference only
     /// from its own (later) release on.
     pub fn set_od(&mut self, task: usize, od: Span) {
-        self.tasks[task].od = od;
-    }
-
-    /// The tenant owning `task`, if it was added by the serving layer.
-    pub fn tenant_of(&self, task: usize) -> Option<TenantId> {
-        self.tasks[task].tenant
+        self.tasks[task].p.od = od;
     }
 
     /// Replaces the supervisor configuration. Only legal before any task
@@ -706,7 +639,7 @@ impl Engine {
 
     /// Queues `signal` against `task`'s owning tenant, if it has one.
     fn tenant_signal(&mut self, task: usize, signal: TenantSignal) {
-        if let Some(tenant) = self.tasks[task].tenant {
+        if let Some(tenant) = self.tasks[task].p.tenant {
             self.tenant_signals.push((tenant, signal));
         }
     }
@@ -733,27 +666,22 @@ impl Engine {
         self.metrics.record_overhead(kind, value);
     }
 
-    /// Emits one decision event per task recording where the assignment
-    /// policy placed its optional parts (paper Fig. 8).
-    pub fn trace_policy_decisions(&mut self, cfg: &SystemConfig) {
-        if !self.rec.enabled() {
+    /// Records where `policy` places `task`'s optional parts (paper
+    /// Fig. 8) as a decision event at `at`; a task without optional parts
+    /// records nothing.
+    pub fn trace_policy_decision(&mut self, task: usize, policy: AssignmentPolicy, at: Time) {
+        let t = &self.tasks[task];
+        let np = t.p.optional.len();
+        if np == 0 || !self.rec.enabled() {
             return;
         }
-        let topology = *cfg.topology();
-        let policy = cfg.policy();
-        for t in &self.tasks {
-            let np = t.optional.len();
-            if np == 0 {
-                continue;
-            }
-            let ev = TraceEvent::PolicyDecision {
-                task: t.id,
-                policy: policy.label(),
-                parts: np as u32,
-                distinct_cores: policy.distinct_cores(&topology, np),
-            };
-            self.rec.record(Time::ZERO, ev);
-        }
+        let ev = TraceEvent::PolicyDecision {
+            task: t.p.id,
+            policy: policy.label(),
+            parts: np as u32,
+            distinct_cores: policy.distinct_cores(&self.topology, np),
+        };
+        self.rec.record(at, ev);
     }
 
     // ----- accessors ------------------------------------------------------
@@ -790,7 +718,7 @@ impl Engine {
 
     /// Number of optional parts of `task`.
     pub fn part_count(&self, task: usize) -> usize {
-        self.tasks[task].optional.len()
+        self.tasks[task].p.optional.len()
     }
 
     /// Part `k` of `task`'s current job already has an outcome.
@@ -818,9 +746,9 @@ impl Engine {
     /// federated tasks always report their pinned primary CPU.
     pub fn mandatory_hw(&self, task: usize) -> usize {
         let t = &self.tasks[task];
-        match t.secondary_hw {
+        match t.p.secondary_hw {
             Some(secondary) if t.seq % 2 == 1 => secondary,
-            _ => t.mandatory_hw,
+            _ => t.p.mandatory_hw,
         }
     }
 
@@ -830,33 +758,33 @@ impl Engine {
     /// the mandatory part ([`Engine::mandatory_hw`]).
     pub fn windup_hw(&self, task: usize) -> usize {
         let t = &self.tasks[task];
-        t.granted_hw.unwrap_or_else(|| self.mandatory_hw(task))
+        t.p.granted_hw.unwrap_or_else(|| self.mandatory_hw(task))
     }
 
     /// The split task's second host CPU (odd-numbered jobs run there), or
     /// `None` for whole/federated tasks.
     pub fn secondary_hw(&self, task: usize) -> Option<usize> {
-        self.tasks[task].secondary_hw
+        self.tasks[task].p.secondary_hw
     }
 
     /// The semi-federated task's granted core, or `None`.
     pub fn granted_hw(&self, task: usize) -> Option<usize> {
-        self.tasks[task].granted_hw
+        self.tasks[task].p.granted_hw
     }
 
     /// Hardware thread optional part `k` is placed on.
     pub fn placement(&self, task: usize, k: usize) -> usize {
-        self.tasks[task].placements[k]
+        self.tasks[task].p.placements[k]
     }
 
     /// SCHED_FIFO priority of the task's real-time parts.
     pub fn mand_prio(&self, task: usize) -> Priority {
-        self.tasks[task].mand_prio
+        self.tasks[task].p.mand_prio
     }
 
     /// Priority of the task's optional parts.
     pub fn opt_prio(&self, task: usize) -> Priority {
-        self.tasks[task].opt_prio
+        self.tasks[task].p.opt_prio
     }
 
     /// The current job's optional deadline (absolute).
@@ -876,7 +804,7 @@ impl Engine {
     pub fn release(&mut self, task: usize, now: Time) -> Release {
         let next_seq = self.tasks[task].jobs_done;
         let mand_factor = self.fault_plan.wcet_factor(
-            self.tasks[task].id.0,
+            self.tasks[task].p.id.0,
             next_seq,
             FaultTarget::Mandatory,
         );
@@ -885,29 +813,29 @@ impl Engine {
         t.release = now;
         t.seq = t.jobs_done;
         t.phase = JobPhase::Released;
-        t.rt_remaining = t.mandatory.mul_f64(mand_factor);
+        t.rt_remaining = t.p.mandatory.mul_f64(mand_factor);
         // Reset part states in place: after the first job this reuses the
         // Vec's capacity, so releases allocate nothing in steady state.
         t.parts.clear();
-        t.parts.resize(t.optional.len(), PartState::fresh());
+        t.parts.resize(t.p.optional.len(), PartState::fresh());
         t.windup_scheduled = false;
         t.in_sq = false;
         t.overran = false;
         t.shed = false;
         let seq = t.seq;
-        let period = t.period;
-        let has_parts = !t.optional.is_empty();
+        let period = t.p.period;
+        let has_parts = !t.p.optional.is_empty();
         let jobs_done = t.jobs_done;
         let job = t.job();
-        let mandatory = t.mandatory;
+        let mandatory = t.p.mandatory;
         // Split tasks decide the job's host CPU here, at release: this is
         // the only place `seq` changes, so the binding below holds for the
         // whole job.
-        let bound_hw = t.secondary_hw.map(|secondary| {
+        let bound_hw = t.p.secondary_hw.map(|secondary| {
             if seq % 2 == 1 {
                 secondary
             } else {
-                t.mandatory_hw
+                t.p.mandatory_hw
             }
         });
         self.tasks[task].rt_budget = self.sup.budget(mandatory);
@@ -947,12 +875,12 @@ impl Engine {
     /// nothing to arm (no optional parts, or the one-shot is `Lost`).
     pub fn arm_timer(&mut self, task: usize, now: Time) -> Option<Time> {
         let t = &self.tasks[task];
-        if t.optional.is_empty() {
+        if t.p.optional.is_empty() {
             return None;
         }
         let od_time = t.od_time();
         let job = t.job();
-        let fault = self.fault_plan.timer_fault(t.id.0, t.seq);
+        let fault = self.fault_plan.timer_fault(t.p.id.0, t.seq);
         match fault {
             None => {
                 self.rec
@@ -1007,7 +935,7 @@ impl Engine {
                 // driver may bank an inflated slice (fault injection,
                 // coarse clocks), but a part can never achieve more QoS
                 // than it requested.
-                let o_k = t.optional[k as usize];
+                let o_k = t.p.optional[k as usize];
                 let part = &mut t.parts[k as usize];
                 part.executed = (part.executed + ran).min(o_k);
                 part.running_since = None;
@@ -1073,7 +1001,7 @@ impl Engine {
             }
             Cursor::Windup => self.rt_slice(task),
             Cursor::Optional(k) => {
-                let o_k = self.tasks[task].optional[k as usize];
+                let o_k = self.tasks[task].p.optional[k as usize];
                 let first_start = {
                     let part = &mut self.tasks[task].parts[k as usize];
                     part.running_since = Some(now);
@@ -1120,11 +1048,11 @@ impl Engine {
         self.rec.record(now, TraceEvent::MandatoryCompleted { job });
 
         let od_time = self.tasks[task].od_time();
-        let np = self.tasks[task].optional.len();
+        let np = self.tasks[task].p.optional.len();
 
         if np == 0 {
             // Degenerate models: no optional parts.
-            if self.tasks[task].windup.is_zero() {
+            if self.tasks[task].p.windup.is_zero() {
                 // Pure Liu–Layland task: the job is complete.
                 self.finish_job(task, now, true);
                 return AfterMandatory::Windup(WindupCommand::Finished { met: true });
@@ -1188,7 +1116,7 @@ impl Engine {
 
     /// Discards parts `from..np` unstarted (zero achieved execution).
     fn discard_parts_from(&mut self, task: usize, from: usize, now: Time) {
-        let np = self.tasks[task].optional.len();
+        let np = self.tasks[task].p.optional.len();
         for k in from..np {
             self.tasks[task].parts[k].outcome = Some(OptionalOutcome::Discarded);
             if self.rec.enabled() {
@@ -1216,7 +1144,7 @@ impl Engine {
         now: Time,
     ) -> Option<WindupCommand> {
         let ki = k as usize;
-        let o_k = self.tasks[task].optional[ki];
+        let o_k = self.tasks[task].p.optional[ki];
         {
             let part = &mut self.tasks[task].parts[ki];
             part.executed = o_k;
@@ -1251,7 +1179,7 @@ impl Engine {
     /// The wind-up part completed at `now`: finishes the job and returns
     /// whether its relative deadline was met.
     pub fn windup_completed(&mut self, task: usize, now: Time) -> bool {
-        let deadline = self.tasks[task].release + self.tasks[task].deadline;
+        let deadline = self.tasks[task].release + self.tasks[task].p.deadline;
         let met = now <= deadline;
         self.finish_job(task, now, met);
         met
@@ -1296,7 +1224,7 @@ impl Engine {
         self.term_max_lag = Span::ZERO;
         self.term_prev_core = None;
         OdAction::Terminate {
-            np: self.tasks[task].optional.len(),
+            np: self.tasks[task].p.optional.len(),
         }
     }
 
@@ -1313,12 +1241,12 @@ impl Engine {
         if self.tasks[task].parts[k].outcome.is_some() {
             return None;
         }
-        let hw = self.tasks[task].placements[k];
+        let hw = self.tasks[task].p.placements[k];
         let core = self.topology.core_of(HwThreadId(hw as u32));
         let cross_core = self.term_prev_core.is_some_and(|c| c != core);
         self.term_prev_core = Some(core);
 
-        let o_k = self.tasks[task].optional[k];
+        let o_k = self.tasks[task].p.optional[k];
         let term_at = self.term_at;
         let (achieved, lag) = {
             let part = &self.tasks[task].parts[k];
@@ -1337,7 +1265,7 @@ impl Engine {
         self.pending_achieved = achieved;
         Some(StopTarget {
             hw,
-            prio: self.tasks[task].opt_prio,
+            prio: self.tasks[task].p.opt_prio,
             cross_core,
         })
     }
@@ -1353,7 +1281,7 @@ impl Engine {
     /// outcome (`Completed` if it reached its demand, else `Terminated`).
     pub fn commit_terminate(&mut self, task: usize, k: usize, now: Time) {
         let achieved = self.pending_achieved;
-        let o_k = self.tasks[task].optional[k];
+        let o_k = self.tasks[task].p.optional[k];
         let outcome = if achieved >= o_k {
             OptionalOutcome::Completed
         } else {
@@ -1402,9 +1330,9 @@ impl Engine {
             return WindupCommand::AlreadyScheduled;
         }
         self.tasks[task].windup_scheduled = true;
-        if self.tasks[task].windup.is_zero() {
+        if self.tasks[task].p.windup.is_zero() {
             // No wind-up part: the job ends once its optional side is done.
-            let deadline = self.tasks[task].release + self.tasks[task].deadline;
+            let deadline = self.tasks[task].release + self.tasks[task].p.deadline;
             let met = at <= deadline;
             self.finish_job(task, now, met);
             return WindupCommand::Finished { met };
@@ -1455,13 +1383,13 @@ impl Engine {
         }
         let factor =
             self.fault_plan
-                .wcet_factor(self.tasks[task].id.0, seq, FaultTarget::Windup);
+                .wcet_factor(self.tasks[task].p.id.0, seq, FaultTarget::Windup);
         debug_assert!(self.tasks[task]
             .phase
             .can_transition_to(JobPhase::WindupRunning));
         self.tasks[task].phase = JobPhase::WindupRunning;
-        self.tasks[task].rt_remaining = self.tasks[task].windup.mul_f64(factor);
-        let windup = self.tasks[task].windup;
+        self.tasks[task].rt_remaining = self.tasks[task].p.windup.mul_f64(factor);
+        let windup = self.tasks[task].p.windup;
         self.tasks[task].rt_budget = self.sup.budget(windup);
         let job = self.tasks[task].job();
         self.rec.record(now, TraceEvent::WindupStarted { job });
@@ -1540,7 +1468,7 @@ impl Engine {
         }
         if self.rec.enabled() {
             let job = self.tasks[task].job();
-            let hw = self.tasks[task].placements[k];
+            let hw = self.tasks[task].p.placements[k];
             self.rec.record(
                 started,
                 TraceEvent::OptionalStarted {
@@ -1592,7 +1520,7 @@ impl Engine {
             self.tasks[task].shed,
         );
         self.metrics.record_qos_level(ratio);
-        if let Some(tenant) = self.tasks[task].tenant {
+        if let Some(tenant) = self.tasks[task].p.tenant {
             // Linear scan: tenant counts are small and this branch is
             // never taken by the one-shot executors (tenant is None).
             if let Some((_, summary)) =

@@ -82,18 +82,11 @@ impl GlobalExecutor {
             events_processed,
             ..
         } = state;
-        let out = eng.finish(now);
         Outcome {
-            qos: out.qos,
-            overheads: out.overheads,
             migrations: sub.migrations,
             migration_overhead: sub.migration_cost * sub.migrations,
             dispatches: sub.dispatches,
-            trace: out.trace,
-            metrics: out.metrics,
-            faults: out.faults,
-            events_processed,
-            ..Default::default()
+            ..eng.finish(now).into_outcome(events_processed)
         }
     }
 }

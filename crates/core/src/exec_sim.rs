@@ -81,15 +81,7 @@ impl SimExecutor {
         let mut sim = Driver::partitioned_in(arena, *cfg.topology(), run, eng);
         sim.run_closed(cfg, run);
         let (out, events_processed) = sim.finish(Some(arena));
-        Outcome {
-            overheads: out.overheads,
-            qos: out.qos,
-            trace: out.trace,
-            metrics: out.metrics,
-            faults: out.faults,
-            events_processed,
-            ..Default::default()
-        }
+        out.into_outcome(events_processed)
     }
 }
 

@@ -87,6 +87,22 @@ impl AssignmentPolicy {
         (0..np).map(|i| order[i % capacity]).collect()
     }
 
+    /// Where the `np` optional parts of a placed task run: a federated
+    /// task's parallel phase owns its `granted` core — every part runs
+    /// there, preserving the analysed top-band isolation — and everyone
+    /// else spreads by [`AssignmentPolicy::placements`].
+    pub(crate) fn placements_or_granted(
+        self,
+        topology: &Topology,
+        np: usize,
+        granted: Option<HwThreadId>,
+    ) -> Vec<HwThreadId> {
+        match granted {
+            Some(granted) => vec![granted; np],
+            None => self.placements(topology, np),
+        }
+    }
+
     /// Number of *distinct* cores used when placing `np` parts.
     pub fn distinct_cores(self, topology: &Topology, np: usize) -> usize {
         let mut used = vec![false; topology.cores() as usize];

@@ -348,18 +348,13 @@ impl Executor for NativeExecutor {
     }
 }
 
-/// Everything a task's coordinator thread needs, extracted from the
-/// `SystemConfig` so the thread owns its data.
+/// What a task's coordinator thread needs beyond its own [`Engine`]
+/// (which holds the task's placements, priorities and part count): the
+/// wall-clock side of the run.
 #[derive(Debug, Clone)]
 struct TaskThreadConfig {
-    task: TaskId,
     period: StdDuration,
     od: StdDuration,
-    optional_spans: Vec<Span>,
-    mandatory_hw: usize,
-    placements: Vec<usize>,
-    mand_prio: u8,
-    opt_prio: u8,
     jobs: u64,
     termination: TerminationMode,
     attempt_rt: bool,
@@ -374,20 +369,9 @@ impl TaskThreadConfig {
         epoch: Instant,
     ) -> TaskThreadConfig {
         let id = TaskId(idx as u32);
-        let spec = cfg.set().task(id);
         TaskThreadConfig {
-            task: id,
-            period: StdDuration::from_nanos(spec.period().as_nanos()),
+            period: StdDuration::from_nanos(cfg.set().task(id).period().as_nanos()),
             od: StdDuration::from_nanos(cfg.optional_deadline(id).as_nanos()),
-            optional_spans: spec.optional_parts().to_vec(),
-            mandatory_hw: cfg.mandatory_hw(id).index(),
-            placements: cfg
-                .optional_placements(id)
-                .iter()
-                .map(|h| h.index())
-                .collect(),
-            mand_prio: cfg.priorities().mandatory(id).level(),
-            opt_prio: cfg.priorities().optional(id).level(),
             jobs: run.jobs,
             termination: run.termination,
             attempt_rt: run.attempt_rt,
@@ -577,7 +561,11 @@ fn task_main(
         optional,
         mut windup,
     } = body;
-    let np = cfg.optional_spans.len();
+    // The engine holds this thread's one task at index 0. Its threads are
+    // pinned once, before the first release, to the primary host CPU.
+    let task = eng.job(0).task.index();
+    let np = eng.part_count(0);
+    let mandatory_hw = eng.mandatory_hw(0);
     let fatal: Arc<Mutex<Option<Box<dyn std::any::Any + Send>>>> =
         Arc::new(Mutex::new(None));
     let report = Arc::new(Mutex::new(RuntimeReport {
@@ -587,7 +575,7 @@ fn task_main(
     }));
 
     // Mandatory thread setup (this thread).
-    try_rt_setup(&report, cfg.mand_prio, cfg.mandatory_hw, cfg.attempt_rt);
+    try_rt_setup(&report, eng.mand_prio(0).level(), mandatory_hw, cfg.attempt_rt);
 
     // Spawn the parallel optional threads, pinned per the assignment
     // policy (paper: they migrate to their processors *before* execution).
@@ -604,8 +592,8 @@ fn task_main(
             let slot = Arc::clone(&slots[k]);
             let body = Arc::clone(&optional);
             let report = Arc::clone(&report);
-            let hw = cfg.placements[k];
-            let prio = cfg.opt_prio;
+            let hw = eng.placement(0, k);
+            let prio = eng.opt_prio(0).level();
             let attempt = cfg.attempt_rt;
             let mode = cfg.termination;
             let fatal = Arc::clone(&fatal);
@@ -634,7 +622,7 @@ fn task_main(
             OverheadKind::BeginMandatory,
             span(mand_start.saturating_duration_since(release)),
         );
-        eng.on_dispatch(0, Cursor::Mandatory, cfg.mandatory_hw, cfg.stamp(mand_start));
+        eng.on_dispatch(0, Cursor::Mandatory, mandatory_hw, cfg.stamp(mand_start));
 
         mandatory(job);
         let mandatory_done = Instant::now();
@@ -774,7 +762,7 @@ fn task_main(
     for w in workers {
         if let Err(payload) = w.join() {
             worker_err.get_or_insert_with(|| RuntimeError::WorkerPanicked {
-                task: cfg.task.index(),
+                task,
                 message: panic_message(payload.as_ref()),
             });
         }
@@ -784,7 +772,7 @@ fn task_main(
     }
     if let Some(payload) = aborted {
         return Err(RuntimeError::WorkerPanicked {
-            task: cfg.task.index(),
+            task,
             message: panic_message(payload.as_ref()),
         });
     }

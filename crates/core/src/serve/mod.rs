@@ -606,6 +606,76 @@ mod tests {
     }
 
     #[test]
+    fn every_front_door_returns_the_documented_verdict() {
+        use crate::engine::TenantSignal;
+        use RejectReason::{EmptySubmission, Evicted, Quarantined, Unschedulable};
+        use Submission::{Admitted, Deferred, Rejected};
+
+        // Eight heavies fill the machine: another heavy fits nowhere, a
+        // small task that outranks them still does. `strikes` overruns are on the guard's
+        // record against the submitting name (6 quarantine it, 10 evict
+        // it; an unarmed guard keeps no record).
+        let resident = |armed: bool, strikes: u32| {
+            let mut mgr = manager(1);
+            if armed {
+                mgr = mgr.with_guard(GuardConfig::armed());
+            }
+            for i in 0..8 {
+                mgr.submit(format!("t{i}"), &heavy(&format!("h{i}"))).unwrap();
+            }
+            for _ in 0..strikes {
+                mgr.guard.observe("x", TenantSignal::Overrun);
+            }
+            mgr
+        };
+        let small = || {
+            vec![TaskSpec::builder("x")
+                .period(Span::from_millis(20))
+                .mandatory(Span::from_millis(1))
+                .windup(Span::from_millis(1))
+                .build()
+                .unwrap()]
+        };
+        let next = rtseed_model::TenantId(8);
+        let no_room = Unschedulable { index: 0 };
+        // (guard armed, strikes, submitted set) → what `submit` returns,
+        // what `submit_or_defer` and a one-entry `submit_batch` return.
+        let table = [
+            (false, 0, small(), Ok(next), Admitted(next)),
+            (false, 0, heavy("x"), Err(no_room), Rejected(no_room)),
+            (false, 0, vec![], Err(EmptySubmission), Rejected(EmptySubmission)),
+            (false, 10, small(), Ok(next), Admitted(next)),
+            (true, 0, small(), Ok(next), Admitted(next)),
+            (true, 0, heavy("x"), Err(no_room), Deferred),
+            (true, 0, vec![], Err(EmptySubmission), Rejected(EmptySubmission)),
+            (true, 6, small(), Err(Quarantined), Deferred),
+            (true, 6, heavy("x"), Err(Quarantined), Deferred),
+            (true, 6, vec![], Err(Quarantined), Deferred),
+            (true, 10, small(), Err(Evicted), Rejected(Evicted)),
+            (true, 10, heavy("x"), Err(Evicted), Rejected(Evicted)),
+            (true, 10, vec![], Err(Evicted), Rejected(Evicted)),
+        ];
+        for (armed, strikes, tasks, strict, storm_safe) in table {
+            let case = format!("armed {armed}, {strikes} strikes, {} tasks", tasks.len());
+            let mut a = resident(armed, strikes);
+            assert_eq!(a.submit("x", &tasks), strict.map_err(ServeError::Rejected), "{case}");
+            let mut b = resident(armed, strikes);
+            assert_eq!(b.submit_or_defer("x", &tasks), storm_safe, "{case}");
+            let mut c = resident(armed, strikes);
+            assert_eq!(c.submit_batch(&[("x".to_string(), tasks)]), [storm_safe], "{case}");
+
+            assert_eq!(b.counters(), c.counters(), "{case}");
+            assert_eq!(b.deferred_len(), c.deferred_len(), "{case}");
+            assert_eq!(b.deferred_len(), usize::from(storm_safe == Deferred), "{case}");
+            assert_eq!(a.deferred_len(), 0, "{case}: a strict submission never parks");
+            if storm_safe != Deferred {
+                // Same verdict, same books.
+                assert_eq!(a.counters(), b.counters(), "{case}");
+            }
+        }
+    }
+
+    #[test]
     fn guarded_noisy_neighbour_replay_is_deterministic() {
         let run = || {
             let mut mgr = guarded_manager(20, overrun_task0(11, 10.0));

@@ -15,7 +15,7 @@ use rtseed_sim::{ChurnAction, ChurnPlan};
 
 use crate::des::{Driver, Partitioned};
 use crate::engine::{Engine, TaskParams, TenantSignal};
-use crate::executor::{Outcome, RunConfig};
+use crate::executor::RunConfig;
 use crate::obs::{Histogram, TraceEvent};
 use crate::policy::AssignmentPolicy;
 use crate::supervisor::SupervisorConfig;
@@ -302,30 +302,20 @@ impl SessionManager {
                 .optional_counterpart()
                 .expect("every RTQ level has an NRTQ counterpart");
             let np = spec.optional_count();
-            let (secondary_hw, granted_hw) = match admitted.kind {
+            let (secondary, granted) = match admitted.kind {
                 PlacementKind::Whole => (None, None),
-                PlacementKind::Split { secondary } => (Some(secondary.index()), None),
-                PlacementKind::Federated { granted } => (None, Some(granted.index())),
+                PlacementKind::Split { secondary } => (Some(secondary), None),
+                PlacementKind::Federated { granted } => (None, Some(granted)),
             };
-            // A federated task's parallel phase owns its granted core;
-            // everyone else spreads by the assignment policy.
-            let placements: Vec<usize> = match granted_hw {
-                Some(granted) => vec![granted; np],
-                None => self
-                    .policy
-                    .placements(&self.topology, np)
-                    .iter()
-                    .map(|h| h.index())
-                    .collect(),
-            };
+            let placements = self.policy.placements_or_granted(&self.topology, np, granted);
             let id = TaskId(self.des.eng.task_count() as u32);
             let idx = self.des.eng.add_task(TaskParams {
                 id,
                 tenant: Some(tenant),
                 mandatory_hw: admitted.hw_thread.index(),
-                secondary_hw,
-                granted_hw,
-                placements,
+                secondary_hw: secondary.map(|h| h.index()),
+                granted_hw: granted.map(|h| h.index()),
+                placements: placements.iter().map(|h| h.index()).collect(),
                 mand_prio,
                 opt_prio,
                 period: spec.period(),
@@ -335,17 +325,7 @@ impl SessionManager {
                 optional: spec.optional_parts().to_vec(),
                 od: admitted.optional_deadline,
             });
-            if np > 0 && self.des.eng.tracing() {
-                self.des.eng.trace(
-                    self.des.now,
-                    TraceEvent::PolicyDecision {
-                        task: id,
-                        policy: self.policy.label(),
-                        parts: np as u32,
-                        distinct_cores: self.policy.distinct_cores(&self.topology, np),
-                    },
-                );
-            }
+            self.des.eng.trace_policy_decision(idx, self.policy, self.des.now);
             bound.push(Binding {
                 key: admitted.key,
                 engine_idx: idx,
@@ -616,15 +596,7 @@ impl SessionManager {
             })
             .collect();
         ServeOutcome {
-            outcome: Outcome {
-                qos: out.qos,
-                overheads: out.overheads,
-                faults: out.faults,
-                metrics: out.metrics,
-                trace: out.trace,
-                events_processed,
-                ..Default::default()
-            },
+            outcome: out.into_outcome(events_processed),
             tenants: tenant_outcomes,
             counters,
             deferred_latency,

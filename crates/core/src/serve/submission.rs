@@ -4,7 +4,7 @@
 
 use std::collections::VecDeque;
 
-use rtseed_analysis::AdmissionDecision;
+use rtseed_analysis::{Admission, AdmissionDecision};
 use rtseed_model::{SessionId, Span, TaskSpec, TenantId, TenantState, Time};
 
 use crate::obs::TraceEvent;
@@ -27,17 +27,16 @@ pub(super) struct Deferred {
     pub(super) attempts: u32,
 }
 
-/// The fate a queue entry was tagged with during the first pass of a
-/// batched admission round, before any admission test ran.
-enum RoundSlot {
-    /// Backoff has not expired — carried over untouched.
-    NotDue(Deferred),
-    /// The guard bars the name outright.
-    Evicted(Deferred),
-    /// Quarantined: skip the admission test, keep waiting (or expire).
-    Quarantined(Deferred),
-    /// In the batch handed to the sharded admission control.
-    Try(Deferred),
+/// The admission decision as the submission path reads it: an admission to
+/// bind, or the typed reason there is none.
+fn verdict(decision: AdmissionDecision) -> Result<Admission, RejectReason> {
+    match decision {
+        AdmissionDecision::Admitted(admission) => Ok(admission),
+        AdmissionDecision::Rejected(reason) => Err(reason.into()),
+        AdmissionDecision::NeedsFullRecompute { .. } => {
+            unreachable!("admission never defers to a full recompute")
+        }
+    }
 }
 
 impl SessionManager {
@@ -64,26 +63,10 @@ impl SessionManager {
         name: impl Into<String>,
         tasks: &[TaskSpec],
     ) -> Result<TenantId, ServeError> {
-        let name = name.into();
-        self.counters.submissions += 1;
-        match self.guard.rung(&name) {
-            LadderRung::Evicted => {
-                Err(ServeError::Rejected(self.record_rejection(name, RejectReason::Evicted)))
-            }
-            LadderRung::Quarantined => {
-                Err(ServeError::Rejected(self.record_rejection(name, RejectReason::Quarantined)))
-            }
-            _ => match self.ctl.try_admit(tasks) {
-                AdmissionDecision::Admitted(admission) => {
-                    Ok(self.bind_admission(name, tasks, admission))
-                }
-                AdmissionDecision::Rejected(reason) => {
-                    Err(ServeError::Rejected(self.record_rejection(name, reason.into())))
-                }
-                AdmissionDecision::NeedsFullRecompute { .. } => {
-                    unreachable!("admission never defers to a full recompute")
-                }
-            },
+        match self.submit_one(name.into(), tasks, false) {
+            Submission::Admitted(tenant) => Ok(tenant),
+            Submission::Rejected(reason) => Err(ServeError::Rejected(reason)),
+            Submission::Deferred => unreachable!("a strict submission never defers"),
         }
     }
 
@@ -94,32 +77,7 @@ impl SessionManager {
     /// lifts or the retry deadline expires. Churn-plan arrivals take this
     /// path.
     pub fn submit_or_defer(&mut self, name: impl Into<String>, tasks: &[TaskSpec]) -> Submission {
-        let name = name.into();
-        self.counters.submissions += 1;
-        match self.guard.rung(&name) {
-            LadderRung::Evicted => {
-                Submission::Rejected(self.record_rejection(name, RejectReason::Evicted))
-            }
-            LadderRung::Quarantined => self.defer(name, tasks.to_vec()),
-            _ => match self.ctl.try_admit(tasks) {
-                AdmissionDecision::Admitted(admission) => {
-                    Submission::Admitted(self.bind_admission(name, tasks, admission))
-                }
-                AdmissionDecision::Rejected(r) => {
-                    let reason = RejectReason::from(r);
-                    if self.guard.enabled()
-                        && matches!(reason, RejectReason::Unschedulable { .. })
-                    {
-                        self.defer(name, tasks.to_vec())
-                    } else {
-                        Submission::Rejected(self.record_rejection(name, reason))
-                    }
-                }
-                AdmissionDecision::NeedsFullRecompute { .. } => {
-                    unreachable!("admission never defers to a full recompute")
-                }
-            },
-        }
+        self.submit_one(name.into(), tasks, true)
     }
 
     /// Submits many tenants in one batched admission round: entries
@@ -135,55 +93,79 @@ impl SessionManager {
         &mut self,
         submissions: &[(String, Vec<TaskSpec>)],
     ) -> Vec<Submission> {
-        enum Pre {
-            Evicted,
-            Quarantined,
-            Try,
-        }
-        let mut pre = Vec::with_capacity(submissions.len());
+        let mut gates = Vec::with_capacity(submissions.len());
         let mut batch = Vec::new();
         for (name, tasks) in submissions {
             self.counters.submissions += 1;
-            match self.guard.rung(name) {
-                LadderRung::Evicted => pre.push(Pre::Evicted),
-                LadderRung::Quarantined => pre.push(Pre::Quarantined),
-                _ => {
-                    batch.push(tasks.clone());
-                    pre.push(Pre::Try);
-                }
+            let gate = self.gate(name);
+            if gate.is_ok() {
+                batch.push(tasks.clone());
             }
+            gates.push(gate);
         }
-        let mut decisions = self.ctl.admit_batch(&batch).into_iter();
+        let mut decisions = self.admit_batch(&batch);
+        gates
+            .into_iter()
+            .zip(submissions)
+            .map(|(gate, (name, tasks))| {
+                let verdict = gate.and_then(|()| verdict(decisions.next().expect("one per entry")));
+                self.settle(name.clone(), tasks, verdict, true)
+            })
+            .collect()
+    }
+
+    /// One submission, start to finish: count it, gate it, test it, settle
+    /// it.
+    fn submit_one(&mut self, name: String, tasks: &[TaskSpec], may_defer: bool) -> Submission {
+        self.counters.submissions += 1;
+        let verdict = self.gate(&name).and_then(|()| verdict(self.ctl.try_admit(tasks)));
+        self.settle(name, tasks, verdict, may_defer)
+    }
+
+    /// The guard's word on `name` before any admission test runs: `Err`
+    /// bars it, evicted for good or quarantined for now.
+    fn gate(&self, name: &str) -> Result<(), RejectReason> {
+        match self.guard.rung(name) {
+            LadderRung::Evicted => Err(RejectReason::Evicted),
+            LadderRung::Quarantined => Err(RejectReason::Quarantined),
+            _ => Ok(()),
+        }
+    }
+
+    /// Whether a submission that failed for `reason` is worth keeping: a
+    /// quarantine lifts, and capacity comes back — but only an armed
+    /// guard runs the deferred queue that waits for it.
+    fn defers(&self, reason: RejectReason) -> bool {
+        match reason {
+            RejectReason::Quarantined => true,
+            RejectReason::Unschedulable { .. } => self.guard.enabled(),
+            _ => false,
+        }
+    }
+
+    /// Enacts one submission's verdict: bind the admission, park the
+    /// submission (only where the caller `may_defer`), or reject it.
+    fn settle(
+        &mut self,
+        name: String,
+        tasks: &[TaskSpec],
+        verdict: Result<Admission, RejectReason>,
+        may_defer: bool,
+    ) -> Submission {
+        match verdict {
+            Ok(admission) => Submission::Admitted(self.bind_admission(name, tasks, admission)),
+            Err(reason) if may_defer && self.defers(reason) => self.defer(name, tasks.to_vec()),
+            Err(reason) => Submission::Rejected(self.record_rejection(name, reason)),
+        }
+    }
+
+    /// One batched admission test (disjoint shards analyze in parallel
+    /// when more than one is armed); the decisions come back in batch
+    /// order.
+    fn admit_batch(&mut self, batch: &[Vec<TaskSpec>]) -> impl Iterator<Item = AdmissionDecision> {
+        let decisions = self.ctl.admit_batch(batch);
         self.counters.parallel_admission_rounds = self.ctl.parallel_rounds();
-        let mut out = Vec::with_capacity(submissions.len());
-        for (slot, (name, tasks)) in pre.into_iter().zip(submissions) {
-            let submission = match slot {
-                Pre::Evicted => {
-                    Submission::Rejected(self.record_rejection(name.clone(), RejectReason::Evicted))
-                }
-                Pre::Quarantined => self.defer(name.clone(), tasks.clone()),
-                Pre::Try => match decisions.next().expect("one decision per batched entry") {
-                    AdmissionDecision::Admitted(admission) => {
-                        Submission::Admitted(self.bind_admission(name.clone(), tasks, admission))
-                    }
-                    AdmissionDecision::Rejected(r) => {
-                        let reason = RejectReason::from(r);
-                        if self.guard.enabled()
-                            && matches!(reason, RejectReason::Unschedulable { .. })
-                        {
-                            self.defer(name.clone(), tasks.clone())
-                        } else {
-                            Submission::Rejected(self.record_rejection(name.clone(), reason))
-                        }
-                    }
-                    AdmissionDecision::NeedsFullRecompute { .. } => {
-                        unreachable!("admission never defers to a full recompute")
-                    }
-                },
-            };
-            out.push(submission);
-        }
-        out
+        decisions.into_iter()
     }
 
     /// Records a rejection: per-reason counters, trace event, and a
@@ -243,11 +225,10 @@ impl SessionManager {
     /// entries whose backoff expired are tried. Entries that still fail
     /// back off exponentially until their retry deadline.
     ///
-    /// The round runs in three passes: (1) tag every queue entry without
+    /// The round runs in three passes: (1) gate every queue entry without
     /// testing anything, (2) hand the testable entries to the sharded
-    /// admission control as **one batch** — disjoint shards analyze in
-    /// parallel when more than one is armed — and (3) apply the decisions
-    /// in queue order, so counters, tenant ids, traces, and the surviving
+    /// admission control as **one batch** and (3) apply the verdicts in
+    /// queue order, so counters, tenant ids, traces, and the surviving
     /// queue are byte-identical to testing the entries one at a time.
     pub(super) fn admission_round(&mut self, force: bool) {
         if self.deferred.is_empty() {
@@ -255,61 +236,43 @@ impl SessionManager {
         }
         self.counters.admission_rounds += 1;
         let queue = std::mem::take(&mut self.deferred);
-        let mut slots = Vec::with_capacity(queue.len());
+        // `None`: the backoff has not expired, the entry is carried over.
+        let mut gates = Vec::with_capacity(queue.len());
         let mut batch = Vec::new();
-        for d in queue {
-            if !(force || d.next_retry <= self.des.now) {
-                slots.push(RoundSlot::NotDue(d));
-                continue;
+        for d in &queue {
+            let gate = (force || d.next_retry <= self.des.now).then(|| self.gate(&d.name));
+            if gate == Some(Ok(())) {
+                batch.push(d.tasks.clone());
             }
-            match self.guard.rung(&d.name) {
-                LadderRung::Evicted => slots.push(RoundSlot::Evicted(d)),
-                LadderRung::Quarantined => slots.push(RoundSlot::Quarantined(d)),
-                _ => {
-                    batch.push(d.tasks.clone());
-                    slots.push(RoundSlot::Try(d));
-                }
-            }
+            gates.push(gate);
         }
-        let mut decisions = self.ctl.admit_batch(&batch).into_iter();
-        self.counters.parallel_admission_rounds = self.ctl.parallel_rounds();
-        let mut remaining = VecDeque::with_capacity(slots.len());
-        for slot in slots {
-            match slot {
-                RoundSlot::NotDue(d) => remaining.push_back(d),
-                RoundSlot::Evicted(d) => {
-                    self.record_rejection(d.name, RejectReason::Evicted);
+        let mut decisions = self.admit_batch(&batch);
+        let mut remaining = VecDeque::with_capacity(queue.len());
+        for (gate, d) in gates.into_iter().zip(queue) {
+            let Some(gate) = gate else {
+                remaining.push_back(d);
+                continue;
+            };
+            match gate.and_then(|()| verdict(decisions.next().expect("one per entry"))) {
+                Ok(admission) => {
+                    let waited = self.des.now.saturating_elapsed_since(d.since);
+                    let tenant = self.bind_admission(d.name, &d.tasks, admission);
+                    self.counters.deferred_admissions += 1;
+                    self.deferred_latency.record_span(waited);
+                    if self.des.eng.tracing() {
+                        self.des.eng.trace(
+                            self.des.now,
+                            TraceEvent::DeferredAdmitted { tenant, waited },
+                        );
+                    }
                 }
-                RoundSlot::Quarantined(d) => {
+                Err(reason) if self.defers(reason) => {
                     if let Some(d) = self.backoff_or_expire(d) {
                         remaining.push_back(d);
                     }
                 }
-                RoundSlot::Try(d) => {
-                    match decisions.next().expect("one decision per batched entry") {
-                        AdmissionDecision::Admitted(admission) => {
-                            let waited = self.des.now.saturating_elapsed_since(d.since);
-                            let tenant = self.bind_admission(d.name, &d.tasks, admission);
-                            self.counters.deferred_admissions += 1;
-                            self.deferred_latency.record_span(waited);
-                            if self.des.eng.tracing() {
-                                self.des.eng.trace(
-                                    self.des.now,
-                                    TraceEvent::DeferredAdmitted { tenant, waited },
-                                );
-                            }
-                        }
-                        AdmissionDecision::Rejected(
-                            rtseed_analysis::RejectReason::EmptySubmission,
-                        ) => {
-                            self.record_rejection(d.name, RejectReason::EmptySubmission);
-                        }
-                        _ => {
-                            if let Some(d) = self.backoff_or_expire(d) {
-                                remaining.push_back(d);
-                            }
-                        }
-                    }
+                Err(reason) => {
+                    self.record_rejection(d.name, reason);
                 }
             }
         }

@@ -175,6 +175,14 @@ impl OverloadSupervisor {
         self.quarantined[task]
     }
 
+    /// Makes room for `tasks` more tasks, so a closed set entering through
+    /// [`OverloadSupervisor::add_task`] allocates once per vector.
+    pub fn reserve(&mut self, tasks: usize) {
+        self.overrun_streak.reserve_exact(tasks);
+        self.clean_streak.reserve_exact(tasks);
+        self.quarantined.reserve_exact(tasks);
+    }
+
     /// Grows the per-task state by one freshly-admitted task (clean
     /// streaks, not quarantined). Supports the serving layer's dynamic
     /// task arrival; global overload state is unaffected.

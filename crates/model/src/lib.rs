@@ -42,7 +42,6 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod ids;
-pub mod practical;
 pub mod qos;
 pub mod state;
 pub mod task;

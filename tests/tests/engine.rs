@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 use rtseed::engine::{AfterMandatory, Cursor, Engine, OdAction, WindupCommand};
 use rtseed::prelude::*;
-use rtseed_model::Time;
-use rtseed_sim::Calibration;
+use rtseed_model::{TaskId, Time};
+use rtseed_sim::{Calibration, FaultTarget, JobWindow, WcetFault};
 
 /// A calibration whose every sampled overhead is exactly zero (all bases
 /// zero, no jitter) — the substrate difference between sim (overhead
@@ -76,6 +76,83 @@ fn differential_fixed_workload_agrees() {
     let (c, t, d) = sim.qos.outcome_totals();
     assert!(c > 0 && t > 0, "exercise both outcomes: c/t/d = {c}/{t}/{d}");
     assert_eq!(sim.qos.jobs(), 10);
+}
+
+/// A task with no job to run is never live, whichever constructor put it
+/// into the engine: a closed set is N additions to an empty engine, and
+/// the addition decides liveness.
+#[test]
+fn zero_job_quota_leaves_no_task_live() {
+    let cfg = build_config(
+        &[(100, 10, 10, 2, 100), (150, 5, 5, 1, 2)],
+        Topology::uniprocessor(),
+    )
+    .expect("fixed workload must build");
+    let idle = RunConfig { jobs: 0, ..RunConfig::default() };
+    let busy = RunConfig { jobs: 2, ..RunConfig::default() };
+
+    let mut eng = Engine::new(&cfg, &idle);
+    assert_eq!(eng.task_count(), 2);
+    assert!(!eng.has_live_tasks(), "fresh closed set, no quota");
+    eng.reset(&cfg, &busy);
+    assert!(eng.has_live_tasks());
+    eng.reset(&cfg, &idle);
+    assert!(!eng.has_live_tasks(), "recycled closed set, no quota");
+    assert!(!Engine::single_task(&cfg, TaskId(1), &idle).has_live_tasks());
+}
+
+/// The native runtime's per-thread engine leaves fault injection and the
+/// supervisor to the simulator, whatever the run carries: under a ×10
+/// mandatory overrun on every job and a supervisor armed with half the
+/// declared WCET as budget it injects nothing and cuts nothing.
+#[test]
+fn single_task_engine_ignores_the_runs_fault_plan_and_supervisor() {
+    let cfg = build_config(&[(100, 10, 10, 0, 0)], Topology::uniprocessor())
+        .expect("fixed workload must build");
+    let run = RunConfig {
+        jobs: 1,
+        rt_exec_fraction: 1.0,
+        trace: TraceConfig::enabled(),
+        fault_plan: FaultPlan::new(1).with_wcet_fault(WcetFault {
+            task: None,
+            jobs: JobWindow::ALL,
+            target: FaultTarget::Mandatory,
+            factor: 10.0,
+        }),
+        supervisor: SupervisorConfig {
+            budget_factor: 0.5,
+            ..SupervisorConfig::armed()
+        },
+        ..RunConfig::default()
+    };
+    let ms = Span::from_millis;
+    let at = |v: u64| Time::ZERO + ms(v);
+
+    // The closed-set engine under the same run does both: 100 ms of
+    // demand, clipped to a 5 ms budget and cut when that is spent.
+    let mut sim = Engine::new(&cfg, &run);
+    sim.release(0, Time::ZERO);
+    assert_eq!(sim.on_dispatch(0, Cursor::Mandatory, 0, Time::ZERO), ms(5));
+    sim.bank(0, Cursor::Mandatory, ms(5));
+    sim.cut_if_over_budget(0, Cursor::Mandatory, at(5));
+    let faults = sim.finish(at(5)).faults;
+    assert_eq!((faults.wcet_faults, faults.budget_cuts), (1, 1));
+
+    let mut eng = Engine::single_task(&cfg, TaskId(0), &run);
+    eng.release(0, Time::ZERO);
+    assert_eq!(eng.on_dispatch(0, Cursor::Mandatory, 0, Time::ZERO), ms(10));
+    eng.bank(0, Cursor::Mandatory, ms(5));
+    eng.cut_if_over_budget(0, Cursor::Mandatory, at(5));
+    assert_eq!(eng.on_dispatch(0, Cursor::Mandatory, 0, at(5)), ms(5));
+    let out = eng.finish(at(5));
+    assert!(out.faults.is_clean(), "{:?}", out.faults);
+    assert_eq!(
+        out.trace.count(|e| matches!(
+            e,
+            TraceEvent::WcetFaultInjected { .. } | TraceEvent::BudgetCut { .. }
+        )),
+        0
+    );
 }
 
 proptest! {

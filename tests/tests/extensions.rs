@@ -1,61 +1,13 @@
-//! Integration tests for the extension modules: the practical imprecise
-//! computation model (paper §VII future work), the G-RMWP global executor
+//! Integration tests for the extension modules: the G-RMWP global executor
 //! (§IV-B ablation), the Fig. 3 profiles, and the risk-managed trading
 //! pipeline.
 
 use rtseed::config::SystemConfig;
 use rtseed::exec_global::GlobalExecutor;
-use rtseed::exec_sim::SimExecutor;
 use rtseed::executor::RunConfig;
 use rtseed::policy::AssignmentPolicy;
 use rtseed::profile::{RemainingProfile, SchedulingMode};
-use rtseed_analysis::practical::{PracticalAnalysis, PracticalTaskSet};
-use rtseed_model::practical::{PracticalTaskSpec, Stage};
-use rtseed_model::{Span, TaskId, TaskSet, TaskSpec, Topology};
-
-fn two_stage(period_ms: u64, m_ms: u64, w_ms: u64) -> PracticalTaskSpec {
-    PracticalTaskSpec::new(
-        format!("t{period_ms}"),
-        Span::from_millis(period_ms),
-        vec![
-            Stage::new(Span::from_millis(m_ms), vec![Span::from_millis(period_ms)]).unwrap(),
-            Stage::new(Span::from_millis(w_ms), vec![]).unwrap(),
-        ],
-    )
-    .unwrap()
-}
-
-#[test]
-fn practical_model_round_trips_through_the_full_stack() {
-    // A two-stage practical task converts to the extended model, builds a
-    // SystemConfig whose OD matches the practical per-stage analysis, and
-    // runs on the simulator without misses.
-    let practical = two_stage(1000, 250, 250);
-    let pset = PracticalTaskSet::new(vec![practical.clone()]).unwrap();
-    let pa = PracticalAnalysis::analyze(&pset).unwrap();
-
-    let extended = practical.to_extended().unwrap();
-    let cfg = SystemConfig::build(
-        TaskSet::new(vec![extended]).unwrap(),
-        Topology::xeon_phi_3120a(),
-        AssignmentPolicy::OneByOne,
-    )
-    .unwrap();
-    assert_eq!(
-        cfg.optional_deadline(TaskId(0)),
-        pa.optional_deadline(TaskId(0), 0),
-        "stage-0 OD must agree between the two analyses"
-    );
-    let out = SimExecutor::new(
-        cfg,
-        RunConfig {
-            jobs: 5,
-            ..Default::default()
-        },
-    )
-    .run();
-    assert_eq!(out.qos.deadline_misses(), 0);
-}
+use rtseed_model::{Span, TaskSet, TaskSpec, Topology};
 
 #[test]
 fn grmwp_migrations_vanish_with_one_task_and_grow_with_contention() {
