@@ -16,9 +16,10 @@
 //!   residue). This is the only placement procedure in the crate: the
 //!   offline [`crate::Partition`] is one batch admitted into an empty
 //!   engine;
-//! * [`AdmissionEngine::evict`] removes tasks, drops exactly the victim
-//!   CPUs' fixpoints, and reports how the optional deadlines of the
-//!   survivors *grow* (less interference);
+//! * [`AdmissionEngine::evict`] removes tasks, re-solves exactly the
+//!   victim CPUs' fixpoints from the highest-priority victim down, and
+//!   reports how the optional deadlines of the survivors *grow* (less
+//!   interference);
 //! * [`AdmissionEngine::od_update`] re-analyzes a single resident's
 //!   host CPU(s) after a spec change, falling back to
 //!   [`AdmissionDecision::NeedsFullRecompute`] when the change does not
@@ -27,7 +28,12 @@
 //!   deadlines *shrink* because a new neighbour landed on their thread.
 //!
 //! Untouched CPUs are served from cache: admission cost scales with the
-//! touched CPU's population, not with the whole box.
+//! touched CPU's population, not with the whole box. On a touched CPU a
+//! placement probe solves only the newcomer and the residents *below* it
+//! in the bin's priority order, each from the response time the cache
+//! holds (a lower bound of the new least fixpoint once interference has
+//! grown), and allocates nothing unless it passes; the full analysis is
+//! the same walk entered at the top with nothing warm.
 //!
 //! The engine honours the whole [`PlacementPolicy`] family: under
 //! [`PlacementPolicy::SemiPartitioned`] a task that fits nowhere whole is
@@ -77,13 +83,16 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use core::cmp::Ordering;
 use core::fmt;
+use core::ops::Range;
 
 use rtseed_model::{HwThreadId, Span, TaskSpec};
 use serde::{Deserialize, Serialize};
 
 use crate::partition::{PartitionHeuristic, PlacementPolicy};
-use crate::rmwp::{analyze_ordered, BinTask};
+use crate::rmwp::{solve_next, BinFix, BinTask};
+use crate::rta::Interferer;
 
 /// Opaque handle to one task admitted by an [`AdmissionEngine`].
 ///
@@ -235,6 +244,46 @@ pub struct CpuFixpoints {
     pub windup_responses: Vec<Span>,
 }
 
+impl CpuFixpoints {
+    /// `len` rows: `base`'s as far as they go, zero after them.
+    fn with_len(base: Option<&CpuFixpoints>, len: usize) -> CpuFixpoints {
+        let column = |base: Option<&Vec<Span>>| {
+            let mut v = Vec::with_capacity(len);
+            v.extend_from_slice(base.map_or(&[], Vec::as_slice));
+            v.resize(len, Span::ZERO);
+            v
+        };
+        CpuFixpoints {
+            optional_deadlines: column(base.map(|b| &b.optional_deadlines)),
+            mandatory_responses: column(base.map(|b| &b.mandatory_responses)),
+            windup_responses: column(base.map(|b| &b.windup_responses)),
+        }
+    }
+
+    fn row(&self, pos: usize) -> BinFix {
+        BinFix {
+            mandatory_response: self.mandatory_responses[pos],
+            windup_response: self.windup_responses[pos],
+            optional_deadline: self.optional_deadlines[pos],
+        }
+    }
+
+    /// Writes a walk's `(bin position, fixpoints)` rows over these.
+    fn set_rows(&mut self, rows: &[(u32, BinFix)]) {
+        for &(pos, row) in rows {
+            self.mandatory_responses[pos as usize] = row.mandatory_response;
+            self.windup_responses[pos as usize] = row.windup_response;
+            self.optional_deadlines[pos as usize] = row.optional_deadline;
+        }
+    }
+
+    fn remove_row(&mut self, pos: usize) {
+        self.mandatory_responses.remove(pos);
+        self.windup_responses.remove(pos);
+        self.optional_deadlines.remove(pos);
+    }
+}
+
 #[derive(Debug, Clone, Default)]
 struct CpuSlot {
     fix: Option<CpuFixpoints>,
@@ -335,6 +384,10 @@ impl RtaCache {
         self.cpus[cpu].fix = fix;
     }
 
+    fn fixpoints_mut(&mut self, cpu: usize) -> Option<&mut CpuFixpoints> {
+        self.cpus[cpu].fix.as_mut()
+    }
+
     fn invalidate(&mut self, cpu: usize) {
         self.cpus[cpu].fix = None;
     }
@@ -384,6 +437,15 @@ fn bin_task_for(spec: &TaskSpec, kind: Residency) -> BinTask {
     }
 }
 
+/// Where a resident sorts in its bin's priority order, highest first: a
+/// granted wind-up band, then `(rank, period, key)` — Rate Monotonic
+/// whenever the ranks are equal.
+type PrioKey = (bool, u32, Span, TaskKey);
+
+fn prio_key(kind: Residency, rank: u32, spec: &TaskSpec, key: TaskKey) -> PrioKey {
+    (kind != Residency::FedWindup, rank, spec.period(), key)
+}
+
 /// One bin resident: its stable key, spec and residency kind, in
 /// admission order. A split task owns one entry in each of its two host
 /// bins; a federated task owns a [`Residency::FedWindup`] entry in its
@@ -398,6 +460,16 @@ struct Entry {
     primary: bool,
     /// Sorts before the period within a bin; see [`Candidate::rank`].
     rank: u32,
+}
+
+impl Entry {
+    fn task(&self) -> BinTask {
+        bin_task_for(&self.spec, self.kind)
+    }
+
+    fn prio_key(&self) -> PrioKey {
+        prio_key(self.kind, self.rank, &self.spec, self.key)
+    }
 }
 
 /// A task being placed: what a probe adds to a bin's residents.
@@ -424,6 +496,24 @@ fn util_for(spec: &TaskSpec, kind: Residency) -> f64 {
 
 fn entry_util(e: &Entry) -> f64 {
     util_for(&e.spec, e.kind)
+}
+
+/// A probe that passed: where the candidate sorts in the bin's priority
+/// order and the fixpoints the bin has with it.
+struct Fit {
+    at: usize,
+    fix: CpuFixpoints,
+}
+
+/// Engine-owned buffers of [`AdmissionEngine::walk`], so that a probe
+/// that fails has allocated nothing.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// The interferers of the member being solved.
+    hp: Vec<Interferer>,
+    /// `(bin position, fixpoints)` of every member the walk solved, in
+    /// priority order; the candidate's position is the bin's length.
+    rows: Vec<(u32, BinFix)>,
 }
 
 /// Committed placement of one batch task (internal mirror of
@@ -461,7 +551,17 @@ struct TouchedBin {
 #[derive(Debug, Clone)]
 pub struct AdmissionEngine {
     bins: Vec<Vec<Entry>>,
+    /// Per bin, the positions of its entries in priority order
+    /// ([`PrioKey`]), kept by insertion: a probe finds the newcomer's
+    /// place, the commit inserts it there.
+    prio: Vec<Vec<u32>>,
     bin_util: Vec<f64>,
+    /// Every bin in the order the heuristic tries them, kept between
+    /// decisions by [`AdmissionEngine::set_util`].
+    order: Vec<u32>,
+    /// `(key, bin)` of every entry, sorted: where a key resides without
+    /// looking through the bins.
+    homes: Vec<(TaskKey, u32)>,
     /// The key holding each bin's federated grant, if any. A granted bin
     /// leaves the shared pool until its holder departs.
     grant_of: Vec<Option<TaskKey>>,
@@ -469,6 +569,7 @@ pub struct AdmissionEngine {
     policy: PlacementPolicy,
     cache: RtaCache,
     caching: bool,
+    scratch: Scratch,
     cpu_base: u32,
     next_key: u64,
 }
@@ -485,12 +586,17 @@ impl AdmissionEngine {
         assert!(hw_threads > 0, "need at least one hardware thread");
         AdmissionEngine {
             bins: vec![Vec::new(); hw_threads],
+            prio: vec![Vec::new(); hw_threads],
             bin_util: vec![0.0; hw_threads],
+            // All empty: ties go by index under every heuristic.
+            order: (0..hw_threads as u32).collect(),
+            homes: Vec::new(),
             grant_of: vec![None; hw_threads],
             heuristic,
             policy: PlacementPolicy::default(),
             cache: RtaCache::new(hw_threads, true),
             caching: true,
+            scratch: Scratch::default(),
             cpu_base: 0,
             next_key: 0,
         }
@@ -569,7 +675,7 @@ impl AdmissionEngine {
 
     /// `true` if `key` is currently resident.
     pub fn contains(&self, key: TaskKey) -> bool {
-        self.bins.iter().flatten().any(|e| e.key == key)
+        !self.homes_of(key).is_empty()
     }
 
     /// The residents of local CPU `cpu` as `(key, spec)` pairs, in
@@ -704,9 +810,9 @@ impl AdmissionEngine {
         while i < set.len() {
             for e in &self.bins[set[i]] {
                 if e.kind == Residency::Split {
-                    for (other, _) in self.locate(e.key) {
-                        if !set.contains(&other) {
-                            set.push(other);
+                    for &(_, other) in &self.homes[self.homes_of(e.key)] {
+                        if !set.contains(&(other as usize)) {
+                            set.push(other as usize);
                         }
                     }
                 }
@@ -743,39 +849,142 @@ impl AdmissionEngine {
         HwThreadId(self.cpu_base + bin as u32)
     }
 
-    /// The shared-pool bins (granted bins have left it) in the order the
-    /// heuristic tries them.
-    fn candidate_bins(&self) -> Vec<usize> {
-        let mut bins: Vec<usize> = (0..self.bins.len())
-            .filter(|&b| self.grant_of[b].is_none())
-            .collect();
-        let util = &self.bin_util;
-        match self.heuristic {
-            PartitionHeuristic::FirstFitDecreasing => {}
-            PartitionHeuristic::BestFitDecreasing => bins.sort_by(|&a, &b| {
-                util[b]
-                    .partial_cmp(&util[a])
-                    .expect("finite utilization")
-                    .then(a.cmp(&b))
-            }),
-            PartitionHeuristic::WorstFitDecreasing => bins.sort_by(|&a, &b| {
-                util[a]
-                    .partial_cmp(&util[b])
-                    .expect("finite utilization")
-                    .then(a.cmp(&b))
-            }),
+    /// Whether the heuristic tries bin `a` before bin `b`: by utilization
+    /// — ascending for worst-fit, descending for best-fit, not at all for
+    /// first-fit — then by index.
+    fn tries_before(&self, a: usize, b: usize) -> bool {
+        let by_util = self.bin_util[a]
+            .partial_cmp(&self.bin_util[b])
+            .expect("finite utilization");
+        let by_util = match self.heuristic {
+            PartitionHeuristic::FirstFitDecreasing => Ordering::Equal,
+            PartitionHeuristic::BestFitDecreasing => by_util.reverse(),
+            PartitionHeuristic::WorstFitDecreasing => by_util,
+        };
+        by_util.then(a.cmp(&b)) == Ordering::Less
+    }
+
+    /// Sets `bin`'s utilization and moves it — and nothing else — to its
+    /// place in `order`: every write of `bin_util` goes through here.
+    fn set_util(&mut self, bin: usize, util: f64) {
+        let from = self.order.partition_point(|&b| self.tries_before(b as usize, bin));
+        debug_assert_eq!(self.order[from] as usize, bin);
+        self.order.remove(from);
+        self.bin_util[bin] = util;
+        let to = self.order.partition_point(|&b| self.tries_before(b as usize, bin));
+        self.order.insert(to, bin as u32);
+    }
+
+    /// The `i`-th bin the heuristic tries, unless a grant has taken it out
+    /// of the shared pool.
+    fn shared_bin(&self, i: usize) -> Option<usize> {
+        let bin = self.order[i] as usize;
+        self.grant_of[bin].is_none().then_some(bin)
+    }
+
+    /// Where `key`'s entries are in `homes` — one for a whole task, two
+    /// for a split or federated one, none for a stranger.
+    fn homes_of(&self, key: TaskKey) -> Range<usize> {
+        let lo = self.homes.partition_point(|&(k, _)| k < key);
+        let hi = lo + self.homes[lo..].partition_point(|&(k, _)| k == key);
+        lo..hi
+    }
+
+    /// Where `(key, bin)` is, or belongs, in `homes`.
+    fn home_slot(&self, key: TaskKey, bin: usize) -> usize {
+        self.homes.partition_point(|&h| h < (key, bin as u32))
+    }
+
+    /// The priority position of entry `idx` of `bin`.
+    fn rank_of(&self, bin: usize, idx: usize) -> usize {
+        self.prio[bin]
+            .iter()
+            .position(|&i| i as usize == idx)
+            .expect("the priority index covers the bin")
+    }
+
+    /// The per-bin RMWP walk — the only one; the full analysis is this
+    /// entered at the top with nothing warm. The members above priority
+    /// position `from` only interfere and their cached rows stand; the
+    /// members from `from` down, `cand` among them at the position it
+    /// comes with, are solved in priority order into `scratch.rows`.
+    /// Without a cached slot there are no rows to stand, and the walk
+    /// starts at the top whatever `from` says.
+    ///
+    /// With `warm`, every resident's iterations start from its cached
+    /// response times. That is sound only if all that happened since they
+    /// were cached is that `cand` arrived: interference grew. After a
+    /// departure or a changed spec they must start from the costs.
+    ///
+    /// Returns `false` at the first bound exceeded.
+    fn walk(
+        &mut self,
+        bin: usize,
+        from: usize,
+        cand: Option<(usize, BinTask)>,
+        warm: bool,
+    ) -> bool {
+        let entries = &self.bins[bin];
+        let prio = &self.prio[bin];
+        let cached = self.cache.fixpoints(bin);
+        let from = if cached.is_some() { from } else { 0 };
+        let warm = cached.filter(|_| warm);
+        let Scratch { hp, rows } = &mut self.scratch;
+        hp.clear();
+        rows.clear();
+        hp.extend(prio[..from].iter().map(|&i| entries[i as usize].task().interference()));
+        let resident = |&i: &u32| {
+            let warm = warm.map(|w| w.row(i as usize));
+            (i, entries[i as usize].task(), warm)
+        };
+        let cand_at = cand.map_or(from, |(at, _)| at);
+        let members = prio[from..cand_at]
+            .iter()
+            .map(resident)
+            .chain(cand.map(|(_, t)| (entries.len() as u32, t, None)))
+            .chain(prio[cand_at..].iter().map(resident));
+        for (pos, t, warm) in members {
+            match solve_next(hp, &t, warm) {
+                Ok(row) => rows.push((pos, row)),
+                Err(_) => return false,
+            }
         }
-        bins
+        true
     }
 
-    /// The RMWP test of `bin` with `cand` added as `kind`: the bin's new
-    /// fixpoints if it stays schedulable.
-    fn probe(&mut self, bin: usize, cand: &Candidate<'_>, kind: Residency) -> Option<CpuFixpoints> {
+    /// `bin`'s fixpoints after a walk that passed, `len` rows of them: the
+    /// cached rows with the walk's written over them.
+    fn walked_fix(&self, bin: usize, len: usize) -> CpuFixpoints {
+        let mut fix = CpuFixpoints::with_len(self.cache.fixpoints(bin), len);
+        fix.set_rows(&self.scratch.rows);
+        fix
+    }
+
+    /// Fresh fixpoints of resident bin `cpu`.
+    fn fresh(&mut self, cpu: usize) -> CpuFixpoints {
+        self.cache.note_recompute(cpu);
+        let fits = self.walk(cpu, 0, None, false);
+        assert!(fits, "resident bins were admitted incrementally");
+        self.walked_fix(cpu, self.bins[cpu].len())
+    }
+
+    /// The RMWP test of `bin` with `cand` added as `kind`: only `cand` and
+    /// the residents below it are solved, each from the response time it
+    /// has now. One probe is one `recompute`, pass or fail.
+    fn probe(&mut self, bin: usize, cand: &Candidate<'_>, kind: Residency) -> Option<Fit> {
         self.cache.note_recompute(bin);
-        analyze_bin(&self.bins[bin], Some((cand, kind)))
+        let entries = &self.bins[bin];
+        let key = prio_key(kind, cand.rank, cand.spec, cand.key);
+        let at = self.prio[bin].partition_point(|&i| entries[i as usize].prio_key() < key);
+        let len = entries.len() + 1;
+        self.walk(bin, at, Some((at, bin_task_for(cand.spec, kind))), true)
+            .then(|| Fit {
+                at,
+                fix: self.walked_fix(bin, len),
+            })
     }
 
-    /// Makes `cand` a resident of `bin`, whose fixpoints become `fix`.
+    /// Makes `cand` a resident of `bin`, as the probe that passed found.
     fn commit(
         &mut self,
         touched: &mut Vec<TouchedBin>,
@@ -783,9 +992,10 @@ impl AdmissionEngine {
         cand: &Candidate<'_>,
         kind: Residency,
         primary: bool,
-        fix: CpuFixpoints,
+        fit: Fit,
     ) {
         self.touch(touched, bin);
+        self.prio[bin].insert(fit.at, self.bins[bin].len() as u32);
         self.bins[bin].push(Entry {
             key: cand.key,
             spec: cand.spec.clone(),
@@ -793,9 +1003,11 @@ impl AdmissionEngine {
             primary,
             rank: cand.rank,
         });
-        self.bin_util[bin] += util_for(cand.spec, kind);
+        let at = self.home_slot(cand.key, bin);
+        self.homes.insert(at, (cand.key, bin as u32));
+        self.set_util(bin, self.bin_util[bin] + util_for(cand.spec, kind));
         if self.caching {
-            self.cache.store(bin, fix);
+            self.cache.store(bin, fit.fix);
         }
     }
 
@@ -831,11 +1043,10 @@ impl AdmissionEngine {
                 spec: &tasks[i],
                 rank: ranks.map_or(0, |r| r[i]),
             };
-            let bins = self.candidate_bins();
             let placed = self
-                .place_whole(&cand, &bins, &mut touched)
-                .or_else(|| self.place_split(&cand, &bins, &mut touched))
-                .or_else(|| self.place_federated(&cand, &bins, &mut touched));
+                .place_whole(&cand, &mut touched)
+                .or_else(|| self.place_split(&cand, &mut touched))
+                .or_else(|| self.place_federated(&cand, &mut touched));
             match placed {
                 Some(p) => placement[i] = p,
                 None => {
@@ -847,17 +1058,19 @@ impl AdmissionEngine {
         Ok((placement, touched))
     }
 
-    /// The paper's rule: the first candidate bin that still passes the
-    /// RMWP test with the whole task added.
+    /// The paper's rule: the first shared bin, in the heuristic's order,
+    /// that still passes the RMWP test with the whole task added.
     fn place_whole(
         &mut self,
         cand: &Candidate<'_>,
-        bins: &[usize],
         touched: &mut Vec<TouchedBin>,
     ) -> Option<Placed> {
-        for &bin in bins {
-            if let Some(fix) = self.probe(bin, cand, Residency::Whole) {
-                self.commit(touched, bin, cand, Residency::Whole, true, fix);
+        for i in 0..self.order.len() {
+            let Some(bin) = self.shared_bin(i) else {
+                continue;
+            };
+            if let Some(fit) = self.probe(bin, cand, Residency::Whole) {
+                self.commit(touched, bin, cand, Residency::Whole, true, fit);
                 return Some(Placed {
                     hw: self.hw(bin),
                     kind: PlacementKind::Whole,
@@ -873,22 +1086,27 @@ impl AdmissionEngine {
     fn place_split(
         &mut self,
         cand: &Candidate<'_>,
-        bins: &[usize],
         touched: &mut Vec<TouchedBin>,
     ) -> Option<Placed> {
         if self.policy != PlacementPolicy::SemiPartitioned {
             return None;
         }
-        for (i, &a) in bins.iter().enumerate() {
-            let Some(fix_a) = self.probe(a, cand, Residency::Split) else {
+        for i in 0..self.order.len() {
+            let Some(a) = self.shared_bin(i) else {
                 continue;
             };
-            for &b in &bins[i + 1..] {
-                let Some(fix_b) = self.probe(b, cand, Residency::Split) else {
+            let Some(fit_a) = self.probe(a, cand, Residency::Split) else {
+                continue;
+            };
+            for j in i + 1..self.order.len() {
+                let Some(b) = self.shared_bin(j) else {
                     continue;
                 };
-                self.commit(touched, a, cand, Residency::Split, true, fix_a);
-                self.commit(touched, b, cand, Residency::Split, false, fix_b);
+                let Some(fit_b) = self.probe(b, cand, Residency::Split) else {
+                    continue;
+                };
+                self.commit(touched, a, cand, Residency::Split, true, fit_a);
+                self.commit(touched, b, cand, Residency::Split, false, fit_b);
                 return Some(Placed {
                     hw: self.hw(a),
                     kind: PlacementKind::Split {
@@ -908,7 +1126,6 @@ impl AdmissionEngine {
     fn place_federated(
         &mut self,
         cand: &Candidate<'_>,
-        bins: &[usize],
         touched: &mut Vec<TouchedBin>,
     ) -> Option<Placed> {
         if self.policy != PlacementPolicy::SemiFederated
@@ -920,15 +1137,18 @@ impl AdmissionEngine {
             if self.grant_of[g].is_some() {
                 continue;
             }
-            let Some(fix_g) = self.probe(g, cand, Residency::FedWindup) else {
+            let Some(fit_g) = self.probe(g, cand, Residency::FedWindup) else {
                 continue;
             };
-            for &bin in bins.iter().filter(|&&bin| bin != g) {
-                let Some(fix_r) = self.probe(bin, cand, Residency::FedResidual) else {
+            for i in 0..self.order.len() {
+                let Some(bin) = self.shared_bin(i).filter(|&bin| bin != g) else {
                     continue;
                 };
-                self.commit(touched, g, cand, Residency::FedWindup, false, fix_g);
-                self.commit(touched, bin, cand, Residency::FedResidual, true, fix_r);
+                let Some(fit_r) = self.probe(bin, cand, Residency::FedResidual) else {
+                    continue;
+                };
+                self.commit(touched, g, cand, Residency::FedWindup, false, fit_g);
+                self.commit(touched, bin, cand, Residency::FedResidual, true, fit_r);
                 self.grant_of[g] = Some(cand.key);
                 return Some(Placed {
                     hw: self.hw(bin),
@@ -943,8 +1163,13 @@ impl AdmissionEngine {
 
     fn rollback(&mut self, touched: &[TouchedBin]) {
         for t in touched {
-            self.bins[t.bin].truncate(t.saved_len);
-            self.bin_util[t.bin] = t.saved_util;
+            while self.bins[t.bin].len() > t.saved_len {
+                let e = self.bins[t.bin].pop().expect("longer than it was");
+                let at = self.home_slot(e.key, t.bin);
+                self.homes.remove(at);
+            }
+            self.prio[t.bin].retain(|&i| (i as usize) < t.saved_len);
+            self.set_util(t.bin, t.saved_util);
             self.grant_of[t.bin] = t.saved_grant;
             if self.caching {
                 self.cache.restore(t.bin, t.saved_fix.clone());
@@ -954,54 +1179,90 @@ impl AdmissionEngine {
 
     /// Evicts `keys` (unknown keys are ignored) and returns the optional
     /// deadlines that grew for the remaining residents of the vacated
-    /// threads. Exactly the victim CPUs' fixpoints are dropped and
-    /// refreshed; every other CPU's memo entry is untouched. Evicting a
-    /// federated task releases its core grant back to the shared pool.
+    /// threads. Exactly the victim CPUs' fixpoints are refreshed — from
+    /// each one's highest-priority victim down, and from the costs: with
+    /// interference gone the cached response times are no lower bounds —
+    /// and every other CPU's memo entry is untouched. Evicting a federated
+    /// task releases its core grant back to the shared pool.
     pub fn evict(&mut self, keys: &[TaskKey]) -> Vec<OdUpdate> {
+        let mut victims: Vec<usize> = keys
+            .iter()
+            .flat_map(|&key| &self.homes[self.homes_of(key)])
+            .map(|&(_, bin)| bin as usize)
+            .collect();
+        victims.sort_unstable();
+        victims.dedup();
         if !self.caching {
             let old = self.full_snapshot();
-            self.remove_keys(keys);
+            for &b in &victims {
+                self.vacate(b, keys);
+            }
             let new = self.full_snapshot();
             return od_deltas(&old, &new);
         }
-        let victims: Vec<usize> = (0..self.bins.len())
-            .filter(|&b| self.bins[b].iter().any(|e| keys.contains(&e.key)))
-            .collect();
         if victims.is_empty() {
             return Vec::new();
         }
         let read = self.read_set(&victims);
+        // Reading the old pairs also primes a victim slot that had been
+        // invalidated, so every victim bin has rows to vacate.
         let old_pairs = self.od_pairs(&read);
         for &b in &victims {
-            self.cache.invalidate(b);
-            if self.grant_of[b].is_some_and(|k| keys.contains(&k)) {
-                self.grant_of[b] = None;
-            }
-            self.bins[b].retain(|e| !keys.contains(&e.key));
-            self.bin_util[b] = self.bins[b].iter().map(entry_util).sum();
-            let fix = if self.bins[b].is_empty() {
-                CpuFixpoints::default()
-            } else {
+            let from = self.vacate(b, keys);
+            if !self.bins[b].is_empty() {
                 self.cache.note_recompute(b);
-                analyze_bin(&self.bins[b], None)
-                    .expect("shrinking a schedulable bin keeps it schedulable")
-            };
-            self.cache.store(b, fix);
+                let fits = self.walk(b, from, None, false);
+                assert!(fits, "shrinking a schedulable bin keeps it schedulable");
+                let fix = self.cache.fixpoints_mut(b).expect("primed by od_pairs");
+                fix.set_rows(&self.scratch.rows);
+            }
         }
         od_deltas(&old_pairs, &self.od_pairs(&read))
     }
 
-    fn remove_keys(&mut self, keys: &[TaskKey]) {
-        for bin in 0..self.bins.len() {
-            let before = self.bins[bin].len();
-            if self.grant_of[bin].is_some_and(|k| keys.contains(&k)) {
-                self.grant_of[bin] = None;
+    /// Removes `keys`' entries from `bin` — residents, priority index,
+    /// cached rows, `homes`, grant, utilization — and returns the highest
+    /// priority position vacated: everything from there down lost an
+    /// interferer.
+    fn vacate(&mut self, bin: usize, keys: &[TaskKey]) -> usize {
+        let mut from = usize::MAX;
+        for pos in (0..self.bins[bin].len()).rev() {
+            let key = self.bins[bin][pos].key;
+            if !keys.contains(&key) {
+                continue;
             }
-            self.bins[bin].retain(|e| !keys.contains(&e.key));
-            if self.bins[bin].len() != before {
-                self.bin_util[bin] = self.bins[bin].iter().map(entry_util).sum();
+            self.bins[bin].remove(pos);
+            if let Some(fix) = self.cache.fixpoints_mut(bin) {
+                fix.remove_row(pos);
             }
+            let rank = self.rank_of(bin, pos);
+            self.prio[bin].remove(rank);
+            for i in self.prio[bin].iter_mut().filter(|i| **i as usize > pos) {
+                *i -= 1;
+            }
+            from = from.min(rank);
+            let at = self.home_slot(key, bin);
+            self.homes.remove(at);
         }
+        if self.grant_of[bin].is_some_and(|k| keys.contains(&k)) {
+            self.grant_of[bin] = None;
+        }
+        self.set_util(bin, self.bins[bin].iter().map(entry_util).sum());
+        from
+    }
+
+    /// Moves entry `idx` of `bin` to where its spec now puts it in the
+    /// priority index and returns the higher of its old and new positions:
+    /// everything from there down has a changed interferer set.
+    fn reseat(&mut self, bin: usize, idx: usize) -> usize {
+        let old = self.rank_of(bin, idx);
+        let entries = &self.bins[bin];
+        let prio = &mut self.prio[bin];
+        prio.remove(old);
+        let key = entries[idx].prio_key();
+        let new = prio.partition_point(|&i| entries[i as usize].prio_key() < key);
+        prio.insert(new, idx as u32);
+        old.min(new)
     }
 
     /// Replaces the spec of resident `key` in place, re-analyzing only
@@ -1032,26 +1293,31 @@ impl AdmissionEngine {
             self.full_snapshot()
         };
         let (b0, i0) = locs[0];
-        let old_spec = std::mem::replace(&mut self.bins[b0][i0].spec, spec.clone());
-        for &(b, idx) in &locs[1..] {
-            self.bins[b][idx].spec = spec.clone();
-        }
+        let old_spec = self.bins[b0][i0].spec.clone();
+        // A changed spec is no newcomer: each host is solved from the
+        // resident's old or new priority position, whichever is higher,
+        // and from the costs.
         let mut fixes = Vec::with_capacity(bins.len());
-        for &b in &bins {
+        for &(b, idx) in &locs {
+            self.bins[b][idx].spec = spec.clone();
+            let from = self.reseat(b, idx);
             self.cache.note_recompute(b);
-            match analyze_bin(&self.bins[b], None) {
-                Some(fix) => fixes.push((b, fix)),
-                None => {
-                    for &(b2, i2) in &locs {
-                        self.bins[b2][i2].spec = old_spec.clone();
-                    }
-                    return AdmissionDecision::NeedsFullRecompute { key };
-                }
+            if !self.walk(b, from, None, false) {
+                break;
             }
+            fixes.push((b, self.walked_fix(b, self.bins[b].len())));
+        }
+        if fixes.len() < locs.len() {
+            for &(b, idx) in &locs {
+                self.bins[b][idx].spec = old_spec.clone();
+                self.reseat(b, idx);
+            }
+            return AdmissionDecision::NeedsFullRecompute { key };
         }
         for &(b, idx) in &locs {
             let kind = self.bins[b][idx].kind;
-            self.bin_util[b] += util_for(spec, kind) - util_for(&old_spec, kind);
+            let util = self.bin_util[b] + (util_for(spec, kind) - util_for(&old_spec, kind));
+            self.set_util(b, util);
         }
         let mut hw = self.hw(0);
         let mut kind = PlacementKind::Whole;
@@ -1097,13 +1363,17 @@ impl AdmissionEngine {
     /// Every `(bin, index)` hosting `key` — one for a whole task, two for
     /// a split or federated one (ascending bin order).
     fn locate(&self, key: TaskKey) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for (bin, entries) in self.bins.iter().enumerate() {
-            if let Some(idx) = entries.iter().position(|e| e.key == key) {
-                out.push((bin, idx));
-            }
-        }
-        out
+        self.homes[self.homes_of(key)]
+            .iter()
+            .map(|&(_, bin)| {
+                let bin = bin as usize;
+                let idx = self.bins[bin]
+                    .iter()
+                    .position(|e| e.key == key)
+                    .expect("homes names the bins of a key");
+                (bin, idx)
+            })
+            .collect()
     }
 
     /// The ODs of local CPU `cpu`, served from the memo when valid.
@@ -1119,9 +1389,7 @@ impl AdmissionEngine {
                 .expect("checked is_cached")
                 .to_vec();
         }
-        self.cache.note_recompute(cpu);
-        let fix = analyze_bin(&self.bins[cpu], None)
-            .expect("resident bins were admitted incrementally");
+        let fix = self.fresh(cpu);
         let ods = fix.optional_deadlines.clone();
         if self.caching {
             self.cache.store(cpu, fix);
@@ -1138,9 +1406,7 @@ impl AdmissionEngine {
             if self.bins[bin].is_empty() {
                 continue;
             }
-            self.cache.note_recompute(bin);
-            let fix = analyze_bin(&self.bins[bin], None)
-                .expect("resident bins were admitted incrementally");
+            let fix = self.fresh(bin);
             collect_pairs(&self.bins[bin], &fix.optional_deadlines, &mut out);
         }
         merge_min(out)
@@ -1166,45 +1432,6 @@ fn admitted_tasks(
             }
         })
         .collect()
-}
-
-/// RMWP-analyzes `bin` (+ optional `candidate`) in within-bin priority
-/// order: a granted wind-up band first, then `(rank, period, key)` — Rate
-/// Monotonic whenever the ranks are equal. Returns the per-task fixpoints
-/// in `bin` member order (candidate last, if present), or `None` if
-/// unschedulable.
-fn analyze_bin(
-    bin: &[Entry],
-    candidate: Option<(&Candidate<'_>, Residency)>,
-) -> Option<CpuFixpoints> {
-    // The candidate's key is larger than every resident's, so ties put it
-    // last — matching its admission order once committed.
-    let mut members: Vec<_> = bin
-        .iter()
-        .map(|e| (e.kind, e.rank, &e.spec, e.key))
-        .chain(candidate.map(|(c, kind)| (kind, c.rank, c.spec, c.key)))
-        .enumerate()
-        .collect();
-    members.sort_by_key(|&(_, (kind, rank, spec, key))| {
-        (kind != Residency::FedWindup, rank, spec.period(), key)
-    });
-    let entries: Vec<BinTask> = members
-        .iter()
-        .map(|&(_, (kind, _, spec, _))| bin_task_for(spec, kind))
-        .collect();
-    let fixes = analyze_ordered(&entries).ok()?;
-    let n = members.len();
-    let mut fix = CpuFixpoints {
-        optional_deadlines: vec![Span::ZERO; n],
-        mandatory_responses: vec![Span::ZERO; n],
-        windup_responses: vec![Span::ZERO; n],
-    };
-    for (local, &(orig, _)) in members.iter().enumerate() {
-        fix.optional_deadlines[orig] = fixes[local].optional_deadline;
-        fix.mandatory_responses[orig] = fixes[local].mandatory_response;
-        fix.windup_responses[orig] = fixes[local].windup_response;
-    }
-    Some(fix)
 }
 
 /// Appends `(key, od)` pairs for a bin's entries, skipping federated
@@ -1251,6 +1478,7 @@ fn od_deltas(old: &[(TaskKey, Span)], new: &[(TaskKey, Span)]) -> Vec<OdUpdate> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rmwp::analyze_ordered;
     use rtseed_model::Span;
 
     fn task(name: &str, period_ms: u64, m_ms: u64, w_ms: u64) -> TaskSpec {

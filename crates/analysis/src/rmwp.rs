@@ -31,7 +31,7 @@ use core::fmt;
 use rtseed_model::{Span, TaskId, TaskSet};
 use serde::{Deserialize, Serialize};
 
-use crate::rta::{response_time, Interferer, RtaError};
+use crate::rta::{response_time, response_time_from, Interferer, RtaError};
 
 /// Result of analyzing a task set for RMWP on a single processor: per-task
 /// response times and optional deadlines, in the task set's id order.
@@ -223,8 +223,59 @@ pub struct BinFix {
     pub optional_deadline: Span,
 }
 
+impl BinTask {
+    /// What this entry charges every lower-priority entry of its bin: both
+    /// real-time parts, once per `arrival`.
+    #[inline]
+    pub(crate) fn interference(&self) -> Interferer {
+        Interferer {
+            period: self.arrival,
+            demand: self.mandatory + self.windup,
+        }
+    }
+}
+
+/// One step of the RMWP walk down a bin's priority order — the only copy
+/// of it besides the [`RmwpAnalysis::analyze_with_order`] oracle: solves
+/// `t` below the interferers in `hp`, then adds `t` to them, so the next
+/// call solves the entry one priority lower.
+///
+/// `warm` is what the same entry's fixpoints were under a *subset* of
+/// `hp` (its optional deadline is not read); both iterations then start
+/// from those response times instead of from the costs and end on the same
+/// least fixpoints — see [`response_time_from`] for the argument and for
+/// why it fails once an interferer has left or changed. The mandatory part
+/// is bounded by the optional deadline computed *here*, so a warm response
+/// time that no longer fits under a shrunken OD is refused before it
+/// iterates.
+///
+/// # Errors
+///
+/// The [`RtaError`] of the part that misses its bound; `hp` is then left
+/// without `t`.
+pub(crate) fn solve_next(
+    hp: &mut Vec<Interferer>,
+    t: &BinTask,
+    warm: Option<BinFix>,
+) -> Result<BinFix, RtaError> {
+    let (rm_start, rw_start) = warm.map_or((t.mandatory, t.windup), |w| {
+        (w.mandatory_response, w.windup_response)
+    });
+    let rw = response_time_from(t.windup, rw_start, hp, t.deadline)?;
+    let od = t.deadline - rw;
+    let rm_bound = if t.deadline_only { t.deadline } else { od };
+    let rm = response_time_from(t.mandatory, rm_start, hp, rm_bound)?;
+    hp.push(t.interference());
+    Ok(BinFix {
+        mandatory_response: rm,
+        windup_response: rw,
+        optional_deadline: od,
+    })
+}
+
 /// Generalized single-CPU RMWP analysis over priority-ordered entries
-/// (highest priority first).
+/// (highest priority first): the walk the admission engine's probes make,
+/// entered at the top with no warm values.
 ///
 /// The math is exactly [`RmwpAnalysis::analyze_with_order`]'s, but each
 /// entry carries an explicit `(arrival, deadline)` pair instead of one
@@ -241,24 +292,12 @@ pub struct BinFix {
 /// The index of the first entry whose mandatory or wind-up part misses
 /// its bound.
 pub fn analyze_ordered(tasks: &[BinTask]) -> Result<Vec<BinFix>, usize> {
-    let mut out = Vec::with_capacity(tasks.len());
-    let mut hp: Vec<Interferer> = Vec::with_capacity(tasks.len());
-    for (rank, t) in tasks.iter().enumerate() {
-        let rw = response_time(t.windup, &hp, t.deadline).map_err(|_| rank)?;
-        let od = t.deadline - rw;
-        let rm_bound = if t.deadline_only { t.deadline } else { od };
-        let rm = response_time(t.mandatory, &hp, rm_bound).map_err(|_| rank)?;
-        out.push(BinFix {
-            mandatory_response: rm,
-            windup_response: rw,
-            optional_deadline: od,
-        });
-        hp.push(Interferer {
-            period: t.arrival,
-            demand: t.mandatory + t.windup,
-        });
-    }
-    Ok(out)
+    let mut hp = Vec::with_capacity(tasks.len());
+    tasks
+        .iter()
+        .enumerate()
+        .map(|(rank, t)| solve_next(&mut hp, t, None).map_err(|_| rank))
+        .collect()
 }
 
 /// Which real-time part failed the schedulability test.

@@ -87,13 +87,46 @@ pub fn response_time(
     higher_priority: &[Interferer],
     bound: Span,
 ) -> Result<Span, RtaError> {
-    if cost > bound {
+    response_time_from(cost, cost, higher_priority, bound)
+}
+
+/// [`response_time`] with the iteration started at `start` instead of at
+/// `cost` — the fixpoint iteration itself; there is no other copy.
+///
+/// `start` must satisfy `start ≤ f(start)` and `start ≤ lfp(f)`, where `f`
+/// is the iterated function. `cost` always does. So does the response
+/// time `R_old` the same job had under a *subset* of `higher_priority`:
+/// with more interference `f_new ≥ f_old` pointwise, so
+/// `R_old = f_old(R_old) ≤ f_new(R_old)`; and for `L = lfp(f_new)`,
+/// `f_old(L) ≤ f_new(L) = L`, so the iteration of `f_old` from `cost` never
+/// passes `L`: `R_old ≤ L`. The iteration of `f_new` from `R_old` is then
+/// non-decreasing and bounded by `L`, hence ends on it: the result is the
+/// value the iteration from `cost` returns, and it exceeds `bound` iff that
+/// one does (only the iterate reported in [`RtaError::ExceedsBound`] may
+/// differ).
+///
+/// **Only valid when interference grew.** After an interferer left or
+/// changed, an old response time may lie *above* the new least fixpoint,
+/// and the iteration from it would return a fixpoint that is not the least
+/// one: start from `cost` then.
+///
+/// # Errors
+///
+/// As for [`response_time`].
+pub fn response_time_from(
+    cost: Span,
+    start: Span,
+    higher_priority: &[Interferer],
+    bound: Span,
+) -> Result<Span, RtaError> {
+    debug_assert!(start >= cost, "no response time is shorter than the cost");
+    if start > bound {
         return Err(RtaError::ExceedsBound {
-            reached: cost,
+            reached: start,
             bound,
         });
     }
-    let mut r = cost;
+    let mut r = start;
     for _ in 0..MAX_ITERS {
         let mut next = cost;
         for hp in higher_priority {
@@ -239,6 +272,63 @@ mod tests {
             demand: ms(5),
         }];
         assert_eq!(response_time(ms(1), &hp, ms(100)).unwrap(), ms(6));
+    }
+
+    #[test]
+    fn warm_start_from_above_the_bound_fails_fast() {
+        let hp = [Interferer {
+            period: ms(10),
+            demand: ms(2),
+        }];
+        assert_eq!(
+            response_time_from(ms(3), ms(7), &hp, ms(6)),
+            Err(RtaError::ExceedsBound {
+                reached: ms(7),
+                bound: ms(6)
+            })
+        );
+    }
+
+    proptest::proptest! {
+        /// Started from the response time the job had under any subset of
+        /// the interferers — a prefix included — the iteration ends where
+        /// the one from `cost` ends: same value, or the same kind of error.
+        #[test]
+        fn warm_start_reaches_the_cold_fixpoint(
+            cost in 0u64..400,
+            hp in proptest::collection::vec((1u64..300, 0u64..60), 0..7),
+            keep in 0u32..128,
+            bound in 1u64..5_000,
+        ) {
+            let hp: Vec<Interferer> = hp
+                .into_iter()
+                .map(|(t, c)| Interferer {
+                    period: Span::from_micros(t),
+                    demand: Span::from_micros(c),
+                })
+                .collect();
+            let subset: Vec<Interferer> = hp
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| keep & (1 << i) != 0)
+                .map(|(_, &i)| i)
+                .collect();
+            let (cost, bound) = (Span::from_micros(cost), Span::from_micros(bound));
+            for earlier in [&subset[..], &hp[..hp.len() / 2]] {
+                // Under a subset the response time is no longer, so a job
+                // that had none there has none to start from.
+                let Ok(start) = response_time(cost, earlier, Span::from_secs(1)) else {
+                    continue;
+                };
+                let warm = response_time_from(cost, start, &hp, bound);
+                let cold = response_time(cost, &hp, bound);
+                proptest::prop_assert_eq!(warm.ok(), cold.ok());
+                proptest::prop_assert_eq!(
+                    warm.err().map(|e| core::mem::discriminant(&e)),
+                    cold.err().map(|e| core::mem::discriminant(&e))
+                );
+            }
+        }
     }
 
     #[test]

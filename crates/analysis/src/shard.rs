@@ -28,7 +28,7 @@
 use rtseed_model::{HwThreadId, TaskSpec};
 
 use crate::admission::{
-    Admission, AdmissionDecision, AdmissionEngine, OdUpdate, RejectReason, RtaCache, TaskKey,
+    AdmissionDecision, AdmissionEngine, OdUpdate, RejectReason, RtaCache, TaskKey,
 };
 use crate::partition::{PartitionHeuristic, PlacementPolicy};
 
@@ -42,8 +42,6 @@ use crate::partition::{PartitionHeuristic, PlacementPolicy};
 #[derive(Debug)]
 pub struct ShardedAdmission {
     shards: Vec<AdmissionEngine>,
-    /// `(key, shard)` pairs for every resident task, sorted by key.
-    key_home: Vec<(TaskKey, usize)>,
     next_key: u64,
     parallel: bool,
     parallel_rounds: u64,
@@ -79,7 +77,6 @@ impl ShardedAdmission {
         }
         ShardedAdmission {
             shards: engines,
-            key_home: Vec::new(),
             next_key: 0,
             parallel: true,
             parallel_rounds: 0,
@@ -194,10 +191,7 @@ impl ShardedAdmission {
         let mut first_rejection = None;
         for shard in self.shard_order() {
             match self.shards[shard].try_admit_with_keys(tasks, base) {
-                AdmissionDecision::Admitted(adm) => {
-                    self.register(&adm, shard);
-                    return AdmissionDecision::Admitted(adm);
-                }
+                admitted @ AdmissionDecision::Admitted(_) => return admitted,
                 rejection => {
                     first_rejection.get_or_insert(rejection);
                 }
@@ -278,21 +272,13 @@ impl ShardedAdmission {
                     .map(|h| h.join().expect("shard admission thread panicked"))
                     .collect()
             });
-            for (shard, shard_results) in results.into_iter().enumerate() {
-                for (i, decision) in shard_results {
-                    if let AdmissionDecision::Admitted(adm) = &decision {
-                        self.register(adm, shard);
-                    }
-                    decisions[i] = Some(decision);
-                }
+            for (i, decision) in results.into_iter().flatten() {
+                decisions[i] = Some(decision);
             }
         } else {
             for (shard, group) in groups.iter().enumerate() {
                 for &i in group {
                     let decision = self.shards[shard].try_admit_with_keys(&batch[i], bases[i]);
-                    if let AdmissionDecision::Admitted(adm) = &decision {
-                        self.register(adm, shard);
-                    }
                     decisions[i] = Some(decision);
                 }
             }
@@ -316,11 +302,9 @@ impl ShardedAdmission {
                 if shard == home {
                     continue;
                 }
-                if let AdmissionDecision::Admitted(adm) =
-                    self.shards[shard].try_admit_with_keys(&batch[i], bases[i])
-                {
-                    self.register(&adm, shard);
-                    decisions[i] = Some(AdmissionDecision::Admitted(adm));
+                let retry = self.shards[shard].try_admit_with_keys(&batch[i], bases[i]);
+                if retry.is_admitted() {
+                    decisions[i] = Some(retry);
                     break;
                 }
             }
@@ -337,12 +321,10 @@ impl ShardedAdmission {
     pub fn evict(&mut self, keys: &[TaskKey]) -> Vec<OdUpdate> {
         let mut per_shard: Vec<Vec<TaskKey>> = vec![Vec::new(); self.shards.len()];
         for &key in keys {
-            if let Ok(pos) = self.key_home.binary_search_by_key(&key, |&(k, _)| k) {
-                let (_, shard) = self.key_home[pos];
+            if let Some(shard) = self.home_of(key) {
                 per_shard[shard].push(key);
             }
         }
-        self.key_home.retain(|&(k, _)| !keys.contains(&k));
         let mut updates = Vec::new();
         for (shard, group) in per_shard.iter().enumerate() {
             if !group.is_empty() {
@@ -355,13 +337,16 @@ impl ShardedAdmission {
     /// Re-analyzes resident `key` under a replacement spec on its home
     /// shard; see [`AdmissionEngine::od_update`].
     pub fn od_update(&mut self, key: TaskKey, spec: &TaskSpec) -> AdmissionDecision {
-        match self.key_home.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(pos) => {
-                let (_, shard) = self.key_home[pos];
-                self.shards[shard].od_update(key, spec)
-            }
-            Err(_) => AdmissionDecision::Rejected(RejectReason::UnknownKey),
+        match self.home_of(key) {
+            Some(shard) => self.shards[shard].od_update(key, spec),
+            None => AdmissionDecision::Rejected(RejectReason::UnknownKey),
         }
+    }
+
+    /// The shard `key` resides in: one binary search of each engine's own
+    /// key index, so no second index is kept here.
+    fn home_of(&self, key: TaskKey) -> Option<usize> {
+        self.shards.iter().position(|e| e.contains(key))
     }
 
     /// Shard indices in ascending `(total utilization, index)` order.
@@ -375,16 +360,6 @@ impl ShardedAdmission {
                 .then(a.cmp(&b))
         });
         order
-    }
-
-    fn register(&mut self, adm: &Admission, shard: usize) {
-        for t in &adm.tasks {
-            let pos = self
-                .key_home
-                .binary_search_by_key(&t.key, |&(k, _)| k)
-                .expect_err("keys are never reused");
-            self.key_home.insert(pos, (t.key, shard));
-        }
     }
 }
 

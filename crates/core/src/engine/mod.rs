@@ -183,9 +183,11 @@ pub struct EngineOutput {
     pub trace: Trace,
     /// Supervisor fault/overload counters.
     pub faults: FaultReport,
-    /// Per-tenant QoS accounting, in first-admission order. Empty unless
-    /// tasks were added with a tenant via [`Engine::add_task`] (the
-    /// one-shot executors never tag tasks, so their outputs carry none).
+    /// Per-tenant QoS accounting, sorted by [`TenantId`] — which is
+    /// first-admission order under the serving layer, whose ids ascend.
+    /// Empty unless tasks were added with a tenant via
+    /// [`Engine::add_task`] (the one-shot executors never tag tasks, so
+    /// their outputs carry none).
     pub tenant_qos: Vec<(TenantId, QosSummary)>,
 }
 
@@ -369,8 +371,9 @@ pub struct Engine {
     topology: Topology,
     sup: OverloadSupervisor,
     qos: QosSummary,
-    /// Per-tenant QoS summaries in first-admission order; empty (and
-    /// untouched on the hot path) when no task carries a tenant tag.
+    /// Per-tenant QoS summaries sorted by tenant id, found by binary
+    /// search; empty (and untouched on the hot path) when no task carries
+    /// a tenant tag.
     tenant_qos: Vec<(TenantId, QosSummary)>,
     /// Tenant-attributed fault signals queued for the serving layer
     /// (empty and untouched unless tasks carry tenants).
@@ -536,8 +539,8 @@ impl Engine {
     pub fn add_task(&mut self, mut params: TaskParams) -> usize {
         let idx = self.tasks.len();
         if let Some(tenant) = params.tenant {
-            if !self.tenant_qos.iter().any(|(t, _)| *t == tenant) {
-                self.tenant_qos.push((tenant, QosSummary::new()));
+            if let Err(at) = self.tenant_qos.binary_search_by_key(&tenant, |(t, _)| *t) {
+                self.tenant_qos.insert(at, (tenant, QosSummary::new()));
             }
         }
         params.mandatory = params.mandatory.mul_f64(self.rt_exec_fraction);
@@ -1521,12 +1524,10 @@ impl Engine {
         );
         self.metrics.record_qos_level(ratio);
         if let Some(tenant) = self.tasks[task].p.tenant {
-            // Linear scan: tenant counts are small and this branch is
-            // never taken by the one-shot executors (tenant is None).
-            if let Some((_, summary)) =
-                self.tenant_qos.iter_mut().find(|(t, _)| *t == tenant)
-            {
-                summary.record_job(
+            // `tenant_qos` is sorted by id; the one-shot executors never
+            // get here (tenant is None).
+            if let Ok(at) = self.tenant_qos.binary_search_by_key(&tenant, |(t, _)| *t) {
+                self.tenant_qos[at].1.record_job(
                     self.tasks[task].parts.iter().map(|p| {
                         (p.executed, p.outcome.unwrap_or(OptionalOutcome::Discarded))
                     }),

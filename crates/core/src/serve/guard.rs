@@ -275,7 +275,10 @@ struct GuardState {
 #[derive(Debug, Clone)]
 pub struct ServeGuard {
     cfg: GuardConfig,
-    /// Sorted by name for deterministic, allocation-light lookup.
+    /// Sorted by name: a lookup is a binary search of string compares and
+    /// allocates nothing. A name's *first* signal is what costs — it
+    /// allocates the `String` and shifts every entry behind it, all of
+    /// them in the worst case.
     states: Vec<(String, GuardState)>,
 }
 

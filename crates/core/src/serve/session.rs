@@ -74,8 +74,12 @@ pub struct SessionManager {
     pub(super) ctl: ShardedAdmission,
     pub(super) heuristic: PartitionHeuristic,
     pub(super) tenants: Vec<Tenant>,
-    /// Live (admitted, not departed) task bindings: admission key →
-    /// engine slot, for applying OD deltas.
+    /// Positions in `tenants` of the admitted (not departed) ones, sorted
+    /// by `(name, position)`: the most recent admitted tenant of a name is
+    /// the last of its run.
+    pub(super) by_name: Vec<u32>,
+    /// Live (admitted, not departed) task bindings sorted by admission
+    /// key: key → engine slot, for applying OD deltas.
     pub(super) bindings: Vec<Binding>,
     pub(super) counters: ServeCounters,
     pub(super) guard: ServeGuard,
@@ -130,6 +134,7 @@ impl SessionManager {
             run,
             des,
             tenants: Vec::new(),
+            by_name: Vec::new(),
             bindings: Vec::new(),
             counters: ServeCounters::default(),
             guard: ServeGuard::new(GuardConfig::default()),
@@ -251,10 +256,7 @@ impl SessionManager {
 
     /// Number of tenants currently admitted (not departed).
     pub fn admitted_tenants(&self) -> usize {
-        self.tenants
-            .iter()
-            .filter(|t| t.state == TenantState::Admitted)
-            .count()
+        self.by_name.len()
     }
 
     /// Total mandatory+wind-up utilization of the resident tasks.
@@ -335,7 +337,12 @@ impl SessionManager {
             }
         }
         self.apply_od_updates(&admission.od_updates);
-        self.bindings.extend(bound.iter().copied());
+        for &b in &bound {
+            // Keys are handed out ascending: this is the end of the list.
+            let at = self.bindings.partition_point(|x| x.key < b.key);
+            self.bindings.insert(at, b);
+        }
+        let pos = self.tenants.len();
         self.tenants.push(Tenant {
             id: tenant,
             session,
@@ -343,7 +350,17 @@ impl SessionManager {
             state: TenantState::Admitted,
             tasks: bound,
         });
+        let at = self.name_slot(pos);
+        self.by_name.insert(at, pos as u32);
         tenant
+    }
+
+    /// Where tenant `pos` is, or belongs, in `by_name`.
+    fn name_slot(&self, pos: usize) -> usize {
+        let name = self.tenants[pos].name.as_str();
+        self.by_name.partition_point(|&p| {
+            (self.tenants[p as usize].name.as_str(), p as usize) < (name, pos)
+        })
     }
 
     /// Departs the most recent admitted tenant named `name`: aborts its
@@ -357,12 +374,12 @@ impl SessionManager {
     /// [`super::ServeError::UnknownTenant`] when no admitted tenant has
     /// that name.
     pub fn try_depart(&mut self, name: &str) -> Result<TenantId, super::ServeError> {
-        let Some(pos) = self
-            .tenants
-            .iter()
-            .rposition(|t| t.name == name && t.state == TenantState::Admitted)
-        else {
-            return Err(super::ServeError::UnknownTenant);
+        let end = self
+            .by_name
+            .partition_point(|&p| self.tenants[p as usize].name.as_str() <= name);
+        let pos = match end.checked_sub(1).map(|last| self.by_name[last] as usize) {
+            Some(pos) if self.tenants[pos].name == name => pos,
+            _ => return Err(super::ServeError::UnknownTenant),
         };
         let tenant = self.tenants[pos].id;
         self.depart_at(pos, TenantState::Departed);
@@ -390,7 +407,13 @@ impl SessionManager {
         }
         let keys: Vec<TaskKey> = bound.iter().map(|b| b.key).collect();
         let updates = self.ctl.evict(&keys);
-        self.bindings.retain(|b| !keys.contains(&b.key));
+        for key in &keys {
+            if let Ok(at) = self.bindings.binary_search_by_key(key, |b| b.key) {
+                self.bindings.remove(at);
+            }
+        }
+        let at = self.name_slot(pos);
+        self.by_name.remove(at);
         self.apply_od_updates(&updates);
         let ev = if state == TenantState::Evicted {
             TraceEvent::TenantEvicted { tenant }
@@ -476,8 +499,8 @@ impl SessionManager {
 
     pub(super) fn apply_od_updates(&mut self, updates: &[OdUpdate]) {
         for u in updates {
-            if let Some(b) = self.bindings.iter().find(|b| b.key == u.key) {
-                self.des.eng.set_od(b.engine_idx, u.optional_deadline);
+            if let Ok(at) = self.bindings.binary_search_by_key(&u.key, |b| b.key) {
+                self.des.eng.set_od(self.bindings[at].engine_idx, u.optional_deadline);
                 self.counters.od_updates_applied += 1;
             }
         }
@@ -587,9 +610,8 @@ impl SessionManager {
                     .collect(),
                 qos: out
                     .tenant_qos
-                    .iter()
-                    .find(|(id, _)| *id == t.id)
-                    .map(|(_, q)| q.clone())
+                    .binary_search_by_key(&t.id, |(id, _)| *id)
+                    .map(|at| out.tenant_qos[at].1.clone())
                     .unwrap_or_default(),
                 guard: guard.stats(&t.name),
                 name: t.name,

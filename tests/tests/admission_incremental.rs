@@ -84,10 +84,11 @@ fn assert_same_decision(a: &AdmissionDecision, b: &AdmissionDecision) {
     }
 }
 
-/// The core cache invariant: for every CPU, the memoised optional
-/// deadlines equal what a fresh `RmwpAnalysis` of exactly that CPU's
-/// residents produces (priorities induced by the same (period, key)
-/// order the engine commits).
+/// The core cache invariant: for every CPU, the memoised fixpoints — the
+/// optional deadlines the engine hands out *and* the mandatory and wind-up
+/// response times its next probe starts from — equal what a fresh
+/// `RmwpAnalysis` of exactly that CPU's residents produces (priorities
+/// induced by the same (period, key) order the engine commits).
 fn assert_cache_matches_fresh_analysis(eng: &AdmissionEngine) {
     for cpu in 0..eng.hw_threads() {
         let residents: Vec<(TaskKey, TaskSpec)> = eng
@@ -96,9 +97,16 @@ fn assert_cache_matches_fresh_analysis(eng: &AdmissionEngine) {
             .collect();
         let cached = eng
             .cache()
-            .optional_deadlines(cpu)
+            .fixpoints(cpu)
             .expect("a caching engine keeps every CPU primed");
-        assert_eq!(cached.len(), residents.len(), "cpu {cpu}: stale entry count");
+        for column in [
+            &cached.optional_deadlines,
+            &cached.mandatory_responses,
+            &cached.windup_responses,
+        ] {
+            assert_eq!(column.len(), residents.len(), "cpu {cpu}: stale entry count");
+        }
+        assert_eq!(eng.cache().optional_deadlines(cpu), Some(&cached.optional_deadlines[..]));
         if residents.is_empty() {
             continue;
         }
@@ -119,10 +127,21 @@ fn assert_cache_matches_fresh_analysis(eng: &AdmissionEngine) {
         let fresh = RmwpAnalysis::analyze_with_order(&set, induced)
             .expect("resident bins are schedulable by construction");
         for (rank, &bin_pos) in order.iter().enumerate() {
+            let id = TaskId(rank as u32);
             assert_eq!(
-                cached[bin_pos],
-                fresh.optional_deadline(TaskId(rank as u32)),
+                cached.optional_deadlines[bin_pos],
+                fresh.optional_deadline(id),
                 "cpu {cpu}, resident {bin_pos}: cached OD diverged from fresh RTA"
+            );
+            assert_eq!(
+                cached.mandatory_responses[bin_pos],
+                fresh.mandatory_response(id),
+                "cpu {cpu}, resident {bin_pos}: cached R^m diverged from fresh RTA"
+            );
+            assert_eq!(
+                cached.windup_responses[bin_pos],
+                fresh.windup_response(id),
+                "cpu {cpu}, resident {bin_pos}: cached R^w diverged from fresh RTA"
             );
         }
     }
@@ -262,4 +281,33 @@ fn reject_evict_readmit_cycle_stays_equivalent() {
         Op::OdUpdate(0, 1),    // reshape a survivor in place
     ];
     run_differential(&ops, 2, PartitionHeuristic::WorstFitDecreasing);
+}
+
+/// Eviction may not warm-start. With `hi` on the CPU, `lo`'s wind-up
+/// response is the fixpoint of 3 + 2·⌈R/6⌉ + ⌈R/2⌉, 18 ms. Without it the
+/// function is 3 + 2·⌈R/6⌉, whose least fixpoint is 5 — but 7 is a fixpoint
+/// too, and the iteration started from the cached 18 walks *down*, 9 → 7,
+/// and stops there. Re-admission then warm-starts from what eviction left.
+#[test]
+fn eviction_resolves_survivors_from_their_costs() {
+    let ms = |name: &str, t, m, w| {
+        TaskSpec::builder(name)
+            .period(Span::from_millis(t))
+            .mandatory(Span::from_millis(m))
+            .windup(Span::from_millis(w))
+            .build()
+            .unwrap()
+    };
+    let mut eng = AdmissionEngine::new(1, PartitionHeuristic::FirstFitDecreasing);
+    let hi = eng.try_admit(&[ms("hi", 2, 1, 0)]).admitted().unwrap();
+    eng.try_admit(&[ms("mid", 6, 1, 1)]).admitted().unwrap();
+    let lo = eng.try_admit(&[ms("lo", 24, 1, 3)]).admitted().unwrap();
+    assert_eq!(lo.tasks[0].optional_deadline, Span::from_millis(24 - 18));
+    assert_cache_matches_fresh_analysis(&eng);
+    let grown = eng.evict(&[hi.tasks[0].key]);
+    assert_eq!(grown.len(), 2, "both survivors' optional deadlines grow");
+    assert_eq!(grown[1].optional_deadline, Span::from_millis(24 - 5));
+    assert_cache_matches_fresh_analysis(&eng);
+    eng.try_admit(&[ms("hi", 2, 1, 0)]).admitted().unwrap();
+    assert_cache_matches_fresh_analysis(&eng);
 }

@@ -212,6 +212,107 @@ fn churn_replay_is_byte_deterministic() {
     assert_eq!(x.tenant("c").unwrap().qos.jobs(), 6);
 }
 
+// ----- tenant names ---------------------------------------------------------
+
+use rtseed::serve::GuardConfig;
+use rtseed_model::TenantId;
+use rtseed_sim::{FaultPlan, FaultTarget, JobWindow, WcetFault};
+
+/// A departure names a tenant, and a name is not an identity: it finds the
+/// most recent tenant *admitted* under the name — never a rejected one,
+/// however recent — and a resubmission is a new tenant.
+#[test]
+fn depart_takes_the_latest_admitted_tenant_of_a_name() {
+    let mut mgr = uni_manager(1);
+    // Two bricks fill the CPU; names around "dup" in the sort order check
+    // that a prefix or an extension of the name is another name.
+    let first = mgr.submit("dup", &[brick("a")]).unwrap();
+    let second = mgr.submit("dup", &[brick("b")]).unwrap();
+    assert_eq!((first, second), (TenantId(0), TenantId(1)));
+    for other in ["du", "dup", "dupe"] {
+        assert!(matches!(
+            mgr.submit(other, &[brick("c")]),
+            Err(ServeError::Rejected(RejectReason::Unschedulable { .. }))
+        ));
+    }
+    assert_eq!(mgr.state_of("dup"), Some(TenantState::Rejected));
+    assert_eq!(mgr.try_depart("du"), Err(ServeError::UnknownTenant));
+    assert_eq!(mgr.try_depart("dupe"), Err(ServeError::UnknownTenant));
+    assert_eq!(mgr.try_depart("dup"), Ok(second));
+    assert_eq!(mgr.admitted_tenants(), 1);
+    assert_eq!(mgr.try_depart("dup"), Ok(first));
+    assert_eq!(mgr.try_depart("dup"), Err(ServeError::UnknownTenant));
+    assert_eq!(mgr.admitted_tenants(), 0);
+    // Five tenants so far, three of them rejected: the next id is 5.
+    let again = mgr.submit("dup", &[brick("d")]).unwrap();
+    assert_eq!(again, TenantId(5));
+    let neighbour = mgr.submit("du", &[brick("e")]).unwrap();
+    assert_eq!(mgr.try_depart("dup"), Ok(again));
+    assert_eq!(mgr.try_depart("dup"), Err(ServeError::UnknownTenant));
+    assert_eq!(mgr.try_depart("du"), Ok(neighbour));
+}
+
+/// A guarded 4×2 session in which jobs `window` of engine task 0 overrun
+/// their mandatory part tenfold.
+fn guarded_manager(jobs: u64, window: JobWindow) -> SessionManager {
+    SessionManager::new(
+        Topology::quad_core_smt2(),
+        PartitionHeuristic::WorstFitDecreasing,
+        AssignmentPolicy::OneByOne,
+        RunConfig {
+            jobs,
+            fault_plan: FaultPlan::new(7).with_wcet_fault(WcetFault {
+                task: Some(0),
+                jobs: window,
+                target: FaultTarget::Mandatory,
+                factor: 10.0,
+            }),
+            ..RunConfig::default()
+        },
+    )
+    .with_guard(GuardConfig::armed())
+}
+
+/// A tenant the guard evicted is gone: a later departure under its name
+/// finds nobody.
+#[test]
+fn depart_never_finds_a_guard_evicted_tenant() {
+    let mut mgr = guarded_manager(20, JobWindow::ALL);
+    mgr.submit("hostile", &[brick("adv")]).unwrap();
+    mgr.submit("good", &[brick("g")]).unwrap();
+    let plan = ChurnPlan::new().depart(Time::from_nanos(1_900_000_000), "hostile");
+    let out = mgr.run_with_churn(&plan);
+    assert_eq!(out.counters.evictions, 1);
+    assert_eq!(out.counters.churn_events, 1);
+    assert_eq!(out.counters.departures, 0);
+    assert_eq!(out.tenant("hostile").unwrap().state, TenantState::Evicted);
+    assert_eq!(out.tenant("good").unwrap().state, TenantState::Admitted);
+}
+
+/// The guard's record is the name's, not the tenant's: a tenant that
+/// departs with strikes and comes back under the same name is a new
+/// tenant with the old strikes.
+#[test]
+fn a_resubmitted_name_is_a_fresh_tenant_with_its_old_strikes() {
+    // Only the first job of engine task 0 — the first "flaky" — overruns;
+    // its successor is engine task 1 and runs clean.
+    let mut mgr = guarded_manager(4, JobWindow::new(0, 1));
+    mgr.submit("flaky", &[brick("f0")]).unwrap();
+    let plan = ChurnPlan::new()
+        .depart(Time::from_nanos(150_000_000), "flaky")
+        .arrive(Time::from_nanos(200_000_000), "flaky", vec![brick("f1")]);
+    let out = mgr.run_with_churn(&plan);
+    let entries: Vec<_> = out.tenants.iter().filter(|t| t.name == "flaky").collect();
+    assert_eq!(entries.len(), 2);
+    assert_eq!((entries[0].tenant, entries[0].state), (TenantId(0), TenantState::Departed));
+    assert_eq!((entries[1].tenant, entries[1].state), (TenantId(1), TenantState::Admitted));
+    assert_eq!(entries[1].qos.jobs(), 4);
+    assert_eq!(entries[1].qos.deadline_misses(), 0);
+    let strikes = entries[1].guard.strikes;
+    assert!(strikes > 0, "the first tenant's strikes stay on the name's record");
+    assert_eq!(entries[0].guard.strikes, strikes);
+}
+
 // ----- placement-policy family (split + federated tasks) ------------------
 
 use rtseed::obs::TraceEvent;
