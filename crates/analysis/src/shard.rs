@@ -1,26 +1,25 @@
-//! Sharded admission control: disjoint CPU partitions admitting in
-//! parallel.
+//! Sharded admission control: disjoint CPU partitions, each with its
+//! own engine.
 //!
 //! [`crate::AdmissionEngine`] scopes each decision to the touched CPU;
 //! [`ShardedAdmission`] goes one step further and splits the topology
 //! into contiguous CPU ranges (*shards*), each owning an independent
-//! engine. Submissions routed to different shards share no state, so a
-//! batched admission round can analyze them on separate OS threads —
-//! and because the routing, the per-shard admission order and the merge
-//! are all pure functions of the submission batch, the outcome is
-//! **byte-identical whether the round runs on one thread or many**.
+//! engine. Submissions routed to different shards share no state. Every
+//! shard is admitted on the calling thread: a decision costs a few
+//! microseconds, far less than waking a thread to take it.
 //!
 //! Ordering guarantees (load-bearing for deterministic replay):
 //!
-//! 1. *Routing* is decided up front, serially: each submission goes to
-//!    the shard with the least projected utilization (ties to the lowest
-//!    shard index), with the projection updated in submission order.
+//! 1. *Routing* is decided up front: each submission goes to the shard
+//!    with the least projected utilization (ties to the lowest shard
+//!    index), with the projection updated in submission order.
 //! 2. *Keys* are pre-allocated per batch in submission order, so a
-//!    task's [`TaskKey`] does not depend on which thread admitted it.
-//! 3. *Within a shard*, submissions are admitted in submission order.
-//! 4. *Across shards*, results are merged back in submission order, and
-//!    the serial spill-over pass (re-trying rejected submissions on the
-//!    other shards) also runs in submission order.
+//!    task's [`TaskKey`] does not depend on the shard that admitted it.
+//! 3. *Home pass*: shard by shard in index order, each shard admits the
+//!    submissions routed to it in submission order.
+//! 4. *Spill-over pass*, after the whole home pass: submissions their
+//!    home shard rejected are re-tried on the other shards, in
+//!    submission order.
 //!
 //! With one shard the frontend degenerates to a plain engine: same
 //! placements, same keys, same OD deltas as the unsharded path.
@@ -36,14 +35,12 @@ use crate::partition::{PartitionHeuristic, PlacementPolicy};
 ///
 /// Construct with [`ShardedAdmission::new`]; `shards == 1` reproduces
 /// the unsharded [`AdmissionEngine`] byte for byte. Single submissions
-/// go through [`ShardedAdmission::try_admit`]; deferred-queue retry
-/// rounds go through [`ShardedAdmission::admit_batch`], which analyzes
-/// disjoint shards in parallel when more than one shard has work.
+/// go through [`ShardedAdmission::try_admit`], whole rounds through
+/// [`ShardedAdmission::admit_batch`]; both admit on the calling thread.
 #[derive(Debug)]
 pub struct ShardedAdmission {
     shards: Vec<AdmissionEngine>,
     next_key: u64,
-    parallel: bool,
     parallel_rounds: u64,
 }
 
@@ -78,7 +75,6 @@ impl ShardedAdmission {
         ShardedAdmission {
             shards: engines,
             next_key: 0,
-            parallel: true,
             parallel_rounds: 0,
         }
     }
@@ -96,9 +92,8 @@ impl ShardedAdmission {
 
     /// Selects the fallback [`PlacementPolicy`] in every shard engine.
     /// Split pairs and federated grants stay within one shard's
-    /// contiguous CPU range, so sharded rounds remain disjoint and
-    /// deterministic under every policy. Must be called before any task
-    /// is admitted.
+    /// contiguous CPU range, so shards stay disjoint under every policy.
+    /// Must be called before any task is admitted.
     pub fn with_placement(mut self, policy: PlacementPolicy) -> ShardedAdmission {
         self.shards = self
             .shards
@@ -111,14 +106,6 @@ impl ShardedAdmission {
     /// The fallback placement policy of the shard engines.
     pub fn placement_policy(&self) -> PlacementPolicy {
         self.shards[0].placement_policy()
-    }
-
-    /// Disables OS-thread parallelism in [`ShardedAdmission::admit_batch`]
-    /// (results are identical either way; useful for benchmarking the
-    /// coordination overhead in isolation).
-    pub fn with_parallel(mut self, parallel: bool) -> ShardedAdmission {
-        self.parallel = parallel;
-        self
     }
 
     /// Number of shards.
@@ -168,8 +155,9 @@ impl ShardedAdmission {
         self.shards[shard].cache()
     }
 
-    /// How many [`ShardedAdmission::admit_batch`] rounds actually fanned
-    /// out to OS threads (≥ 2 shards had work).
+    /// How many [`ShardedAdmission::admit_batch`] rounds had work for two
+    /// or more shards. No round runs in parallel; the name is kept for
+    /// the benchmark that reads it.
     #[inline]
     pub fn parallel_rounds(&self) -> u64 {
         self.parallel_rounds
@@ -200,20 +188,19 @@ impl ShardedAdmission {
         first_rejection.expect("at least one shard was tried")
     }
 
-    /// Admits a whole round of submissions, one typed decision per
-    /// submission, fanning disjoint shards out to OS threads when more
-    /// than one shard has work.
+    /// Admits a whole round of submissions on the calling thread, one
+    /// typed decision per submission.
     ///
     /// Each submission is routed to a home shard up front (least
     /// projected utilization, ties to the lowest index); shards then
-    /// admit their groups independently in submission order. Rejected
-    /// submissions get a serial spill-over pass across the remaining
+    /// admit their groups one after another, each in submission order.
+    /// Rejected submissions get a spill-over pass across the remaining
     /// shards, so a batch never rejects a tenant that single-shard
     /// `try_admit` would have accepted somewhere.
     pub fn admit_batch(&mut self, batch: &[Vec<TaskSpec>]) -> Vec<AdmissionDecision> {
         let n = self.shards.len();
         // Key ranges per submission, in submission order — placement-
-        // independent, so parallel rounds replay byte-identically.
+        // independent.
         let bases: Vec<u64> = batch
             .iter()
             .scan(self.next_key, |k, tasks| {
@@ -223,9 +210,8 @@ impl ShardedAdmission {
             })
             .collect();
         self.next_key += batch.iter().map(|t| t.len() as u64).sum::<u64>();
-        let bases = &bases;
 
-        // Serial routing pass: greedy least-projected-utilization.
+        // Routing pass: greedy least-projected-utilization.
         let mut projected: Vec<f64> = self
             .shards
             .iter()
@@ -248,44 +234,20 @@ impl ShardedAdmission {
 
         let mut decisions: Vec<Option<AdmissionDecision>> = vec![None; batch.len()];
         let busy = groups.iter().filter(|g| !g.is_empty()).count();
-        if self.parallel && busy > 1 {
+        if busy > 1 {
             self.parallel_rounds += 1;
-            // Shard engines are disjoint; scoped threads get one `&mut`
-            // engine each. Decisions land in per-shard vectors and merge
-            // deterministically by submission index afterwards.
-            let results: Vec<Vec<(usize, AdmissionDecision)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .zip(groups.iter())
-                    .map(|(engine, group)| {
-                        scope.spawn(move || {
-                            group
-                                .iter()
-                                .map(|&i| (i, engine.try_admit_with_keys(&batch[i], bases[i])))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard admission thread panicked"))
-                    .collect()
-            });
-            for (i, decision) in results.into_iter().flatten() {
+        }
+        for (shard, group) in groups.iter().enumerate() {
+            for &i in group {
+                let decision = self.shards[shard].try_admit_with_keys(&batch[i], bases[i]);
                 decisions[i] = Some(decision);
-            }
-        } else {
-            for (shard, group) in groups.iter().enumerate() {
-                for &i in group {
-                    let decision = self.shards[shard].try_admit_with_keys(&batch[i], bases[i]);
-                    decisions[i] = Some(decision);
-                }
             }
         }
 
-        // Serial spill-over: submissions the home shard rejected try the
-        // other shards in (utilization, index) order, in submission order.
+        // Spill-over, only after every home shard has decided (merging
+        // the two passes would change where a spilled submission lands):
+        // submissions the home shard rejected try the other shards in
+        // (utilization, index) order, in submission order.
         for i in 0..batch.len() {
             let rejected_here = matches!(
                 decisions[i],
@@ -407,24 +369,6 @@ mod tests {
         let bases: Vec<u32> = sharded.shards.iter().map(|e| e.cpu_base()).collect();
         assert_eq!(sizes, vec![4, 3, 3]);
         assert_eq!(bases, vec![0, 4, 7]);
-    }
-
-    #[test]
-    fn batch_decisions_are_independent_of_parallelism() {
-        let batch: Vec<Vec<TaskSpec>> = (0..16)
-            .map(|i| vec![task(&format!("t{i}"), 40 + 10 * (i % 4), 3 + i % 5, 3)])
-            .collect();
-        let run = |parallel: bool| {
-            let mut s = ShardedAdmission::new(8, 4, PartitionHeuristic::WorstFitDecreasing)
-                .with_parallel(parallel);
-            let d = s.admit_batch(&batch);
-            (d, s.resident_tasks(), format!("{:.9}", s.total_utilization()))
-        };
-        let (da, ra, ua) = run(true);
-        let (db, rb, ub) = run(false);
-        assert_eq!(da, db, "threaded and serial rounds must decide identically");
-        assert_eq!(ra, rb);
-        assert_eq!(ua, ub);
     }
 
     #[test]

@@ -12,18 +12,13 @@
 //! * **churn replay** — wall-clock and scheduling events/sec of a full
 //!   [`SessionManager`] run under a scripted arrive/depart plan, with the
 //!   end-to-end QoS the admitted tenants achieved, and
-//! * **submission storm** (`--storm`) — a seeded burst of 1 000 tenant
-//!   submissions (200 under `--quick`) against a guarded session with an
-//!   adversarial tenant overrunning 10×: deferred-admission latency
-//!   percentiles, per-reason rejection counts, and degradation-ladder
-//!   transition counts, all byte-deterministic across repeats, and
 //! * **tenant-scale sweep** (`--tenants N`) — N single-task tenants
 //!   admitted three ways on a 228-thread topology: through the
 //!   incremental [`AdmissionEngine`] (per-CPU RTA fixpoints memoised in
 //!   its [`RtaCache`](rtseed_analysis::RtaCache)), through the
 //!   full-recompute baseline (`without_cache`, re-running RTA over every
 //!   non-empty CPU per decision — the pre-cache controller's cost), and
-//!   through a parallel [`ShardedAdmission`] batch path. A decision
+//!   through [`ShardedAdmission`] in 64-submission batches. A decision
 //!   fingerprint (FNV-1a over placements and granted ODs) proves the
 //!   cached and full paths decide *identically*; the row records the
 //!   speedup.
@@ -56,36 +51,35 @@
 //! Usage:
 //!
 //! ```text
-//! churnbench [--quick] [--storm] [--tenants N] [--out PATH] [--check]
-//!            [--repeats N]
+//! churnbench [--quick] [--tenants N] [--out PATH] [--check] [--repeats N]
 //! ```
 //!
-//! `--storm` runs the storm suite *instead of* the admission/churn suites
-//! (the JSON always carries all four arrays; the ones not run are empty).
-//! `--tenants N` adds the scale sweep to the default suites; the sweep
-//! always fails hard when the incremental and full-recompute fingerprints
-//! differ. `--check` gates the sweep's same-process ratio: incremental
-//! must be at least [`MIN_SPEEDUP`]× the full-recompute baseline. It is a
-//! usage error without `--tenants` or together with `--storm` — there
-//! would be nothing to check. No absolute rate is gated: every suite
-//! asserts that its repeats reproduce the warmup's result, and that is
-//! the whole contract a noisy host can be held to.
+//! `--tenants N` adds the scale sweep to the default suites (without it
+//! the `"scale"` array is empty); the sweep always fails hard when the
+//! incremental and full-recompute fingerprints differ. `--check` gates the
+//! sweep's same-process ratio: incremental must be at least
+//! [`MIN_SPEEDUP`]× the full-recompute baseline. It is a usage error
+//! without `--tenants` — there would be nothing to check. No absolute rate
+//! is gated: every suite asserts that its repeats reproduce the warmup's
+//! result, and that is the whole contract a noisy host can be held to.
+//! The guarded submission storm is timed by `perfbench`'s `tenant_storm`
+//! workload, not here.
 
 use std::process::ExitCode;
 
 use rtseed::policy::AssignmentPolicy;
-use rtseed::serve::{GuardConfig, ServeArena, ServeOutcome, SessionManager};
+use rtseed::serve::{ServeArena, SessionManager};
 use rtseed::RunConfig;
 use rtseed_analysis::{
     AdmissionDecision, AdmissionEngine, PartitionHeuristic, ShardedAdmission,
 };
 use rtseed_bench::harness::{fnv1a, measure, timed, Args, Doc, Row, FNV_OFFSET};
 use rtseed_model::{Span, TaskSpec, Time, Topology};
-use rtseed_sim::{ChaosPlan, ChurnPlan};
+use rtseed_sim::ChurnPlan;
 
 /// `--check`: the incremental admission path must decide the scale sweep
 /// at least this many times faster than full recompute. Both rates come
-/// from one process, seconds apart, so the ratio (60–100× at 1 000
+/// from one process, seconds apart, so the ratio (about 400× at 1 000
 /// tenants) is a property of the code, not of the host.
 const MIN_SPEEDUP: f64 = 5.0;
 
@@ -147,29 +141,6 @@ fn admission_suite(repeats: usize) -> Vec<Row> {
     rows
 }
 
-/// One session replay of `plan` over `arena`, timing `run_with_churn_in`
-/// alone. The churn and storm suites both hand one arena to the warmup
-/// and every repeat: after the warmup parks its buffers no repeat
-/// cold-starts the executor, and the determinism assert in [`measure`]
-/// then exercises hot ≡ cold, a tested contract of `ServeArena`.
-fn replay(
-    (cores, smt): (u32, u32),
-    run: RunConfig,
-    guard: GuardConfig,
-    plan: &ChurnPlan,
-    arena: &mut ServeArena,
-) -> (ServeOutcome, f64) {
-    let mgr = SessionManager::new_in(
-        Topology::new(cores, smt).expect("non-degenerate"),
-        PartitionHeuristic::WorstFitDecreasing,
-        AssignmentPolicy::OneByOne,
-        run,
-        arena,
-    )
-    .with_guard(guard);
-    timed(|| mgr.run_with_churn_in(plan, arena))
-}
-
 /// A deterministic plan: `tenants` staggered arrivals 10 ms apart, the
 /// first half departing mid-run (so the survivors' optional deadlines are
 /// recomputed under load).
@@ -196,6 +167,10 @@ fn churn_suite(quick: bool, repeats: usize) -> Vec<Row> {
     let mut rows = Vec::new();
     for (name, cores, smt, tenants) in [("churn_quad_4x2", 4, 2, 12), ("churn_phi_57x4", 57, 4, 64)] {
         let plan = churn_plan(tenants);
+        // One arena for the warmup and every repeat: after the warmup parks
+        // its buffers no repeat cold-starts the executor, and the
+        // determinism assert in [`measure`] then exercises hot ≡ cold, a
+        // tested contract of `ServeArena`.
         let mut arena = ServeArena::new();
         let ((events, jobs_run, misses), t) = measure(name, repeats, || {
             let run = RunConfig {
@@ -203,9 +178,15 @@ fn churn_suite(quick: bool, repeats: usize) -> Vec<Row> {
                 seed,
                 ..RunConfig::default()
             };
-            // An unarmed guard is the session's default: a no-op here.
-            let (out, wall_ms) =
-                replay((cores, smt), run, GuardConfig::default(), &plan, &mut arena);
+            let mgr = SessionManager::new_in(
+                Topology::new(cores, smt).expect("non-degenerate"),
+                PartitionHeuristic::WorstFitDecreasing,
+                AssignmentPolicy::OneByOne,
+                run,
+                &mut arena,
+            );
+            // Timing `run_with_churn_in` alone.
+            let (out, wall_ms) = timed(|| mgr.run_with_churn_in(&plan, &mut arena));
             let qos = &out.outcome.qos;
             (
                 (out.outcome.events_processed, qos.jobs(), qos.deadline_misses()),
@@ -237,115 +218,6 @@ fn churn_suite(quick: bool, repeats: usize) -> Vec<Row> {
     rows
 }
 
-/// The adversary occupies a fat slice of one CPU and overruns its
-/// mandatory WCET 10× on every job, so the guard walks it down the whole
-/// ladder and its eviction re-offers real capacity to the deferred queue.
-fn adversary_tasks() -> Vec<TaskSpec> {
-    vec![TaskSpec::builder("adv")
-        .period(Span::from_millis(50))
-        .mandatory(Span::from_millis(10))
-        .windup(Span::from_millis(10))
-        .optional_parts(1, Span::from_millis(5))
-        .build()
-        .expect("benchmark spec is valid")]
-}
-
-/// The guarded storm: `submissions` seeded arrivals in the first 500 ms,
-/// departure waves from 600 ms re-offering capacity to the deferred
-/// queue, the adversary walking the ladder throughout.
-///
-/// At this density (~50 resident tenants on 8 threads) the calibrated
-/// scheduling overheads — which the RMWP admission analysis deliberately
-/// does not model — can push a handful of wind-up completions a few
-/// hundred µs past their deadline, so `misses` is small but non-zero and
-/// the ladder's shed → recover hysteresis is exercised on well-behaved
-/// tenants too (visible as `recoveries > 0`).
-fn storm_plan(seed: u64, submissions: usize) -> ChaosPlan {
-    let mut plan = ChaosPlan::adversarial_storm(
-        seed,
-        adversary_tasks(),
-        10.0,
-        submissions,
-        Span::from_millis(500),
-        tenant_tasks,
-    );
-    let mut churn = std::mem::take(&mut plan.churn);
-    for i in 0..submissions / 4 {
-        // Departures of storm tenants that never got in are no-ops; the
-        // admitted ones free capacity for deferred retries.
-        churn = churn.depart(
-            Time::from_nanos(600_000_000 + i as u64 * 5_000_000),
-            format!("s{i}"),
-        );
-    }
-    plan.churn = churn;
-    plan
-}
-
-/// Everything about a storm run that must replay identically, as the
-/// row it is written as: [`measure`] compares whole rows.
-fn storm_counters(row: Row, out: &ServeOutcome) -> Row {
-    let c = &out.counters;
-    let h = &out.deferred_latency;
-    let rejected = Row::new()
-        .int("capacity", c.rejected_capacity)
-        .int("queue_full", c.rejected_queue_full)
-        .int("deadline", c.rejected_deadline)
-        .int("evicted", c.rejected_evicted);
-    let ladder = Row::new()
-        .int("sheds", c.sheds)
-        .int("quarantines", c.quarantines)
-        .int("evictions", c.evictions)
-        .int("recoveries", c.recoveries);
-    let latency = Row::new()
-        .int("count", h.count())
-        .int("p50", h.quantile_bound(0.5))
-        .int("p90", h.quantile_bound(0.9))
-        .int("p99", h.quantile_bound(0.99))
-        .int("max", h.max());
-    row.int("admitted", c.admissions)
-        .int("deferred", c.deferred_submissions)
-        .int("deferred_admitted", c.deferred_admissions)
-        .int("admission_rounds", c.admission_rounds)
-        .raw("rejected", rejected)
-        .raw("ladder", ladder)
-        .raw("deferred_latency_ns", latency)
-        .int("events", out.outcome.events_processed)
-        .int("jobs", out.outcome.qos.jobs())
-        .int("misses", out.outcome.qos.deadline_misses())
-}
-
-fn storm_suite(quick: bool, repeats: usize) -> Vec<Row> {
-    let (name, cores, smt, seed) = ("storm_quad_4x2", 4, 2, 0);
-    let (submissions, jobs) = if quick { (200, 12) } else { (1000, 20) };
-    let plan = storm_plan(seed, submissions);
-    let config = machine(cores, smt)
-        .int("submissions", submissions)
-        .int("jobs", jobs)
-        .int("seed", seed);
-    let head = Row::new().str("bench", name).raw("config", config);
-    let mut arena = ServeArena::new();
-    let (counters, t) = measure(name, repeats, || {
-        let run = RunConfig {
-            jobs,
-            seed,
-            fault_plan: plan.faults.clone(),
-            ..RunConfig::default()
-        };
-        let guard = GuardConfig {
-            queue_depth: 256,
-            ..GuardConfig::armed()
-        };
-        let (out, wall_ms) = replay((cores, smt), run, guard, &plan.churn, &mut arena);
-        (storm_counters(head.clone(), &out), wall_ms)
-    });
-    println!(
-        "{name:>16}: median {:>8.3} ms, best {:>8.3} ms (n={repeats})\n{counters}",
-        t.wall_ms, t.wall_ms_min
-    );
-    vec![counters.timing(&t, None)]
-}
-
 // ----- tenant-scale sweep: incremental vs full-recompute vs sharded -------
 
 /// How one scale row drives the admission control.
@@ -356,7 +228,7 @@ enum ScaleMode {
     /// `AdmissionEngine::without_cache()`: every decision re-runs RTA
     /// over every non-empty CPU — the pre-cache controller's cost.
     FullRecompute,
-    /// [`ShardedAdmission`] admitting in parallel batches.
+    /// [`ShardedAdmission`] admitting in batches.
     Sharded { shards: usize, batch: usize },
 }
 
@@ -492,7 +364,6 @@ fn scale_suite(tenants: usize, repeats: usize) -> Result<(Vec<Row>, f64), String
 fn main() -> ExitCode {
     let mut args = Args::from_env("churnbench");
     let quick = args.flag("--quick");
-    let storm_mode = args.flag("--storm");
     let check = args.flag("--check");
     let tenants: Option<usize> = args.value("--tenants");
     let out_path = args
@@ -500,36 +371,24 @@ fn main() -> ExitCode {
         .unwrap_or_else(|| String::from("BENCH_churnbench.json"));
     let repeats = args.value("--repeats").unwrap_or(if quick { 3 } else { 5 });
     let mut usage = args.finish();
-    if usage.is_ok() && check && (storm_mode || tenants.is_none()) {
-        usage = Err("churnbench: --check gates the --tenants N sweep; \
-                     give --tenants and drop --storm"
-            .to_string());
+    if usage.is_ok() && check && tenants.is_none() {
+        usage = Err("churnbench: --check gates the --tenants N sweep; give --tenants".to_string());
     }
     if let Err(usage) = usage {
         eprintln!("{usage}");
         return ExitCode::FAILURE;
     }
-    let mode = match (storm_mode, quick) {
-        (true, true) => "storm-quick",
-        (true, false) => "storm",
-        (false, true) => "quick",
-        (false, false) => "full",
-    };
+    let mode = if quick { "quick" } else { "full" };
 
-    let (mut adm, mut churn, mut storm, mut scale) = (vec![], vec![], vec![], vec![]);
-    let mut speedup = None;
-    if storm_mode {
-        storm = storm_suite(quick, repeats);
-    } else {
-        adm = admission_suite(repeats);
-        churn = churn_suite(quick, repeats);
-        if let Some(n) = tenants {
-            match scale_suite(n, repeats) {
-                Ok((rows, ratio)) => (scale, speedup) = (rows, Some(ratio)),
-                Err(diverged) => {
-                    eprintln!("churnbench: FATAL — {diverged}");
-                    return ExitCode::FAILURE;
-                }
+    let adm = admission_suite(repeats);
+    let churn = churn_suite(quick, repeats);
+    let (mut scale, mut speedup) = (vec![], None);
+    if let Some(n) = tenants {
+        match scale_suite(n, repeats) {
+            Ok((rows, ratio)) => (scale, speedup) = (rows, Some(ratio)),
+            Err(diverged) => {
+                eprintln!("churnbench: FATAL — {diverged}");
+                return ExitCode::FAILURE;
             }
         }
     }
@@ -537,7 +396,6 @@ fn main() -> ExitCode {
     let json = Doc::new("churnbench", mode)
         .array("admission", &adm)
         .array("churn", &churn)
-        .array("storm", &storm)
         .array("scale", &scale)
         .finish();
     std::fs::write(&out_path, json).expect("write benchmark output");

@@ -43,7 +43,7 @@ pub use crate::termination::TerminationMode;
 
 pub use rtseed_analysis::PartitionHeuristic;
 pub use rtseed_model::{
-    HwThreadId, JobId, OptionalOutcome, PartId, QosSummary, SessionId, Span, TaskId, TaskSet,
+    HwThreadId, JobId, OptionalOutcome, PartId, QosSummary, Span, TaskId, TaskSet,
     TaskSpec, TenantId, TenantState, Time, Topology,
 };
 pub use rtseed_sim::{BackgroundLoad, Calibration, ChurnPlan, FaultPlan, OverheadKind};

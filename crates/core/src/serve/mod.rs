@@ -60,20 +60,13 @@
 //!
 //! ## Admission at tenant scale
 //!
-//! [`SessionManager::with_shards`] splits admission control across
-//! disjoint contiguous CPU partitions
-//! ([`ShardedAdmission`](rtseed_analysis::ShardedAdmission)). Batched
-//! entry points — [`SessionManager::submit_batch`] and every
-//! deferred-queue admission round — then analyze submissions routed to
-//! different shards on separate OS threads. Routing, key allocation, and
-//! decision merging are all fixed by submission order, so a run is
-//! byte-deterministic for any given shard count, and the thread fan-out
-//! itself never changes a verdict — only
-//! [`ServeCounters::parallel_admission_rounds`] and wall-clock time.
-//! With the default single shard the batched paths reproduce the
-//! unsharded submission path exactly; more shards may *place* tasks on
-//! different CPUs (each shard packs its own range), without changing
-//! what is admissible.
+//! Every admission test runs on the caller's thread through one
+//! [`AdmissionEngine`](rtseed_analysis::AdmissionEngine), which re-analyzes
+//! only the CPUs a decision touches. The batched entry points —
+//! [`SessionManager::submit_batch`] and every deferred-queue admission
+//! round — gate every entry, then test every admissible entry, then apply
+//! the verdicts, all in submission order, so they reproduce submitting
+//! the entries one at a time exactly.
 //!
 //! ## Determinism
 //!
@@ -359,16 +352,21 @@ mod tests {
         assert_eq!(first, Time::from_nanos(150_000_000));
     }
 
-    // ----- sharded, batched admission --------------------------------------
+    // ----- batched admission -----------------------------------------------
 
     #[test]
     fn batch_submission_matches_sequential_submission() {
         // Nine heavies onto eight threads: eight admitted, one rejected —
         // identical verdicts, tenant table, and full trace whether the
-        // entries arrive one at a time or as one batch.
-        let subs: Vec<(String, Vec<TaskSpec>)> = (0..9)
+        // entries arrive one at a time or as one batch. In the middle, a
+        // nine-task set that fits nowhere (it takes nine keys with it) and
+        // an empty one (it takes none).
+        let mut subs: Vec<(String, Vec<TaskSpec>)> = (0..9)
             .map(|i| (format!("t{i}"), heavy(&format!("h{i}"))))
             .collect();
+        let crowd = (0..9).flat_map(|i| heavy(&format!("c{i}"))).collect();
+        subs.insert(4, ("crowd".to_owned(), crowd));
+        subs.insert(5, ("nobody".to_owned(), Vec::new()));
         let mut seq = manager(2);
         let seq_subs: Vec<Submission> = subs
             .iter()
@@ -377,6 +375,19 @@ mod tests {
         let mut bat = manager(2);
         let bat_subs = bat.submit_batch(&subs);
         assert_eq!(seq_subs, bat_subs);
+        assert!(matches!(
+            seq_subs[4],
+            Submission::Rejected(RejectReason::Unschedulable { .. })
+        ));
+        assert_eq!(
+            seq_subs[5],
+            Submission::Rejected(RejectReason::EmptySubmission)
+        );
+        // The tenant admitted right after the two failures leaves under
+        // the keys it was bound with.
+        assert!(seq.depart("t4") && bat.depart("t4"));
+        assert_eq!(bat.admitted_tenants(), 7);
+        assert_eq!(seq.total_utilization(), bat.total_utilization());
         assert_eq!(seq.counters(), bat.counters());
         let x = seq.run();
         let y = bat.run();
@@ -385,46 +396,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_session_is_deterministic_and_decision_equivalent() {
-        // Four shards over eight threads: the thread fan-out never changes
-        // a verdict (same admitted set as unsharded, byte-identical
-        // replay), though placements may differ since each shard packs its
-        // own CPU range.
-        let subs: Vec<(String, Vec<TaskSpec>)> = (0..8)
-            .map(|i| (format!("t{i}"), light(&format!("τ{i}"))))
-            .collect();
-        let run_with = |shards: usize| {
-            let mut mgr = manager(3).with_shards(shards);
-            assert_eq!(mgr.shard_count(), shards);
-            let subs_out = mgr.submit_batch(&subs);
-            (subs_out, mgr.run())
-        };
-        let (s1, x) = run_with(1);
-        let (s4, y) = run_with(4);
-        let (s4b, yb) = run_with(4);
-        // Same verdicts regardless of sharding; all eight fit either way.
-        assert_eq!(s1, s4);
-        assert!(s4.iter().all(|s| matches!(s, Submission::Admitted(_))));
-        assert_eq!(x.counters.admissions, y.counters.admissions);
-        assert_eq!(x.outcome.qos.jobs(), y.outcome.qos.jobs());
-        assert_eq!(y.outcome.qos.deadline_misses(), 0);
-        // Byte-deterministic replay at a fixed shard count.
-        assert_eq!(s4, s4b);
-        assert_eq!(y.outcome.trace, yb.outcome.trace);
-        assert_eq!(y.counters, yb.counters);
-        // The fan-out is observable only through its counter.
-        assert_eq!(x.counters.parallel_admission_rounds, 0);
-        assert!(y.counters.parallel_admission_rounds >= 1, "4-way batch fans out");
-    }
-
-    #[test]
-    fn with_shards_after_a_submission_panics() {
-        let result = std::panic::catch_unwind(|| {
-            let mut mgr = manager(1);
-            mgr.submit("t", &light("τ")).unwrap();
-            mgr.with_shards(2)
-        });
-        assert!(result.is_err());
+    #[should_panic(expected = "set the policy before admitting")]
+    fn placement_policy_after_a_submission_panics() {
+        let mut mgr = manager(1);
+        mgr.submit("t", &light("τ")).unwrap();
+        let _ = mgr.with_placement_policy(rtseed_analysis::PlacementPolicy::SemiPartitioned);
     }
 
     // ----- tenant guard ---------------------------------------------------

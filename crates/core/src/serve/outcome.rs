@@ -1,7 +1,7 @@
 //! Results of a serving run: decision counters, per-tenant outcomes, and
 //! the aggregate [`ServeOutcome`].
 
-use rtseed_model::{QosSummary, SessionId, TaskId, TenantId, TenantState};
+use rtseed_model::{QosSummary, TaskId, TenantId, TenantState};
 
 use crate::executor::Outcome;
 use crate::obs::{Histogram, Trace, TraceEvent};
@@ -46,8 +46,8 @@ pub struct ServeCounters {
     pub deferred_admissions: u64,
     /// Batched admission rounds run over a non-empty deferred queue.
     pub admission_rounds: u64,
-    /// Admission rounds that fanned out across ≥ 2 shards on OS threads
-    /// (always zero with the default single shard).
+    /// Always 0: admission runs on the caller's thread through one engine.
+    /// The field stays because the benchmark's digest names it.
     pub parallel_admission_rounds: u64,
     /// Guard ladder escalations to
     /// [`LadderRung::Shed`](super::LadderRung::Shed).
@@ -67,8 +67,6 @@ pub struct ServeCounters {
 pub struct TenantOutcome {
     /// The tenant's identity (submission order).
     pub tenant: TenantId,
-    /// The session under which it was served.
-    pub session: SessionId,
     /// The name it submitted under.
     pub name: String,
     /// Terminal lifecycle state (`Rejected`, `Departed`, or — for tenants

@@ -5,12 +5,10 @@
 use std::collections::VecDeque;
 
 use rtseed_analysis::{
-    Admission, OdUpdate, PartitionHeuristic, PlacementKind, PlacementPolicy,
-    ShardedAdmission, TaskKey,
+    Admission, AdmissionEngine, OdUpdate, PartitionHeuristic, PlacementKind, PlacementPolicy,
+    TaskKey,
 };
-use rtseed_model::{
-    Priority, SessionId, Span, TaskId, TaskSpec, TenantId, TenantState, Time, Topology,
-};
+use rtseed_model::{Priority, Span, TaskId, TaskSpec, TenantId, TenantState, Time, Topology};
 use rtseed_sim::{ChurnAction, ChurnPlan};
 
 use crate::des::{Driver, Partitioned};
@@ -52,7 +50,6 @@ pub(super) struct Binding {
 #[derive(Debug)]
 pub(super) struct Tenant {
     pub(super) id: TenantId,
-    pub(super) session: SessionId,
     pub(super) name: String,
     pub(super) state: TenantState,
     pub(super) tasks: Vec<Binding>,
@@ -71,8 +68,7 @@ pub struct SessionManager {
     pub(super) run: RunConfig,
     /// Clock, event queue, engine and per-CPU run state.
     pub(super) des: Driver<Partitioned>,
-    pub(super) ctl: ShardedAdmission,
-    pub(super) heuristic: PartitionHeuristic,
+    pub(super) ctl: AdmissionEngine,
     pub(super) tenants: Vec<Tenant>,
     /// Positions in `tenants` of the admitted (not departed) ones, sorted
     /// by `(name, position)`: the most recent admitted tenant of a name is
@@ -129,8 +125,7 @@ impl SessionManager {
         SessionManager {
             topology,
             policy,
-            ctl: ShardedAdmission::new(topology.hw_threads() as usize, 1, heuristic),
-            heuristic,
+            ctl: AdmissionEngine::new(topology.hw_threads() as usize, heuristic),
             run,
             des,
             tenants: Vec::new(),
@@ -165,44 +160,6 @@ impl SessionManager {
         self
     }
 
-    /// Splits admission control across `shards` disjoint CPU partitions
-    /// (contiguous ranges, sizes differing by at most one), so batched
-    /// admission rounds over the deferred queue — and
-    /// [`SessionManager::submit_batch`] — analyze disjoint shards on
-    /// separate OS threads. Runs stay byte-deterministic for any given
-    /// shard count (the thread fan-out never changes a decision), and the
-    /// default of one shard reproduces the unsharded admission path
-    /// exactly; more shards may place tasks on different CPUs, since each
-    /// shard packs its own range.
-    ///
-    /// Call before the first submission.
-    ///
-    /// # Panics
-    ///
-    /// Panics if tasks are already resident, `shards` is zero, or there
-    /// are more shards than hardware threads.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> SessionManager {
-        assert_eq!(
-            self.ctl.resident_tasks(),
-            0,
-            "set the shard count before the first submission"
-        );
-        self.ctl = ShardedAdmission::new(
-            self.topology.hw_threads() as usize,
-            shards,
-            self.heuristic,
-        )
-        .with_placement(self.ctl.placement_policy());
-        self
-    }
-
-    /// Number of admission shards (1 unless
-    /// [`SessionManager::with_shards`] was used).
-    pub fn shard_count(&self) -> usize {
-        self.ctl.shard_count()
-    }
-
     /// Admits under `placement` instead of the default plain partitioned
     /// placement: [`PlacementPolicy::SemiPartitioned`] splits a task that
     /// fits nowhere whole across two CPUs (its jobs alternate hosts at
@@ -219,17 +176,7 @@ impl SessionManager {
     /// Panics if tasks are already resident.
     #[must_use]
     pub fn with_placement_policy(mut self, placement: PlacementPolicy) -> SessionManager {
-        assert_eq!(
-            self.ctl.resident_tasks(),
-            0,
-            "set the placement policy before the first submission"
-        );
-        self.ctl = ShardedAdmission::new(
-            self.topology.hw_threads() as usize,
-            self.ctl.shard_count(),
-            self.heuristic,
-        )
-        .with_placement(placement);
+        self.ctl = self.ctl.with_placement(placement);
         self
     }
 
@@ -288,7 +235,6 @@ impl SessionManager {
         admission: Admission,
     ) -> TenantId {
         let tenant = TenantId(self.tenants.len() as u32);
-        let session = SessionId(tenant.0 as u64);
         self.counters.admissions += 1;
         self.des.eng.trace(
             self.des.now,
@@ -345,7 +291,6 @@ impl SessionManager {
         let pos = self.tenants.len();
         self.tenants.push(Tenant {
             id: tenant,
-            session,
             name,
             state: TenantState::Admitted,
             tasks: bound,
@@ -601,7 +546,6 @@ impl SessionManager {
             .into_iter()
             .map(|t| TenantOutcome {
                 tenant: t.id,
-                session: t.session,
                 state: t.state,
                 tasks: t
                     .tasks

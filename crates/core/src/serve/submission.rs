@@ -1,11 +1,10 @@
 //! The submission path: direct and storm-safe submission, the bounded
-//! deferred-admission queue, and batched admission rounds over the
-//! sharded admission control.
+//! deferred-admission queue, and batched admission rounds.
 
 use std::collections::VecDeque;
 
 use rtseed_analysis::{Admission, AdmissionDecision};
-use rtseed_model::{SessionId, Span, TaskSpec, TenantId, TenantState, Time};
+use rtseed_model::{Span, TaskSpec, TenantId, TenantState, Time};
 
 use crate::obs::TraceEvent;
 
@@ -80,15 +79,13 @@ impl SessionManager {
         self.submit_one(name.into(), tasks, true)
     }
 
-    /// Submits many tenants in one batched admission round: entries
-    /// routed to disjoint admission shards are analyzed in parallel on OS
-    /// threads (when [`SessionManager::with_shards`] armed more than one
-    /// shard), and each entry gets exactly the verdict
-    /// [`SessionManager::submit_or_defer`] would have produced for the
-    /// same arrival order — admissions bind, guard-barred and hopeless
+    /// Submits many tenants in one batched admission round: every entry
+    /// is gated, then every admissible entry is tested, then the verdicts
+    /// are applied, all in submission order. Each entry gets exactly the
+    /// verdict [`SessionManager::submit_or_defer`] would have produced for
+    /// the same arrival order — admissions bind, guard-barred and hopeless
     /// entries are rejected, capacity failures defer when the guard is
-    /// armed. Results, tenant ids, traces, and the deferred queue all
-    /// follow submission order regardless of the shard fan-out.
+    /// armed.
     pub fn submit_batch(
         &mut self,
         submissions: &[(String, Vec<TaskSpec>)],
@@ -99,7 +96,7 @@ impl SessionManager {
             self.counters.submissions += 1;
             let gate = self.gate(name);
             if gate.is_ok() {
-                batch.push(tasks.clone());
+                batch.push(tasks.as_slice());
             }
             gates.push(gate);
         }
@@ -159,12 +156,14 @@ impl SessionManager {
         }
     }
 
-    /// One batched admission test (disjoint shards analyze in parallel
-    /// when more than one is armed); the decisions come back in batch
+    /// One batched admission test: every entry is tested, in batch order,
+    /// before any verdict is applied; the decisions come back in batch
     /// order.
-    fn admit_batch(&mut self, batch: &[Vec<TaskSpec>]) -> impl Iterator<Item = AdmissionDecision> {
-        let decisions = self.ctl.admit_batch(batch);
-        self.counters.parallel_admission_rounds = self.ctl.parallel_rounds();
+    fn admit_batch(&mut self, batch: &[&[TaskSpec]]) -> impl Iterator<Item = AdmissionDecision> {
+        let decisions: Vec<_> = batch
+            .iter()
+            .map(|tasks| self.ctl.try_admit(tasks))
+            .collect();
         decisions.into_iter()
     }
 
@@ -181,11 +180,9 @@ impl SessionManager {
             RejectReason::RetryDeadline => self.counters.rejected_deadline += 1,
         }
         let tenant = TenantId(self.tenants.len() as u32);
-        let session = SessionId(tenant.0 as u64);
         self.des.eng.trace(self.des.now, TraceEvent::TenantRejected { tenant, reason });
         self.tenants.push(Tenant {
             id: tenant,
-            session,
             name,
             state: TenantState::Rejected,
             tasks: Vec::new(),
@@ -226,10 +223,10 @@ impl SessionManager {
     /// back off exponentially until their retry deadline.
     ///
     /// The round runs in three passes: (1) gate every queue entry without
-    /// testing anything, (2) hand the testable entries to the sharded
-    /// admission control as **one batch** and (3) apply the verdicts in
-    /// queue order, so counters, tenant ids, traces, and the surviving
-    /// queue are byte-identical to testing the entries one at a time.
+    /// testing anything, (2) test the testable entries as **one batch**
+    /// and (3) apply the verdicts in queue order, so counters, tenant
+    /// ids, traces, and the surviving queue are byte-identical to testing
+    /// the entries one at a time.
     pub(super) fn admission_round(&mut self, force: bool) {
         if self.deferred.is_empty() {
             return;
@@ -242,7 +239,7 @@ impl SessionManager {
         for d in &queue {
             let gate = (force || d.next_retry <= self.des.now).then(|| self.gate(&d.name));
             if gate == Some(Ok(())) {
-                batch.push(d.tasks.clone());
+                batch.push(d.tasks.as_slice());
             }
             gates.push(gate);
         }

@@ -129,19 +129,6 @@ impl fmt::Display for TenantId {
     }
 }
 
-/// A serving session: one admission-controlled lifetime of a
-/// `SessionManager`, spanning many tenants. Monotonically assigned.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
-pub struct SessionId(pub u64);
-
-impl fmt::Display for SessionId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "session{}", self.0)
-    }
-}
-
 /// A SCHED_FIFO priority level in `1..=99` (larger is higher, paper §IV-B).
 ///
 /// RT-Seed partitions the range into bands:

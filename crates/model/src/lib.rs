@@ -48,7 +48,7 @@ pub mod task;
 pub mod time;
 pub mod topology;
 
-pub use ids::{CoreId, HwThreadId, JobId, PartId, Priority, SessionId, TaskId, TenantId};
+pub use ids::{CoreId, HwThreadId, JobId, PartId, Priority, TaskId, TenantId};
 pub use qos::{QosRecord, QosSummary};
 pub use state::{JobPhase, OptionalOutcome, PartKind, TenantState};
 pub use task::{TaskSet, TaskSetError, TaskSpec, TaskSpecBuilder};

@@ -31,7 +31,6 @@ use crate::ids::{CoreId, HwThreadId};
 pub struct Topology {
     cores: u32,
     smt_per_core: u32,
-    l2_bytes_per_core: u64,
 }
 
 /// Error constructing a topology.
@@ -60,7 +59,6 @@ impl Topology {
         Ok(Topology {
             cores,
             smt_per_core,
-            l2_bytes_per_core: 512 * 1024,
         })
     }
 
@@ -70,7 +68,6 @@ impl Topology {
         Topology {
             cores: 57,
             smt_per_core: 4,
-            l2_bytes_per_core: 512 * 1024,
         }
     }
 
@@ -79,7 +76,6 @@ impl Topology {
         Topology {
             cores: 4,
             smt_per_core: 2,
-            l2_bytes_per_core: 512 * 1024,
         }
     }
 
@@ -88,7 +84,6 @@ impl Topology {
         Topology {
             cores: 1,
             smt_per_core: 1,
-            l2_bytes_per_core: 512 * 1024,
         }
     }
 
@@ -108,20 +103,6 @@ impl Topology {
     #[inline]
     pub const fn hw_threads(&self) -> u32 {
         self.cores * self.smt_per_core
-    }
-
-    /// L2 cache size per core in bytes (512 KiB on the Xeon Phi 3120A; the
-    /// paper's CPU-Memory load reads/writes exactly this much to pollute it).
-    #[inline]
-    pub const fn l2_bytes_per_core(&self) -> u64 {
-        self.l2_bytes_per_core
-    }
-
-    /// Returns a copy with a different per-core L2 size.
-    #[must_use]
-    pub const fn with_l2_bytes_per_core(mut self, bytes: u64) -> Topology {
-        self.l2_bytes_per_core = bytes;
-        self
     }
 
     /// The core owning hardware thread `h` (core-major numbering).
@@ -199,7 +180,6 @@ mod tests {
         assert_eq!(t.cores(), 57);
         assert_eq!(t.smt_per_core(), 4);
         assert_eq!(t.hw_threads(), 228);
-        assert_eq!(t.l2_bytes_per_core(), 512 * 1024);
     }
 
     #[test]
@@ -250,12 +230,6 @@ mod tests {
         let t = Topology::quad_core_smt2();
         assert_eq!(t.hw_thread_ids().count(), 8);
         assert_eq!(t.core_ids().count(), 4);
-    }
-
-    #[test]
-    fn l2_override() {
-        let t = Topology::uniprocessor().with_l2_bytes_per_core(1024);
-        assert_eq!(t.l2_bytes_per_core(), 1024);
     }
 
     #[test]

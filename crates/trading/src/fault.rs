@@ -13,8 +13,9 @@
 //! * [`FeedWatchdog`] — the defence: validates every tick with
 //!   [`Tick::validate`], retries stalls with bounded exponential backoff,
 //!   and, after too many consecutive dropouts, trips a latched
-//!   [`KillSwitch`] that the [`RiskManager`](crate::risk::RiskManager)
-//!   observes to veto all further orders.
+//!   [`KillSwitch`]: from then on [`FeedWatchdog::poll`] returns
+//!   [`FeedError::KillSwitch`] and `next_tick` returns `None`, so the
+//!   consumer sees no tick and places no order.
 //!
 //! The escalation ladder mirrors the scheduler core's overload
 //! supervisor: *retry* (absorb transients) → *dropout* (abstain this
@@ -320,10 +321,9 @@ impl<S: TickSource> TickSource for FaultyFeed<S> {
 /// A latched, shareable trading halt: the last rung of the feed-fault
 /// escalation ladder.
 ///
-/// The [`FeedWatchdog`] trips it after too many consecutive dropouts; a
-/// [`RiskManager`](crate::risk::RiskManager) holding a clone of the same
-/// `Arc<KillSwitch>` then vetoes every order until a manual
-/// [`reset`](KillSwitch::reset).
+/// The [`FeedWatchdog`] trips it after too many consecutive dropouts and
+/// from then on delivers no tick, so a trader on that feed places no
+/// order until a manual [`reset`](KillSwitch::reset).
 #[derive(Debug, Default)]
 pub struct KillSwitch(AtomicBool);
 
@@ -343,8 +343,7 @@ impl KillSwitch {
         self.0.load(Ordering::SeqCst)
     }
 
-    /// Clears the switch (manual intervention, like
-    /// [`RiskManager::reset_halt`](crate::risk::RiskManager::reset_halt)).
+    /// Clears the switch (manual intervention).
     pub fn reset(&self) {
         self.0.store(false, Ordering::SeqCst);
     }
@@ -526,8 +525,7 @@ impl<S: TickSource> FeedWatchdog<S> {
         }
     }
 
-    /// A handle to the kill switch, to share with a
-    /// [`RiskManager`](crate::risk::RiskManager).
+    /// A handle to the kill switch, for whoever monitors or resets it.
     pub fn kill_switch(&self) -> Arc<KillSwitch> {
         Arc::clone(&self.kill)
     }

@@ -205,18 +205,21 @@ impl ImpreciseTrader {
 
     /// **Mandatory part**: pulls the next tick, resets this cycle's
     /// opinions and publishes the tick to the venue. Returns `false` when
-    /// the feed is exhausted.
+    /// the feed has no tick (exhausted, dropout, kill switch): the cycle
+    /// then has no tick and no opinions, so its analyses abstain and its
+    /// wind-up waits, whether or not the caller reads the return value.
     pub fn ingest(&self) -> bool {
-        let Some(tick) = self.feed.lock().expect("feed lock").next_tick() else {
-            return false;
-        };
-        self.trace_stage(PipelineStage::Ingest, None);
-        *self.current_tick.lock().expect("tick lock") = Some(tick);
+        let tick = self.feed.lock().expect("feed lock").next_tick();
+        *self.current_tick.lock().expect("tick lock") = tick;
         self.opinions
             .lock()
             .expect("opinions lock")
             .iter_mut()
             .for_each(|o| *o = None);
+        let Some(tick) = tick else {
+            return false;
+        };
+        self.trace_stage(PipelineStage::Ingest, None);
         self.venue.lock().expect("venue lock").on_tick(tick);
         true
     }
@@ -422,6 +425,42 @@ mod tests {
         assert!(t.run_cycle_synchronous().is_some());
         assert!(t.run_cycle_synchronous().is_some());
         assert!(t.run_cycle_synchronous().is_none());
+    }
+
+    #[test]
+    fn a_cycle_with_no_tick_places_no_order() {
+        /// Buys on every tick it sees.
+        struct AlwaysBid(bool);
+        impl Strategy for AlwaysBid {
+            fn on_tick(&mut self, _: &Tick) {
+                self.0 = true;
+            }
+            fn signal(&self) -> Option<Signal> {
+                self.0.then_some(Signal::Bid)
+            }
+            fn name(&self) -> &str {
+                "always-bid"
+            }
+        }
+        let two_ticks = crate::market::collect_ticks(&mut SyntheticFeed::eur_usd(1), 2);
+        let t = ImpreciseTrader::new(
+            Box::new(crate::market::ReplayFeed::new(two_ticks)),
+            vec![Box::new(AlwaysBid(false))],
+            SignalAggregator::new(1),
+            PaperVenue::new(ExecutionConfig::default()),
+            1.0,
+        );
+        // The three stages as `task_body` runs them: the mandatory part's
+        // return value is dropped.
+        let job = || {
+            let _ = t.ingest();
+            t.analyze(0, &|| false);
+            t.decide()
+        };
+        assert_eq!((job(), job()), (Signal::Bid, Signal::Bid));
+        // Two jobs past the end of the feed.
+        assert_eq!((job(), job()), (Signal::Wait, Signal::Wait));
+        assert_eq!(t.venue_snapshot().fills().len(), 2);
     }
 
     #[test]

@@ -20,12 +20,10 @@
 //!   decision");
 //! * [`execution`] — a paper-trading venue with spread/slippage and P&L
 //!   accounting;
-//! * [`risk`] — O(1) risk checks (position limits, drawdown guard,
-//!   volatility sizing) that fit in the wind-up part's WCET budget;
 //! * [`fault`] — deterministic feed-fault injection (stalls, gaps,
 //!   out-of-order and NaN ticks) plus the defence: a validating stall
 //!   watchdog with bounded retry/backoff that escalates sustained failure
-//!   to a risk kill-switch;
+//!   to a kill switch, after which the feed delivers no tick;
 //! * [`imprecise`] — the adapter that maps a full trading pipeline onto an
 //!   RT-Seed task: mandatory = ingest tick, parallel optional = analyses,
 //!   wind-up = aggregate and trade.
@@ -39,7 +37,6 @@ pub mod fundamentals;
 pub mod imprecise;
 pub mod indicators;
 pub mod market;
-pub mod risk;
 pub mod strategy;
 
 pub use execution::{ExecutionConfig, Fill, Order, PaperVenue, Position, Side};

@@ -10,9 +10,7 @@
 
 use proptest::prelude::*;
 use rtseed_analysis::rmwp::RmwpAnalysis;
-use rtseed_analysis::{
-    AdmissionDecision, AdmissionEngine, PartitionHeuristic, ShardedAdmission, TaskKey,
-};
+use rtseed_analysis::{AdmissionDecision, AdmissionEngine, PartitionHeuristic, TaskKey};
 use rtseed_model::{Span, TaskId, TaskSet, TaskSpec};
 
 /// A small palette of schedulable shapes; (period, mandatory, windup) in
@@ -226,45 +224,6 @@ proptest! {
     fn incremental_admission_equals_full_recompute_ffd(raw in raw_ops(24)) {
         let ops: Vec<Op> = raw.into_iter().map(decode_op).collect();
         run_differential(&ops, 4, PartitionHeuristic::FirstFitDecreasing);
-    }
-
-    /// Sharded batches: the OS-thread fan-out never changes a decision —
-    /// parallel and serial execution of the same sharding are
-    /// byte-identical, entry for entry.
-    #[test]
-    fn sharded_batches_are_parallelism_invariant(
-        batches in prop::collection::vec(
-            prop::collection::vec((0usize..PALETTE.len(), 0usize..PALETTE.len(), 0usize..2), 1..6),
-            1..4),
-        shards in 1usize..4,
-    ) {
-        let cpus = 8;
-        let mut par = ShardedAdmission::new(cpus, shards, PartitionHeuristic::WorstFitDecreasing);
-        let mut ser = ShardedAdmission::new(cpus, shards, PartitionHeuristic::WorstFitDecreasing)
-            .with_parallel(false);
-        let mut serial = 0u64;
-        for round in &batches {
-            let batch: Vec<Vec<TaskSpec>> = round
-                .iter()
-                .map(|&(s1, s2, extra)| {
-                    let shapes = if extra == 0 { vec![s1] } else { vec![s1, s2] };
-                    shapes
-                        .iter()
-                        .map(|&s| {
-                            serial += 1;
-                            spec_from_palette(&format!("t{serial}"), s)
-                        })
-                        .collect()
-                })
-                .collect();
-            let a = par.admit_batch(&batch);
-            let b = ser.admit_batch(&batch);
-            prop_assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_same_decision(x, y);
-            }
-            prop_assert_eq!(par.resident_tasks(), ser.resident_tasks());
-        }
     }
 }
 

@@ -1,6 +1,5 @@
 //! Integration tests for the extension modules: the G-RMWP global executor
-//! (§IV-B ablation), the Fig. 3 profiles, and the risk-managed trading
-//! pipeline.
+//! (§IV-B ablation) and the Fig. 3 profiles.
 
 use rtseed::config::SystemConfig;
 use rtseed::exec_global::GlobalExecutor;
@@ -62,47 +61,4 @@ fn fig3_semi_fixed_creates_the_pre_decision_window() {
     // Both complete all real-time work by the deadline.
     assert_eq!(general.remaining_at(Span::from_secs(1)), Span::ZERO);
     assert_eq!(semi.remaining_at(Span::from_secs(1)), Span::ZERO);
-}
-
-#[test]
-fn risk_manager_guards_the_trading_pipeline() {
-    use rtseed_trading::execution::{ExecutionConfig, Order, PaperVenue, Side};
-    use rtseed_trading::market::{SyntheticFeed, TickSource};
-    use rtseed_trading::risk::{RiskLimits, RiskManager, RiskVerdict};
-    use rtseed_trading::strategy::Signal;
-
-    let mut venue = PaperVenue::new(ExecutionConfig::default());
-    let mut risk = RiskManager::new(RiskLimits {
-        max_position: 2.0,
-        max_drawdown: 10.0,
-        base_order: 1.0,
-        vol_target: 0.0,
-    });
-    let mut feed = SyntheticFeed::eur_usd(5);
-    let mut vetoed = 0;
-    let mut approved = 0;
-    for _ in 0..50 {
-        let tick = feed.next_tick().unwrap();
-        venue.on_tick(tick);
-        risk.on_equity(venue.equity());
-        let (verdict, qty) = risk.vet(Signal::Bid, venue.position(), None);
-        match verdict {
-            RiskVerdict::Approved => {
-                approved += 1;
-                venue
-                    .submit(Order {
-                        at: tick.at,
-                        side: Side::Buy,
-                        quantity: qty,
-                    })
-                    .unwrap();
-            }
-            RiskVerdict::PositionLimit => vetoed += 1,
-            other => panic!("unexpected verdict {other}"),
-        }
-    }
-    // Only two buys fit under the 2.0 cap; everything else is vetoed.
-    assert_eq!(approved, 2);
-    assert_eq!(vetoed, 48);
-    assert!(venue.position().quantity <= 2.0);
 }
