@@ -124,7 +124,10 @@ impl TraceRecorder {
             self.ring.push((at, event));
         } else {
             self.ring[self.head] = (at, event);
-            self.head = (self.head + 1) % self.capacity;
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
+            }
             self.dropped += 1;
         }
     }
@@ -200,6 +203,12 @@ impl Trace {
     /// An empty trace.
     pub fn new() -> Trace {
         Trace::default()
+    }
+
+    /// A trace over `events`, already in time order, cut from a recording
+    /// that lost `dropped` events.
+    pub(crate) fn from_parts(events: Vec<(Time, TraceEvent)>, dropped: u64) -> Trace {
+        Trace { events, dropped }
     }
 
     /// Merges per-thread traces into one time-ordered trace (used by the
@@ -349,6 +358,25 @@ mod tests {
         rec.record(t(1), released(1));
         assert_eq!(rec.len(), 1);
         assert_eq!(rec.dropped(), 1);
+    }
+
+    #[test]
+    fn tiny_rings_wrap() {
+        for capacity in [1, 2] {
+            let mut rec = TraceRecorder::new(TraceConfig::bounded(capacity));
+            for i in 0..5 {
+                rec.record(t(i), released(i));
+            }
+            assert_eq!(rec.len(), capacity);
+            let trace = rec.finish();
+            assert_eq!(trace.dropped(), 5 - capacity as u64);
+            let seqs: Vec<u64> = trace
+                .events()
+                .iter()
+                .map(|(_, e)| e.job().unwrap().seq)
+                .collect();
+            assert_eq!(seqs, (5 - capacity as u64..5).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Results of a serving run: decision counters, per-tenant outcomes, and
 //! the aggregate [`ServeOutcome`].
 
+use std::sync::OnceLock;
+
 use rtseed_model::{QosSummary, TaskId, TenantId, TenantState};
 
 use crate::executor::Outcome;
@@ -97,6 +99,81 @@ pub struct ServeOutcome {
     /// Time deferred submissions waited until admission (empty when no
     /// submission was deferred and then admitted).
     pub deferred_latency: Histogram,
+    /// The shared trace grouped by owning tenant, built by the first
+    /// [`tenant_trace`](ServeOutcome::tenant_trace) call: a run nobody
+    /// slices pays nothing for it.
+    pub(super) slices: OnceLock<TenantSlices>,
+}
+
+/// Positions in the shared trace grouped by owning tenant:
+/// `events[offsets[i]..offsets[i + 1]]` are the events of `tenants[i]`, in
+/// time order. A tenant owns its lifecycle events and every event of its
+/// tasks; task ids are never reused, so an event has at most one owner.
+#[derive(Debug)]
+pub(super) struct TenantSlices {
+    offsets: Vec<u32>,
+    events: Vec<u32>,
+}
+
+/// Position of `tenant` in the table. Ids are handed out in submission
+/// order, so the id is the position unless a caller rearranged the table.
+fn position_of(tenants: &[TenantOutcome], tenant: TenantId) -> Option<usize> {
+    let at = tenant.index();
+    if tenants.get(at).is_some_and(|t| t.tenant == tenant) {
+        return Some(at);
+    }
+    tenants.iter().position(|t| t.tenant == tenant)
+}
+
+impl TenantSlices {
+    /// Groups `trace` in one counting pass and one fill pass.
+    fn group(tenants: &[TenantOutcome], trace: &Trace) -> TenantSlices {
+        assert!(
+            u32::try_from(trace.len()).is_ok(),
+            "trace positions are kept as u32"
+        );
+        // Task ids are engine indices, dense from 0; an event may still
+        // name a task no tenant owns, so the table is read with `get`.
+        let tasks = tenants.iter().flat_map(|t| &t.tasks);
+        let mut owner_of_task = vec![None; tasks.map(|id| id.index() + 1).max().unwrap_or(0)];
+        for (at, t) in tenants.iter().enumerate() {
+            for task in &t.tasks {
+                owner_of_task[task.index()] = Some(at);
+            }
+        }
+        let owner_of = |task: TaskId| owner_of_task.get(task.index()).copied().flatten();
+        let owner = |ev: &TraceEvent| match ev {
+            TraceEvent::TenantAdmitted { tenant, .. }
+            | TraceEvent::TenantRejected { tenant, .. }
+            | TraceEvent::TenantDeparted { tenant }
+            | TraceEvent::TenantShed { tenant }
+            | TraceEvent::TenantQuarantined { tenant }
+            | TraceEvent::TenantEvicted { tenant }
+            | TraceEvent::TenantRecovered { tenant }
+            | TraceEvent::DeferredAdmitted { tenant, .. } => position_of(tenants, *tenant),
+            TraceEvent::PolicyDecision { task, .. } => owner_of(*task),
+            _ => ev.job().and_then(|j| owner_of(j.task)),
+        };
+
+        let mut offsets = vec![0u32; tenants.len() + 1];
+        for (_, ev) in trace.events() {
+            if let Some(at) = owner(ev) {
+                offsets[at + 1] += 1;
+            }
+        }
+        for at in 0..tenants.len() {
+            offsets[at + 1] += offsets[at];
+        }
+        let mut events = vec![0u32; offsets[tenants.len()] as usize];
+        let mut next = offsets.clone();
+        for (position, (_, ev)) in trace.events().iter().enumerate() {
+            if let Some(at) = owner(ev) {
+                events[next[at] as usize] = position as u32;
+                next[at] += 1;
+            }
+        }
+        TenantSlices { offsets, events }
+    }
 }
 
 impl ServeOutcome {
@@ -107,32 +184,26 @@ impl ServeOutcome {
 
     /// The slice of the shared trace concerning `tenant`: its lifecycle
     /// events plus every event of its tasks' jobs. Empty when tracing was
-    /// disabled for the run.
+    /// disabled for the run, and for an id not in [`tenants`].
+    ///
+    /// Cost: the first call groups the whole shared trace by tenant (two
+    /// passes over it, as [`tenants`] and the trace stand at that moment);
+    /// every call then copies its own tenant's events and nothing else.
+    ///
+    /// [`tenants`]: ServeOutcome::tenants
     pub fn tenant_trace(&self, tenant: TenantId) -> Trace {
-        let tasks: &[TaskId] = self
-            .tenants
+        let Some(at) = position_of(&self.tenants, tenant) else {
+            return Trace::new();
+        };
+        let shared = &self.outcome.trace;
+        let slices = self
+            .slices
+            .get_or_init(|| TenantSlices::group(&self.tenants, shared));
+        let ours = &slices.events[slices.offsets[at] as usize..slices.offsets[at + 1] as usize];
+        let events = ours
             .iter()
-            .find(|t| t.tenant == tenant)
-            .map(|t| t.tasks.as_slice())
-            .unwrap_or(&[]);
-        let mut out = Trace::new();
-        for (at, ev) in self.outcome.trace.events() {
-            let ours = match ev {
-                TraceEvent::TenantAdmitted { tenant: t, .. }
-                | TraceEvent::TenantRejected { tenant: t, .. }
-                | TraceEvent::TenantDeparted { tenant: t }
-                | TraceEvent::TenantShed { tenant: t }
-                | TraceEvent::TenantQuarantined { tenant: t }
-                | TraceEvent::TenantEvicted { tenant: t }
-                | TraceEvent::TenantRecovered { tenant: t }
-                | TraceEvent::DeferredAdmitted { tenant: t, .. } => *t == tenant,
-                TraceEvent::PolicyDecision { task, .. } => tasks.contains(task),
-                _ => ev.job().is_some_and(|j| tasks.contains(&j.task)),
-            };
-            if ours {
-                out.record(*at, ev.clone());
-            }
-        }
-        out
+            .map(|&position| shared.events()[position as usize].clone())
+            .collect();
+        Trace::from_parts(events, 0)
     }
 }

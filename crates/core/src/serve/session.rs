@@ -3,6 +3,7 @@
 //! over the crate's discrete-event driver.
 
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 use rtseed_analysis::{
     Admission, AdmissionEngine, OdUpdate, PartitionHeuristic, PlacementKind, PlacementPolicy,
@@ -566,6 +567,7 @@ impl SessionManager {
             tenants: tenant_outcomes,
             counters,
             deferred_latency,
+            slices: OnceLock::new(),
         }
     }
 }

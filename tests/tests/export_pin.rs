@@ -380,6 +380,82 @@ fn session_manager_exports_are_pinned() {
     );
 }
 
+/// `ServeOutcome::tenant_trace` as it was before the slices came from one
+/// grouping of the shared trace: a filter over every event, per call.
+fn filtered_slice(out: &ServeOutcome, tenant: TenantId) -> Vec<(Time, TraceEvent)> {
+    let tasks: &[TaskId] = out
+        .tenants
+        .iter()
+        .find(|t| t.tenant == tenant)
+        .map(|t| t.tasks.as_slice())
+        .unwrap_or(&[]);
+    let ours = |ev: &TraceEvent| match ev {
+        TraceEvent::TenantAdmitted { tenant: t, .. }
+        | TraceEvent::TenantRejected { tenant: t, .. }
+        | TraceEvent::TenantDeparted { tenant: t }
+        | TraceEvent::TenantShed { tenant: t }
+        | TraceEvent::TenantQuarantined { tenant: t }
+        | TraceEvent::TenantEvicted { tenant: t }
+        | TraceEvent::TenantRecovered { tenant: t }
+        | TraceEvent::DeferredAdmitted { tenant: t, .. } => *t == tenant,
+        TraceEvent::PolicyDecision { task, .. } => tasks.contains(task),
+        _ => ev.job().is_some_and(|j| tasks.contains(&j.task)),
+    };
+    let shared = out.outcome.trace.events();
+    shared.iter().filter(|(_, ev)| ours(ev)).cloned().collect()
+}
+
+#[test]
+fn tenant_slices_match_the_filter_they_replaced() {
+    let mut rejected = 0;
+    for (tasks, topology, unit) in shapes() {
+        for placement in PlacementPolicy::ALL {
+            for ring in RINGS {
+                let out = serve_run(&tasks, topology, unit, placement, ring);
+                // Every tenant, in a shuffled order, twice: the first call
+                // builds the grouping, the others read it.
+                let mut order: Vec<TenantId> = out.tenants.iter().map(|t| t.tenant).collect();
+                order.sort_by_key(|t| splitmix64(2014, u64::from(t.0)));
+                let mut sliced = 0;
+                for &tenant in order.iter().chain(&order) {
+                    let slice = out.tenant_trace(tenant);
+                    assert_eq!(slice.events(), filtered_slice(&out, tenant), "{tenant}");
+                    sliced += slice.len();
+                }
+                // An event with a tenant or a job is in exactly one slice.
+                let owned = out.outcome.trace.count(|e| {
+                    !matches!(
+                        e,
+                        TraceEvent::SubmissionDeferred { .. }
+                            | TraceEvent::CpuStallStarted { .. }
+                            | TraceEvent::DegradedModeEntered
+                            | TraceEvent::DegradedModeExited
+                    )
+                });
+                assert_eq!(sliced, 2 * owned);
+                assert!(out
+                    .tenant_trace(TenantId(out.tenants.len() as u32))
+                    .is_empty());
+                assert!(out.tenant_trace(TenantId(u32::MAX)).is_empty());
+                for t in out.tenants.iter().filter(|t| t.tasks.is_empty()) {
+                    let slice = out.tenant_trace(t.tenant);
+                    let only_rejection = matches!(
+                        slice.events(),
+                        [(_, TraceEvent::TenantRejected { tenant, .. })] if *tenant == t.tenant
+                    );
+                    // The rejection itself may have left a truncated ring.
+                    assert!(
+                        only_rejection || (slice.is_empty() && ring != RINGS[0]),
+                        "{slice}"
+                    );
+                    rejected += u32::from(only_rejection);
+                }
+            }
+        }
+    }
+    assert!(rejected > 0, "no rejected tenant kept its rejection");
+}
+
 // ── generated traces ────────────────────────────────────────────────────
 
 /// Counter-mode SplitMix64.
