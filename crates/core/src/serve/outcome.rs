@@ -186,6 +186,11 @@ impl ServeOutcome {
     /// events plus every event of its tasks' jobs. Empty when tracing was
     /// disabled for the run, and for an id not in [`tenants`].
     ///
+    /// The slice's [`dropped`](Trace::dropped) is the shared trace's: the
+    /// events the shared ring lost before this slice begins — an upper
+    /// bound on this tenant's own loss, and non-zero exactly when the
+    /// slice may be missing its head.
+    ///
     /// Cost: the first call groups the whole shared trace by tenant (two
     /// passes over it, as [`tenants`] and the trace stand at that moment);
     /// every call then copies its own tenant's events and nothing else.
@@ -204,6 +209,6 @@ impl ServeOutcome {
             .iter()
             .map(|&position| shared.events()[position as usize].clone())
             .collect();
-        Trace::from_parts(events, 0)
+        Trace::from_parts(events, shared.dropped())
     }
 }

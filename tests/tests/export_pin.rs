@@ -407,11 +407,12 @@ fn filtered_slice(out: &ServeOutcome, tenant: TenantId) -> Vec<(Time, TraceEvent
 
 #[test]
 fn tenant_slices_match_the_filter_they_replaced() {
-    let mut rejected = 0;
+    let (mut rejected, mut truncated) = (0, 0);
     for (tasks, topology, unit) in shapes() {
         for placement in PlacementPolicy::ALL {
             for ring in RINGS {
                 let out = serve_run(&tasks, topology, unit, placement, ring);
+                truncated += u32::from(out.outcome.trace.dropped() > 0);
                 // Every tenant, in a shuffled order, twice: the first call
                 // builds the grouping, the others read it.
                 let mut order: Vec<TenantId> = out.tenants.iter().map(|t| t.tenant).collect();
@@ -420,6 +421,8 @@ fn tenant_slices_match_the_filter_they_replaced() {
                 for &tenant in order.iter().chain(&order) {
                     let slice = out.tenant_trace(tenant);
                     assert_eq!(slice.events(), filtered_slice(&out, tenant), "{tenant}");
+                    // A slice of a ring that overflowed says so.
+                    assert_eq!(slice.dropped(), out.outcome.trace.dropped(), "{tenant}");
                     sliced += slice.len();
                 }
                 // An event with a tenant or a job is in exactly one slice.
@@ -454,6 +457,7 @@ fn tenant_slices_match_the_filter_they_replaced() {
         }
     }
     assert!(rejected > 0, "no rejected tenant kept its rejection");
+    assert!(truncated > 0, "no run overflowed the 257-event ring");
 }
 
 // ── generated traces ────────────────────────────────────────────────────
