@@ -52,6 +52,11 @@ const DIGIT_PAIRS: &[u8; 200] = b"\
       8081828384858687888990919293949596979899";
 
 /// Appends `v` in decimal, two digits a step.
+///
+/// Never inlined: folded into `push_num` it makes that too big to inline
+/// in turn, and every key is then copied with a length unknown at compile
+/// time (measured: both exporters a sixth slower).
+#[inline(never)]
 fn push_u64(out: &mut Buf, mut v: u64) {
     let mut buf = [0u8; 20];
     let mut at = buf.len();
@@ -59,12 +64,11 @@ fn push_u64(out: &mut Buf, mut v: u64) {
         let pair = (v % 100) as usize * 2;
         v /= 100;
         at -= 2;
-        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..][..2]);
     }
     if v >= 10 {
-        let pair = v as usize * 2;
         at -= 2;
-        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[v as usize * 2..][..2]);
     } else {
         at -= 1;
         buf[at] = b'0' + v as u8;
@@ -78,12 +82,19 @@ fn push_num(out: &mut Buf, key: &str, v: u64) {
     push_u64(out, v);
 }
 
+/// Appends `key`, then `name` and the quote that closes it.
+fn push_name(out: &mut Buf, key: &str, name: &str) {
+    push_str(out, key);
+    push_str(out, name);
+    out.push(b'"');
+}
+
 /// Escapes `s` as the contents of a JSON string literal. Every byte that
 /// needs escaping is ASCII, so the clean prefix (usually all of `s`) is
 /// copied whole and the rest byte by byte.
 fn escape_into(out: &mut Buf, s: &str) {
-    let dirty = |b: &u8| *b < 0x20 || *b == b'"' || *b == b'\\';
-    let clean = s.bytes().position(|b| dirty(&b)).unwrap_or(s.len());
+    let dirty = |b: u8| b < 0x20 || b == b'"' || b == b'\\';
+    let clean = s.bytes().position(dirty).unwrap_or(s.len());
     let (head, tail) = s.as_bytes().split_at(clean);
     out.extend_from_slice(head);
     for &b in tail {
@@ -151,27 +162,18 @@ fn push_fields(out: &mut Buf, event: &TraceEvent) {
         } => {
             push_job(out, *job);
             push_num(out, ",\"part\":", part.0.into());
-            push_str(out, ",\"outcome\":\"");
-            push_str(out, outcome_name(*outcome));
-            push_num(out, "\",\"achieved_ns\":", achieved.as_nanos());
+            push_name(out, ",\"outcome\":\"", outcome_name(*outcome));
+            push_num(out, ",\"achieved_ns\":", achieved.as_nanos());
         }
         TraceEvent::WindupCompleted { job, deadline_met } => {
             push_job(out, *job);
-            push_str(
-                out,
-                if *deadline_met {
-                    ",\"deadline_met\":true"
-                } else {
-                    ",\"deadline_met\":false"
-                },
-            );
+            push_str(out, ",\"deadline_met\":");
+            push_str(out, if *deadline_met { "true" } else { "false" });
         }
         TraceEvent::Queue { band, op, job, hw } => {
-            push_str(out, "\"band\":\"");
-            push_str(out, band.name());
-            push_str(out, "\",\"op\":\"");
-            push_str(out, op.name());
-            push_str(out, "\",");
+            push_name(out, "\"band\":\"", band.name());
+            push_name(out, ",\"op\":\"", op.name());
+            out.push(b',');
             push_job(out, *job);
             if let Some(hw) = hw {
                 push_num(out, ",\"hw\":", hw.0.into());
@@ -204,10 +206,9 @@ fn push_fields(out: &mut Buf, event: &TraceEvent) {
             factor,
         } => {
             push_job(out, *job);
-            push_str(out, ",\"target\":\"");
-            push_str(out, target_name(*target));
+            push_name(out, ",\"target\":\"", target_name(*target));
             // Shortest round-trip float printing stays with `fmt`.
-            let _ = write!(out, "\",\"factor\":{factor}");
+            let _ = write!(out, ",\"factor\":{factor}");
         }
         TraceEvent::TimerFaultInjected { job, fault } => {
             push_job(out, *job);
@@ -224,16 +225,12 @@ fn push_fields(out: &mut Buf, event: &TraceEvent) {
         }
         TraceEvent::BudgetCut { job, target } => {
             push_job(out, *job);
-            push_str(out, ",\"target\":\"");
-            push_str(out, target_name(*target));
-            out.push(b'"');
+            push_name(out, ",\"target\":\"", target_name(*target));
         }
         TraceEvent::DegradedModeEntered | TraceEvent::DegradedModeExited => {}
         TraceEvent::PipelineStage { cycle, stage, part } => {
             push_num(out, "\"cycle\":", *cycle);
-            push_str(out, ",\"stage\":\"");
-            push_str(out, stage.name());
-            out.push(b'"');
+            push_name(out, ",\"stage\":\"", stage.name());
             if let Some(part) = part {
                 push_num(out, ",\"part\":", part.0.into());
             }
@@ -244,9 +241,7 @@ fn push_fields(out: &mut Buf, event: &TraceEvent) {
         }
         TraceEvent::TenantRejected { tenant, reason } => {
             push_num(out, "\"tenant\":", tenant.0.into());
-            push_str(out, ",\"reason\":\"");
-            push_str(out, reason.label());
-            out.push(b'"');
+            push_name(out, ",\"reason\":\"", reason.label());
         }
         TraceEvent::TenantDeparted { tenant }
         | TraceEvent::TenantShed { tenant }
@@ -273,7 +268,8 @@ fn push_fields(out: &mut Buf, event: &TraceEvent) {
 /// Cost: one buffer, reserved once at 96 bytes an event (scheduler events
 /// average 84 to 87, pipeline events 80), and no allocation per event.
 pub fn jsonl(trace: &Trace) -> String {
-    let mut out = Buf::with_capacity(96 * trace.len() + 128);
+    let mut buf = Buf::with_capacity(96 * trace.len() + 128);
+    let out = &mut buf;
     let _ = writeln!(
         out,
         "{{\"type\":\"meta\",\"format\":\"rtseed-trace\",\"version\":1,\"events\":{},\"dropped\":{}}}",
@@ -281,24 +277,24 @@ pub fn jsonl(trace: &Trace) -> String {
         trace.dropped()
     );
     for (t, e) in trace.events() {
-        push_num(&mut out, "{\"t_ns\":", t.as_nanos());
-        push_str(&mut out, ",\"ev\":\"");
-        push_str(&mut out, e.name());
-        push_str(&mut out, "\",");
+        push_num(out, "{\"t_ns\":", t.as_nanos());
+        push_name(out, ",\"ev\":\"", e.name());
+        out.push(b',');
         let bare = out.len();
-        push_fields(&mut out, e);
+        push_fields(out, e);
         if out.len() == bare {
             // No fields: the object closes after the name.
             out.pop();
         }
-        push_str(&mut out, "}\n");
+        push_str(out, "}\n");
     }
-    finish(out)
+    finish(buf)
 }
 
-/// Appends a Chrome ts value (microseconds with nanosecond precision).
-fn push_ts(out: &mut Buf, ns: u64) {
-    push_u64(out, ns / 1_000);
+/// Appends `key` and then `ns` as a Chrome ts value (microseconds with
+/// nanosecond precision).
+fn push_ts(out: &mut Buf, key: &str, ns: u64) {
+    push_num(out, key, ns / 1_000);
     let frac = (ns % 1_000) as usize;
     out.push(b'.');
     out.push(b'0' + (frac / 100) as u8);
@@ -335,9 +331,20 @@ struct TaskSlices {
     /// Started parts not yet ended: (seq, lane, start, hw). At most
     /// `np + 2` per job in flight.
     open: Vec<(u64, Lane, Time, HwThreadId)>,
-    /// (seq, hw) of every mandatory start seen, sorted by seq — arrival
-    /// order, unless the trace was built by hand.
-    mandatory: Vec<(u64, HwThreadId)>,
+    /// (seq, hardware thread number) of every mandatory start seen, sorted
+    /// by seq: arrival order, unless the trace was built by hand.
+    mandatory: Vec<(u64, u32)>,
+}
+
+/// The value under `key` in a table kept sorted by key; an absent key is
+/// inserted first, with the default value.
+fn slot<K: Ord + Copy, V: Default>(table: &mut Vec<(K, V)>, key: K) -> &mut V {
+    let found = table.binary_search_by_key(&key, |entry| entry.0);
+    let at = found.unwrap_or_else(|at| {
+        table.insert(at, (key, V::default()));
+        at
+    });
+    &mut table[at].1
 }
 
 impl TaskSlices {
@@ -353,31 +360,6 @@ impl TaskSlices {
         let (_, _, start, hw) = self.open.swap_remove(at);
         Some((start, hw))
     }
-
-    fn mandatory_started(&mut self, seq: u64, hw: HwThreadId) {
-        match self.mandatory.binary_search_by_key(&seq, |m| m.0) {
-            Ok(at) => self.mandatory[at].1 = hw,
-            Err(at) => self.mandatory.insert(at, (seq, hw)),
-        }
-    }
-
-    fn mandatory_hw(&self, seq: u64) -> Option<HwThreadId> {
-        let at = self.mandatory.binary_search_by_key(&seq, |m| m.0).ok()?;
-        Some(self.mandatory[at].1)
-    }
-}
-
-/// The slice state of `task` in a table kept sorted by task id: a trace
-/// built by hand may name `TaskId(u32::MAX)`, which costs one entry.
-fn slices_of(tasks: &mut Vec<(TaskId, TaskSlices)>, task: TaskId) -> &mut TaskSlices {
-    let at = match tasks.binary_search_by_key(&task, |t| t.0) {
-        Ok(at) => at,
-        Err(at) => {
-            tasks.insert(at, (task, TaskSlices::default()));
-            at
-        }
-    };
-    &mut tasks[at].1
 }
 
 /// Exports a trace (plus the run's metric summaries) in the Chrome
@@ -389,26 +371,29 @@ fn slices_of(tasks: &mut Vec<(TaskId, TaskSlices)>, task: TaskId) -> &mut TaskSl
 /// traced desk day), no allocation per event, and part starts paired with
 /// their ends through a per-task table rather than by hashing.
 pub fn chrome_trace(trace: &Trace, metrics: &MetricsRegistry) -> String {
-    let mut out = Buf::with_capacity(128 * (trace.len() + 8));
-    push_str(&mut out, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
+    let mut buf = Buf::with_capacity(128 * (trace.len() + 8));
+    let out = &mut buf;
+    push_str(out, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
     let first = out.len();
+    // Searched by task id, not indexed by it: a trace built by hand may
+    // name `TaskId(u32::MAX)`, which costs one entry.
     let mut tasks: Vec<(TaskId, TaskSlices)> = Vec::new();
 
     for (t, e) in trace.events() {
         match e {
             TraceEvent::MandatoryStarted { job, hw } => {
-                let task = slices_of(&mut tasks, job.task);
+                let task = slot(&mut tasks, job.task);
                 task.start(job.seq, Lane::Mandatory, *t, *hw);
-                task.mandatory_started(job.seq, *hw);
+                *slot(&mut task.mandatory, job.seq) = hw.0;
             }
             TraceEvent::OptionalStarted { job, part, hw } => {
-                slices_of(&mut tasks, job.task).start(job.seq, Lane::Optional(part.0), *t, *hw);
+                slot(&mut tasks, job.task).start(job.seq, Lane::Optional(part.0), *t, *hw);
             }
             TraceEvent::WindupStarted { job } => {
-                // The wind-up runs where the mandatory part ran; thread 0
-                // when the ring dropped that start.
-                let task = slices_of(&mut tasks, job.task);
-                let hw = task.mandatory_hw(job.seq).unwrap_or(HwThreadId(0));
+                // The wind-up runs where the mandatory part ran: on the
+                // default, thread 0, when the ring dropped that start.
+                let task = slot(&mut tasks, job.task);
+                let hw = HwThreadId(*slot(&mut task.mandatory, job.seq));
                 task.start(job.seq, Lane::Windup, *t, hw);
             }
             TraceEvent::MandatoryCompleted { job }
@@ -419,35 +404,33 @@ pub fn chrome_trace(trace: &Trace, metrics: &MetricsRegistry) -> String {
                     TraceEvent::OptionalEnded { part, .. } => Lane::Optional(part.0),
                     _ => Lane::Windup,
                 };
-                let Some((start, hw)) = slices_of(&mut tasks, job.task).end(job.seq, lane) else {
+                let Some((start, hw)) = slot(&mut tasks, job.task).end(job.seq, lane) else {
                     continue;
                 };
                 if out.len() > first {
                     out.push(b',');
                 }
-                push_str(&mut out, "{\"name\":\"");
+                push_str(out, "{\"name\":\"");
                 match e {
-                    TraceEvent::MandatoryCompleted { .. } => push_str(&mut out, "mandatory"),
+                    TraceEvent::MandatoryCompleted { .. } => push_str(out, "mandatory"),
                     TraceEvent::OptionalEnded { part, outcome, .. } => {
-                        push_num(&mut out, "optional[", part.0.into());
-                        push_str(&mut out, "] ");
-                        push_str(&mut out, outcome_name(*outcome));
+                        push_num(out, "optional[", part.0.into());
+                        push_str(out, "] ");
+                        push_str(out, outcome_name(*outcome));
                     }
-                    _ => push_str(&mut out, "wind-up"),
+                    _ => push_str(out, "wind-up"),
                 }
                 // `JobId`'s `Display`: τ{task + 1}#{seq}.
-                push_num(&mut out, " τ", (job.task.0 + 1).into());
-                push_num(&mut out, "#", job.seq);
+                push_num(out, " τ", (job.task.0 + 1).into());
+                push_num(out, "#", job.seq);
                 push_num(
-                    &mut out,
+                    out,
                     "\",\"cat\":\"part\",\"ph\":\"X\",\"pid\":",
                     job.task.0.into(),
                 );
-                push_num(&mut out, ",\"tid\":", hw.0.into());
-                push_str(&mut out, ",\"ts\":");
-                push_ts(&mut out, start.as_nanos());
-                push_str(&mut out, ",\"dur\":");
-                push_ts(&mut out, t.as_nanos() - start.as_nanos());
+                push_num(out, ",\"tid\":", hw.0.into());
+                push_ts(out, ",\"ts\":", start.as_nanos());
+                push_ts(out, ",\"dur\":", t.as_nanos() - start.as_nanos());
                 out.push(b'}');
             }
             _ => {
@@ -455,34 +438,33 @@ pub fn chrome_trace(trace: &Trace, metrics: &MetricsRegistry) -> String {
                 if out.len() > first {
                     out.push(b',');
                 }
-                push_str(&mut out, "{\"name\":\"");
-                push_str(&mut out, e.name());
+                let pid = e.job().map_or(0, |j| j.task.0.into());
+                push_name(out, "{\"name\":\"", e.name());
                 push_num(
-                    &mut out,
-                    "\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"g\",\"pid\":",
-                    e.job().map_or(0, |j| j.task.0.into()),
+                    out,
+                    ",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"g\",\"pid\":",
+                    pid,
                 );
-                push_str(&mut out, ",\"tid\":0,\"ts\":");
-                push_ts(&mut out, t.as_nanos());
-                push_str(&mut out, ",\"args\":{");
-                push_fields(&mut out, e);
-                push_str(&mut out, "}}");
+                push_ts(out, ",\"tid\":0,\"ts\":", t.as_nanos());
+                push_str(out, ",\"args\":{");
+                push_fields(out, e);
+                push_str(out, "}}");
             }
         }
     }
 
-    push_str(&mut out, "],\"otherData\":{");
+    push_str(out, "],\"otherData\":{");
     let _ = write!(out, "\"dropped\":{},\"overheads\":{{", trace.dropped());
     for (i, kind) in OverheadKind::ALL.iter().enumerate() {
         if i > 0 {
             out.push(b',');
         }
-        push_histogram(&mut out, kind.symbol(), metrics.overhead(*kind));
+        push_histogram(out, kind.symbol(), metrics.overhead(*kind));
     }
-    push_str(&mut out, "},");
-    push_histogram(&mut out, "response_time", metrics.response_time());
+    push_str(out, "},");
+    push_histogram(out, "response_time", metrics.response_time());
     out.push(b',');
-    push_histogram(&mut out, "release_jitter", metrics.release_jitter());
+    push_histogram(out, "release_jitter", metrics.release_jitter());
     let q = metrics.qos_level();
     let _ = write!(
         out,
@@ -492,8 +474,8 @@ pub fn chrome_trace(trace: &Trace, metrics: &MetricsRegistry) -> String {
         q.min() as f64 / QOS_PPM as f64,
         q.max() as f64 / QOS_PPM as f64
     );
-    push_str(&mut out, "}}");
-    finish(out)
+    push_str(out, "}}");
+    finish(buf)
 }
 
 /// Writes [`jsonl`] output to `path`.
@@ -603,11 +585,15 @@ mod tests {
         assert!(json.contains("mandatory τ1#0"), "{json}");
         assert!(json.contains("optional[0] Completed τ1#0"), "{json}");
         // Wind-up inherits the mandatory hw thread (tid 3).
-        assert!(json.contains("wind-up τ1#0\",\"cat\":\"part\",\"ph\":\"X\",\"pid\":0,\"tid\":3"),
-            "{json}");
+        assert!(
+            json.contains("wind-up τ1#0\",\"cat\":\"part\",\"ph\":\"X\",\"pid\":0,\"tid\":3"),
+            "{json}"
+        );
         // The release is an instant event.
-        assert!(json.contains("\"name\":\"job_released\",\"cat\":\"event\",\"ph\":\"i\""),
-            "{json}");
+        assert!(
+            json.contains("\"name\":\"job_released\",\"cat\":\"event\",\"ph\":\"i\""),
+            "{json}"
+        );
     }
 
     #[test]
@@ -621,7 +607,10 @@ mod tests {
             json.contains("\"Δm\":{\"count\":2,\"mean_ns\":3000,\"min_ns\":2000,\"max_ns\":4000"),
             "{json}"
         );
-        assert!(json.contains("\"qos_level\":{\"count\":1,\"mean\":1,"), "{json}");
+        assert!(
+            json.contains("\"qos_level\":{\"count\":1,\"mean\":1,"),
+            "{json}"
+        );
         assert!(json.contains("\"response_time\":{\"count\":0"), "{json}");
     }
 
@@ -677,7 +666,7 @@ mod tests {
         fn push_ts_matches_fmt(v in any::<u64>(), shift in 0u32..64) {
             let ns = v >> shift;
             let mut out = Buf::new();
-            push_ts(&mut out, ns);
+            push_ts(&mut out, "", ns);
             let want = format!("{}.{:03}", ns / 1_000, ns % 1_000);
             prop_assert_eq!(finish(out), want);
         }
@@ -820,8 +809,20 @@ mod tests {
         let json = chrome_trace(&tr, &MetricsRegistry::new());
         let slices: Vec<&str> = json.split("{\"name\":\"").skip(1).collect();
         assert_eq!(slices.len(), 3, "{json}");
-        assert!(slices[0].starts_with("mandatory τ1#2") && slices[0].contains("\"tid\":6,\"ts\":0.004,\"dur\":0.001"), "{json}");
-        assert!(slices[1].starts_with("wind-up τ1#3") && slices[1].contains("\"tid\":0,\"ts\":0.002,\"dur\":0.005"), "{json}");
-        assert!(slices[2].starts_with("wind-up τ1#2") && slices[2].contains("\"tid\":6,\"ts\":0.006,\"dur\":0.001"), "{json}");
+        assert!(
+            slices[0].starts_with("mandatory τ1#2")
+                && slices[0].contains("\"tid\":6,\"ts\":0.004,\"dur\":0.001"),
+            "{json}"
+        );
+        assert!(
+            slices[1].starts_with("wind-up τ1#3")
+                && slices[1].contains("\"tid\":0,\"ts\":0.002,\"dur\":0.005"),
+            "{json}"
+        );
+        assert!(
+            slices[2].starts_with("wind-up τ1#2")
+                && slices[2].contains("\"tid\":6,\"ts\":0.006,\"dur\":0.001"),
+            "{json}"
+        );
     }
 }

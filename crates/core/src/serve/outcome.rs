@@ -99,20 +99,10 @@ pub struct ServeOutcome {
     /// Time deferred submissions waited until admission (empty when no
     /// submission was deferred and then admitted).
     pub deferred_latency: Histogram,
-    /// The shared trace grouped by owning tenant, built by the first
-    /// [`tenant_trace`](ServeOutcome::tenant_trace) call: a run nobody
-    /// slices pays nothing for it.
-    pub(super) slices: OnceLock<TenantSlices>,
-}
-
-/// Positions in the shared trace grouped by owning tenant:
-/// `events[offsets[i]..offsets[i + 1]]` are the events of `tenants[i]`, in
-/// time order. A tenant owns its lifecycle events and every event of its
-/// tasks; task ids are never reused, so an event has at most one owner.
-#[derive(Debug)]
-pub(super) struct TenantSlices {
-    offsets: Vec<u32>,
-    events: Vec<u32>,
+    /// The shared trace grouped by owning tenant (see [`group_by_tenant`]),
+    /// built by the first [`tenant_trace`](ServeOutcome::tenant_trace)
+    /// call: a run nobody slices pays nothing for it.
+    pub(super) groups: OnceLock<Vec<Vec<u32>>>,
 }
 
 /// Position of `tenant` in the table. Ids are handed out in submission
@@ -125,24 +115,28 @@ fn position_of(tenants: &[TenantOutcome], tenant: TenantId) -> Option<usize> {
     tenants.iter().position(|t| t.tenant == tenant)
 }
 
-impl TenantSlices {
-    /// Groups `trace` in one counting pass and one fill pass.
-    fn group(tenants: &[TenantOutcome], trace: &Trace) -> TenantSlices {
-        assert!(
-            u32::try_from(trace.len()).is_ok(),
-            "trace positions are kept as u32"
-        );
-        // Task ids are engine indices, dense from 0; an event may still
-        // name a task no tenant owns, so the table is read with `get`.
-        let tasks = tenants.iter().flat_map(|t| &t.tasks);
-        let mut owner_of_task = vec![None; tasks.map(|id| id.index() + 1).max().unwrap_or(0)];
-        for (at, t) in tenants.iter().enumerate() {
-            for task in &t.tasks {
-                owner_of_task[task.index()] = Some(at);
-            }
+/// One pass over `trace`: for each of `tenants`, in table order, the
+/// positions of its events, in time order. A tenant owns its lifecycle
+/// events and every event of its tasks; task ids are never reused, so an
+/// event has at most one owner.
+fn group_by_tenant(tenants: &[TenantOutcome], trace: &Trace) -> Vec<Vec<u32>> {
+    assert!(
+        trace.len() <= u32::MAX as usize,
+        "positions are kept as u32"
+    );
+    // Task ids are engine indices, dense from 0; an event may still name a
+    // task no tenant owns, so the table is read with `get`.
+    let tasks = tenants.iter().flat_map(|t| &t.tasks);
+    let mut owner_of_task = vec![None; tasks.map(|id| id.index() + 1).max().unwrap_or(0)];
+    for (at, t) in tenants.iter().enumerate() {
+        for task in &t.tasks {
+            owner_of_task[task.index()] = Some(at);
         }
-        let owner_of = |task: TaskId| owner_of_task.get(task.index()).copied().flatten();
-        let owner = |ev: &TraceEvent| match ev {
+    }
+    let owner_of = |task: TaskId| owner_of_task.get(task.index()).copied().flatten();
+    let mut groups = vec![Vec::new(); tenants.len()];
+    for (position, (_, ev)) in (0u32..).zip(trace.events()) {
+        let owner = match ev {
             TraceEvent::TenantAdmitted { tenant, .. }
             | TraceEvent::TenantRejected { tenant, .. }
             | TraceEvent::TenantDeparted { tenant }
@@ -154,26 +148,11 @@ impl TenantSlices {
             TraceEvent::PolicyDecision { task, .. } => owner_of(*task),
             _ => ev.job().and_then(|j| owner_of(j.task)),
         };
-
-        let mut offsets = vec![0u32; tenants.len() + 1];
-        for (_, ev) in trace.events() {
-            if let Some(at) = owner(ev) {
-                offsets[at + 1] += 1;
-            }
+        if let Some(at) = owner {
+            groups[at].push(position);
         }
-        for at in 0..tenants.len() {
-            offsets[at + 1] += offsets[at];
-        }
-        let mut events = vec![0u32; offsets[tenants.len()] as usize];
-        let mut next = offsets.clone();
-        for (position, (_, ev)) in trace.events().iter().enumerate() {
-            if let Some(at) = owner(ev) {
-                events[next[at] as usize] = position as u32;
-                next[at] += 1;
-            }
-        }
-        TenantSlices { offsets, events }
     }
+    groups
 }
 
 impl ServeOutcome {
@@ -191,8 +170,8 @@ impl ServeOutcome {
     /// bound on this tenant's own loss, and non-zero exactly when the
     /// slice may be missing its head.
     ///
-    /// Cost: the first call groups the whole shared trace by tenant (two
-    /// passes over it, as [`tenants`] and the trace stand at that moment);
+    /// Cost: the first call groups the whole shared trace by tenant (one
+    /// pass over it, as [`tenants`] and the trace stand at that moment);
     /// every call then copies its own tenant's events and nothing else.
     ///
     /// [`tenants`]: ServeOutcome::tenants
@@ -201,14 +180,11 @@ impl ServeOutcome {
             return Trace::new();
         };
         let shared = &self.outcome.trace;
-        let slices = self
-            .slices
-            .get_or_init(|| TenantSlices::group(&self.tenants, shared));
-        let ours = &slices.events[slices.offsets[at] as usize..slices.offsets[at + 1] as usize];
-        let events = ours
-            .iter()
-            .map(|&position| shared.events()[position as usize].clone())
-            .collect();
-        Trace::from_parts(events, shared.dropped())
+        let groups = self
+            .groups
+            .get_or_init(|| group_by_tenant(&self.tenants, shared));
+        let ours = groups[at].iter();
+        let events = ours.map(|&i| shared.events()[i as usize].clone());
+        Trace::from_parts(events.collect(), shared.dropped())
     }
 }

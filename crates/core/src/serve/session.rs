@@ -567,7 +567,7 @@ impl SessionManager {
             tenants: tenant_outcomes,
             counters,
             deferred_latency,
-            slices: OnceLock::new(),
+            groups: OnceLock::new(),
         }
     }
 }
