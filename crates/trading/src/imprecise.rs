@@ -12,9 +12,24 @@
 //! for the native executor. Attach a [`PipelineTracer`] to emit
 //! [`TraceEvent::PipelineStage`] events on the unified observability
 //! stream (`rtseed::obs`).
+//!
+//! # What the parts share, and through what
+//!
+//! Every stage takes `&self`: on the native runtime the parts of one job
+//! run on different threads, the optional ones in parallel. Only state that
+//! a part mutates through `&mut` sits behind a lock, and each part takes
+//! exactly one:
+//!
+//! | state | written by | read by | through |
+//! |---|---|---|---|
+//! | the tick | mandatory | optional, wind-up | a single-writer, sequence-guarded cell of atomics |
+//! | opinion of part *k* | optional part *k* | wind-up | its own atomic slot, stamped with the tick's sequence |
+//! | feed, venue, decisions | mandatory, wind-up | the accessors | one mutex (the real-time state) |
+//! | strategy *k* | optional part *k* | — | its own mutex |
+//! | the tracer | `attach_tracer`, once | every stage | a `OnceLock`: one load |
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use rtseed::obs::{PipelineStage, Trace, TraceConfig, TraceEvent, TraceRecorder};
@@ -27,8 +42,10 @@ use crate::strategy::{Signal, SignalAggregator, Strategy};
 
 /// Records the trading pipeline's stage transitions as
 /// [`TraceEvent::PipelineStage`] events, shared by the mandatory, optional
-/// and wind-up threads of a native run (hence the internal lock — the
-/// pipeline stages themselves serialize on the trader's own state anyway).
+/// and wind-up threads of a native run. The recorder sits behind the
+/// tracer's own lock: the optional parts of one job record in parallel and
+/// nothing in the trader serializes them, so this lock does, and the order
+/// of events in the ring is the order it was taken in.
 ///
 /// Cycles are numbered from 0: each [`ImpreciseTrader::ingest`] that
 /// obtains a tick starts a new cycle; analyses and the decision record
@@ -85,8 +102,9 @@ impl PipelineTracer {
         }
     }
 
-    /// The trace recorded so far (recording continues). Event order follows
-    /// the pipeline's own serialization; export with [`rtseed::obs::export`].
+    /// The trace recorded so far (recording continues). Event order is the
+    /// order the stages took the recorder's lock in; export with
+    /// [`rtseed::obs::export`].
     pub fn snapshot(&self) -> Trace {
         self.rec.lock().expect("tracer lock").clone().finish()
     }
@@ -127,17 +145,125 @@ pub fn desk_task_set(
         .collect()
 }
 
-/// Shared state of one imprecise trading task.
+/// The current tick, published by the mandatory part to the parts that
+/// follow it without a lock: a sequence counter guards the tick's three
+/// words and a presence flag.
+///
+/// The one writer — [`ImpreciseTrader::ingest`], which stores while it
+/// holds the real-time lock, so writers are serialized — makes the sequence
+/// odd, stores the fields and makes it even again. A reader takes the
+/// sequence, the fields and the sequence again, and keeps the fields only
+/// if both readings are the same even number: `seq / 2` publications have
+/// completed and the fields are the last one's.
+///
+/// Ordering: every store is `Release` and every load `Acquire` (plain moves
+/// on x86-64), which is what the reader's two guarantees rest on.
+///
+/// * *It sees all of the publication it names.* Its first `seq` load reads
+///   the closing store of publication `seq` and synchronizes with it, so
+///   every field store of that publication happens-before its field loads.
+/// * *It keeps nothing newer.* A field load that reads a later writer's
+///   store synchronizes with that store, which the writer sequenced after
+///   its opening odd store; that odd store therefore happens-before the
+///   reader's second `seq` load, which must read it or a later value, sees
+///   the sequence changed, and retries.
+///
+/// So a reader that races a writer retries rather than returns a mix of two
+/// ticks. It spins only while a store is in flight, four stores long.
+#[derive(Default)]
+struct TickCell {
+    seq: AtomicU64,
+    present: AtomicBool,
+    at: AtomicU64,
+    bid: AtomicU64,
+    ask: AtomicU64,
+}
+
+impl TickCell {
+    /// Publishes `tick`; a cycle without one still advances the sequence.
+    /// Callers must not overlap.
+    fn store(&self, tick: Option<Tick>) {
+        // Only a writer changes `seq`, and what serializes the writers
+        // orders this load after the previous one's stores.
+        let seq = self.seq.load(Ordering::Relaxed);
+        self.seq.store(seq.wrapping_add(1), Ordering::Release);
+        self.present.store(tick.is_some(), Ordering::Release);
+        if let Some(tick) = tick {
+            self.at.store(tick.at.as_nanos(), Ordering::Release);
+            self.bid.store(tick.bid.to_bits(), Ordering::Release);
+            self.ask.store(tick.ask.to_bits(), Ordering::Release);
+        }
+        self.seq.store(seq.wrapping_add(2), Ordering::Release);
+    }
+
+    /// The latest publication and its (even) sequence.
+    fn load(&self) -> (u64, Option<Tick>) {
+        loop {
+            let seq = self.seq.load(Ordering::Acquire);
+            let tick = self.present.load(Ordering::Acquire).then(|| Tick {
+                at: Time::from_nanos(self.at.load(Ordering::Acquire)),
+                bid: f64::from_bits(self.bid.load(Ordering::Acquire)),
+                ask: f64::from_bits(self.ask.load(Ordering::Acquire)),
+            });
+            if seq.is_multiple_of(2) && self.seq.load(Ordering::Acquire) == seq {
+                return (seq, tick);
+            }
+            std::hint::spin_loop();
+        }
+    }
+}
+
+/// An opinion slot's word: the cell sequence of the tick the opinion was
+/// formed on (even, so doubling it frees two bits) over the opinion. The
+/// stamp is the whole sequence, not its low bits: a part cut short 2ᵏ
+/// cycles in a row must not find its old opinion current again.
+fn slot(seq: u64, opinion: Option<Signal>) -> u64 {
+    let code = match opinion {
+        None => 0,
+        Some(Signal::Bid) => 1,
+        Some(Signal::Ask) => 2,
+        Some(Signal::Wait) => 3,
+    };
+    seq << 1 | code
+}
+
+/// The opinion a slot holds for the tick published as `seq`: a word left
+/// from another cycle abstains.
+fn vote(slot: u64, seq: u64) -> Option<Signal> {
+    if slot & !3 != seq << 1 {
+        return None;
+    }
+    match slot & 3 {
+        1 => Some(Signal::Bid),
+        2 => Some(Signal::Ask),
+        3 => Some(Signal::Wait),
+        _ => None,
+    }
+}
+
+/// What the real-time parts mutate: the mandatory part pulls from `feed`
+/// and marks `venue` to market, the wind-up appends to `decisions` and
+/// submits to `venue`.
+struct RealTime {
+    feed: Box<dyn TickSource + Send>,
+    venue: PaperVenue,
+    decisions: Vec<Signal>,
+}
+
+/// Shared state of one imprecise trading task (the module docs tabulate
+/// what is shared through what).
+///
+/// There are two kinds of lock, the real-time state's and one per strategy,
+/// and no stage ever holds two at once: the mandatory part and the wind-up
+/// take the first, once each; optional part *k* takes strategy *k*'s.
 pub struct ImpreciseTrader {
-    feed: Mutex<Box<dyn TickSource + Send>>,
+    real_time: Mutex<RealTime>,
     strategies: Vec<Mutex<Box<dyn Strategy>>>,
     aggregator: SignalAggregator,
-    venue: Mutex<PaperVenue>,
-    current_tick: Mutex<Option<Tick>>,
-    opinions: Mutex<Vec<Option<Signal>>>,
-    decisions: Mutex<Vec<Signal>>,
+    tick: TickCell,
+    opinions: Vec<AtomicU64>,
     order_quantity: f64,
-    tracer: Mutex<Option<Arc<PipelineTracer>>>,
+    tracer: OnceLock<Arc<PipelineTracer>>,
 }
 
 impl std::fmt::Debug for ImpreciseTrader {
@@ -167,28 +293,39 @@ impl ImpreciseTrader {
             order_quantity > 0.0 && order_quantity.is_finite(),
             "order quantity must be positive"
         );
-        let n = strategies.len();
         ImpreciseTrader {
-            feed: Mutex::new(feed),
+            real_time: Mutex::new(RealTime {
+                feed,
+                venue,
+                decisions: Vec::new(),
+            }),
+            opinions: strategies.iter().map(|_| AtomicU64::new(0)).collect(),
             strategies: strategies.into_iter().map(Mutex::new).collect(),
             aggregator,
-            venue: Mutex::new(venue),
-            current_tick: Mutex::new(None),
-            opinions: Mutex::new(vec![None; n]),
-            decisions: Mutex::new(Vec::new()),
+            tick: TickCell::default(),
             order_quantity,
-            tracer: Mutex::new(None),
+            tracer: OnceLock::new(),
         }
     }
 
     /// Attaches a [`PipelineTracer`]: from now on every ingest / analysis /
-    /// decision records a [`TraceEvent::PipelineStage`] event.
+    /// decision records a [`TraceEvent::PipelineStage`] event. A trader
+    /// takes one tracer for life (attach it before the first cycle), which
+    /// is what lets every stage find it, or find there is none, with one
+    /// load.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a tracer is already attached.
     pub fn attach_tracer(&self, tracer: Arc<PipelineTracer>) {
-        *self.tracer.lock().expect("tracer lock") = Some(tracer);
+        assert!(
+            self.tracer.set(tracer).is_ok(),
+            "a tracer is already attached"
+        );
     }
 
     fn trace_stage(&self, stage: PipelineStage, part: Option<PartId>) {
-        if let Some(tr) = self.tracer.lock().expect("tracer lock").as_ref() {
+        if let Some(tr) = self.tracer.get() {
             let cycle = if matches!(stage, PipelineStage::Ingest) {
                 tr.begin_cycle()
             } else {
@@ -198,43 +335,46 @@ impl ImpreciseTrader {
         }
     }
 
+    fn real_time(&self) -> MutexGuard<'_, RealTime> {
+        self.real_time.lock().expect("a real-time part panicked")
+    }
+
     /// Number of parallel analyses (the task's `npᵢ`).
     pub fn analyses(&self) -> usize {
         self.strategies.len()
     }
 
-    /// **Mandatory part**: pulls the next tick, resets this cycle's
-    /// opinions and publishes the tick to the venue. Returns `false` when
-    /// the feed has no tick (exhausted, dropout, kill switch): the cycle
-    /// then has no tick and no opinions, so its analyses abstain and its
-    /// wind-up waits, whether or not the caller reads the return value.
+    /// **Mandatory part**: pulls the next tick and publishes it to the
+    /// analyses and the venue. Returns `false` when the feed has no tick
+    /// (exhausted, dropout, kill switch): the cycle then has no tick and no
+    /// opinions, so its analyses abstain and its wind-up waits, whether or
+    /// not the caller reads the return value. Opinions need no reset: each
+    /// carries the sequence of the tick it was formed on, and the new
+    /// publication makes all of them stale.
     pub fn ingest(&self) -> bool {
-        let tick = self.feed.lock().expect("feed lock").next_tick();
-        *self.current_tick.lock().expect("tick lock") = tick;
-        self.opinions
-            .lock()
-            .expect("opinions lock")
-            .iter_mut()
-            .for_each(|o| *o = None);
+        let mut rt = self.real_time();
+        let tick = rt.feed.next_tick();
+        self.tick.store(tick);
         let Some(tick) = tick else {
             return false;
         };
+        rt.venue.on_tick(tick);
+        drop(rt);
         self.trace_stage(PipelineStage::Ingest, None);
-        self.venue.lock().expect("venue lock").on_tick(tick);
         true
     }
 
     /// **Parallel optional part** `part`: feeds the current tick to that
     /// part's strategy and records its opinion. `should_stop` is polled
     /// between work units for cooperative termination; an analysis cut
-    /// before recording simply abstains this cycle.
+    /// before recording simply abstains this cycle, and one that records
+    /// after the next tick was published votes in no cycle at all.
     ///
     /// # Panics
     ///
     /// Panics if `part` is out of range.
     pub fn analyze(&self, part: usize, should_stop: &dyn Fn() -> bool) {
-        let tick = *self.current_tick.lock().expect("tick lock");
-        let Some(tick) = tick else {
+        let (seq, Some(tick)) = self.tick.load() else {
             return;
         };
         self.trace_stage(PipelineStage::Analysis, Some(PartId(part as u32)));
@@ -246,29 +386,33 @@ impl ImpreciseTrader {
         if should_stop() {
             return; // terminated mid-analysis: abstain (partial work kept)
         }
-        let opinion = strategy.signal();
-        self.opinions.lock().expect("opinions lock")[part] = opinion;
+        // The word is the whole message, stamp and vote; nothing else is
+        // published through it, so `Relaxed`. A wind-up that runs after
+        // this part reads it by coherence.
+        self.opinions[part].store(slot(seq, strategy.signal()), Ordering::Relaxed);
     }
 
-    /// **Wind-up part**: aggregates the surviving opinions, records the
-    /// decision, and sends a trade request when it is not `Wait`.
+    /// **Wind-up part**: aggregates the opinions formed on the current
+    /// tick, records the decision, and sends a trade request when it is not
+    /// `Wait`. The tick is loaded once: the votes counted, the decision and
+    /// the order's timestamp all belong to that one publication.
     pub fn decide(&self) -> Signal {
         self.trace_stage(PipelineStage::Decide, None);
-        let opinions = self.opinions.lock().expect("opinions lock").clone();
-        let signal = self.aggregator.decide(&opinions);
-        self.decisions.lock().expect("decisions lock").push(signal);
-        if let Some(side) = Side::from_signal(signal) {
-            let mut venue = self.venue.lock().expect("venue lock");
-            let at = self
-                .current_tick
-                .lock()
-                .expect("tick lock")
-                .map(|t| t.at)
-                .unwrap_or_default();
+        let (seq, tick) = self.tick.load();
+        let votes = self
+            .opinions
+            .iter()
+            .map(|o| vote(o.load(Ordering::Relaxed), seq));
+        let signal = self.aggregator.tally(votes);
+        let mut rt = self.real_time();
+        rt.decisions.push(signal);
+        // No tick, no order: only an analysis that loaded a tick stamps a
+        // slot with its sequence.
+        if let (Some(side), Some(tick)) = (Side::from_signal(signal), tick) {
             // A failed submission (no market yet) is impossible after
             // ingest(); quantity is validated at construction.
-            let _ = venue.submit(Order {
-                at,
+            let _ = rt.venue.submit(Order {
+                at: tick.at,
                 side,
                 quantity: self.order_quantity,
             });
@@ -290,12 +434,12 @@ impl ImpreciseTrader {
 
     /// All decisions made so far, in cycle order.
     pub fn decisions(&self) -> Vec<Signal> {
-        self.decisions.lock().expect("decisions lock").clone()
+        self.real_time().decisions.clone()
     }
 
     /// Venue snapshot (position, fills, P&L).
     pub fn venue_snapshot(&self) -> PaperVenue {
-        self.venue.lock().expect("venue lock").clone()
+        self.real_time().venue.clone()
     }
 
     /// Packages this trader as a [`TaskBody`] for
@@ -427,21 +571,118 @@ mod tests {
         assert!(t.run_cycle_synchronous().is_none());
     }
 
+    /// Buys on every tick it sees.
+    struct AlwaysBid(bool);
+    impl Strategy for AlwaysBid {
+        fn on_tick(&mut self, _: &Tick) {
+            self.0 = true;
+        }
+        fn signal(&self) -> Option<Signal> {
+            self.0.then_some(Signal::Bid)
+        }
+        fn name(&self) -> &str {
+            "always-bid"
+        }
+    }
+
     #[test]
-    fn a_cycle_with_no_tick_places_no_order() {
-        /// Buys on every tick it sees.
-        struct AlwaysBid(bool);
-        impl Strategy for AlwaysBid {
-            fn on_tick(&mut self, _: &Tick) {
-                self.0 = true;
+    fn a_straggling_analysis_cannot_vote_in_the_next_cycle() {
+        let t = ImpreciseTrader::new(
+            Box::new(SyntheticFeed::eur_usd(1)),
+            vec![Box::new(AlwaysBid(false))],
+            SignalAggregator::new(1),
+            PaperVenue::new(ExecutionConfig::default()),
+            1.0,
+        );
+        assert!(t.ingest());
+        // The part passes its last termination check, then is descheduled
+        // across the wind-up and the next mandatory part before it stores
+        // its opinion.
+        let checks = std::cell::Cell::new(0);
+        t.analyze(0, &|| {
+            checks.set(checks.get() + 1);
+            if checks.get() == 2 {
+                assert_eq!(t.decide(), Signal::Wait, "it had not voted yet");
+                assert!(t.ingest());
             }
-            fn signal(&self) -> Option<Signal> {
-                self.0.then_some(Signal::Bid)
+            false
+        });
+        // In the new cycle the part is terminated before it votes again:
+        // the opinion it formed on the previous tick must not count.
+        t.analyze(0, &|| true);
+        assert_eq!(t.decide(), Signal::Wait);
+    }
+
+    #[test]
+    fn a_racing_reader_never_sees_a_torn_tick() {
+        const PUBLICATIONS: u64 = 200_000;
+        let cell = TickCell::default();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for i in 1..=PUBLICATIONS {
+                    // All three fields are functions of one counter.
+                    cell.store((i % 97 != 0).then(|| Tick {
+                        at: Time::from_nanos(i),
+                        bid: i as f64,
+                        ask: i as f64 + 1.0,
+                    }));
+                }
+            });
+            start.wait();
+            let mut last = 0;
+            while last < 2 * PUBLICATIONS {
+                let (seq, tick) = cell.load();
+                assert!(seq.is_multiple_of(2) && seq >= last, "{seq} after {last}");
+                last = seq;
+                // Publication `seq / 2`, whole: never fields of two ticks.
+                let i = seq / 2;
+                assert_eq!(tick.is_some(), i % 97 != 0, "publication {i}");
+                if let Some(t) = tick {
+                    assert_eq!(
+                        (t.at.as_nanos(), t.bid, t.ask),
+                        (i, i as f64, i as f64 + 1.0)
+                    );
+                }
             }
-            fn name(&self) -> &str {
-                "always-bid"
+        });
+    }
+
+    #[test]
+    fn a_slot_holds_its_opinion_for_its_own_tick_only() {
+        for opinion in [
+            None,
+            Some(Signal::Bid),
+            Some(Signal::Ask),
+            Some(Signal::Wait),
+        ] {
+            for seq in [0, 2, 4, u64::MAX - 1] {
+                assert_eq!(vote(slot(seq, opinion), seq), opinion);
+                assert_eq!(vote(slot(seq, opinion), seq.wrapping_add(2)), None);
             }
         }
+        // A fresh trader's slots abstain before the first publication.
+        assert_eq!(vote(0, 0), None);
+    }
+
+    #[test]
+    fn the_trader_and_its_tracer_are_shareable() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<ImpreciseTrader>();
+        assert_send_sync::<PipelineTracer>();
+    }
+
+    #[test]
+    #[should_panic(expected = "a tracer is already attached")]
+    fn a_trader_takes_one_tracer() {
+        let t = trader(1);
+        t.attach_tracer(Arc::new(PipelineTracer::new(TraceConfig::enabled())));
+        t.attach_tracer(Arc::new(PipelineTracer::new(TraceConfig::enabled())));
+    }
+
+    #[test]
+    fn a_cycle_with_no_tick_places_no_order() {
         let two_ticks = crate::market::collect_ticks(&mut SyntheticFeed::eur_usd(1), 2);
         let t = ImpreciseTrader::new(
             Box::new(crate::market::ReplayFeed::new(two_ticks)),

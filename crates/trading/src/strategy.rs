@@ -237,9 +237,15 @@ impl SignalAggregator {
 
     /// Aggregates the available opinions (absent = discarded/warming up).
     pub fn decide(&self, opinions: &[Option<Signal>]) -> Signal {
+        self.tally(opinions.iter().copied())
+    }
+
+    /// The voting rule itself, over opinions read from wherever they live
+    /// (a slice here, the trader's atomic slots in [`crate::imprecise`]).
+    pub(crate) fn tally(&self, opinions: impl Iterator<Item = Option<Signal>>) -> Signal {
         let mut bids = 0usize;
         let mut asks = 0usize;
-        for s in opinions.iter().flatten() {
+        for s in opinions.flatten() {
             match s {
                 Signal::Bid => bids += 1,
                 Signal::Ask => asks += 1,

@@ -1,0 +1,157 @@
+//! The tick→order path does not allocate: a cycle of `ingest` → analyses →
+//! `decide` touches the heap only when `decisions` or the venue's fills
+//! outgrow their vector (amortised), traced or not.
+//!
+//! An integration test is its own binary, so it can install its own
+//! counting allocator; calls are counted per thread, and each test counts
+//! on the thread that runs it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use rtseed::obs::TraceConfig;
+use rtseed_model::Span;
+use rtseed_trading::execution::{ExecutionConfig, PaperVenue};
+use rtseed_trading::fault::{
+    FaultyFeed, FeedFaultPlan, FeedFaultRates, FeedWatchdog, WatchdogConfig,
+};
+use rtseed_trading::fundamentals::MacroFeed;
+use rtseed_trading::imprecise::{ImpreciseTrader, PipelineTracer};
+use rtseed_trading::market::SyntheticFeed;
+use rtseed_trading::strategy::{
+    BollingerReversion, FundamentalBias, MacdMomentum, RsiContrarian, SignalAggregator, Strategy,
+};
+
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator neither allocates nor sees a torn-down slot.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn count() {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocator
+// state and never allocates, so it cannot re-enter the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller guarantees `layout` has non-zero size.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller guarantees `ptr` came from this allocator
+        // (hence from `System`) with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: the caller guarantees `ptr`/`layout` describe a live
+        // block of this allocator and `new_size` is valid for its alignment.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+const ANALYSES: usize = 7;
+const WARMUP: usize = 1_000;
+const CYCLES: usize = 10_000;
+
+/// The `feed_faults` trader of `perfbench`: a watchdog over a feed with
+/// every fault class, seven analyses cycling through all four strategy
+/// kinds.
+fn feed_faults_trader() -> ImpreciseTrader {
+    let rates = FeedFaultRates {
+        stall: 0.005,
+        stall_polls: 2,
+        gap: 0.005,
+        gap_ticks: 2,
+        out_of_order: 0.005,
+        nan: 0.005,
+    };
+    let watchdog = WatchdogConfig {
+        max_retries: 7,
+        ..WatchdogConfig::default()
+    };
+    let strategies = (0..ANALYSES)
+        .map(|part| -> Box<dyn Strategy> {
+            match part % 4 {
+                0 => Box::new(BollingerReversion::new(10 + part / 4, 2.0)),
+                1 => Box::new(MacdMomentum::new(0.00002)),
+                2 => Box::new(RsiContrarian::standard()),
+                _ => {
+                    let mut bias = FundamentalBias::new(0.1);
+                    let mut releases = MacroFeed::new(7, Span::from_secs(3_600));
+                    for _ in 0..8 {
+                        bias.model_mut().ingest(&releases.next_release());
+                    }
+                    Box::new(bias)
+                }
+            }
+        })
+        .collect();
+    ImpreciseTrader::new(
+        Box::new(FeedWatchdog::new(
+            FaultyFeed::new(
+                SyntheticFeed::eur_usd(7),
+                FeedFaultPlan::new(7).with_random_faults(rates),
+            ),
+            watchdog,
+        )),
+        strategies,
+        SignalAggregator::new(1),
+        PaperVenue::new(ExecutionConfig::default()),
+        1.0,
+    )
+}
+
+fn cycle(trader: &ImpreciseTrader) {
+    assert!(trader.ingest(), "the watchdog outlasts every fault run");
+    for part in 0..ANALYSES {
+        trader.analyze(part, &|| false);
+    }
+    trader.decide();
+}
+
+/// Heap allocations of `CYCLES` cycles after `WARMUP` warm-up cycles.
+fn allocations_of_a_run(trader: &ImpreciseTrader) -> u64 {
+    for _ in 0..WARMUP {
+        cycle(trader);
+    }
+    let before = ALLOCS.with(Cell::get);
+    for _ in 0..CYCLES {
+        cycle(trader);
+    }
+    let allocs = ALLOCS.with(Cell::get) - before;
+    // The run did trade: fills grew, so the callers' bound is not vacuous.
+    assert_eq!(trader.decisions().len(), WARMUP + CYCLES);
+    assert!(!trader.venue_snapshot().fills().is_empty());
+    allocs
+}
+
+#[test]
+fn an_untraced_cycle_does_not_allocate() {
+    let allocs = allocations_of_a_run(&feed_faults_trader());
+    assert!(allocs < 64, "{allocs} allocations in {CYCLES} cycles");
+}
+
+#[test]
+fn a_traced_cycle_does_not_allocate() {
+    let trader = feed_faults_trader();
+    // Ingest + the analyses + decide a cycle: the ring never wraps or grows.
+    let events = (WARMUP + CYCLES) * (ANALYSES + 2);
+    let tracer = Arc::new(PipelineTracer::new(TraceConfig::bounded(events)));
+    trader.attach_tracer(Arc::clone(&tracer));
+    let allocs = allocations_of_a_run(&trader);
+    assert!(allocs < 64, "{allocs} allocations in {CYCLES} cycles");
+    assert_eq!(tracer.snapshot().len(), events);
+}
