@@ -1,9 +1,12 @@
 //! Bounded, drop-counting trace recording.
 //!
 //! [`TraceRecorder`] is the write side: a ring buffer that costs one
-//! branch per call while disabled and never allocates after construction.
-//! [`Trace`] is the read side handed back in the run outcome: a
-//! time-ordered event list with query helpers.
+//! branch per call while disabled and, configured for up to 1 Mi events
+//! (`1 << 20`, the default is `1 << 16`), never allocates after
+//! construction. A larger ring is reserved up to that many events only and
+//! grows the rest of the way by doubling as it fills, see
+//! [`TraceRecorder`]. [`Trace`] is the read side handed back in the run
+//! outcome: a time-ordered event list with query helpers.
 
 use core::fmt;
 
@@ -67,6 +70,15 @@ impl Default for TraceConfig {
 /// recording is an amortised O(1) ring append; once the ring is full the
 /// oldest event is overwritten and [`dropped`](TraceRecorder::dropped) is
 /// incremented, so recording never stalls the scheduling hot path.
+///
+/// Allocation: [`new`](TraceRecorder::new) reserves the whole ring when the
+/// configured capacity is at most 1 Mi events (48 MiB), and recording then
+/// never touches the allocator, wrapped or not. A ring configured larger is
+/// reserved for its first 1 Mi events only, so that a generous bound does
+/// not cost its memory up front; the event after those is the first to
+/// reallocate, on the path that records it, and the ring doubles from there
+/// until it holds `capacity`. Size the ring to 1 Mi or less where the
+/// recording path must not allocate.
 #[derive(Debug, Clone)]
 pub struct TraceRecorder {
     enabled: bool,
@@ -78,17 +90,21 @@ pub struct TraceRecorder {
 }
 
 impl TraceRecorder {
+    /// Events reserved at construction at most; a larger ring grows.
+    const RESERVED_AT_MOST: usize = 1 << 20;
+
     /// Creates a recorder for `config`. A zero capacity is clamped to 1 so
     /// an enabled recorder can always hold at least the latest event
     /// (validated configs reject zero earlier, see
-    /// [`crate::executor::RunConfigError`]).
+    /// [`crate::executor::RunConfigError`]). An enabled recorder reserves
+    /// its ring here, up to 1 Mi events of it.
     pub fn new(config: TraceConfig) -> TraceRecorder {
         let capacity = config.capacity.max(1);
         TraceRecorder {
             enabled: config.enabled,
             capacity,
             ring: if config.enabled {
-                Vec::with_capacity(capacity.min(1 << 20))
+                Vec::with_capacity(capacity.min(Self::RESERVED_AT_MOST))
             } else {
                 Vec::new()
             },
@@ -207,7 +223,15 @@ impl Trace {
 
     /// A trace over `events`, already in time order, cut from a recording
     /// that lost `dropped` events.
-    pub(crate) fn from_parts(events: Vec<(Time, TraceEvent)>, dropped: u64) -> Trace {
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug builds) if `events` is not in time order.
+    pub fn from_parts(events: Vec<(Time, TraceEvent)>, dropped: u64) -> Trace {
+        debug_assert!(
+            events.windows(2).all(|w| w[0].0 <= w[1].0),
+            "a trace is in time order"
+        );
         Trace { events, dropped }
     }
 
@@ -377,6 +401,26 @@ mod tests {
                 .collect();
             assert_eq!(seqs, (5 - capacity as u64..5).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn a_ring_is_reserved_up_to_the_cap() {
+        // Within the cap: the ring never grows, filling or wrapped. (That
+        // it never allocates is counted in `tests/tests/trading_alloc.rs`.)
+        let mut rec = TraceRecorder::new(TraceConfig::bounded(1 << 10));
+        let reserved = rec.ring.capacity();
+        assert!(reserved >= 1 << 10);
+        for i in 0..2 << 10 {
+            rec.record(t(i), released(i));
+        }
+        assert_eq!(rec.ring.capacity(), reserved);
+        assert_eq!((rec.len(), rec.dropped()), (1 << 10, 1 << 10));
+        // Above it: reserved short of what it may hold, so it will grow.
+        let capacity = TraceRecorder::RESERVED_AT_MOST + 1;
+        let rec = TraceRecorder::new(TraceConfig::bounded(capacity));
+        assert!(rec.ring.capacity() < capacity);
+        // Disabled: nothing.
+        assert_eq!(TraceRecorder::disabled().ring.capacity(), 0);
     }
 
     #[test]

@@ -27,12 +27,18 @@
 //! | feed, venue, decisions | mandatory, wind-up | the accessors | one mutex (the real-time state) |
 //! | strategy *k* | optional part *k* | — | its own mutex |
 //! | the tracer | `attach_tracer`, once | every stage | a `OnceLock`: one load |
+//! | trace lane 0 | mandatory, wind-up (one thread) | `snapshot` | single writer, `Release` length / `Acquire` snapshot |
+//! | trace lane *k* + 1 | optional part *k* | `snapshot` | single writer, `Release` length / `Acquire` snapshot |
+//!
+//! No lock is taken by both an optional part and a real-time part, traced
+//! or not, and none by a reader of the trace: an analysis preempted at any
+//! instruction holds nothing the mandatory part or the wind-up waits for.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-use rtseed::obs::{PipelineStage, Trace, TraceConfig, TraceEvent, TraceRecorder};
+use rtseed::obs::{PipelineStage, Trace, TraceConfig, TraceEvent};
 use rtseed::runtime::{OptionalControl, TaskBody};
 use rtseed_model::{JobId, PartId, Span, TaskSetError, TaskSpec, Time};
 
@@ -42,10 +48,16 @@ use crate::strategy::{Signal, SignalAggregator, Strategy};
 
 /// Records the trading pipeline's stage transitions as
 /// [`TraceEvent::PipelineStage`] events, shared by the mandatory, optional
-/// and wind-up threads of a native run. The recorder sits behind the
-/// tracer's own lock: the optional parts of one job record in parallel and
-/// nothing in the trader serializes them, so this lock does, and the order
-/// of events in the ring is the order it was taken in.
+/// and wind-up threads of a native run, none of which can delay another by
+/// recording: each thread appends to a lane only it writes, and
+/// [`PipelineTracer::snapshot`] reads all of them without stopping any.
+///
+/// A tracer records one trader. [`ImpreciseTrader::attach_tracer`] binds it
+/// to the trader's number of analyses and that is when its storage is
+/// allocated, in one block, and zeroed. The configured capacity is split in
+/// proportion to what a cycle writes, so every lane holds the same last
+/// `capacity / (np + 2)` whole cycles: a tracer sized `cycles × (np + 2)`
+/// drops nothing.
 ///
 /// Cycles are numbered from 0: each [`ImpreciseTrader::ingest`] that
 /// obtains a tick starts a new cycle; analyses and the decision record
@@ -53,8 +65,11 @@ use crate::strategy::{Signal, SignalAggregator, Strategy};
 #[derive(Debug)]
 pub struct PipelineTracer {
     epoch: Instant,
+    config: TraceConfig,
+    /// Cycles begun. Written by the task thread alone.
     cycle: AtomicU64,
-    rec: Mutex<TraceRecorder>,
+    /// Set when the tracer is bound; `None` inside when tracing is off.
+    lanes: OnceLock<Option<Lanes>>,
 }
 
 impl PipelineTracer {
@@ -77,36 +92,226 @@ impl PipelineTracer {
     pub fn with_epoch(config: TraceConfig, epoch: Instant) -> PipelineTracer {
         PipelineTracer {
             epoch,
+            config,
             cycle: AtomicU64::new(0),
-            rec: Mutex::new(TraceRecorder::new(config)),
+            lanes: OnceLock::new(),
         }
     }
 
-    fn now(&self) -> Time {
-        Time::from_nanos(u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX))
+    /// Binds the tracer to a trader of `parts` analyses and allocates its
+    /// lanes (none when tracing is off). A zero capacity is clamped, as a
+    /// [`rtseed::obs::TraceRecorder`]'s is: the smallest ring holds a cycle.
+    fn bind(&self, parts: usize) {
+        let TraceConfig { enabled, capacity } = self.config;
+        let lanes = enabled.then(|| Lanes::new(parts, (capacity / (parts + 2)).max(1)));
+        assert!(self.lanes.set(lanes).is_ok(), "a tracer records one trader");
     }
 
+    /// Starts a cycle and returns its number. The task thread is the only
+    /// writer, so a load and a store do what a `fetch_add` would.
     fn begin_cycle(&self) -> u64 {
-        self.cycle.fetch_add(1, Ordering::Relaxed)
+        let cycle = self.cycle.load(Ordering::Relaxed);
+        self.cycle.store(cycle + 1, Ordering::Relaxed);
+        cycle
     }
 
+    /// The cycle in progress. Exact for a part that was started after the
+    /// mandatory part returned, which is how a runtime starts them: that
+    /// hand-over is what orders this load after `begin_cycle`'s store.
     fn current_cycle(&self) -> u64 {
         self.cycle.load(Ordering::Relaxed).saturating_sub(1)
     }
 
+    /// The lanes, once bound and unless tracing is off.
+    fn lanes(&self) -> Option<&Lanes> {
+        self.lanes.get()?.as_ref()
+    }
+
     fn record(&self, cycle: u64, stage: PipelineStage, part: Option<PartId>) {
-        let mut rec = self.rec.lock().expect("tracer lock");
-        if rec.enabled() {
-            let at = self.now();
-            rec.record(at, TraceEvent::PipelineStage { cycle, stage, part });
+        if let Some(lanes) = self.lanes() {
+            let lane = part.map_or(0, |p| p.index() + 1);
+            let at = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            lanes.push(lane, at, cycle, stage);
         }
     }
 
-    /// The trace recorded so far (recording continues). Event order is the
-    /// order the stages took the recorder's lock in; export with
+    /// The trace recorded so far (recording continues, and no part waits
+    /// for this call): every lane's retained records merged by timestamp,
+    /// a lane's own order kept and lane order breaking ties. Export with
     /// [`rtseed::obs::export`].
+    ///
+    /// A snapshot taken while the parts record sees, of each lane, the
+    /// records published before it looked; one the writer overwrote
+    /// meanwhile is counted in [`Trace::dropped`], never returned half old
+    /// and half new.
     pub fn snapshot(&self) -> Trace {
-        self.rec.lock().expect("tracer lock").clone().finish()
+        let Some(lanes) = self.lanes() else {
+            return Trace::new();
+        };
+        let mut events = Vec::with_capacity((0..=lanes.parts).map(|l| lanes.held(l)).sum());
+        let mut dropped = 0;
+        for lane in 0..=lanes.parts {
+            dropped += lanes.read(lane, &mut events);
+        }
+        // Every lane is a sorted run, which is the stable sort's best case.
+        events.sort_by_key(|(at, _)| *at);
+        Trace::from_parts(events, dropped)
+    }
+}
+
+/// Words of a record: its stamp, nanoseconds since the epoch, the cycle.
+const RECORD: usize = 3;
+
+/// A record's stamp: its index in its lane over the stage's two bits.
+fn stamp(index: u64, stage: PipelineStage) -> u64 {
+    let code = match stage {
+        PipelineStage::Ingest => 0,
+        PipelineStage::Analysis => 1,
+        PipelineStage::Decide => 2,
+    };
+    index << 2 | code
+}
+
+/// The stage of the record a slot holds, if that is record `index`.
+fn stamped(stamp: u64, index: u64) -> Option<PipelineStage> {
+    if stamp >> 2 != index {
+        return None;
+    }
+    match stamp & 3 {
+        0 => Some(PipelineStage::Ingest),
+        1 => Some(PipelineStage::Analysis),
+        2 => Some(PipelineStage::Decide),
+        _ => None,
+    }
+}
+
+/// The tracer's storage: one append-only ring of records per writing
+/// thread, all in one block. Lane 0 is the task thread's, which runs the
+/// mandatory part and the wind-up and so writes two records a cycle; lane
+/// `k + 1` is optional part `k`'s and takes one. A lane is its length (the
+/// records ever written to it) followed by its ring, so a writer touches
+/// its own lane's words and nothing else.
+///
+/// A record is three words. The part is not one of them: it is the lane.
+/// The stamp is the record's index in its lane over the stage, so a slot
+/// says which of the records that ever shared it it holds.
+///
+/// Ordering. A writer stores the stamp, then the payload (`Release`), then
+/// the length (`Release`); a reader loads the length (`Acquire`), then of
+/// every record in the ring's window the payload (`Acquire`) and then the
+/// stamp. Plain moves on x86-64, and no read-modify-write anywhere.
+///
+/// * *A record below the length is complete.* The reader's length load
+///   reads the store that published record `len − 1` or a later one and
+///   synchronizes with it; every store of every earlier record
+///   happens-before that store, the lane having one writer.
+/// * *A record is never half overwritten.* A payload load that reads the
+///   store of a later record in the same slot synchronizes with it, and the
+///   writer sequenced that record's stamp store before it; the reader's
+///   stamp load comes after, must read that stamp or a later one, finds it
+///   is not the index it asked for, and counts the record as dropped, with
+///   every older one: the writer had been through their slots before.
+///
+/// Two threads writing one lane would claim the same index and lose one
+/// record to the other; the runtime runs a part on one thread at a time.
+struct Lanes {
+    parts: usize,
+    /// Whole cycles a lane holds.
+    cycles: usize,
+    words: Box<[AtomicU64]>,
+}
+
+impl std::fmt::Debug for Lanes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Lanes")
+            .field("parts", &self.parts)
+            .field("cycles", &self.cycles)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Lanes {
+    /// One zeroed block for `parts + 1` lanes of `cycles` cycles: touching
+    /// every word here keeps the first-touch page faults out of the cycles.
+    fn new(parts: usize, cycles: usize) -> Lanes {
+        let words = Lanes::lane_words(2 * cycles) + parts * Lanes::lane_words(cycles);
+        Lanes {
+            parts,
+            cycles,
+            words: (0..words).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// Words of a lane of `records` records: its length, then its ring.
+    const fn lane_words(records: usize) -> usize {
+        1 + records * RECORD
+    }
+
+    /// Where `lane`'s length word is, and how many records its ring holds.
+    fn lane(&self, lane: usize) -> (usize, usize) {
+        match lane {
+            0 => (0, 2 * self.cycles),
+            k => (
+                Lanes::lane_words(2 * self.cycles) + (k - 1) * Lanes::lane_words(self.cycles),
+                self.cycles,
+            ),
+        }
+    }
+
+    /// The first word of record `index` of the lane at `base`.
+    fn slot(base: usize, capacity: usize, index: u64) -> usize {
+        // The division only once the ring has wrapped.
+        let at = if index < capacity as u64 {
+            index
+        } else {
+            index % capacity as u64
+        };
+        base + 1 + at as usize * RECORD
+    }
+
+    /// Appends a record to `lane`. Callers of one lane must not overlap.
+    fn push(&self, lane: usize, at: u64, cycle: u64, stage: PipelineStage) {
+        let (base, capacity) = self.lane(lane);
+        let index = self.words[base].load(Ordering::Relaxed);
+        let slot = Lanes::slot(base, capacity, index);
+        self.words[slot].store(stamp(index, stage), Ordering::Relaxed);
+        self.words[slot + 1].store(at, Ordering::Release);
+        self.words[slot + 2].store(cycle, Ordering::Release);
+        self.words[base].store(index + 1, Ordering::Release);
+    }
+
+    /// How many records `lane`'s ring holds.
+    fn held(&self, lane: usize) -> usize {
+        let (base, capacity) = self.lane(lane);
+        let len = self.words[base].load(Ordering::Relaxed);
+        len.min(capacity as u64) as usize
+    }
+
+    /// Decodes what `lane`'s ring holds onto `events`, oldest first, and
+    /// returns how many of the lane's records are lost: those the ring no
+    /// longer holds and those overwritten during the read. What it keeps
+    /// is always the lane's latest records with none missing in between.
+    fn read(&self, lane: usize, events: &mut Vec<(Time, TraceEvent)>) -> u64 {
+        let (base, capacity) = self.lane(lane);
+        let len = self.words[base].load(Ordering::Acquire);
+        let part = lane.checked_sub(1).map(|k| PartId(k as u32));
+        let start = events.len();
+        for index in len.saturating_sub(capacity as u64)..len {
+            let slot = Lanes::slot(base, capacity, index);
+            let at = self.words[slot + 1].load(Ordering::Acquire);
+            let cycle = self.words[slot + 2].load(Ordering::Acquire);
+            match stamped(self.words[slot].load(Ordering::Relaxed), index) {
+                Some(stage) => events.push((
+                    Time::from_nanos(at),
+                    TraceEvent::PipelineStage { cycle, stage, part },
+                )),
+                // The writer has come round to this slot, so it has been
+                // through every older record's: what was read of them is
+                // whole, but keeping it would leave a hole behind it.
+                None => events.truncate(start),
+            }
+        }
+        len - (events.len() - start) as u64
     }
 }
 
@@ -312,16 +517,21 @@ impl ImpreciseTrader {
     /// decision records a [`TraceEvent::PipelineStage`] event. A trader
     /// takes one tracer for life (attach it before the first cycle), which
     /// is what lets every stage find it, or find there is none, with one
-    /// load.
+    /// load; and a tracer takes one trader, whose parts its lanes are cut
+    /// for here.
     ///
     /// # Panics
     ///
-    /// Panics if a tracer is already attached.
+    /// Panics if a tracer is already attached, or if `tracer` already
+    /// records another trader.
     pub fn attach_tracer(&self, tracer: Arc<PipelineTracer>) {
-        assert!(
-            self.tracer.set(tracer).is_ok(),
-            "a tracer is already attached"
-        );
+        let mut attached = false;
+        self.tracer.get_or_init(|| {
+            tracer.bind(self.analyses());
+            attached = true;
+            tracer
+        });
+        assert!(attached, "a tracer is already attached");
     }
 
     fn trace_stage(&self, stage: PipelineStage, part: Option<PartId>) {
@@ -910,5 +1120,290 @@ mod tests {
         let silent = trader(1);
         silent.run_cycle_synchronous();
         assert_eq!(PipelineTracer::new(TraceConfig::enabled()).snapshot().len(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a tracer records one trader")]
+    fn a_tracer_records_one_trader() {
+        let tracer = Arc::new(PipelineTracer::new(TraceConfig::enabled()));
+        trader(1).attach_tracer(Arc::clone(&tracer));
+        trader(1).attach_tracer(tracer);
+    }
+
+    #[test]
+    fn a_single_thread_trace_is_the_pipeline_in_order() {
+        const CYCLES: u64 = 1_000;
+        let t = trader(1);
+        let tracer = Arc::new(PipelineTracer::new(TraceConfig::enabled()));
+        t.attach_tracer(Arc::clone(&tracer));
+        for _ in 0..CYCLES {
+            t.run_cycle_synchronous();
+        }
+        let trace = tracer.snapshot();
+        assert_eq!(trace.dropped(), 0);
+        // Timestamps aside, what the tracer has always yielded: ingest,
+        // the analyses in part order, decide; cycles from 0.
+        let expected: Vec<TraceEvent> = (0..CYCLES)
+            .flat_map(|cycle| {
+                let event = move |stage, part| TraceEvent::PipelineStage { cycle, stage, part };
+                std::iter::once(event(PipelineStage::Ingest, None))
+                    .chain((0..3).map(move |k| event(PipelineStage::Analysis, Some(PartId(k)))))
+                    .chain(std::iter::once(event(PipelineStage::Decide, None)))
+            })
+            .collect();
+        let recorded: Vec<TraceEvent> = trace.events().iter().map(|(_, e)| e.clone()).collect();
+        assert_eq!(recorded, expected);
+        assert!(trace.events().windows(2).all(|w| w[0].0 <= w[1].0));
+    }
+
+    #[test]
+    fn a_lapped_read_keeps_the_latest_records_whole() {
+        // One part, four cycles a lane; the part has recorded six.
+        let lanes = Lanes::new(1, 4);
+        for cycle in 0..6 {
+            lanes.push(1, 100 + cycle, cycle, PipelineStage::Analysis);
+        }
+        let read = |lanes: &Lanes| {
+            let mut events = Vec::new();
+            let lost = lanes.read(1, &mut events);
+            let cycles: Vec<u64> = events
+                .iter()
+                .map(|(at, event)| match event {
+                    TraceEvent::PipelineStage {
+                        cycle,
+                        stage: PipelineStage::Analysis,
+                        part,
+                    } if *part == Some(PartId(0)) && at.as_nanos() == 100 + cycle => *cycle,
+                    _ => panic!("not a whole event: {event:?}"),
+                })
+                .collect();
+            (cycles, lost)
+        };
+        assert_eq!(read(&lanes), (vec![2, 3, 4, 5], 2));
+        // What a reader that has loaded the length finds when the writer
+        // has begun record 6, in record 2's slot: the stamp goes first.
+        let (base, capacity) = lanes.lane(1);
+        let slot = Lanes::slot(base, capacity, 6);
+        assert_eq!(slot, Lanes::slot(base, capacity, 2));
+        lanes.words[slot].store(stamp(6, PipelineStage::Analysis), Ordering::Relaxed);
+        assert_eq!(read(&lanes), (vec![3, 4, 5], 3));
+        // And when the writer got as far as record 8 while the reader was
+        // on its way there: what it read of 2 and 3 is whole but goes, so
+        // that what is left has no hole in it.
+        let slot = Lanes::slot(base, capacity, 8);
+        lanes.words[slot].store(stamp(8, PipelineStage::Analysis), Ordering::Relaxed);
+        lanes.words[Lanes::slot(base, capacity, 2)]
+            .store(stamp(2, PipelineStage::Analysis), Ordering::Relaxed);
+        assert_eq!(read(&lanes), (vec![5], 5));
+        // A stamp that names no stage is no record either.
+        lanes.words[Lanes::slot(base, capacity, 5)].store(5 << 2 | 3, Ordering::Relaxed);
+        assert_eq!(read(&lanes), (vec![], 6));
+    }
+
+    #[test]
+    fn a_tracer_splits_its_capacity_by_what_a_cycle_writes() {
+        // Three analyses: five records a cycle, so 23 events hold four
+        // whole cycles; the ring that wraps keeps the last four of each
+        // lane, the decision of a cycle with its ingest.
+        let t = trader(1);
+        let tracer = Arc::new(PipelineTracer::new(TraceConfig::bounded(23)));
+        t.attach_tracer(Arc::clone(&tracer));
+        for _ in 0..10 {
+            t.run_cycle_synchronous();
+        }
+        let trace = tracer.snapshot();
+        assert_eq!((trace.len(), trace.dropped()), (20, 30));
+        let cycles: Vec<u64> = trace
+            .events()
+            .iter()
+            .map(|(_, event)| match event {
+                TraceEvent::PipelineStage { cycle, .. } => *cycle,
+                _ => panic!("not a pipeline event: {event:?}"),
+            })
+            .collect();
+        let expected: Vec<u64> = (6..10).flat_map(|cycle| [cycle; 5]).collect();
+        assert_eq!(cycles, expected);
+        // A tracer with tracing off binds, holds nothing and records nothing.
+        let off = trader(1);
+        let silent = Arc::new(PipelineTracer::new(TraceConfig::disabled()));
+        off.attach_tracer(Arc::clone(&silent));
+        off.run_cycle_synchronous();
+        assert_eq!(silent.snapshot(), Trace::new());
+        // The smallest ring still holds a cycle.
+        let tiny = trader(1);
+        let one = Arc::new(PipelineTracer::new(TraceConfig::bounded(0)));
+        tiny.attach_tracer(Arc::clone(&one));
+        tiny.run_cycle_synchronous();
+        tiny.run_cycle_synchronous();
+        assert_eq!((one.snapshot().len(), one.snapshot().dropped()), (5, 5));
+    }
+
+    /// Analyses of the cross-thread tests (the task's `np`).
+    const PARTS: usize = 4;
+
+    fn cross_thread_trader(capacity: usize) -> (ImpreciseTrader, Arc<PipelineTracer>) {
+        let t = ImpreciseTrader::new(
+            Box::new(SyntheticFeed::eur_usd(3)),
+            (0..PARTS)
+                .map(|_| Box::new(AlwaysBid(false)) as Box<dyn Strategy>)
+                .collect(),
+            SignalAggregator::new(1),
+            PaperVenue::new(ExecutionConfig::default()),
+            1.0,
+        );
+        let tracer = Arc::new(PipelineTracer::new(TraceConfig::bounded(capacity)));
+        t.attach_tracer(Arc::clone(&tracer));
+        (t, tracer)
+    }
+
+    /// Runs `cycles` cycles the way the native runtime does: one task
+    /// thread for the mandatory part and the wind-up, one thread per
+    /// optional part, the parts of a cycle between two barriers. `observe`
+    /// runs on the calling thread meanwhile, until it returns `false` or
+    /// the task thread is done.
+    fn run_across_threads(t: &ImpreciseTrader, cycles: u64, mut observe: impl FnMut() -> bool) {
+        let gate = std::sync::Barrier::new(PARTS + 1);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..cycles {
+                    assert!(t.ingest());
+                    gate.wait();
+                    gate.wait();
+                    t.decide();
+                }
+                done.store(true, Ordering::Release);
+            });
+            for part in 0..PARTS {
+                let gate = &gate;
+                s.spawn(move || {
+                    for _ in 0..cycles {
+                        gate.wait();
+                        t.analyze(part, &|| false);
+                        gate.wait();
+                    }
+                });
+            }
+            while !done.load(Ordering::Acquire) {
+                if !observe() {
+                    break;
+                }
+            }
+        });
+    }
+
+    /// Where the pipeline puts an event: lane 0 is the task thread's, which
+    /// alternates ingest and decide; lane `k + 1` is part `k`'s, one record
+    /// a cycle. An event whose stage, part and cycle do not fit together is
+    /// not whole.
+    fn place(event: &TraceEvent) -> (usize, u64) {
+        let TraceEvent::PipelineStage { cycle, stage, part } = event else {
+            panic!("not a pipeline event: {event:?}");
+        };
+        match (stage, part) {
+            (PipelineStage::Ingest, None) => (0, 2 * cycle),
+            (PipelineStage::Decide, None) => (0, 2 * cycle + 1),
+            (PipelineStage::Analysis, Some(p)) if p.index() < PARTS => (p.index() + 1, *cycle),
+            _ => panic!("not a whole event: {event:?}"),
+        }
+    }
+
+    /// A snapshot by lane: the place of each lane's first retained record
+    /// and the timestamps of all of them. Asserts what every snapshot must
+    /// satisfy, taken at rest or mid-write: time order overall, and in each
+    /// lane whole events at consecutive places.
+    fn by_lane(trace: &Trace) -> Vec<(u64, Vec<Time>)> {
+        assert!(
+            trace.events().windows(2).all(|w| w[0].0 <= w[1].0),
+            "a snapshot is in time order"
+        );
+        let mut lanes: Vec<(u64, Vec<Time>)> = vec![(0, Vec::new()); PARTS + 1];
+        for (at, event) in trace.events() {
+            let (lane, at_place) = place(event);
+            let (first, times) = &mut lanes[lane];
+            if times.is_empty() {
+                *first = at_place;
+            }
+            assert_eq!(
+                at_place,
+                *first + times.len() as u64,
+                "lane {lane}: {event:?}"
+            );
+            times.push(*at);
+        }
+        lanes
+    }
+
+    #[test]
+    fn tracer_records_across_threads_exactly() {
+        const CYCLES: u64 = 20_000;
+        let events = CYCLES * (PARTS as u64 + 2);
+        // Sized to the run, then to an eighth of it: every lane wraps.
+        for capacity in [events, events / 8] {
+            let (t, tracer) = cross_thread_trader(capacity as usize);
+            run_across_threads(&t, CYCLES, || false);
+            let trace = tracer.snapshot();
+            // What each lane keeps, in whole cycles, and what it lost.
+            let kept = capacity / (PARTS as u64 + 2);
+            let overflow = (CYCLES - kept) * (PARTS as u64 + 2);
+            assert_eq!(trace.dropped(), overflow);
+            assert_eq!(trace.len() as u64, events - trace.dropped());
+            // One ingest, one decide and every part's analysis of each of
+            // the last `kept` cycles, and nothing else.
+            for (lane, (first, times)) in by_lane(&trace).into_iter().enumerate() {
+                let per_cycle = if lane == 0 { 2 } else { 1 };
+                assert_eq!(first, per_cycle * (CYCLES - kept), "lane {lane}");
+                assert_eq!(times.len() as u64, per_cycle * kept, "lane {lane}");
+            }
+        }
+    }
+
+    #[test]
+    fn tracer_snapshots_while_threads_record() {
+        const CYCLES: u64 = 20_000;
+        // 64 cycles a lane: the writers lap the reader again and again.
+        let (t, tracer) = cross_thread_trader(64 * (PARTS + 2));
+        let mut snapshots = 0;
+        let mut earlier = by_lane(&tracer.snapshot());
+        let mut accounted = 0;
+        run_across_threads(&t, CYCLES, || {
+            let trace = tracer.snapshot();
+            for (lane, (was, now)) in earlier.iter_mut().zip(by_lane(&trace)).enumerate() {
+                // A reader the writer lapped from end to end comes back
+                // with nothing of the lane, which says nothing about it.
+                if now.1.is_empty() {
+                    continue;
+                }
+                let ((was_first, was_times), (first, times)) = (&*was, &now);
+                // A lane only grows at one end and is cut at the other ...
+                assert!(first >= was_first, "lane {lane}");
+                assert!(
+                    first + times.len() as u64 >= was_first + was_times.len() as u64,
+                    "lane {lane}"
+                );
+                // ... and what the earlier snapshot saw and the ring still
+                // holds is there again, bit for bit.
+                let still = (first - was_first).min(was_times.len() as u64) as usize;
+                let again = was_times.len() - still;
+                assert_eq!(was_times[still..], times[..again], "lane {lane}");
+                *was = now;
+            }
+            // Every record a lane had when the reader looked is in exactly
+            // one of the two counts.
+            let seen = trace.len() as u64 + trace.dropped();
+            assert!(seen >= accounted, "{seen} after {accounted}");
+            accounted = seen;
+            snapshots += 1;
+            true
+        });
+        assert!(snapshots > 0);
+        // At rest: the last 64 cycles, whole.
+        let trace = tracer.snapshot();
+        assert_eq!(trace.len(), 64 * (PARTS + 2));
+        assert_eq!(trace.dropped(), (CYCLES - 64) * (PARTS as u64 + 2));
+        for (lane, (first, _)) in by_lane(&trace).into_iter().enumerate() {
+            let per_cycle = if lane == 0 { 2 } else { 1 };
+            assert_eq!(first, per_cycle * (CYCLES - 64), "lane {lane}");
+        }
     }
 }

@@ -1,6 +1,8 @@
 //! The tick→order path does not allocate: a cycle of `ingest` → analyses →
 //! `decide` touches the heap only when `decisions` or the venue's fills
-//! outgrow their vector (amortised), traced or not.
+//! outgrow their vector (amortised), traced or not. What tracing it costs
+//! the heap is one block when the tracer is attached and a fixed number
+//! when it is read; a scheduling recorder's ring costs nothing once built.
 //!
 //! An integration test is its own binary, so it can install its own
 //! counting allocator; calls are counted per thread, and each test counts
@@ -10,8 +12,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use rtseed::obs::TraceConfig;
-use rtseed_model::Span;
+use rtseed::obs::{TraceConfig, TraceEvent, TraceRecorder};
+use rtseed_model::{JobId, Span, TaskId, Time};
 use rtseed_trading::execution::{ExecutionConfig, PaperVenue};
 use rtseed_trading::fault::{
     FaultyFeed, FeedFaultPlan, FeedFaultRates, FeedWatchdog, WatchdogConfig,
@@ -122,16 +124,23 @@ fn cycle(trader: &ImpreciseTrader) {
     trader.decide();
 }
 
+/// Heap allocations `f` makes on this thread.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
 /// Heap allocations of `CYCLES` cycles after `WARMUP` warm-up cycles.
 fn allocations_of_a_run(trader: &ImpreciseTrader) -> u64 {
     for _ in 0..WARMUP {
         cycle(trader);
     }
-    let before = ALLOCS.with(Cell::get);
-    for _ in 0..CYCLES {
-        cycle(trader);
-    }
-    let allocs = ALLOCS.with(Cell::get) - before;
+    let ((), allocs) = allocations_of(|| {
+        for _ in 0..CYCLES {
+            cycle(trader);
+        }
+    });
     // The run did trade: fills grew, so the callers' bound is not vacuous.
     assert_eq!(trader.decisions().len(), WARMUP + CYCLES);
     assert!(!trader.venue_snapshot().fills().is_empty());
@@ -153,5 +162,62 @@ fn a_traced_cycle_does_not_allocate() {
     trader.attach_tracer(Arc::clone(&tracer));
     let allocs = allocations_of_a_run(&trader);
     assert!(allocs < 64, "{allocs} allocations in {CYCLES} cycles");
-    assert_eq!(tracer.snapshot().len(), events);
+    // Reading 99 000 events back: the event vector and the merge's
+    // scratch, not an allocation per event or per doubling.
+    let (trace, allocs) = allocations_of(|| tracer.snapshot());
+    assert_eq!((trace.len(), trace.dropped()), (events, 0));
+    assert!(
+        allocs <= 2,
+        "{allocs} allocations in a snapshot of {events} events"
+    );
+}
+
+#[test]
+fn a_tracer_is_one_block_whatever_the_parts() {
+    // `perfbench` counts every allocation of the trading phase into
+    // `allocs_per_cycle`, the tracers' among them: a lane of its own
+    // vector each would show there as `np + 1` a desk.
+    for np in [1, 3, 228] {
+        let trader = ImpreciseTrader::new(
+            Box::new(SyntheticFeed::eur_usd(7)),
+            (0..np)
+                .map(|_| Box::new(RsiContrarian::standard()) as Box<dyn Strategy>)
+                .collect(),
+            SignalAggregator::new(1),
+            PaperVenue::new(ExecutionConfig::default()),
+            1.0,
+        );
+        let (tracer, allocs) = allocations_of(|| {
+            let tracer = Arc::new(PipelineTracer::new(TraceConfig::bounded(100 * (np + 2))));
+            trader.attach_tracer(Arc::clone(&tracer));
+            tracer
+        });
+        assert_eq!(allocs, 2, "np = {np}: the `Arc` and the block");
+        // One event is read back within the bound that 99 000 are.
+        assert!(trader.ingest());
+        let (trace, allocs) = allocations_of(|| tracer.snapshot());
+        assert_eq!(trace.len(), 1);
+        assert!(
+            allocs <= 2,
+            "{allocs} allocations in a snapshot of one event"
+        );
+    }
+}
+
+#[test]
+fn a_recorder_within_its_reservation_does_not_allocate() {
+    const CAPACITY: usize = 1 << 10;
+    let mut rec = TraceRecorder::new(TraceConfig::bounded(CAPACITY));
+    let job = JobId {
+        task: TaskId(0),
+        seq: 0,
+    };
+    // Fills the ring and goes round it once more.
+    let ((), allocs) = allocations_of(|| {
+        for i in 0..2 * CAPACITY as u64 {
+            rec.record(Time::from_nanos(i), TraceEvent::JobReleased { job });
+        }
+    });
+    assert_eq!(allocs, 0);
+    assert_eq!((rec.len(), rec.dropped()), (CAPACITY, CAPACITY as u64));
 }
