@@ -8,8 +8,14 @@
 //! whether SCHED_FIFO was granted); on an RT-enabled multi-core host this
 //! harness reproduces the paper's measurement loop faithfully.
 
+use std::process::ExitCode;
+
 use rtseed::prelude::*;
 use rtseed::runtime::loadgen::LoadGenerator;
+use rtseed_bench::harness::Args;
+
+/// Jobs per point: nine points of 25 periods of 40 ms, about 9 s.
+const JOBS: u64 = 25;
 
 fn config(np: usize) -> SystemConfig {
     let task = TaskSpec::builder("native-probe")
@@ -27,12 +33,12 @@ fn config(np: usize) -> SystemConfig {
     .expect("schedulable")
 }
 
-fn main() {
-    let jobs: u64 = std::env::var("RTSEED_JOBS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(25);
-    println!("Native overhead measurement — {jobs} jobs per point, T = 40 ms\n");
+fn main() -> ExitCode {
+    if let Err(usage) = Args::from_env("native_overheads").finish() {
+        eprintln!("{usage}");
+        return ExitCode::FAILURE;
+    }
+    println!("Native overhead measurement — {JOBS} jobs per point, T = 40 ms\n");
     println!(
         "{:>12} {:>4} {:>12} {:>12} {:>12} {:>12} {:>8}",
         "load", "np", "Δm mean", "Δb mean", "Δs mean", "Δe mean", "misses"
@@ -42,7 +48,7 @@ fn main() {
         let gen = LoadGenerator::one_per_cpu(load);
         for np in [1usize, 2, 4] {
             let run = RunConfig::builder()
-                .jobs(jobs)
+                .jobs(JOBS)
                 .termination(TerminationMode::PeriodicCheck {
                     interval: Span::from_micros(200),
                 })
@@ -77,4 +83,5 @@ fn main() {
     if let Some(r) = report {
         println!("\nRuntime report (first run): {r:#?}");
     }
+    ExitCode::SUCCESS
 }

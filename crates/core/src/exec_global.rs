@@ -10,9 +10,9 @@
 //! thread (highest priorities run, lowest running part is preempted), and
 //! every time a part resumes on a different hardware thread than the one
 //! it last used, a **migration penalty** (cold L1/L2 refill) is added to
-//! its remaining execution and counted. The `ablation_grmwp` harness
-//! compares migrations, added overhead and QoS against P-RMWP on the same
-//! workload.
+//! its remaining execution and counted. The `ablation_grmwp` rows of the
+//! `paperfigs` bench compare migrations, added overhead and deadline
+//! misses against P-RMWP on the same task sets.
 //!
 //! Parallel optional parts keep their policy placement and never migrate,
 //! exactly as in the parallel-extended model (§II-A) — only the real-time

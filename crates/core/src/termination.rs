@@ -128,8 +128,8 @@ impl fmt::Display for TerminationMode {
     }
 }
 
-/// Renders the paper's Table I as text (used by the `table1_termination`
-/// harness).
+/// Renders the paper's Table I as text (printed by the `paperfigs` bench
+/// above its `table1` rows).
 pub fn render_table1() -> String {
     let rows = [
         TerminationMode::SigjmpTimer,

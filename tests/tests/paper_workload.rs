@@ -1,184 +1,116 @@
-//! End-to-end integration tests asserting the *shapes* of the paper's
-//! evaluation (§V) on the simulated Xeon Phi: these are the claims
-//! EXPERIMENTS.md records, executed with reduced job counts so the test
-//! suite stays fast.
+//! The paper's evaluation (§V) on the simulated Xeon Phi: the document
+//! `paperfigs` writes is pinned byte for byte, and every claim
+//! EXPERIMENTS.md records is a named shape of that document which must
+//! hold. One run, shared by every test: these are the numbers in
+//! EXPERIMENTS.md and `BENCH_paperfigs.json`, not a cheaper copy of them.
 
-use rtseed::policy::AssignmentPolicy;
-use rtseed_bench::{run_paper_workload, NP_SET};
-use rtseed_model::Span;
-use rtseed_sim::{BackgroundLoad, OverheadKind};
+use std::sync::OnceLock;
 
-fn mean_us(np: usize, policy: AssignmentPolicy, load: BackgroundLoad, kind: OverheadKind) -> f64 {
-    run_paper_workload(np, policy, load, 10, 0)
-        .overheads
-        .mean(kind)
-        .as_micros_f64()
+use rtseed_bench::paperfigs::{document, PaperFigs};
+
+fn figs() -> &'static PaperFigs {
+    static FIGS: OnceLock<PaperFigs> = OnceLock::new();
+    FIGS.get_or_init(PaperFigs::run)
+}
+
+/// The named shape exists and holds.
+fn assert_holds(name: &str) {
+    let found = figs().shapes.iter().find(|s| s.name == name);
+    let shape = found.unwrap_or_else(|| panic!("no shape named {name}"));
+    assert!(shape.holds, "{name}: {:?} (paper: {})", shape.measured, shape.paper);
+}
+
+#[test]
+fn document_is_the_committed_one() {
+    // Regenerate with `cargo run --release -p rtseed-bench --bin paperfigs`.
+    assert_eq!(document(), include_str!("../../BENCH_paperfigs.json"));
+}
+
+#[test]
+fn document_is_deterministic() {
+    assert_eq!(document(), document());
+}
+
+#[test]
+fn every_shape_holds() {
+    assert_eq!(figs().verdict(), Ok(()));
+}
+
+#[test]
+fn a_shape_that_does_not_hold_fails_the_bin() {
+    let mut figs = figs().clone();
+    figs.shapes[3].holds = false;
+    let failed = figs.verdict().expect_err("one shape does not hold");
+    assert!(failed.contains(figs.shapes[3].name), "{failed}");
+    assert!(figs.document().contains("\"holds\": false"));
 }
 
 #[test]
 fn fig10_dm_is_constant_in_np() {
-    // "the overheads are approximately constant, regardless of the number
-    // of parallel optional parts".
-    for load in BackgroundLoad::ALL {
-        let at_4 = mean_us(4, AssignmentPolicy::OneByOne, load, OverheadKind::BeginMandatory);
-        let at_228 = mean_us(
-            228,
-            AssignmentPolicy::OneByOne,
-            load,
-            OverheadKind::BeginMandatory,
-        );
-        let ratio = at_228 / at_4;
-        assert!(
-            (0.8..1.25).contains(&ratio),
-            "{load}: Δm should be flat, got {at_4:.1} → {at_228:.1} µs"
-        );
-    }
+    assert_holds("fig10_dm_np228_over_np4_by_load");
 }
 
 #[test]
 fn fig10_dm_load_ordering() {
-    // NoLoad < CpuLoad < CpuMemoryLoad (Fig. 10a–c).
-    let n = mean_us(57, AssignmentPolicy::OneByOne, BackgroundLoad::NoLoad, OverheadKind::BeginMandatory);
-    let c = mean_us(57, AssignmentPolicy::OneByOne, BackgroundLoad::CpuLoad, OverheadKind::BeginMandatory);
-    let m = mean_us(57, AssignmentPolicy::OneByOne, BackgroundLoad::CpuMemoryLoad, OverheadKind::BeginMandatory);
-    assert!(n < c && c < m, "{n:.1} {c:.1} {m:.1}");
+    assert_holds("fig10_dm_us_rises_with_load_at_np57");
 }
 
 #[test]
 fn fig11_ds_grows_unloaded_flat_loaded() {
-    // Fig. 11a: grows with np, dramatic at 228; Fig. 11b–c: ~constant.
-    let unloaded: Vec<f64> = NP_SET
-        .iter()
-        .map(|&np| {
-            mean_us(np, AssignmentPolicy::OneByOne, BackgroundLoad::NoLoad, OverheadKind::SwitchToOptional)
-        })
-        .collect();
-    assert!(
-        unloaded.last().unwrap() > &(unloaded[0] * 3.0),
-        "unloaded Δs should grow strongly: {unloaded:?}"
-    );
-    // The 171 → 228 step is the sharpest ("a dramatic increase").
-    let step_small = unloaded[1] - unloaded[0];
-    let step_surge = unloaded[7] - unloaded[6];
-    assert!(step_surge > step_small * 5.0, "{unloaded:?}");
-
-    for load in [BackgroundLoad::CpuLoad, BackgroundLoad::CpuMemoryLoad] {
-        let a = mean_us(4, AssignmentPolicy::OneByOne, load, OverheadKind::SwitchToOptional);
-        let b = mean_us(228, AssignmentPolicy::OneByOne, load, OverheadKind::SwitchToOptional);
-        assert!((b / a) < 1.25, "{load}: loaded Δs should be flat: {a:.1} {b:.1}");
-    }
+    assert_holds("fig11_ds_us_unloaded_grows_with_np_and_surges_at_228");
+    assert_holds("fig11_ds_np228_over_np4_under_cpu_and_cpu_memory_load");
 }
 
 #[test]
 fn fig12_db_linear_and_cpu_worst() {
-    // Fig. 12: linear in np; the CpuLoad curve sits ABOVE CpuMemoryLoad
-    // (the signal path is branch-bound, §V-B's inversion).
-    for load in BackgroundLoad::ALL {
-        let at_57 = mean_us(57, AssignmentPolicy::OneByOne, load, OverheadKind::BeginOptional);
-        let at_114 = mean_us(114, AssignmentPolicy::OneByOne, load, OverheadKind::BeginOptional);
-        let at_228 = mean_us(228, AssignmentPolicy::OneByOne, load, OverheadKind::BeginOptional);
-        assert!(
-            (at_114 / at_57 - 2.0).abs() < 0.25 && (at_228 / at_114 - 2.0).abs() < 0.25,
-            "{load}: Δb should be linear: {at_57:.0} {at_114:.0} {at_228:.0}"
-        );
-    }
-    let cpu = mean_us(228, AssignmentPolicy::OneByOne, BackgroundLoad::CpuLoad, OverheadKind::BeginOptional);
-    let mem = mean_us(228, AssignmentPolicy::OneByOne, BackgroundLoad::CpuMemoryLoad, OverheadKind::BeginOptional);
-    let none = mean_us(228, AssignmentPolicy::OneByOne, BackgroundLoad::NoLoad, OverheadKind::BeginOptional);
-    assert!(cpu > mem && mem > none, "{cpu:.0} {mem:.0} {none:.0}");
+    // The CpuLoad curve sits ABOVE CpuMemoryLoad (§V-B's inversion).
+    assert_holds("fig12_db_doubles_np57_to_114_to_228_by_load");
+    assert_holds("fig12_db_ms_cpu_above_cpu_memory_above_no_load_at_np228");
 }
 
 #[test]
 fn fig13_de_largest_overhead_and_mem_worst() {
-    // "The overhead of ending the parallel optional parts is the largest
-    // of all types of overhead"; CpuMemoryLoad > CpuLoad (inverse of Δb).
-    let out = run_paper_workload(228, AssignmentPolicy::OneByOne, BackgroundLoad::NoLoad, 10, 0);
-    let de = out.overheads.mean(OverheadKind::EndOptional);
-    for kind in [
-        OverheadKind::BeginMandatory,
-        OverheadKind::BeginOptional,
-        OverheadKind::SwitchToOptional,
-    ] {
-        assert!(de > out.overheads.mean(kind), "Δe must dominate {kind:?}");
-    }
-    let cpu = mean_us(228, AssignmentPolicy::OneByOne, BackgroundLoad::CpuLoad, OverheadKind::EndOptional);
-    let mem = mean_us(228, AssignmentPolicy::OneByOne, BackgroundLoad::CpuMemoryLoad, OverheadKind::EndOptional);
-    assert!(mem > cpu, "{mem:.0} {cpu:.0}");
+    // CpuMemoryLoad > CpuLoad: the inverse of Δb.
+    assert_holds("fig13_de_us_largest_of_dm_db_ds_de_at_np228");
+    assert_holds("fig13_de_ms_cpu_memory_above_cpu_at_np228");
 }
 
 #[test]
 fn fig13_policy_ordering_under_load() {
-    // Figs. 13b–c: "the one by one assignment policy has the highest
-    // overhead, whereas the all by all assignment policy has the lowest".
-    for load in [BackgroundLoad::CpuLoad, BackgroundLoad::CpuMemoryLoad] {
-        for np in [57usize, 114, 171, 228] {
-            let one = mean_us(np, AssignmentPolicy::OneByOne, load, OverheadKind::EndOptional);
-            let two = mean_us(np, AssignmentPolicy::TwoByTwo, load, OverheadKind::EndOptional);
-            let all = mean_us(np, AssignmentPolicy::AllByAll, load, OverheadKind::EndOptional);
-            assert!(
-                one > two && two >= all,
-                "{load} np={np}: {one:.0} {two:.0} {all:.0}"
-            );
-        }
-    }
+    assert_holds("fig13_de_ms_one_above_two_above_all_under_load_np57_to_228");
 }
 
 #[test]
 fn fig13_policies_similar_unloaded() {
-    // Fig. 13a: "all assignment policies have approximately the same
-    // overheads".
-    let one = mean_us(171, AssignmentPolicy::OneByOne, BackgroundLoad::NoLoad, OverheadKind::EndOptional);
-    let all = mean_us(171, AssignmentPolicy::AllByAll, BackgroundLoad::NoLoad, OverheadKind::EndOptional);
-    assert!((one / all) < 1.15, "{one:.0} vs {all:.0}");
+    assert_holds("fig13_de_one_by_one_over_all_by_all_unloaded_at_np171");
 }
 
 #[test]
 fn de_grows_linearly_with_np() {
-    // Time complexity O(np_i) (§V-B).
-    let at_57 = mean_us(57, AssignmentPolicy::OneByOne, BackgroundLoad::NoLoad, OverheadKind::EndOptional);
-    let at_228 = mean_us(228, AssignmentPolicy::OneByOne, BackgroundLoad::NoLoad, OverheadKind::EndOptional);
-    assert!(((at_228 / at_57) - 4.0).abs() < 0.8, "{at_57:.0} {at_228:.0}");
+    assert_holds("fig13_de_np228_over_np57_unloaded");
 }
 
 #[test]
 fn paper_magnitudes_match_figure_axes() {
-    // Coarse absolute calibration (the axes of Figs. 10–13).
-    let dm = mean_us(57, AssignmentPolicy::OneByOne, BackgroundLoad::CpuMemoryLoad, OverheadKind::BeginMandatory);
-    assert!((100.0..300.0).contains(&dm), "Δm CpuMem ≈ 250 µs, got {dm:.0}");
-    let db = mean_us(228, AssignmentPolicy::OneByOne, BackgroundLoad::CpuLoad, OverheadKind::BeginOptional);
-    assert!((7_000.0..13_000.0).contains(&db), "Δb CPU@228 ≈ 10 ms, got {db:.0} µs");
-    let de = mean_us(228, AssignmentPolicy::OneByOne, BackgroundLoad::CpuMemoryLoad, OverheadKind::EndOptional);
-    assert!(
-        (40_000.0..62_000.0).contains(&de),
-        "Δe CpuMem@228 ≈ 50 ms, got {de:.0} µs"
-    );
+    // The rows that also bound a magnitude: Δm CpuMem ≈ 250 µs, Δb CPU@228
+    // ≈ 10 ms, Δe CpuMem@228 ≈ 50 ms.
+    assert_holds("fig10_dm_us_rises_with_load_at_np57");
+    assert_holds("fig12_db_ms_cpu_above_cpu_memory_above_no_load_at_np228");
+    assert_holds("fig13_de_ms_cpu_memory_above_cpu_at_np228");
 }
 
 #[test]
 fn all_np_policies_loads_meet_deadlines() {
     // The paper workload is schedulable by construction; the measured
     // overheads must fit in the WCET headroom everywhere on the grid.
-    for load in BackgroundLoad::ALL {
-        for policy in AssignmentPolicy::PAPER_POLICIES {
-            for np in NP_SET {
-                let out = run_paper_workload(np, policy, load, 3, 1);
-                assert_eq!(
-                    out.qos.deadline_misses(),
-                    0,
-                    "missed deadlines at np={np} {policy} {load}"
-                );
-                assert_eq!(out.qos.jobs(), 3);
-            }
-        }
+    assert_eq!(figs().overheads.len(), 3 * 3 * 8);
+    for run in &figs().overheads {
+        assert_eq!((run.jobs, run.misses), (100, 0), "missed deadlines at {run:?}");
     }
+    assert_holds("grid_runs_jobs_misses");
 }
 
 #[test]
 fn optional_deadline_equals_d_minus_w() {
-    // §V-A: OD1 = D1 − w1 for the single-task evaluation.
-    let cfg = rtseed_bench::paper_config(57, AssignmentPolicy::OneByOne);
-    assert_eq!(
-        cfg.optional_deadline(rtseed_model::TaskId(0)),
-        Span::from_millis(750)
-    );
+    assert_holds("od_ms_equals_d_minus_w");
 }
