@@ -71,17 +71,20 @@ pub(crate) struct Cpu {
 /// sessions ([`SessionManager::new_in`], where it goes by the name
 /// `ServeArena`).
 ///
-/// Holds everything a run allocates on its hot path — the event-queue
-/// slab, the per-CPU ready queues, the Δb signal buffer and a recycled
+/// Holds everything a run allocates on its hot path — the event queue
+/// (heap, payload slab and the run buffers the Δb loops fill), the
+/// per-CPU ready queues, the Δb signal buffer and a recycled
 /// [`Engine`] (task vector, supervisor, recorder ring) — so a worker pool
 /// can execute thousands of runs, and a churn-replay worker thousands of
 /// sessions, with a handful of allocations per worker instead of a handful
 /// per run. One arena serves both front-ends in any order.
 ///
 /// The arena carries **no cross-run state**: every buffer is cleared (or
-/// rebuilt from the new configuration) before the next run touches it, so
-/// a run over a hot arena is byte-identical to a cold one — a contract the
-/// differential tests pin down.
+/// rebuilt from the new configuration) before the next run touches it,
+/// whatever the last run left queued (a session can end mid-Δb, with a
+/// signalling loop's run still pending), so a run over a hot arena is
+/// byte-identical to a cold one — a contract the differential tests pin
+/// down.
 ///
 /// [`SimExecutor::run_in`]: crate::exec_sim::SimExecutor::run_in
 /// [`SessionManager::new_in`]: crate::serve::SessionManager::new_in
@@ -555,19 +558,22 @@ impl Substrate for Partitioned {
         let ds = d.sub.model.switch_to_optional(np);
         d.eng.sample(OverheadKind::SwitchToOptional, ds);
 
+        // The instants ascend except where a part waits for Δs, so the
+        // queue takes the loop as a few sorted runs, not np heap entries.
         let mandatory_hw = d.eng.mandatory_hw(task);
-        for (k, &base) in ready_times.iter().enumerate() {
-            let at = if d.eng.placement(task, k) == mandatory_hw {
-                base + ds
-            } else {
-                base
-            };
-            let work = Work {
-                task,
-                cursor: Cursor::Optional(k as u32),
-            };
-            d.events.push(at, Event::Ready { work });
-        }
+        d.events
+            .push_sorted(ready_times.iter().enumerate().map(|(k, &base)| {
+                let at = if d.eng.placement(task, k) == mandatory_hw {
+                    base + ds
+                } else {
+                    base
+                };
+                let work = Work {
+                    task,
+                    cursor: Cursor::Optional(k as u32),
+                };
+                (at, Event::Ready { work })
+            }));
         d.sub.signal_scratch = ready_times;
     }
 
@@ -698,6 +704,43 @@ mod tests {
         }
     }
 
+    /// Two tenants on 4×2, tracing on; `t` signals four optional parts,
+    /// `stays` keeps a session alive past their ready times.
+    fn signalling_session(arena: Option<&mut SimArena>, with_stays: bool) -> SessionManager {
+        let mut mgr = SessionManager::new_in(
+            Topology::quad_core_smt2(),
+            PartitionHeuristic::FirstFitDecreasing,
+            AssignmentPolicy::OneByOne,
+            RunConfig {
+                jobs: 3,
+                trace: TraceConfig::enabled(),
+                ..Default::default()
+            },
+            arena.unwrap_or(&mut SimArena::new()),
+        );
+        mgr.submit("t", &[spec("t", 100, 10, 4)]).unwrap();
+        if with_stays {
+            mgr.submit("stays", &[spec("stays", 100, 10, 1)]).unwrap();
+        }
+        mgr
+    }
+
+    /// An instant after `job`'s mandatory part signalled its optional
+    /// parts (Δb) and before the first of them is ready.
+    fn mid_signalling(undisturbed: &ServeOutcome, job: JobId) -> Time {
+        let mut events = undisturbed.outcome.trace.for_job(job);
+        let signalled = events
+            .find(|(_, e)| matches!(e, TraceEvent::MandatoryCompleted { .. }))
+            .map(|(t, _)| *t)
+            .expect("the job completes its mandatory part");
+        let first_ready = events
+            .find(|(_, e)| matches!(e, TraceEvent::Queue { op: QueueOp::Enqueue, .. }))
+            .map(|(t, _)| *t)
+            .expect("the job queues an optional part");
+        assert!(first_ready > signalled, "Δb takes time");
+        signalled + first_ready.saturating_elapsed_since(signalled) / 2
+    }
+
     #[test]
     fn arena_reuse_is_observably_identical_to_fresh_runs() {
         // One hot arena across heterogeneous back-to-back runs (different
@@ -742,7 +785,23 @@ mod tests {
             ),
             executor(spec("τ1", 1000, 250, 4), phi, AssignmentPolicy::OneByOne, traced(0)),
         ];
+        // A session whose only tenant leaves mid-Δb ends there, with the
+        // signalling loop's `Ready` events still queued.
+        let first_job = JobId {
+            task: TaskId(0),
+            seq: 0,
+        };
+        let leave = mid_signalling(&signalling_session(None, false).run(), first_job);
+        let cut_short = ChurnPlan::new().depart(leave, "t");
         let mut arena = SimArena::new();
+        signalling_session(Some(&mut arena), false).run_with_churn_in(&cut_short, &mut arena);
+        let queued = std::iter::from_fn(|| arena.events.pop())
+            .filter(|(_, e)| matches!(e, Event::Ready { .. }))
+            .count();
+        assert_eq!(
+            queued, 4,
+            "the Δb loop is still queued when the session ends"
+        );
         for (i, exec) in runs.iter().enumerate() {
             let hot = exec.run_in(&mut arena);
             let cold = exec.run();
@@ -768,6 +827,19 @@ mod tests {
                 "session {i}: event count"
             );
             assert_eq!(hot.counters, cold.counters, "session {i}: counters");
+            // And one that parks the arena with runs pending.
+            let hot = signalling_session(Some(&mut arena), false)
+                .run_with_churn_in(&cut_short, &mut arena);
+            let cold = signalling_session(None, false).run_with_churn(&cut_short);
+            assert_eq!(hot.outcome.qos, cold.outcome.qos, "cut session {i}: qos");
+            assert_eq!(
+                hot.outcome.trace, cold.outcome.trace,
+                "cut session {i}: trace"
+            );
+            assert_eq!(
+                hot.outcome.events_processed, cold.outcome.events_processed,
+                "cut session {i}: event count"
+            );
         }
     }
 
@@ -777,38 +849,12 @@ mod tests {
         // parts (Δb) but before the first of them is ready: the job is
         // aborted, the task retired, and the `Ready` events still in the
         // queue must die there — no queue entry, no trace event.
-        let session = || {
-            let mut mgr = SessionManager::new(
-                Topology::quad_core_smt2(),
-                PartitionHeuristic::FirstFitDecreasing,
-                AssignmentPolicy::OneByOne,
-                RunConfig {
-                    jobs: 3,
-                    trace: TraceConfig::enabled(),
-                    ..Default::default()
-                },
-            );
-            mgr.submit("t", &[spec("t", 100, 10, 4)]).unwrap();
-            // A second tenant keeps the loop alive past the ready times.
-            mgr.submit("stays", &[spec("stays", 100, 10, 1)]).unwrap();
-            mgr
-        };
+        let session = || signalling_session(None, true);
         let job = JobId {
             task: TaskId(0),
             seq: 1,
         };
-        let undisturbed = session().run();
-        let mut events = undisturbed.outcome.trace.for_job(job);
-        let signalled = events
-            .find(|(_, e)| matches!(e, TraceEvent::MandatoryCompleted { .. }))
-            .map(|(t, _)| *t)
-            .expect("job 1 completes its mandatory part");
-        let first_ready = events
-            .find(|(_, e)| matches!(e, TraceEvent::Queue { op: QueueOp::Enqueue, .. }))
-            .map(|(t, _)| *t)
-            .expect("job 1 queues an optional part");
-        assert!(first_ready > signalled, "Δb takes time");
-        let leave = signalled + first_ready.saturating_elapsed_since(signalled) / 2;
+        let leave = mid_signalling(&session().run(), job);
 
         let out = session().run_with_churn(&ChurnPlan::new().depart(leave, "t"));
         let trace = &out.outcome.trace;

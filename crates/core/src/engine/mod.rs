@@ -313,6 +313,11 @@ struct TaskState {
     /// part (only enforced when the supervisor is armed).
     rt_budget: Span,
     parts: Vec<PartState>,
+    /// How many of `parts` have no outcome yet (the completion handler
+    /// asks after every part; a scan there reads ≈ np²/2 states a job).
+    /// 32 bits here and in `optional_keep` keep this struct at 232 bytes:
+    /// a serving session holds one per resident task.
+    open_parts: u32,
     windup_scheduled: bool,
     /// The task entered the SQ waiting for its wind-up release (traced so
     /// the SQ enqueue/remove pair stays balanced).
@@ -325,7 +330,7 @@ struct TaskState {
     /// Tenant-guard QoS floor: keep at most this many optional parts per
     /// job (`Some(0)` = mandatory-only, `None` = no floor). Persists
     /// across jobs until the serving layer changes it.
-    optional_keep: Option<usize>,
+    optional_keep: Option<u32>,
     // Across jobs.
     timer_broken: bool,
     jobs_done: u64,
@@ -344,7 +349,18 @@ impl TaskState {
     }
 
     fn parts_all_ended(&self) -> bool {
-        self.parts.iter().all(|p| p.outcome.is_some())
+        debug_assert_eq!(
+            self.open_parts as usize,
+            self.parts.iter().filter(|p| p.outcome.is_none()).count()
+        );
+        self.open_parts == 0
+    }
+
+    /// Fixes part `k`'s outcome; the one place an outcome is written.
+    fn end_part(&mut self, k: usize, outcome: OptionalOutcome) {
+        if self.parts[k].outcome.replace(outcome).is_none() {
+            self.open_parts -= 1;
+        }
     }
 
     fn requested_optional(&self) -> Span {
@@ -553,6 +569,7 @@ impl Engine {
             rt_remaining: Span::ZERO,
             rt_budget: Span::ZERO,
             parts: Vec::new(),
+            open_parts: 0,
             windup_scheduled: false,
             in_sq: false,
             overran: false,
@@ -629,7 +646,8 @@ impl Engine {
     /// quarantine shed; `None` removes the floor). Takes effect at the
     /// next mandatory completion.
     pub fn set_optional_keep(&mut self, task: usize, keep: Option<usize>) {
-        self.tasks[task].optional_keep = keep;
+        // A floor at or above np is no floor, so saturating loses nothing.
+        self.tasks[task].optional_keep = keep.map(|k| u32::try_from(k).unwrap_or(u32::MAX));
     }
 
     /// Moves every queued tenant-attributed fault signal into `out`
@@ -821,6 +839,7 @@ impl Engine {
         // Vec's capacity, so releases allocate nothing in steady state.
         t.parts.clear();
         t.parts.resize(t.p.optional.len(), PartState::fresh());
+        t.open_parts = u32::try_from(t.parts.len()).expect("np fits 32 bits");
         t.windup_scheduled = false;
         t.in_sq = false;
         t.overran = false;
@@ -1087,7 +1106,8 @@ impl Engine {
             return AfterMandatory::Windup(self.schedule_windup(task, now, now));
         }
 
-        if let Some(keep) = self.tasks[task].optional_keep.filter(|&k| k < np) {
+        let floor = self.tasks[task].optional_keep.map(|k| k as usize);
+        if let Some(keep) = floor.filter(|&k| k < np) {
             // Tenant-guard QoS floor: only the first `keep` parts are
             // signalled; the rest are discarded unstarted (partial shed).
             self.sup.note_degraded_job();
@@ -1121,7 +1141,7 @@ impl Engine {
     fn discard_parts_from(&mut self, task: usize, from: usize, now: Time) {
         let np = self.tasks[task].p.optional.len();
         for k in from..np {
-            self.tasks[task].parts[k].outcome = Some(OptionalOutcome::Discarded);
+            self.tasks[task].end_part(k, OptionalOutcome::Discarded);
             if self.rec.enabled() {
                 let job = self.tasks[task].job();
                 self.rec.record(
@@ -1152,8 +1172,8 @@ impl Engine {
             let part = &mut self.tasks[task].parts[ki];
             part.executed = o_k;
             part.running_since = None;
-            part.outcome = Some(OptionalOutcome::Completed);
         }
+        self.tasks[task].end_part(ki, OptionalOutcome::Completed);
         if self.rec.enabled() {
             let job = self.tasks[task].job();
             self.rec.record(
@@ -1294,8 +1314,8 @@ impl Engine {
             let part = &mut self.tasks[task].parts[k];
             part.executed = achieved;
             part.running_since = None;
-            part.outcome = Some(outcome);
         }
+        self.tasks[task].end_part(k, outcome);
         if self.rec.enabled() {
             let job = self.tasks[task].job();
             self.rec.record(
@@ -1436,11 +1456,12 @@ impl Engine {
         if let Some(since) = part.running_since.take() {
             part.executed += now.saturating_elapsed_since(since);
         }
-        part.outcome = Some(if part.started.is_some() {
+        let outcome = if part.started.is_some() {
             OptionalOutcome::Terminated
         } else {
             OptionalOutcome::Discarded
-        });
+        };
+        self.tasks[task].end_part(k, outcome);
     }
 
     /// Forcibly finishes a job that is still incomplete at its next release
@@ -1467,8 +1488,8 @@ impl Engine {
             part.executed = executed;
             part.running_since = None;
             part.started = Some(started);
-            part.outcome = Some(outcome);
         }
+        self.tasks[task].end_part(k, outcome);
         if self.rec.enabled() {
             let job = self.tasks[task].job();
             let hw = self.tasks[task].p.placements[k];

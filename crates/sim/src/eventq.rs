@@ -1,36 +1,55 @@
 //! Deterministic discrete-event queue.
 //!
-//! An indexed binary min-heap over a payload slab with a freelist. Events
-//! are delivered in time order, breaking ties by insertion order (FIFO),
-//! which is what makes whole-simulation runs reproducible byte-for-byte
-//! across repeats and platforms.
+//! An indexed binary min-heap over a payload slab with a freelist, plus
+//! *runs*: batches that arrive already sorted and put only their head in
+//! the heap. Events are delivered in time order, breaking ties by insertion
+//! order (FIFO), which is what makes whole-simulation runs reproducible
+//! byte-for-byte across repeats and platforms.
 //!
 //! # Why not `BinaryHeap`?
 //!
 //! The event loop is the simulator's hot path: every push/pop at 228
-//! hardware threads goes through here. The slab layout buys two things the
+//! hardware threads goes through here. The layout buys three things the
 //! plain `BinaryHeap<Reverse<(Time, u64, T)>>` it replaced did not have:
 //!
-//! * **Allocation-free steady state.** Payload slots are recycled through
-//!   a freelist and the heap array only grows to the high-water mark of
-//!   *pending* events, so after warm-up a push/pop cycle touches no
-//!   allocator at all.
+//! * **Allocation-free steady state.** Payload slots and run buffers are
+//!   recycled through freelists and the heap array only grows to the
+//!   high-water mark of its entries, so after warm-up a push/pop cycle
+//!   touches no allocator at all.
 //! * **Single-word comparisons.** The heap orders `(Time, seq)` packed
 //!   into one `u128` key (time in the high 64 bits, insertion sequence in
 //!   the low 64), so sift operations compare one integer and move 32-byte
 //!   entries instead of calling a composite comparator over full payloads.
+//! * **A heap that does not grow with a sorted batch.** The Δb signalling
+//!   loop schedules one event per parallel optional part, at instants that
+//!   already ascend. [`EventQueue::push_sorted`] keeps every maximal
+//!   non-decreasing stretch of a batch as one run: a ring of `(Time, T)`
+//!   in arrival order whose head alone has a heap entry. Popping the head
+//!   rewrites that entry with the next event's key and sifts it down
+//!   (usually zero levels). With eight tasks of np = 228 on 57×4 the
+//!   heap held 1 367 entries at the mean pop and 2 912 at the peak, 1 824
+//!   of them such loops; with runs it holds 624 and 1 104 for the same
+//!   pending events (what is left is mostly completions of parts that
+//!   were terminated first), and every push and pop sifts through those.
 //!
 //! The ordering contract is unchanged and exact: keys are unique (the
 //! sequence number is), `(time, seq)` is a total order, and a min-heap
 //! pops a total order in sorted order — so pop order is precisely
-//! time-then-FIFO, independent of internal heap layout.
+//! time-then-FIFO, independent of internal heap layout. A run keeps that
+//! contract because its events take consecutive sequence numbers from the
+//! same counter `push` uses and their keys ascend along the ring: the
+//! earliest pending event is always a plain heap entry or the head of
+//! some run, and every head is in the heap.
 //!
-//! Fancier pop strategies were measured and rejected on the pop-dominated
-//! simulator workload: a 4-ary heap (shallower, but the min-of-4 child
-//! scan branch-mispredicts) and the bottom-up "Wegener" pop (fewer
-//! comparisons, same memory traffic) both benchmarked at or below the
-//! textbook binary sift, whose two-way compare compiles to branchless
-//! selects.
+//! Measured and rejected on the pop-dominated simulator workload: a 4-ary
+//! heap (shallower, but the min-of-4 child scan branch-mispredicts), the
+//! bottom-up "Wegener" pop (fewer comparisons, same memory traffic) — both
+//! at or below the textbook binary sift, whose two-way compare compiles to
+//! branchless selects — and payloads inline in the heap entries instead of
+//! the slab (36.4 against 36.7 ns an operation on the np = 228 stream: the
+//! cost is the depth, not the indirection).
+
+use std::collections::VecDeque;
 
 use rtseed_model::Time;
 
@@ -54,15 +73,34 @@ use rtseed_model::Time;
 #[derive(Debug, Clone)]
 pub struct EventQueue<T> {
     /// Implicit binary min-heap of `(key, slot)`: `key` packs
-    /// `(time.as_nanos() << 64) | seq`, `slot` indexes `slots`.
+    /// `(time.as_nanos() << 64) | seq`; `slot` indexes `slots`, or `runs`
+    /// when its [`RUN`] bit is set and the entry is that run's head.
     heap: Vec<(u128, u32)>,
     /// Payload slab; `None` marks a free slot (listed in `free`).
     slots: Vec<Option<T>>,
     /// Recycled slab indices, popped before the slab is grown.
     free: Vec<u32>,
+    /// Sorted batches; an empty run is free (listed in `free_runs`).
+    runs: Vec<Run<T>>,
+    /// Recycled run indices, popped before `runs` is grown.
+    free_runs: Vec<u32>,
+    /// Pending events: plain heap entries plus everything in runs.
+    len: usize,
     /// Monotonic insertion counter: the FIFO tie-breaker.
     seq: u64,
 }
+
+/// A stretch of events pushed back to back at non-decreasing instants.
+/// Their sequence numbers are consecutive, so the ring stores no key per
+/// event: `seq` is the front's and counts up as the front is popped.
+#[derive(Debug, Clone)]
+struct Run<T> {
+    events: VecDeque<(Time, T)>,
+    seq: u64,
+}
+
+/// Tag bit of a heap entry's slot word: the entry is a run's head.
+const RUN: u32 = 1 << 31;
 
 #[inline]
 fn key(at: Time, seq: u64) -> u128 {
@@ -74,15 +112,17 @@ fn key_time(key: u128) -> Time {
     Time::from_nanos((key >> 64) as u64)
 }
 
+/// The next index of a slab or of `runs`, which must leave [`RUN`] clear.
+#[inline]
+fn next_index(len: usize) -> u32 {
+    assert!(len < RUN as usize, "< 2^31 pending events");
+    len as u32
+}
+
 impl<T> EventQueue<T> {
     /// An empty queue.
     pub fn new() -> EventQueue<T> {
-        EventQueue {
-            heap: Vec::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            seq: 0,
-        }
+        EventQueue::with_capacity(0)
     }
 
     /// An empty queue with room for `capacity` pending events before any
@@ -92,6 +132,9 @@ impl<T> EventQueue<T> {
             heap: Vec::with_capacity(capacity),
             slots: Vec::with_capacity(capacity),
             free: Vec::with_capacity(capacity),
+            runs: Vec::new(),
+            free_runs: Vec::new(),
+            len: 0,
             seq: 0,
         }
     }
@@ -102,6 +145,7 @@ impl<T> EventQueue<T> {
     pub fn push(&mut self, at: Time, payload: T) {
         let seq = self.seq;
         self.seq += 1;
+        self.len += 1;
         let slot = match self.free.pop() {
             Some(slot) => {
                 debug_assert!(self.slots[slot as usize].is_none());
@@ -109,13 +153,62 @@ impl<T> EventQueue<T> {
                 slot
             }
             None => {
-                let slot = u32::try_from(self.slots.len()).expect("< 2^32 pending events");
+                let slot = next_index(self.slots.len());
                 self.slots.push(Some(payload));
                 slot
             }
         };
         self.heap.push((key(at, seq), slot));
         self.sift_up(self.heap.len() - 1);
+    }
+
+    /// Schedules every `(at, payload)` of `events`, observably exactly as
+    /// one [`push`](EventQueue::push) per item in iteration order would:
+    /// same pop order (FIFO among equal instants, across batches and plain
+    /// pushes alike), same `len()` and `peek_time()`.
+    ///
+    /// What differs is the cost when the instants ascend. Every maximal
+    /// stretch of two or more non-decreasing instants becomes one run with
+    /// one heap entry (see the [module docs](self)), so a sorted batch of
+    /// n events costs one sift instead of n and deepens the heap by one
+    /// entry instead of n. A stretch of one — every item of a descending
+    /// batch — goes through `push`. Allocates only when a run outgrows the
+    /// recycled buffer it was given.
+    pub fn push_sorted<I>(&mut self, events: I)
+    where
+        I: IntoIterator<Item = (Time, T)>,
+    {
+        let mut events = events.into_iter().peekable();
+        while let Some((at, payload)) = events.next() {
+            if events.peek().is_none_or(|&(next, _)| next < at) {
+                self.push(at, payload);
+                continue;
+            }
+            let index = match self.free_runs.pop() {
+                Some(index) => index,
+                None => {
+                    let index = next_index(self.runs.len());
+                    self.runs.push(Run {
+                        events: VecDeque::new(),
+                        seq: 0,
+                    });
+                    index
+                }
+            };
+            let run = &mut self.runs[index as usize];
+            debug_assert!(run.events.is_empty());
+            run.seq = self.seq;
+            run.events.push_back((at, payload));
+            let mut last = at;
+            while let Some(event) = events.next_if(|&(next, _)| next >= last) {
+                last = event.0;
+                run.events.push_back(event);
+            }
+            self.seq += run.events.len() as u64;
+            self.len += run.events.len();
+            self.heap.push((key(at, run.seq), RUN | index));
+            self.sift_up(self.heap.len() - 1);
+        }
     }
 
     /// Removes and returns the earliest event, FIFO among equals.
@@ -127,15 +220,40 @@ impl<T> EventQueue<T> {
     /// 11 ns an event (a fifth of the whole per-event budget).
     #[inline(always)]
     pub fn pop(&mut self) -> Option<(Time, T)> {
-        let &(key, slot) = self.heap.first()?;
+        let &(first, slot) = self.heap.first()?;
+        self.len -= 1;
+        if slot & RUN != 0 {
+            // A run's head: the run stays in the heap under its next
+            // event's key, which is larger, so it can only sink.
+            let run = &mut self.runs[(slot ^ RUN) as usize];
+            let event = run.events.pop_front().expect("a queued run has a head");
+            match run.events.front() {
+                Some(&(next, _)) => {
+                    run.seq += 1;
+                    self.heap[0] = (key(next, run.seq), slot);
+                    self.sift_down(0);
+                }
+                None => {
+                    self.free_runs.push(slot ^ RUN);
+                    self.remove_first();
+                }
+            }
+            return Some(event);
+        }
+        self.remove_first();
+        let payload = self.slots[slot as usize].take().expect("occupied slot");
+        self.free.push(slot);
+        Some((key_time(first), payload))
+    }
+
+    /// Drops the heap's first entry.
+    #[inline(always)]
+    fn remove_first(&mut self) {
         let last = self.heap.pop().expect("non-empty");
         if !self.heap.is_empty() {
             self.heap[0] = last;
             self.sift_down(0);
         }
-        let payload = self.slots[slot as usize].take().expect("occupied slot");
-        self.free.push(slot);
-        Some((key_time(key), payload))
     }
 
     /// The instant of the earliest pending event, if any. O(1).
@@ -145,20 +263,29 @@ impl<T> EventQueue<T> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// Removes all pending events (the insertion counter keeps running,
-    /// so FIFO ordering spans a clear).
+    /// so FIFO ordering spans a clear). Every buffer, run buffers
+    /// included, keeps its capacity for the next fill.
     pub fn clear(&mut self) {
         self.heap.clear();
         self.slots.clear();
         self.free.clear();
+        for run in &mut self.runs {
+            run.events.clear();
+        }
+        // Lowest index on top, as when the runs were first made: a replay
+        // of the same pushes meets each buffer at the size it grew to.
+        self.free_runs.clear();
+        self.free_runs.extend((0..self.runs.len() as u32).rev());
+        self.len = 0;
     }
 
     /// Restores the heap property upward from `pos`.
@@ -269,6 +396,20 @@ mod tests {
         assert!(q.is_empty());
     }
 
+    /// Every capacity the queue owns: heap, slab, both freelists, the run
+    /// table and each run's ring.
+    fn capacities<T>(q: &EventQueue<T>) -> Vec<usize> {
+        let mut caps = vec![
+            q.heap.capacity(),
+            q.slots.capacity(),
+            q.free.capacity(),
+            q.runs.capacity(),
+            q.free_runs.capacity(),
+        ];
+        caps.extend(q.runs.iter().map(|run| run.events.capacity()));
+        caps
+    }
+
     #[test]
     fn steady_state_recycles_capacity() {
         // After warm-up, a bounded pending-set workload must stay within
@@ -277,9 +418,7 @@ mod tests {
         for i in 0..8u64 {
             q.push(t(i), i);
         }
-        let heap_cap = q.heap.capacity();
-        let slab_cap = q.slots.capacity();
-        let free_cap = q.free.capacity();
+        let warm = capacities(&q);
         for round in 1..1000u64 {
             for _ in 0..4 {
                 q.pop().unwrap();
@@ -287,11 +426,82 @@ mod tests {
             for i in 0..4u64 {
                 q.push(t(round * 10 + i), i);
             }
-            assert_eq!(q.heap.capacity(), heap_cap);
-            assert_eq!(q.slots.capacity(), slab_cap);
-            assert_eq!(q.free.capacity(), free_cap);
+            assert_eq!(capacities(&q), warm);
         }
         assert_eq!(q.len(), 8);
+
+        // The same through `push_sorted`: a batch of two runs and a single
+        // lands while both runs of the batch before are partly consumed,
+        // so four run buffers rotate through the freelist.
+        let batch = |q: &mut EventQueue<u64>, round: u64| {
+            q.push_sorted([0, 1, 1, 3, 2, 4, 5, 0].map(|dt| (t(round * 10 + dt), dt)));
+        };
+        let cycle = |q: &mut EventQueue<u64>, round: u64| {
+            for _ in 0..5 {
+                q.pop().unwrap();
+            }
+            batch(q, round);
+            for _ in 0..3 {
+                q.pop().unwrap();
+            }
+        };
+        q.clear();
+        batch(&mut q, 0);
+        for round in 1..3 {
+            cycle(&mut q, round);
+        }
+        let warm = capacities(&q);
+        assert_eq!(q.runs.len(), 4);
+        for round in 3..1000u64 {
+            cycle(&mut q, round);
+            assert_eq!(q.len(), 8);
+            if round % 100 == 0 {
+                // A clear parks the runs; refilling reuses them.
+                q.clear();
+                batch(&mut q, round);
+            }
+            assert_eq!(capacities(&q), warm);
+        }
+    }
+
+    #[test]
+    fn push_sorted_keeps_fifo_with_plain_pushes() {
+        // Ties between a run's events and plain pushes made before and
+        // after the batch resolve by insertion order, like any other tie.
+        let mut q = EventQueue::new();
+        q.push(t(5), "before");
+        q.push_sorted([
+            (t(5), "run-a"),
+            (t(5), "run-b"),
+            (t(9), "run-c"),
+            (t(2), "single"),
+        ]);
+        q.push(t(5), "after");
+        q.push(t(9), "late");
+        assert_eq!(q.len(), 7);
+        assert_eq!(q.peek_time(), Some(t(2)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
+        assert_eq!(
+            order,
+            ["single", "before", "run-a", "run-b", "after", "run-c", "late"]
+        );
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    fn clear_sees_events_in_runs() {
+        let mut q = EventQueue::new();
+        q.push_sorted((0..10u64).map(|i| (t(i), i)));
+        assert_eq!(q.pop(), Some((t(0), 0)));
+        assert_eq!(q.len(), 9);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), None);
+        q.push_sorted([(t(3), 30), (t(4), 40)]);
+        assert_eq!(q.pop(), Some((t(3), 30)));
+        assert_eq!(q.pop(), Some((t(4), 40)));
     }
 
     #[test]

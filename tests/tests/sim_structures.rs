@@ -126,6 +126,11 @@ impl<T> ScanEventQueue<T> {
     fn len(&self) -> usize {
         self.pending.len()
     }
+
+    /// Like the production queue's: the counter keeps running.
+    fn clear(&mut self) {
+        self.pending.clear();
+    }
 }
 
 fn prio(raw: u8) -> Priority {
@@ -204,6 +209,62 @@ proptest! {
         loop {
             let (f, s) = (fast.pop(), slow.pop());
             prop_assert_eq!(f, s);
+            if f.is_none() {
+                break;
+            }
+        }
+    }
+
+    /// `push_sorted` against the reference, which knows no batch: every
+    /// item of a batch is one reference `push`. Batches are left as drawn
+    /// (several short runs and singles), sorted (one run, ties included)
+    /// or empty; pops of 0–11 leave runs half consumed under the next
+    /// batch, and a clear lands in the middle of some scripts.
+    #[test]
+    fn event_queue_batches_match_scan_reference(
+        ops in prop::collection::vec((0u8..16, prop::collection::vec(any::<u8>(), 0..12)), 0..60),
+    ) {
+        let mut fast: EventQueue<u32> = EventQueue::new();
+        let mut slow: ScanEventQueue<u32> = ScanEventQueue::new();
+        let mut next_payload = 0u32;
+        for (kind, raw) in &ops {
+            match kind {
+                0..=7 => {
+                    let mut batch: Vec<(Time, u32)> = raw
+                        .iter()
+                        .map(|&a| {
+                            next_payload += 1;
+                            (Time::from_nanos((a % 16) as u64), next_payload)
+                        })
+                        .collect();
+                    if *kind >= 4 {
+                        // Stable: payloads stay in push order among ties.
+                        batch.sort_by_key(|&(at, _)| at);
+                    }
+                    for &(at, payload) in &batch {
+                        slow.push(at, payload);
+                    }
+                    fast.push_sorted(batch);
+                }
+                8..=14 => {
+                    for _ in 0..raw.len() {
+                        prop_assert_eq!(fast.pop(), slow.pop());
+                        prop_assert_eq!(fast.peek_time(), slow.peek_time());
+                    }
+                }
+                _ => {
+                    fast.clear();
+                    slow.clear();
+                }
+            }
+            prop_assert_eq!(fast.len(), slow.len());
+            prop_assert_eq!(fast.is_empty(), slow.len() == 0);
+            prop_assert_eq!(fast.peek_time(), slow.peek_time());
+        }
+        loop {
+            let (f, s) = (fast.pop(), slow.pop());
+            prop_assert_eq!(f, s);
+            prop_assert_eq!(fast.len(), slow.len());
             if f.is_none() {
                 break;
             }
