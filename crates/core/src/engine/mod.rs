@@ -500,7 +500,7 @@ impl Engine {
             tenant_signals: Vec::new(),
             overheads: OverheadReport::new(),
             metrics: MetricsRegistry::new(),
-            rec: TraceRecorder::new(run.trace_config()),
+            rec: TraceRecorder::new(run.trace),
             term_at: Time::ZERO,
             term_handling: Span::ZERO,
             term_max_lag: Span::ZERO,
@@ -533,7 +533,7 @@ impl Engine {
         self.tenant_signals.clear();
         self.overheads = OverheadReport::new();
         self.metrics = MetricsRegistry::new();
-        self.rec.reset(run.trace_config());
+        self.rec.reset(run.trace);
         self.term_at = Time::ZERO;
         self.term_handling = Span::ZERO;
         self.term_max_lag = Span::ZERO;
@@ -1533,7 +1533,7 @@ impl Engine {
         let response = now.saturating_elapsed_since(self.tasks[task].release);
         self.metrics.record_response_time(response);
         // Stream the per-part results straight into the summary — no
-        // per-job QosRecord vector on the hot path.
+        // per-job vector on the hot path.
         let ratio = self.qos.record_job(
             self.tasks[task]
                 .parts

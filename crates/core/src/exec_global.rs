@@ -32,7 +32,7 @@ use rtseed_sim::FifoReadyQueue;
 use crate::config::SystemConfig;
 use crate::des::{Driver, Running, SimArena, Substrate, Work};
 use crate::engine::{Cursor, Engine, StopTarget};
-use crate::executor::{Backend, ExecError, Executor, Outcome, RunConfig};
+use crate::executor::{Outcome, RunConfig};
 use crate::obs::{QueueOp, TraceEvent};
 
 /// The global (G-RMWP) executor. Unlike [`crate::exec_sim::SimExecutor`],
@@ -55,11 +55,6 @@ impl GlobalExecutor {
             config: config.clone(),
             run,
         }
-    }
-
-    /// The system configuration this executor runs.
-    pub fn config(&self) -> &SystemConfig {
-        &self.config
     }
 
     /// Runs the global simulation to completion.
@@ -88,21 +83,6 @@ impl GlobalExecutor {
             dispatches: sub.dispatches,
             ..eng.finish(now).into_outcome(events_processed)
         }
-    }
-}
-
-impl Executor for GlobalExecutor {
-    fn backend(&self) -> Backend {
-        Backend::Global
-    }
-
-    fn system(&self) -> &SystemConfig {
-        &self.config
-    }
-
-    fn execute(&mut self) -> Result<Outcome, ExecError> {
-        self.run.validate()?;
-        Ok(self.run())
     }
 }
 

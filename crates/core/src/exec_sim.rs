@@ -35,7 +35,7 @@
 use crate::config::SystemConfig;
 use crate::des::Driver;
 use crate::engine::Engine;
-use crate::executor::{Backend, ExecError, Executor, Outcome, RunConfig};
+use crate::executor::{Outcome, RunConfig};
 
 pub use crate::des::SimArena;
 
@@ -50,11 +50,6 @@ impl SimExecutor {
     /// Creates an executor for `config` with run parameters `run_cfg`.
     pub fn new(config: SystemConfig, run_cfg: RunConfig) -> SimExecutor {
         SimExecutor { config, run_cfg }
-    }
-
-    /// The system configuration this executor runs.
-    pub fn config(&self) -> &SystemConfig {
-        &self.config
     }
 
     /// Runs the simulation to completion and returns the measurements.
@@ -82,21 +77,6 @@ impl SimExecutor {
         sim.run_closed(cfg, run);
         let (out, events_processed) = sim.finish(Some(arena));
         out.into_outcome(events_processed)
-    }
-}
-
-impl Executor for SimExecutor {
-    fn backend(&self) -> Backend {
-        Backend::Sim
-    }
-
-    fn system(&self) -> &SystemConfig {
-        &self.config
-    }
-
-    fn execute(&mut self) -> Result<Outcome, ExecError> {
-        self.run_cfg.validate()?;
-        Ok(self.run())
     }
 }
 

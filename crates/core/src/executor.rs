@@ -1,13 +1,14 @@
-//! The unified executor API: one [`RunConfig`], one [`Outcome`], one
-//! [`Executor`] trait over all three backends.
+//! The run parameters and results every backend shares: one
+//! [`RunConfig`] in, one [`Outcome`] out.
 //!
-//! RT-Seed can run the same [`SystemConfig`] on three substrates — the
-//! discrete-event simulator ([`crate::exec_sim::SimExecutor`]), the
-//! global-scheduling ablation ([`crate::exec_global::GlobalExecutor`]),
-//! and real POSIX threads ([`crate::runtime::NativeExecutor`]). They
-//! accept the same [`RunConfig`] (each backend reads the fields that
-//! apply to it) and produce the same [`Outcome`], so measurement and
-//! comparison code is backend-agnostic.
+//! RT-Seed can run the same [`SystemConfig`](crate::config::SystemConfig)
+//! on three substrates — the discrete-event simulator
+//! ([`crate::exec_sim::SimExecutor`]), the global-scheduling ablation
+//! ([`crate::exec_global::GlobalExecutor`]), and real POSIX threads
+//! ([`crate::runtime::NativeExecutor`]). Each has one `run`; they accept
+//! the same [`RunConfig`] (each backend reads the fields that apply to
+//! it) and produce the same [`Outcome`], so measurement and comparison
+//! code is backend-agnostic.
 //!
 //! # Examples
 //!
@@ -29,70 +30,17 @@
 //! assert!(matches!(err, RunConfigError::ExecFraction { .. }));
 //! # Ok::<(), rtseed::executor::RunConfigError>(())
 //! ```
-//!
-//! Run any backend through the trait:
-//!
-//! ```
-//! use rtseed::prelude::*;
-//!
-//! let spec = TaskSpec::builder("t")
-//!     .period(Span::from_millis(100))
-//!     .mandatory(Span::from_millis(5))
-//!     .windup(Span::from_millis(5))
-//!     .optional_parts(2, Span::from_millis(10))
-//!     .build()?;
-//! let system = SystemConfig::build(
-//!     TaskSet::new(vec![spec])?,
-//!     Topology::quad_core_smt2(),
-//!     AssignmentPolicy::OneByOne,
-//! )?;
-//! let run = RunConfig::builder().jobs(3).build()?;
-//!
-//! let mut executors: Vec<Box<dyn Executor>> = vec![
-//!     Box::new(SimExecutor::new(system.clone(), run.clone())),
-//!     Box::new(GlobalExecutor::from_config(&system, run)),
-//! ];
-//! for ex in &mut executors {
-//!     let outcome = ex.execute()?;
-//!     assert_eq!(outcome.qos.jobs(), 3);
-//!     assert_eq!(outcome.qos.deadline_misses(), 0);
-//! }
-//! # Ok::<(), Box<dyn std::error::Error>>(())
-//! ```
 
 use core::fmt;
 
 use rtseed_model::{QosSummary, Span};
 use rtseed_sim::{BackgroundLoad, Calibration, FaultPlan, OverheadKind};
 
-use crate::config::SystemConfig;
 use crate::obs::{MetricsRegistry, Trace, TraceConfig};
 use crate::report::{FaultReport, OverheadReport};
-use crate::runtime::{RuntimeError, RuntimeReport};
+use crate::runtime::RuntimeReport;
 use crate::supervisor::SupervisorConfig;
 use crate::termination::TerminationMode;
-
-/// Which execution substrate produced an [`Outcome`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Backend {
-    /// Discrete-event simulation (P-RMWP, [`crate::exec_sim`]).
-    Sim,
-    /// Global-scheduling ablation (G-RMWP, [`crate::exec_global`]).
-    Global,
-    /// Real POSIX threads ([`crate::runtime`]).
-    Native,
-}
-
-impl Backend {
-    /// Short lowercase name.
-    pub const fn name(self) -> &'static str {
-        match self {
-            Backend::Sim => "sim",
-            Backend::Global => "global",
-            Backend::Native => "native",
-        }
-    }
-}
 
 /// Run parameters shared by every backend.
 ///
@@ -165,11 +113,6 @@ impl RunConfig {
         }
     }
 
-    /// The trace configuration the engine's recorder is built from.
-    pub fn trace_config(&self) -> TraceConfig {
-        self.trace
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
@@ -183,7 +126,7 @@ impl RunConfig {
                 got: self.rt_exec_fraction,
             });
         }
-        if self.trace_config().enabled && self.trace.capacity == 0 {
+        if self.trace.enabled && self.trace.capacity == 0 {
             return Err(RunConfigError::ZeroTraceCapacity);
         }
         Ok(())
@@ -364,69 +307,6 @@ impl Outcome {
     }
 }
 
-/// Why an [`Executor::execute`] call failed.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum ExecError {
-    /// The run configuration failed validation.
-    Config(RunConfigError),
-    /// The native runtime could not produce an outcome.
-    Runtime(RuntimeError),
-}
-
-impl fmt::Display for ExecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExecError::Config(e) => write!(f, "invalid run configuration: {e}"),
-            ExecError::Runtime(e) => write!(f, "native runtime failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ExecError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ExecError::Config(e) => Some(e),
-            ExecError::Runtime(e) => Some(e),
-        }
-    }
-}
-
-impl From<RunConfigError> for ExecError {
-    fn from(e: RunConfigError) -> ExecError {
-        ExecError::Config(e)
-    }
-}
-
-impl From<RuntimeError> for ExecError {
-    fn from(e: RuntimeError) -> ExecError {
-        ExecError::Runtime(e)
-    }
-}
-
-/// A backend that can run a configured system to completion.
-///
-/// Implemented by [`crate::exec_sim::SimExecutor`],
-/// [`crate::exec_global::GlobalExecutor`] and
-/// [`crate::runtime::NativeExecutor`]; see the module docs for a
-/// trait-object example.
-pub trait Executor {
-    /// Which substrate this is.
-    fn backend(&self) -> Backend;
-
-    /// The system configuration this executor runs.
-    fn system(&self) -> &SystemConfig;
-
-    /// Runs to completion and returns the unified measurements.
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::Runtime`] when the native backend cannot produce an
-    /// outcome (body mismatch, user panic); the simulated backends are
-    /// infallible.
-    fn execute(&mut self) -> Result<Outcome, ExecError>;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,7 +316,7 @@ mod tests {
         let cfg = RunConfig::default();
         assert!(cfg.validate().is_ok());
         assert_eq!(cfg.jobs, 100);
-        assert!(!cfg.trace_config().enabled);
+        assert!(!cfg.trace.enabled);
     }
 
     #[test]
@@ -454,7 +334,7 @@ mod tests {
         assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.migration_cost, Span::from_micros(5));
         assert!(!cfg.attempt_rt);
-        assert!(cfg.trace_config().enabled);
+        assert!(cfg.trace.enabled);
         assert_eq!(cfg.trace.capacity, 128);
     }
 
@@ -490,16 +370,9 @@ mod tests {
     }
 
     #[test]
-    fn backend_names() {
-        assert_eq!(Backend::Sim.name(), "sim");
-        assert_eq!(Backend::Global.name(), "global");
-        assert_eq!(Backend::Native.name(), "native");
-    }
-
-    #[test]
     fn error_display_and_source() {
-        let e = ExecError::from(RunConfigError::ZeroTraceCapacity);
-        assert!(e.to_string().contains("invalid run configuration"));
-        assert!(std::error::Error::source(&e).is_some());
+        let e = RunConfigError::ExecFraction { got: 1.5 };
+        assert!(e.to_string().contains("got 1.5"), "{e}");
+        assert!(std::error::Error::source(&e).is_none());
     }
 }

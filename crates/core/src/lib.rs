@@ -34,9 +34,8 @@
 //!   without privileges; see `RuntimeReport`).
 //! * [`termination`] — the three optional-part termination mechanisms of
 //!   Table I.
-//! * [`executor`] — the unified [`executor::Executor`] trait,
-//!   [`executor::RunConfig`] and [`executor::Outcome`] shared by all
-//!   backends.
+//! * [`executor`] — the [`executor::RunConfig`] every backend's `run`
+//!   reads and the [`executor::Outcome`] it returns.
 //! * [`obs`] — structured tracing ([`obs::TraceEvent`]) and histogram
 //!   metrics ([`obs::MetricsRegistry`]), with JSONL and Chrome-trace
 //!   exporters.
@@ -94,9 +93,9 @@ pub mod supervisor;
 pub mod termination;
 
 pub use config::{ConfigError, SystemConfig};
-pub use executor::{Backend, ExecError, Executor, Outcome, RunConfig, RunConfigError};
 pub use exec_global::GlobalExecutor;
 pub use exec_sim::{SimArena, SimExecutor};
+pub use executor::{Outcome, RunConfig, RunConfigError};
 pub use policy::AssignmentPolicy;
 pub use priority::PriorityMap;
 pub use report::{FaultReport, OverheadReport};

@@ -112,18 +112,6 @@ impl AssignmentPolicy {
         used.iter().filter(|&&u| u).count()
     }
 
-    /// Number of core-to-core transitions between consecutive parts in
-    /// placement order — the locality figure that drives the Δe policy
-    /// differences under load (Fig. 13b–c): OneByOne hops cores on almost
-    /// every step, AllByAll only between core groups.
-    pub fn core_transitions(self, topology: &Topology, np: usize) -> usize {
-        let placements = self.placements(topology, np);
-        placements
-            .windows(2)
-            .filter(|w| topology.core_of(w[0]) != topology.core_of(w[1]))
-            .count()
-    }
-
     /// Per-core slot occupancy for `np` parts: `counts[c]` is the number of
     /// parts on core `c`. Used to verify the Fig. 8 placement maps.
     pub fn per_core_counts(self, topology: &Topology, np: usize) -> Vec<u32> {
@@ -233,19 +221,27 @@ mod tests {
 
     #[test]
     fn core_transitions_rank_policies() {
-        // The locality mechanism: OneByOne > TwoByTwo > AllByAll at any np
-        // that spans multiple cores.
+        // Placement order is the locality mechanism: counting the core hops
+        // between consecutive parts, OneByOne > TwoByTwo > AllByAll at any
+        // np that spans multiple cores.
         let t = phi();
+        let hops = |p: AssignmentPolicy, np| {
+            let placed = p.placements(&t, np);
+            placed
+                .windows(2)
+                .filter(|w| t.core_of(w[0]) != t.core_of(w[1]))
+                .count()
+        };
         for np in [32usize, 57, 114, 171, 228] {
-            let one = AssignmentPolicy::OneByOne.core_transitions(&t, np);
-            let two = AssignmentPolicy::TwoByTwo.core_transitions(&t, np);
-            let all = AssignmentPolicy::AllByAll.core_transitions(&t, np);
+            let one = hops(AssignmentPolicy::OneByOne, np);
+            let two = hops(AssignmentPolicy::TwoByTwo, np);
+            let all = hops(AssignmentPolicy::AllByAll, np);
             assert!(one >= two && two >= all, "np={np}: {one} {two} {all}");
             assert!(one > all, "np={np}");
         }
         // Exact values at full occupancy.
-        assert_eq!(AssignmentPolicy::OneByOne.core_transitions(&t, 228), 227);
-        assert_eq!(AssignmentPolicy::AllByAll.core_transitions(&t, 228), 56);
+        assert_eq!(hops(AssignmentPolicy::OneByOne, 228), 227);
+        assert_eq!(hops(AssignmentPolicy::AllByAll, 228), 56);
     }
 
     #[test]

@@ -22,9 +22,7 @@
 pub use crate::config::{ConfigError, SystemConfig};
 pub use crate::exec_global::GlobalExecutor;
 pub use crate::exec_sim::SimExecutor;
-pub use crate::executor::{
-    Backend, ExecError, Executor, Outcome, RunConfig, RunConfigBuilder, RunConfigError,
-};
+pub use crate::executor::{Outcome, RunConfig, RunConfigBuilder, RunConfigError};
 pub use crate::obs::{
     Histogram, MetricsRegistry, PipelineStage, QueueBand, QueueOp, Trace, TraceConfig, TraceEvent,
     TraceRecorder,

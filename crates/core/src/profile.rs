@@ -67,42 +67,11 @@ impl RemainingProfile {
         RemainingProfile { points }
     }
 
-    /// The breakpoints `(t, R(t))` in time order.
+    /// The breakpoints `(t, R(t))` in time order. Between breakpoints the
+    /// remaining time interpolates linearly; a duplicated time point is a
+    /// step (the wind-up release at OD).
     pub fn points(&self) -> &[(Span, Span)] {
         &self.points
-    }
-
-    /// `R(t)` by linear interpolation (clamped to the profile's range).
-    /// At a step (duplicated time point, e.g. the wind-up release at OD)
-    /// the *post-step* value is returned.
-    pub fn remaining_at(&self, t: Span) -> Span {
-        let pts = &self.points;
-        if t <= pts[0].0 {
-            return pts[0].1;
-        }
-        let mut result = pts.last().expect("non-empty").1;
-        // Take the LAST segment containing t so steps resolve to their
-        // post-step value.
-        for w in pts.windows(2).rev() {
-            let (t0, r0) = w[0];
-            let (t1, r1) = w[1];
-            if t0 <= t && t <= t1 {
-                if t1 == t0 {
-                    result = r1;
-                } else {
-                    let frac = (t - t0) / (t1 - t0);
-                    let (lo, hi) = (r0.min(r1), r0.max(r1));
-                    let interp = if r1 <= r0 {
-                        r0.saturating_sub((r0 - r1).mul_f64(frac))
-                    } else {
-                        r0 + (r1 - r0).mul_f64(frac)
-                    };
-                    result = interp.max(lo).min(hi);
-                }
-                break;
-            }
-        }
-        result
     }
 
     /// The total time during which the processor is free for optional
@@ -127,37 +96,6 @@ impl RemainingProfile {
         }
         window
     }
-
-    /// Renders a small ASCII plot (time on x, remaining on y), `width`
-    /// columns wide.
-    pub fn ascii_plot(&self, width: usize) -> String {
-        let d = self.points.last().expect("non-empty").0;
-        let max_r = self
-            .points
-            .iter()
-            .map(|(_, r)| *r)
-            .max()
-            .unwrap_or(Span::ZERO);
-        if d.is_zero() || max_r.is_zero() {
-            return String::from("(empty profile)\n");
-        }
-        let height = 8usize;
-        let mut rows = vec![vec![b' '; width]; height + 1];
-        #[allow(clippy::needless_range_loop)] // col indexes a computed row
-        for col in 0..width {
-            let t = d.mul_f64(col as f64 / (width.max(2) - 1) as f64);
-            let r = self.remaining_at(t);
-            let level = ((r / max_r) * height as f64).round() as usize;
-            let row = height - level.min(height);
-            rows[row][col] = b'*';
-        }
-        let mut out = String::new();
-        for row in rows {
-            out.push_str(std::str::from_utf8(&row).expect("ascii"));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -178,26 +116,39 @@ mod tests {
         Span::from_millis(750)
     }
 
+    fn ms(v: u64) -> Span {
+        Span::from_millis(v)
+    }
+
     #[test]
     fn general_profile_shape() {
         let p = RemainingProfile::compute(&paper_task(), od(), SchedulingMode::General);
-        // Fig. 3: starts at m + w, hits zero at m + w.
-        assert_eq!(p.remaining_at(Span::ZERO), Span::from_millis(500));
-        assert_eq!(p.remaining_at(Span::from_millis(500)), Span::ZERO);
-        assert_eq!(p.remaining_at(Span::from_secs(1)), Span::ZERO);
-        // Monotone decrease down to zero.
-        assert_eq!(p.remaining_at(Span::from_millis(250)), Span::from_millis(250));
+        // Fig. 3: starts at m + w, falls to zero at m + w, stays there.
+        assert_eq!(
+            p.points(),
+            [
+                (Span::ZERO, ms(500)),
+                (ms(500), Span::ZERO),
+                (ms(1000), Span::ZERO)
+            ]
+        );
     }
 
     #[test]
     fn semi_fixed_profile_shape() {
         let p = RemainingProfile::compute(&paper_task(), od(), SchedulingMode::SemiFixed);
-        // Fig. 3: starts at m, zero at m, jumps to w at OD, zero at OD + w.
-        assert_eq!(p.remaining_at(Span::ZERO), Span::from_millis(250));
-        assert_eq!(p.remaining_at(Span::from_millis(250)), Span::ZERO);
-        assert_eq!(p.remaining_at(Span::from_millis(500)), Span::ZERO);
-        assert_eq!(p.remaining_at(od()), Span::from_millis(250));
-        assert_eq!(p.remaining_at(Span::from_millis(1000)), Span::ZERO);
+        // Fig. 3: starts at m, zero at m, steps to w at OD, zero at OD + w.
+        assert_eq!(
+            p.points(),
+            [
+                (Span::ZERO, ms(250)),
+                (ms(250), Span::ZERO),
+                (od(), Span::ZERO),
+                (od(), ms(250)),
+                (ms(1000), Span::ZERO),
+                (ms(1000), Span::ZERO),
+            ]
+        );
     }
 
     #[test]
@@ -213,13 +164,16 @@ mod tests {
 
     #[test]
     fn interpolation_is_monotone_within_segments() {
-        let p = RemainingProfile::compute(&paper_task(), od(), SchedulingMode::SemiFixed);
-        let a = p.remaining_at(Span::from_millis(100));
-        let b = p.remaining_at(Span::from_millis(200));
-        assert!(a > b);
-        let c = p.remaining_at(Span::from_millis(800));
-        let d = p.remaining_at(Span::from_millis(900));
-        assert!(c > d);
+        // Time never runs backwards, and remaining work rises only at a
+        // zero-length step: within a segment it can only fall.
+        for mode in [SchedulingMode::General, SchedulingMode::SemiFixed] {
+            let p = RemainingProfile::compute(&paper_task(), od(), mode);
+            for w in p.points().windows(2) {
+                let ((t0, r0), (t1, r1)) = (w[0], w[1]);
+                assert!(t0 <= t1, "{mode:?}");
+                assert!(t0 == t1 || r1 <= r0, "{mode:?}");
+            }
+        }
     }
 
     #[test]
@@ -240,13 +194,5 @@ mod tests {
             Span::from_millis(900),
             SchedulingMode::SemiFixed,
         );
-    }
-
-    #[test]
-    fn ascii_plot_renders() {
-        let p = RemainingProfile::compute(&paper_task(), od(), SchedulingMode::SemiFixed);
-        let plot = p.ascii_plot(40);
-        assert!(plot.lines().count() >= 8);
-        assert!(plot.contains('*'));
     }
 }

@@ -77,25 +77,6 @@ impl OverheadReport {
         self.bucket(kind).iter().copied().min().unwrap_or(Span::ZERO)
     }
 
-    /// `p`-th percentile (0–100, nearest-rank) of `kind`'s samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not within `0..=100`.
-    pub fn percentile(&self, kind: OverheadKind, p: u8) -> Span {
-        assert!(p <= 100, "percentile must be within 0..=100");
-        let mut v = self.bucket(kind).clone();
-        if v.is_empty() {
-            return Span::ZERO;
-        }
-        v.sort_unstable();
-        if p == 0 {
-            return v[0];
-        }
-        let rank = (p as usize * v.len()).div_ceil(100);
-        v[rank - 1]
-    }
-
     /// Merges another report's samples into this one.
     pub fn merge(&mut self, other: &OverheadReport) {
         for kind in OverheadKind::ALL {
@@ -218,7 +199,6 @@ mod tests {
             assert_eq!(r.mean(kind), Span::ZERO);
             assert_eq!(r.max(kind), Span::ZERO);
             assert_eq!(r.min(kind), Span::ZERO);
-            assert_eq!(r.percentile(kind, 99), Span::ZERO);
         }
     }
 
@@ -234,24 +214,6 @@ mod tests {
         assert_eq!(r.max(OverheadKind::BeginMandatory), us(30));
         // Other kinds untouched.
         assert_eq!(r.count(OverheadKind::EndOptional), 0);
-    }
-
-    #[test]
-    fn percentiles_nearest_rank() {
-        let mut r = OverheadReport::new();
-        for v in 1..=100u64 {
-            r.push(OverheadKind::EndOptional, us(v));
-        }
-        assert_eq!(r.percentile(OverheadKind::EndOptional, 0), us(1));
-        assert_eq!(r.percentile(OverheadKind::EndOptional, 50), us(50));
-        assert_eq!(r.percentile(OverheadKind::EndOptional, 99), us(99));
-        assert_eq!(r.percentile(OverheadKind::EndOptional, 100), us(100));
-    }
-
-    #[test]
-    #[should_panic(expected = "0..=100")]
-    fn percentile_rejects_out_of_range() {
-        OverheadReport::new().percentile(OverheadKind::BeginMandatory, 101);
     }
 
     #[test]

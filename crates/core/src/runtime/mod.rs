@@ -37,7 +37,7 @@ use rtseed_sim::OverheadKind;
 
 use crate::config::SystemConfig;
 use crate::engine::{AfterMandatory, Cursor, Engine, WindupCommand};
-use crate::executor::{Backend, ExecError, Executor, Outcome, RunConfig};
+use crate::executor::{Outcome, RunConfig};
 use crate::obs::{MetricsRegistry, Trace, TraceEvent};
 use crate::report::{FaultReport, OverheadReport};
 use crate::termination::TerminationMode;
@@ -228,31 +228,12 @@ impl RuntimeReport {
 pub struct NativeExecutor {
     config: SystemConfig,
     run_cfg: RunConfig,
-    /// Bodies staged for [`Executor::execute`]; `run` takes its own.
-    bodies: Option<Vec<TaskBody>>,
 }
 
 impl NativeExecutor {
     /// Creates a native executor for `config`.
     pub fn new(config: SystemConfig, run_cfg: RunConfig) -> NativeExecutor {
-        NativeExecutor {
-            config,
-            run_cfg,
-            bodies: None,
-        }
-    }
-
-    /// The system configuration this executor runs.
-    pub fn config(&self) -> &SystemConfig {
-        &self.config
-    }
-
-    /// Stages the task bodies used by [`Executor::execute`] (one per task,
-    /// in task order). Without staged bodies, `execute` runs
-    /// [`TaskBody::no_op`] for every task — enough to exercise the protocol
-    /// and measure its overheads.
-    pub fn set_bodies(&mut self, bodies: Vec<TaskBody>) {
-        self.bodies = Some(bodies);
+        NativeExecutor { config, run_cfg }
     }
 
     /// Runs every task of the configuration to completion with the given
@@ -325,26 +306,6 @@ impl NativeExecutor {
             trace: Trace::merged(traces),
             ..Outcome::default()
         })
-    }
-}
-
-impl Executor for NativeExecutor {
-    fn backend(&self) -> Backend {
-        Backend::Native
-    }
-
-    fn system(&self) -> &SystemConfig {
-        &self.config
-    }
-
-    fn execute(&mut self) -> Result<Outcome, ExecError> {
-        self.run_cfg.validate()?;
-        let bodies = self.bodies.take().unwrap_or_else(|| {
-            (0..self.config.set().len())
-                .map(|_| TaskBody::no_op())
-                .collect()
-        });
-        Ok(self.run(bodies)?)
     }
 }
 
@@ -1027,18 +988,6 @@ mod tests {
         assert!(out.trace.is_empty());
         // ... but the metrics registry still fills.
         assert_eq!(out.metrics.response_time().count(), 1);
-    }
-
-    #[test]
-    fn executor_trait_runs_staged_or_default_bodies() {
-        let mut exec = NativeExecutor::new(quick_config(1), run_cfg(1));
-        assert_eq!(exec.backend(), Backend::Native);
-        assert_eq!(exec.system().set().len(), 1);
-        let out = exec.execute().expect("default no-op bodies");
-        assert_eq!(out.qos.jobs(), 1);
-        exec.set_bodies(vec![TaskBody::no_op()]);
-        let out = exec.execute().expect("staged bodies");
-        assert_eq!(out.qos.jobs(), 1);
     }
 
     #[test]

@@ -205,13 +205,15 @@ impl From<rtseed_analysis::RejectReason> for RejectReason {
 }
 
 /// Typed error for the synchronous serving operations
-/// (`SessionManager::submit` / `try_depart`).
+/// (`SessionManager::submit` / `try_depart` / `with_placement_policy`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeError {
     /// The submission was rejected; see the reason.
     Rejected(RejectReason),
     /// No admitted tenant with the given name exists.
     UnknownTenant,
+    /// The placement policy was changed while tasks were resident.
+    PlacementAfterAdmission,
 }
 
 impl fmt::Display for ServeError {
@@ -219,6 +221,9 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::Rejected(reason) => write!(f, "submission rejected: {reason}"),
             ServeError::UnknownTenant => f.write_str("no admitted tenant with that name"),
+            ServeError::PlacementAfterAdmission => {
+                f.write_str("set the placement policy before the first admission")
+            }
         }
     }
 }

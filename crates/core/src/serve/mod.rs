@@ -62,11 +62,10 @@
 //!
 //! Every admission test runs on the caller's thread through one
 //! [`AdmissionEngine`](rtseed_analysis::AdmissionEngine), which re-analyzes
-//! only the CPUs a decision touches. The batched entry points —
-//! [`SessionManager::submit_batch`] and every deferred-queue admission
-//! round — gate every entry, then test every admissible entry, then apply
-//! the verdicts, all in submission order, so they reproduce submitting
-//! the entries one at a time exactly.
+//! only the CPUs a decision touches. A deferred-queue admission round
+//! gates, tests and settles one entry at a time, in queue order, exactly
+//! as if each had just been submitted: an earlier entry's admission takes
+//! capacity before a later entry is tested.
 //!
 //! ## Determinism
 //!
@@ -352,55 +351,18 @@ mod tests {
         assert_eq!(first, Time::from_nanos(150_000_000));
     }
 
-    // ----- batched admission -----------------------------------------------
-
     #[test]
-    fn batch_submission_matches_sequential_submission() {
-        // Nine heavies onto eight threads: eight admitted, one rejected —
-        // identical verdicts, tenant table, and full trace whether the
-        // entries arrive one at a time or as one batch. In the middle, a
-        // nine-task set that fits nowhere (it takes nine keys with it) and
-        // an empty one (it takes none).
-        let mut subs: Vec<(String, Vec<TaskSpec>)> = (0..9)
-            .map(|i| (format!("t{i}"), heavy(&format!("h{i}"))))
-            .collect();
-        let crowd = (0..9).flat_map(|i| heavy(&format!("c{i}"))).collect();
-        subs.insert(4, ("crowd".to_owned(), crowd));
-        subs.insert(5, ("nobody".to_owned(), Vec::new()));
-        let mut seq = manager(2);
-        let seq_subs: Vec<Submission> = subs
-            .iter()
-            .map(|(name, tasks)| seq.submit_or_defer(name.clone(), tasks))
-            .collect();
-        let mut bat = manager(2);
-        let bat_subs = bat.submit_batch(&subs);
-        assert_eq!(seq_subs, bat_subs);
-        assert!(matches!(
-            seq_subs[4],
-            Submission::Rejected(RejectReason::Unschedulable { .. })
-        ));
-        assert_eq!(
-            seq_subs[5],
-            Submission::Rejected(RejectReason::EmptySubmission)
-        );
-        // The tenant admitted right after the two failures leaves under
-        // the keys it was bound with.
-        assert!(seq.depart("t4") && bat.depart("t4"));
-        assert_eq!(bat.admitted_tenants(), 7);
-        assert_eq!(seq.total_utilization(), bat.total_utilization());
-        assert_eq!(seq.counters(), bat.counters());
-        let x = seq.run();
-        let y = bat.run();
-        assert_eq!(x.outcome.trace, y.outcome.trace);
-        assert_eq!(x.outcome.qos, y.outcome.qos);
-    }
-
-    #[test]
-    #[should_panic(expected = "set the policy before admitting")]
-    fn placement_policy_after_a_submission_panics() {
+    fn placement_policy_after_a_submission_is_a_typed_error() {
         let mut mgr = manager(1);
         mgr.submit("t", &light("τ")).unwrap();
-        let _ = mgr.with_placement_policy(rtseed_analysis::PlacementPolicy::SemiPartitioned);
+        let err = mgr
+            .with_placement_policy(rtseed_analysis::PlacementPolicy::SemiPartitioned)
+            .unwrap_err();
+        assert_eq!(err, ServeError::PlacementAfterAdmission);
+        assert!(
+            err.to_string().contains("before the first admission"),
+            "{err}"
+        );
     }
 
     // ----- tenant guard ---------------------------------------------------
@@ -526,6 +488,35 @@ mod tests {
     }
 
     #[test]
+    fn a_round_admits_in_queue_order_and_the_later_entry_defers_again() {
+        // Eight heavies fill every thread and two more defer. One departure
+        // frees one thread: the forced round admits the earlier entry, which
+        // takes that thread before the later entry is tested, so the later
+        // entry backs off and stays parked until a second departure.
+        let mut mgr = guarded_manager(4, FaultPlan::none());
+        for i in 0..8 {
+            mgr.submit(format!("t{i}"), &heavy(&format!("h{i}")))
+                .unwrap();
+        }
+        for name in ["first", "second"] {
+            assert_eq!(
+                mgr.submit_or_defer(name, &heavy(name)),
+                Submission::Deferred
+            );
+        }
+        assert!(mgr.depart("t2"));
+        assert_eq!(mgr.state_of("first"), Some(TenantState::Admitted));
+        assert_eq!(mgr.state_of("second"), None);
+        assert_eq!(mgr.deferred_len(), 1);
+        assert_eq!(mgr.counters().deferred_admissions, 1);
+        assert_eq!(mgr.counters().admission_rounds, 1);
+        assert!(mgr.depart("t5"));
+        assert_eq!(mgr.state_of("second"), Some(TenantState::Admitted));
+        assert_eq!(mgr.deferred_len(), 0);
+        assert_eq!(mgr.counters().deferred_admissions, 2);
+    }
+
+    #[test]
     fn deferred_submission_expires_at_its_retry_deadline() {
         let mut mgr = guarded_manager(12, FaultPlan::none());
         for i in 0..8 {
@@ -615,7 +606,7 @@ mod tests {
         let next = rtseed_model::TenantId(8);
         let no_room = Unschedulable { index: 0 };
         // (guard armed, strikes, submitted set) → what `submit` returns,
-        // what `submit_or_defer` and a one-entry `submit_batch` return.
+        // what `submit_or_defer` returns.
         let table = [
             (false, 0, small(), Ok(next), Admitted(next)),
             (false, 0, heavy("x"), Err(no_room), Rejected(no_room)),
@@ -637,11 +628,6 @@ mod tests {
             assert_eq!(a.submit("x", &tasks), strict.map_err(ServeError::Rejected), "{case}");
             let mut b = resident(armed, strikes);
             assert_eq!(b.submit_or_defer("x", &tasks), storm_safe, "{case}");
-            let mut c = resident(armed, strikes);
-            assert_eq!(c.submit_batch(&[("x".to_string(), tasks)]), [storm_safe], "{case}");
-
-            assert_eq!(b.counters(), c.counters(), "{case}");
-            assert_eq!(b.deferred_len(), c.deferred_len(), "{case}");
             assert_eq!(b.deferred_len(), usize::from(storm_safe == Deferred), "{case}");
             assert_eq!(a.deferred_len(), 0, "{case}: a strict submission never parks");
             if storm_safe != Deferred {

@@ -19,7 +19,7 @@ use crate::obs::{Histogram, TraceEvent};
 use crate::policy::AssignmentPolicy;
 use crate::supervisor::SupervisorConfig;
 
-use super::guard::{GuardConfig, LadderRung, LadderTransition, ServeGuard};
+use super::guard::{GuardConfig, LadderRung, LadderTransition, ServeError, ServeGuard};
 use super::outcome::{ServeCounters, ServeOutcome, TenantOutcome};
 use super::submission::Deferred;
 
@@ -172,24 +172,19 @@ impl SessionManager {
     ///
     /// Call before the first submission.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if tasks are already resident.
-    #[must_use]
-    pub fn with_placement_policy(mut self, placement: PlacementPolicy) -> SessionManager {
+    /// [`ServeError::PlacementAfterAdmission`] if tasks are already
+    /// resident.
+    pub fn with_placement_policy(
+        mut self,
+        placement: PlacementPolicy,
+    ) -> Result<SessionManager, ServeError> {
+        if self.ctl.resident_tasks() > 0 {
+            return Err(ServeError::PlacementAfterAdmission);
+        }
         self.ctl = self.ctl.with_placement(placement);
-        self
-    }
-
-    /// The placement policy admission runs under.
-    pub fn placement_policy(&self) -> PlacementPolicy {
-        self.ctl.placement_policy()
-    }
-
-    /// Current degradation-ladder rung for a tenant name (Normal when no
-    /// guard is armed or the name was never seen).
-    pub fn ladder_rung(&self, name: &str) -> LadderRung {
-        self.guard.rung(name)
+        Ok(self)
     }
 
     /// Number of submissions currently parked on the deferred queue.
@@ -317,15 +312,15 @@ impl SessionManager {
     ///
     /// # Errors
     ///
-    /// [`super::ServeError::UnknownTenant`] when no admitted tenant has
+    /// [`ServeError::UnknownTenant`] when no admitted tenant has
     /// that name.
-    pub fn try_depart(&mut self, name: &str) -> Result<TenantId, super::ServeError> {
+    pub fn try_depart(&mut self, name: &str) -> Result<TenantId, ServeError> {
         let end = self
             .by_name
             .partition_point(|&p| self.tenants[p as usize].name.as_str() <= name);
         let pos = match end.checked_sub(1).map(|last| self.by_name[last] as usize) {
             Some(pos) if self.tenants[pos].name == name => pos,
-            _ => return Err(super::ServeError::UnknownTenant),
+            _ => return Err(ServeError::UnknownTenant),
         };
         let tenant = self.tenants[pos].id;
         self.depart_at(pos, TenantState::Departed);

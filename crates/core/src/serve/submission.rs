@@ -1,7 +1,5 @@
 //! The submission path: direct and storm-safe submission, the bounded
-//! deferred-admission queue, and batched admission rounds.
-
-use std::collections::VecDeque;
+//! deferred-admission queue, and its admission rounds.
 
 use rtseed_analysis::{Admission, AdmissionDecision};
 use rtseed_model::{Span, TaskSpec, TenantId, TenantState, Time};
@@ -24,18 +22,6 @@ pub(super) struct Deferred {
     /// Next scheduled retry (exponential backoff, clamped to `deadline`).
     pub(super) next_retry: Time,
     pub(super) attempts: u32,
-}
-
-/// The admission decision as the submission path reads it: an admission to
-/// bind, or the typed reason there is none.
-fn verdict(decision: AdmissionDecision) -> Result<Admission, RejectReason> {
-    match decision {
-        AdmissionDecision::Admitted(admission) => Ok(admission),
-        AdmissionDecision::Rejected(reason) => Err(reason.into()),
-        AdmissionDecision::NeedsFullRecompute { .. } => {
-            unreachable!("admission never defers to a full recompute")
-        }
-    }
 }
 
 impl SessionManager {
@@ -79,53 +65,34 @@ impl SessionManager {
         self.submit_one(name.into(), tasks, true)
     }
 
-    /// Submits many tenants in one batched admission round: every entry
-    /// is gated, then every admissible entry is tested, then the verdicts
-    /// are applied, all in submission order. Each entry gets exactly the
-    /// verdict [`SessionManager::submit_or_defer`] would have produced for
-    /// the same arrival order — admissions bind, guard-barred and hopeless
-    /// entries are rejected, capacity failures defer when the guard is
-    /// armed.
-    pub fn submit_batch(
-        &mut self,
-        submissions: &[(String, Vec<TaskSpec>)],
-    ) -> Vec<Submission> {
-        let mut gates = Vec::with_capacity(submissions.len());
-        let mut batch = Vec::new();
-        for (name, tasks) in submissions {
-            self.counters.submissions += 1;
-            let gate = self.gate(name);
-            if gate.is_ok() {
-                batch.push(tasks.as_slice());
-            }
-            gates.push(gate);
-        }
-        let mut decisions = self.admit_batch(&batch);
-        gates
-            .into_iter()
-            .zip(submissions)
-            .map(|(gate, (name, tasks))| {
-                let verdict = gate.and_then(|()| verdict(decisions.next().expect("one per entry")));
-                self.settle(name.clone(), tasks, verdict, true)
-            })
-            .collect()
-    }
-
-    /// One submission, start to finish: count it, gate it, test it, settle
-    /// it.
+    /// One submission, start to finish: count it, gate it, test it, then
+    /// bind the admission, park the submission (only where the caller
+    /// `may_defer`), or reject it.
     fn submit_one(&mut self, name: String, tasks: &[TaskSpec], may_defer: bool) -> Submission {
         self.counters.submissions += 1;
-        let verdict = self.gate(&name).and_then(|()| verdict(self.ctl.try_admit(tasks)));
-        self.settle(name, tasks, verdict, may_defer)
+        match self.verdict(&name, tasks) {
+            Ok(admission) => Submission::Admitted(self.bind_admission(name, tasks, admission)),
+            Err(reason) if may_defer && self.defers(reason) => self.defer(name, tasks.to_vec()),
+            Err(reason) => Submission::Rejected(self.record_rejection(name, reason)),
+        }
     }
 
-    /// The guard's word on `name` before any admission test runs: `Err`
-    /// bars it, evicted for good or quarantined for now.
-    fn gate(&self, name: &str) -> Result<(), RejectReason> {
+    /// The verdict on one submission: the guard's word on `name` first
+    /// (barred if evicted for good or quarantined for now), then the
+    /// admission test on `tasks` — an admission to bind, or the typed
+    /// reason there is none.
+    fn verdict(&mut self, name: &str, tasks: &[TaskSpec]) -> Result<Admission, RejectReason> {
         match self.guard.rung(name) {
-            LadderRung::Evicted => Err(RejectReason::Evicted),
-            LadderRung::Quarantined => Err(RejectReason::Quarantined),
-            _ => Ok(()),
+            LadderRung::Evicted => return Err(RejectReason::Evicted),
+            LadderRung::Quarantined => return Err(RejectReason::Quarantined),
+            _ => {}
+        }
+        match self.ctl.try_admit(tasks) {
+            AdmissionDecision::Admitted(admission) => Ok(admission),
+            AdmissionDecision::Rejected(reason) => Err(reason.into()),
+            AdmissionDecision::NeedsFullRecompute { .. } => {
+                unreachable!("admission never defers to a full recompute")
+            }
         }
     }
 
@@ -138,33 +105,6 @@ impl SessionManager {
             RejectReason::Unschedulable { .. } => self.guard.enabled(),
             _ => false,
         }
-    }
-
-    /// Enacts one submission's verdict: bind the admission, park the
-    /// submission (only where the caller `may_defer`), or reject it.
-    fn settle(
-        &mut self,
-        name: String,
-        tasks: &[TaskSpec],
-        verdict: Result<Admission, RejectReason>,
-        may_defer: bool,
-    ) -> Submission {
-        match verdict {
-            Ok(admission) => Submission::Admitted(self.bind_admission(name, tasks, admission)),
-            Err(reason) if may_defer && self.defers(reason) => self.defer(name, tasks.to_vec()),
-            Err(reason) => Submission::Rejected(self.record_rejection(name, reason)),
-        }
-    }
-
-    /// One batched admission test: every entry is tested, in batch order,
-    /// before any verdict is applied; the decisions come back in batch
-    /// order.
-    fn admit_batch(&mut self, batch: &[&[TaskSpec]]) -> impl Iterator<Item = AdmissionDecision> {
-        let decisions: Vec<_> = batch
-            .iter()
-            .map(|tasks| self.ctl.try_admit(tasks))
-            .collect();
-        decisions.into_iter()
     }
 
     /// Records a rejection: per-reason counters, trace event, and a
@@ -217,40 +157,26 @@ impl SessionManager {
         self.deferred.iter().map(|d| d.next_retry).min()
     }
 
-    /// One batched admission round over the deferred queue. With `force`
-    /// every entry is tried now (capacity was just freed); otherwise only
-    /// entries whose backoff expired are tried. Entries that still fail
-    /// back off exponentially until their retry deadline.
-    ///
-    /// The round runs in three passes: (1) gate every queue entry without
-    /// testing anything, (2) test the testable entries as **one batch**
-    /// and (3) apply the verdicts in queue order, so counters, tenant
-    /// ids, traces, and the surviving queue are byte-identical to testing
-    /// the entries one at a time.
+    /// One admission round over the deferred queue. With `force` every
+    /// entry is tried now (capacity was just freed); otherwise only
+    /// entries whose backoff expired are tried. Each tried entry is gated,
+    /// tested and settled before the next, in queue order. Entries that
+    /// still fail back off exponentially until their retry deadline and
+    /// keep their place in the queue.
     pub(super) fn admission_round(&mut self, force: bool) {
         if self.deferred.is_empty() {
             return;
         }
         self.counters.admission_rounds += 1;
-        let queue = std::mem::take(&mut self.deferred);
-        // `None`: the backoff has not expired, the entry is carried over.
-        let mut gates = Vec::with_capacity(queue.len());
-        let mut batch = Vec::new();
-        for d in &queue {
-            let gate = (force || d.next_retry <= self.des.now).then(|| self.gate(&d.name));
-            if gate == Some(Ok(())) {
-                batch.push(d.tasks.as_slice());
-            }
-            gates.push(gate);
-        }
-        let mut decisions = self.admit_batch(&batch);
-        let mut remaining = VecDeque::with_capacity(queue.len());
-        for (gate, d) in gates.into_iter().zip(queue) {
-            let Some(gate) = gate else {
-                remaining.push_back(d);
+        let mut queue = std::mem::take(&mut self.deferred);
+        for _ in 0..queue.len() {
+            let d = queue.pop_front().expect("one pop per entry");
+            if !force && d.next_retry > self.des.now {
+                // The backoff has not expired: the entry is carried over.
+                queue.push_back(d);
                 continue;
-            };
-            match gate.and_then(|()| verdict(decisions.next().expect("one per entry"))) {
+            }
+            match self.verdict(&d.name, &d.tasks) {
                 Ok(admission) => {
                     let waited = self.des.now.saturating_elapsed_since(d.since);
                     let tenant = self.bind_admission(d.name, &d.tasks, admission);
@@ -265,7 +191,7 @@ impl SessionManager {
                 }
                 Err(reason) if self.defers(reason) => {
                     if let Some(d) = self.backoff_or_expire(d) {
-                        remaining.push_back(d);
+                        queue.push_back(d);
                     }
                 }
                 Err(reason) => {
@@ -273,7 +199,7 @@ impl SessionManager {
                 }
             }
         }
-        self.deferred = remaining;
+        self.deferred = queue;
     }
 
     /// The still-failing tail of a retry: reject past the deadline,

@@ -49,8 +49,8 @@ pub mod time;
 pub mod topology;
 
 pub use ids::{CoreId, HwThreadId, JobId, PartId, Priority, TaskId, TenantId};
-pub use qos::{QosRecord, QosSummary};
-pub use state::{JobPhase, OptionalOutcome, PartKind, TenantState};
+pub use qos::QosSummary;
+pub use state::{JobPhase, OptionalOutcome, TenantState};
 pub use task::{TaskSet, TaskSetError, TaskSpec, TaskSpecBuilder};
 pub use time::{Span, Time};
 pub use topology::{Topology, TopologyError};

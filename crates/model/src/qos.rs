@@ -9,67 +9,20 @@ use core::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::ids::JobId;
 use crate::state::OptionalOutcome;
 use crate::time::Span;
-
-/// Per-job QoS record: one entry per parallel optional part.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QosRecord {
-    /// The job this record describes.
-    pub job: JobId,
-    /// `(achieved execution, outcome)` for each parallel optional part, in
-    /// part order.
-    pub parts: Vec<(Span, OptionalOutcome)>,
-    /// Whether the wind-up part met the job's deadline.
-    pub deadline_met: bool,
-}
-
-impl QosRecord {
-    /// Total optional execution achieved by this job.
-    pub fn achieved(&self) -> Span {
-        self.parts.iter().map(|(s, _)| *s).sum()
-    }
-
-    /// Number of parts with each outcome `(completed, terminated, discarded)`.
-    pub fn outcome_counts(&self) -> (usize, usize, usize) {
-        let mut c = (0, 0, 0);
-        for (_, o) in &self.parts {
-            match o {
-                OptionalOutcome::Completed => c.0 += 1,
-                OptionalOutcome::Terminated => c.1 += 1,
-                OptionalOutcome::Discarded => c.2 += 1,
-            }
-        }
-        c
-    }
-
-    /// QoS ratio of this job: achieved optional execution divided by
-    /// requested optional execution (`Σ oᵢ,ₖ`). 1.0 when `requested` is
-    /// zero (a job with no optional work trivially has full QoS).
-    pub fn ratio(&self, requested: Span) -> f64 {
-        if requested.is_zero() {
-            1.0
-        } else {
-            self.achieved() / requested
-        }
-    }
-}
 
 /// Aggregated QoS across many jobs.
 ///
 /// # Examples
 ///
 /// ```
-/// use rtseed_model::{JobId, QosRecord, QosSummary, Span, TaskId};
+/// use rtseed_model::{QosSummary, Span};
 /// use rtseed_model::OptionalOutcome::*;
-/// let rec = QosRecord {
-///     job: JobId { task: TaskId(0), seq: 0 },
-///     parts: vec![(Span::from_millis(300), Completed), (Span::from_millis(100), Terminated)],
-///     deadline_met: true,
-/// };
+/// let parts = [(Span::from_millis(300), Completed), (Span::from_millis(100), Terminated)];
 /// let mut sum = QosSummary::new();
-/// sum.record(&rec, Span::from_millis(400));
+/// let ratio = sum.record_job(parts, Span::from_millis(400), true, false);
+/// assert!((ratio - 1.0).abs() < 1e-12);
 /// assert_eq!(sum.jobs(), 1);
 /// assert!((sum.mean_ratio() - 1.0).abs() < 1e-12);
 /// ```
@@ -92,30 +45,16 @@ impl QosSummary {
         QosSummary::default()
     }
 
-    /// Folds one job record into the summary. `requested` is the job's total
-    /// requested optional execution `Σ oᵢ,ₖ`.
-    pub fn record(&mut self, rec: &QosRecord, requested: Span) {
-        self.record_with_mode(rec, requested, false);
-    }
-
-    /// Like [`record`](QosSummary::record), additionally noting whether the
-    /// job ran under an overload supervisor's degraded mode or quarantine
-    /// (its optional parts were shed rather than scheduled).
-    pub fn record_with_mode(&mut self, rec: &QosRecord, requested: Span, degraded: bool) {
-        self.record_job(
-            rec.parts.iter().copied(),
-            requested,
-            rec.deadline_met,
-            degraded,
-        );
-    }
-
-    /// Streaming equivalent of [`record_with_mode`](QosSummary::record_with_mode):
-    /// folds a job's `(achieved, outcome)` parts directly, without an
-    /// intermediate [`QosRecord`]. The simulator executors call this once
-    /// per job on their hot path — an np = 228 job would otherwise build a
-    /// 228-entry vector just to be summed and dropped. Returns the job's
-    /// QoS ratio (1.0 when `requested` is zero).
+    /// Folds one job into the summary: its `(achieved, outcome)` parts in
+    /// part order, `requested` (the job's total requested optional
+    /// execution `Σ oᵢ,ₖ`), whether the wind-up met the deadline, and
+    /// whether the job ran under an overload supervisor's degraded mode or
+    /// quarantine (its optional parts were shed rather than scheduled).
+    /// The executors call this once per job on their hot path, streaming
+    /// the parts without an intermediate vector. Returns the job's QoS
+    /// ratio: achieved optional execution over `requested`, 1.0 when
+    /// `requested` is zero (a job with no optional work trivially has full
+    /// QoS).
     pub fn record_job<I>(
         &mut self,
         parts: I,
@@ -241,50 +180,33 @@ impl fmt::Display for QosSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::TaskId;
 
-    fn job(seq: u64) -> JobId {
-        JobId {
-            task: TaskId(0),
-            seq,
-        }
-    }
-
-    fn rec(seq: u64, parts: Vec<(Span, OptionalOutcome)>, met: bool) -> QosRecord {
-        QosRecord {
-            job: job(seq),
-            parts,
-            deadline_met: met,
-        }
-    }
+    const MS10: Span = Span::from_millis(10);
 
     #[test]
     fn record_accounting() {
-        let r = rec(
-            0,
-            vec![
-                (Span::from_millis(10), OptionalOutcome::Completed),
-                (Span::from_millis(5), OptionalOutcome::Terminated),
-                (Span::ZERO, OptionalOutcome::Discarded),
-            ],
-            true,
-        );
-        assert_eq!(r.achieved(), Span::from_millis(15));
-        assert_eq!(r.outcome_counts(), (1, 1, 1));
-        assert!((r.ratio(Span::from_millis(30)) - 0.5).abs() < 1e-12);
-        assert!((r.ratio(Span::ZERO) - 1.0).abs() < 1e-12);
+        let mut s = QosSummary::new();
+        let parts = [
+            (MS10, OptionalOutcome::Completed),
+            (Span::from_millis(5), OptionalOutcome::Terminated),
+            (Span::ZERO, OptionalOutcome::Discarded),
+        ];
+        let ratio = s.record_job(parts, Span::from_millis(30), true, false);
+        assert!((ratio - 0.5).abs() < 1e-12);
+        assert_eq!(s.achieved_total(), Span::from_millis(15));
+        assert_eq!(s.outcome_totals(), (1, 1, 1));
+        assert!((s.record_job([], Span::ZERO, true, false) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn summary_aggregates() {
         let mut s = QosSummary::new();
-        s.record(
-            &rec(0, vec![(Span::from_millis(10), OptionalOutcome::Completed)], true),
-            Span::from_millis(10),
-        );
-        s.record(
-            &rec(1, vec![(Span::from_millis(5), OptionalOutcome::Terminated)], false),
-            Span::from_millis(10),
+        s.record_job([(MS10, OptionalOutcome::Completed)], MS10, true, false);
+        s.record_job(
+            [(Span::from_millis(5), OptionalOutcome::Terminated)],
+            MS10,
+            false,
+            false,
         );
         assert_eq!(s.jobs(), 2);
         assert_eq!(s.deadline_misses(), 1);
@@ -307,13 +229,12 @@ mod tests {
     fn merge_is_additive() {
         let mut a = QosSummary::new();
         let mut b = QosSummary::new();
-        a.record(
-            &rec(0, vec![(Span::from_millis(10), OptionalOutcome::Completed)], true),
-            Span::from_millis(10),
-        );
-        b.record(
-            &rec(1, vec![(Span::ZERO, OptionalOutcome::Discarded)], true),
-            Span::from_millis(10),
+        a.record_job([(MS10, OptionalOutcome::Completed)], MS10, true, false);
+        b.record_job(
+            [(Span::ZERO, OptionalOutcome::Discarded)],
+            MS10,
+            true,
+            false,
         );
         a.merge(&b);
         assert_eq!(a.jobs(), 2);
@@ -324,12 +245,12 @@ mod tests {
     #[test]
     fn degraded_jobs_are_counted_and_merged() {
         let mut a = QosSummary::new();
-        a.record_with_mode(&rec(0, vec![], true), Span::ZERO, true);
-        a.record(&rec(1, vec![], true), Span::ZERO);
+        a.record_job([], Span::ZERO, true, true);
+        a.record_job([], Span::ZERO, true, false);
         assert_eq!(a.degraded_jobs(), 1);
         assert_eq!(a.jobs(), 2);
         let mut b = QosSummary::new();
-        b.record_with_mode(&rec(2, vec![], true), Span::ZERO, true);
+        b.record_job([], Span::ZERO, true, true);
         a.merge(&b);
         assert_eq!(a.degraded_jobs(), 2);
         assert!(a.to_string().contains("2 degraded"), "{a}");
@@ -338,10 +259,7 @@ mod tests {
     #[test]
     fn display_mentions_key_numbers() {
         let mut s = QosSummary::new();
-        s.record(
-            &rec(0, vec![(Span::from_millis(10), OptionalOutcome::Completed)], true),
-            Span::from_millis(10),
-        );
+        s.record_job([(MS10, OptionalOutcome::Completed)], MS10, true, false);
         let out = s.to_string();
         assert!(out.contains("1 jobs"), "{out}");
         assert!(out.contains("QoS 1.000"), "{out}");

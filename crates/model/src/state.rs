@@ -5,37 +5,6 @@ use core::fmt;
 
 use serde::{Deserialize, Serialize};
 
-/// Which of a task's three part kinds is meant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PartKind {
-    /// The real-time first part (mᵢ).
-    Mandatory,
-    /// A non-real-time parallel optional part (oᵢ,ₖ).
-    Optional,
-    /// The real-time second ("wind-up") part (wᵢ).
-    Windup,
-}
-
-impl PartKind {
-    /// `true` for the real-time parts (mandatory and wind-up), which alone
-    /// count towards schedulability.
-    #[inline]
-    pub const fn is_real_time(self) -> bool {
-        matches!(self, PartKind::Mandatory | PartKind::Windup)
-    }
-}
-
-impl fmt::Display for PartKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            PartKind::Mandatory => "mandatory",
-            PartKind::Optional => "optional",
-            PartKind::Windup => "wind-up",
-        };
-        f.write_str(s)
-    }
-}
-
 /// Terminal state of one parallel optional part (paper Fig. 1: each part is
 /// completed, terminated or discarded *independently*).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -109,18 +78,6 @@ impl JobPhase {
                 | (JobPhase::WindupRunning, JobPhase::Done)
         )
     }
-
-    /// The two *semi-fixed* priority-change points of §III: entering the
-    /// optional phase (priority drops to the optional band) and entering the
-    /// wind-up phase (priority rises back to the mandatory band).
-    pub const fn is_priority_change(self, next: JobPhase) -> bool {
-        matches!(
-            (self, next),
-            (JobPhase::MandatoryRunning, JobPhase::OptionalRunning)
-                | (JobPhase::OptionalRunning, JobPhase::WindupRunning)
-                | (JobPhase::MandatoryRunning, JobPhase::WindupRunning)
-        )
-    }
 }
 
 impl fmt::Display for JobPhase {
@@ -138,7 +95,7 @@ impl fmt::Display for JobPhase {
 
 /// Lifecycle state of one tenant in the serving layer.
 ///
-/// Legal transitions (enforced by [`TenantState::can_transition_to`]):
+/// The transitions the serving layer makes:
 ///
 /// ```text
 /// Pending ─► Admitted ─► Departed
@@ -163,35 +120,6 @@ pub enum TenantState {
     Evicted,
 }
 
-impl TenantState {
-    /// Whether the transition `self → next` is legal in the tenant
-    /// lifecycle.
-    pub const fn can_transition_to(self, next: TenantState) -> bool {
-        matches!(
-            (self, next),
-            (TenantState::Pending, TenantState::Admitted)
-                | (TenantState::Pending, TenantState::Rejected)
-                | (TenantState::Admitted, TenantState::Departed)
-                | (TenantState::Admitted, TenantState::Evicted)
-        )
-    }
-
-    /// `true` while the tenant's tasks are scheduled (only `Admitted`).
-    #[inline]
-    pub const fn is_active(self) -> bool {
-        matches!(self, TenantState::Admitted)
-    }
-
-    /// `true` once no further transition is possible.
-    #[inline]
-    pub const fn is_terminal(self) -> bool {
-        matches!(
-            self,
-            TenantState::Rejected | TenantState::Departed | TenantState::Evicted
-        )
-    }
-}
-
 impl fmt::Display for TenantState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -208,13 +136,6 @@ impl fmt::Display for TenantState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn real_time_parts() {
-        assert!(PartKind::Mandatory.is_real_time());
-        assert!(PartKind::Windup.is_real_time());
-        assert!(!PartKind::Optional.is_real_time());
-    }
 
     #[test]
     fn optional_outcome_executed() {
@@ -249,41 +170,9 @@ mod tests {
     }
 
     #[test]
-    fn exactly_the_semi_fixed_priority_changes() {
-        use JobPhase::*;
-        // Paper §III: priority changes in exactly two situations (the late
-        // mandatory → wind-up case is variant (ii) happening early).
-        assert!(MandatoryRunning.is_priority_change(OptionalRunning));
-        assert!(OptionalRunning.is_priority_change(WindupRunning));
-        assert!(MandatoryRunning.is_priority_change(WindupRunning));
-        assert!(!Released.is_priority_change(MandatoryRunning));
-        assert!(!WindupRunning.is_priority_change(Done));
-    }
-
-    #[test]
     fn displays() {
-        assert_eq!(PartKind::Windup.to_string(), "wind-up");
         assert_eq!(OptionalOutcome::Discarded.to_string(), "discarded");
         assert_eq!(JobPhase::OptionalRunning.to_string(), "optional-running");
         assert_eq!(TenantState::Admitted.to_string(), "admitted");
-    }
-
-    #[test]
-    fn tenant_lifecycle_transitions() {
-        use TenantState::*;
-        assert!(Pending.can_transition_to(Admitted));
-        assert!(Pending.can_transition_to(Rejected));
-        assert!(Admitted.can_transition_to(Departed));
-        assert!(Admitted.can_transition_to(Evicted));
-        // Terminal states go nowhere; re-admission needs a new tenant id.
-        for terminal in [Rejected, Departed, Evicted] {
-            assert!(terminal.is_terminal());
-            for next in [Pending, Admitted, Rejected, Departed, Evicted] {
-                assert!(!terminal.can_transition_to(next));
-            }
-        }
-        assert!(!Pending.is_terminal() && !Admitted.is_terminal());
-        assert!(Admitted.is_active());
-        assert!(!Pending.is_active() && !Rejected.is_active());
     }
 }

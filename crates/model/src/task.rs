@@ -295,19 +295,9 @@ impl TaskSet {
     }
 
     /// Total real-time utilization `Σ Uᵢ` (NOT divided by M; the paper's
-    /// system utilization is `U = (1/M) Σ Uᵢ`, see [`TaskSet::system_utilization`]).
+    /// system utilization is `U = (1/M) Σ Uᵢ`).
     pub fn total_utilization(&self) -> f64 {
         self.tasks.iter().map(TaskSpec::utilization).sum()
-    }
-
-    /// System utilization `U = (1/M) Σᵢ Uᵢ` for `m` processors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m == 0`.
-    pub fn system_utilization(&self, m: usize) -> f64 {
-        assert!(m > 0, "processor count must be positive");
-        self.total_utilization() / m as f64
     }
 
     /// Task ids sorted in Rate Monotonic order (shortest period first; ties
@@ -316,28 +306,6 @@ impl TaskSet {
         let mut ids: Vec<TaskId> = self.ids().collect();
         ids.sort_by_key(|id| (self.task(*id).period(), id.0));
         ids
-    }
-
-    /// The hyperperiod (LCM of periods), saturating at [`Span::MAX`] if it
-    /// overflows. Useful for bounding simulation horizons.
-    pub fn hyperperiod(&self) -> Span {
-        fn gcd(a: u64, b: u64) -> u64 {
-            if b == 0 {
-                a
-            } else {
-                gcd(b, a % b)
-            }
-        }
-        let mut l: u64 = 1;
-        for t in &self.tasks {
-            let p = t.period().as_nanos();
-            let g = gcd(l, p);
-            match (l / g).checked_mul(p) {
-                Some(v) => l = v,
-                None => return Span::MAX,
-            }
-        }
-        Span::from_nanos(l)
     }
 }
 
@@ -503,14 +471,6 @@ mod tests {
     fn utilization_sums() {
         let set = TaskSet::new(vec![paper_task(1), paper_task(1)]).unwrap();
         assert!((set.total_utilization() - 1.0).abs() < 1e-12);
-        assert!((set.system_utilization(4) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "processor count must be positive")]
-    fn system_utilization_rejects_zero_m() {
-        let set = TaskSet::new(vec![paper_task(1)]).unwrap();
-        let _ = set.system_utilization(0);
     }
 
     #[test]
@@ -532,19 +492,6 @@ mod tests {
             .unwrap();
         let set = TaskSet::new(vec![a, b, c]).unwrap();
         assert_eq!(set.rm_order(), vec![TaskId(1), TaskId(2), TaskId(0)]);
-    }
-
-    #[test]
-    fn hyperperiod_is_lcm() {
-        let mk = |ms| {
-            TaskSpec::builder("t")
-                .period(Span::from_millis(ms))
-                .mandatory(Span::from_micros(1))
-                .build()
-                .unwrap()
-        };
-        let set = TaskSet::new(vec![mk(4), mk(6), mk(10)]).unwrap();
-        assert_eq!(set.hyperperiod(), Span::from_millis(60));
     }
 
     #[test]

@@ -145,11 +145,6 @@ impl Topology {
         (0..self.hw_threads()).map(HwThreadId)
     }
 
-    /// Iterates over all cores in id order.
-    pub fn core_ids(&self) -> impl Iterator<Item = CoreId> + use<> {
-        (0..self.cores).map(CoreId)
-    }
-
     /// The SMT siblings sharing a core with `h` (including `h` itself).
     pub fn siblings(&self, h: HwThreadId) -> impl Iterator<Item = HwThreadId> + use<> {
         let core = self.core_of(h);
@@ -229,7 +224,6 @@ mod tests {
     fn iterators_cover_everything() {
         let t = Topology::quad_core_smt2();
         assert_eq!(t.hw_thread_ids().count(), 8);
-        assert_eq!(t.core_ids().count(), 4);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! level, with larger levels scheduled first. RT-Seed's four logical queues
 //! (HPQ / RTQ / NRTQ / SQ) map onto priority *bands* of this structure plus
 //! a sleep set; this module implements the kernel-side structure exactly:
-//! enqueue at tail, dequeue from head of the highest non-empty level, and
-//! `sched_yield`-style head-to-tail rotation.
+//! enqueue at tail, requeue a preempted thread at the head, dequeue from
+//! the head of the highest non-empty level. No driver yields, so there is
+//! no `sched_yield` rotation.
 //!
 //! Like the kernel's `rt_rq`, the per-level FIFOs are indexed by an
 //! occupancy bitmap (one `u128` word covers all 99 levels), so finding the
@@ -110,19 +111,6 @@ impl<T> FifoReadyQueue<T> {
     pub fn peek_highest_priority(&self) -> Option<Priority> {
         self.top_slot()
             .map(|slot| Priority::new((slot + 1) as u8).expect("level in range"))
-    }
-
-    /// `sched_yield` semantics: moves the head of `prio`'s FIFO to its
-    /// tail. Returns `false` if the level had fewer than two entries (a
-    /// yield with no one to yield to is a no-op, like the syscall).
-    pub fn rotate(&mut self, prio: Priority) -> bool {
-        let q = &mut self.levels[Self::slot(prio)];
-        if q.len() < 2 {
-            return false;
-        }
-        let head = q.pop_front().expect("checked non-empty");
-        q.push_back(head);
-        true
     }
 
     /// Number of queued values across all levels.
@@ -235,23 +223,6 @@ mod tests {
         for i in 0..10 {
             assert_eq!(q.dequeue_highest(), Some((p(42), i)));
         }
-    }
-
-    #[test]
-    fn rotate_moves_head_to_tail() {
-        let mut q = FifoReadyQueue::new();
-        q.enqueue(p(7), 'x');
-        assert!(!q.rotate(p(7)), "single entry: yield is a no-op");
-        q.enqueue(p(7), 'y');
-        assert!(q.rotate(p(7)));
-        assert_eq!(q.dequeue_highest(), Some((p(7), 'y')));
-        assert_eq!(q.dequeue_highest(), Some((p(7), 'x')));
-    }
-
-    #[test]
-    fn rotate_empty_level_is_noop() {
-        let mut q: FifoReadyQueue<u8> = FifoReadyQueue::new();
-        assert!(!q.rotate(p(3)));
     }
 
     #[test]

@@ -88,13 +88,6 @@ pub struct Position {
     pub realized_pnl: f64,
 }
 
-impl Position {
-    /// Marks the open quantity against `mid`, returning unrealized P&L.
-    pub fn unrealized_pnl(&self, mid: f64) -> f64 {
-        self.quantity * (mid - self.avg_price)
-    }
-}
-
 /// A paper-trading venue that fills market orders against the latest tick.
 #[derive(Debug, Clone)]
 pub struct PaperVenue {
@@ -206,12 +199,14 @@ impl PaperVenue {
         &self.fills
     }
 
-    /// Total equity against the latest mid: realized + unrealized P&L.
+    /// Total equity against the latest mid: realized P&L plus the open
+    /// quantity marked to market.
     pub fn equity(&self) -> f64 {
+        let pos = &self.position;
         let unreal = self
             .last_tick
-            .map_or(0.0, |t| self.position.unrealized_pnl(t.mid()));
-        self.position.realized_pnl + unreal
+            .map_or(0.0, |t| pos.quantity * (t.mid() - pos.avg_price));
+        pos.realized_pnl + unreal
     }
 }
 
@@ -295,7 +290,8 @@ mod tests {
         v.submit(order(Side::Buy, 1.0)).unwrap();
         assert!((v.position().avg_price - 1.1).abs() < 1e-12);
         assert_eq!(v.position().quantity, 2.0);
-        assert!((v.position().unrealized_pnl(1.2) - 0.2).abs() < 1e-12);
+        // Marked at the 1.2 mid: 2 × (1.2 − 1.1) unrealized.
+        assert!((v.equity() - 0.2).abs() < 1e-12);
     }
 
     #[test]

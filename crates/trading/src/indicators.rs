@@ -292,112 +292,6 @@ impl Macd {
     }
 }
 
-/// Stochastic oscillator %K with an SMA-smoothed %D.
-#[derive(Debug, Clone)]
-pub struct Stochastic {
-    window: usize,
-    values: VecDeque<f64>,
-    d: Sma,
-    last_k: Option<f64>,
-}
-
-impl Stochastic {
-    /// Creates a %K over `window` periods with `d_period` smoothing
-    /// (classically 14 and 3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either period is zero.
-    pub fn new(window: usize, d_period: usize) -> Stochastic {
-        assert!(window > 0 && d_period > 0, "periods must be positive");
-        Stochastic {
-            window,
-            values: VecDeque::with_capacity(window),
-            d: Sma::new(d_period),
-            last_k: None,
-        }
-    }
-
-    /// Pushes a price.
-    pub fn push(&mut self, price: f64) {
-        self.values.push_back(price);
-        if self.values.len() > self.window {
-            self.values.pop_front();
-        }
-        if self.values.len() == self.window {
-            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for &v in &self.values {
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-            let k = if hi > lo {
-                (price - lo) / (hi - lo) * 100.0
-            } else {
-                50.0
-            };
-            self.last_k = Some(k);
-            self.d.push(k);
-        }
-    }
-
-    /// Current `(%K, %D)`, `%D` present once its smoothing window filled.
-    pub fn value(&self) -> Option<(f64, Option<f64>)> {
-        self.last_k.map(|k| (k, self.d.value()))
-    }
-}
-
-/// Average True Range over mid-price moves (volatility gauge).
-#[derive(Debug, Clone)]
-pub struct Atr {
-    period: usize,
-    prev: Option<f64>,
-    value: Option<f64>,
-    seen: usize,
-    acc: f64,
-}
-
-impl Atr {
-    /// Creates an ATR over `period` moves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn new(period: usize) -> Atr {
-        assert!(period > 0, "period must be positive");
-        Atr {
-            period,
-            prev: None,
-            value: None,
-            seen: 0,
-            acc: 0.0,
-        }
-    }
-
-    /// Pushes a price.
-    pub fn push(&mut self, price: f64) {
-        let Some(prev) = self.prev.replace(price) else {
-            return;
-        };
-        let tr = (price - prev).abs();
-        self.seen += 1;
-        if self.seen <= self.period {
-            self.acc += tr;
-            if self.seen == self.period {
-                self.value = Some(self.acc / self.period as f64);
-            }
-        } else {
-            let p = self.period as f64;
-            let v = self.value.expect("set when seen == period");
-            self.value = Some((v * (p - 1.0) + tr) / p);
-        }
-    }
-
-    /// Current ATR, or `None` until `period` moves were seen.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,54 +426,5 @@ mod tests {
     #[should_panic(expected = "fast period must be shorter")]
     fn macd_rejects_inverted_periods() {
         let _ = Macd::new(26, 12, 9);
-    }
-
-    #[test]
-    fn stochastic_bounds_and_extremes() {
-        let mut st = Stochastic::new(5, 3);
-        push_all(&mut |p| st.push(p), &[1.0, 2.0, 3.0, 4.0, 5.0]);
-        let (k, _) = st.value().unwrap();
-        assert!((k - 100.0).abs() < 1e-12, "close at the high → %K = 100");
-        push_all(&mut |p| st.push(p), &[0.5]);
-        let (k, _) = st.value().unwrap();
-        assert!((k - 0.0).abs() < 1e-12, "close at the low → %K = 0");
-    }
-
-    #[test]
-    fn stochastic_flat_window_is_midscale() {
-        let mut st = Stochastic::new(3, 2);
-        push_all(&mut |p| st.push(p), &[2.0, 2.0, 2.0]);
-        let (k, _) = st.value().unwrap();
-        assert_eq!(k, 50.0);
-    }
-
-    #[test]
-    fn stochastic_d_smooths_k() {
-        let mut st = Stochastic::new(3, 2);
-        push_all(&mut |p| st.push(p), &[1.0, 2.0, 3.0, 1.0]);
-        let (_, d) = st.value().unwrap();
-        // %K values were 100 (at 3.0) then 0 (at 1.0): %D = 50.
-        assert_eq!(d, Some(50.0));
-    }
-
-    #[test]
-    fn atr_tracks_mean_absolute_move() {
-        let mut atr = Atr::new(4);
-        push_all(&mut |p| atr.push(p), &[1.0, 2.0, 1.0, 2.0, 1.0]);
-        assert_eq!(atr.value(), Some(1.0));
-        // A big move lifts it, Wilder-smoothed.
-        atr.push(5.0);
-        assert!((atr.value().unwrap() - (1.0 * 3.0 + 4.0) / 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn atr_needs_period_moves() {
-        let mut atr = Atr::new(3);
-        atr.push(1.0);
-        atr.push(2.0);
-        atr.push(3.0);
-        assert_eq!(atr.value(), None, "two moves < period");
-        atr.push(4.0);
-        assert_eq!(atr.value(), Some(1.0));
     }
 }

@@ -9,8 +9,7 @@
 //!   with seeded GBM / Ornstein–Uhlenbeck processes, plus a replay source
 //!   and a compact wire codec);
 //! * [`indicators`] — streaming **technical analysis**: SMA, EMA,
-//!   Bollinger Bands (the paper's §II-A example), RSI, MACD, stochastic
-//!   oscillator, ATR;
+//!   Bollinger Bands (the paper's §II-A example), RSI, MACD;
 //! * [`fundamentals`] — synthetic **fundamental analysis**: periodic macro
 //!   releases (GDP growth, rate differential) and a bias score;
 //! * [`strategy`] — trading signals and strategies, plus a QoS-aware

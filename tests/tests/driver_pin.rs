@@ -355,7 +355,8 @@ fn session_manager_fingerprint_is_pinned() {
                             assignment,
                             run_config(fault, shape.unit, seed),
                         )
-                        .with_placement_policy(placement);
+                        .with_placement_policy(placement)
+                        .expect("the placement policy is set before any submission");
                         if fault == SCENARIOS - 1 {
                             mgr = mgr.with_guard(GuardConfig::armed());
                         }

@@ -303,6 +303,7 @@ fn serve_run(
         run_config(12, plan, true, ring),
     )
     .with_placement_policy(placement)
+    .expect("the placement policy is set before any submission")
     .with_guard(GuardConfig::armed());
     for spec in tasks {
         let _ = mgr.submit_or_defer(spec.name(), std::slice::from_ref(spec));

@@ -1,7 +1,7 @@
-//! Integration tests for the unified executor API and the observability
-//! subsystem: golden-trace determinism, export/report agreement (the
-//! acceptance criterion), disabled-recorder parity, and the deprecated
-//! compatibility aliases.
+//! Integration tests for the shared run configuration and outcome and the
+//! observability subsystem: golden-trace determinism, export/report
+//! agreement (the acceptance criterion), disabled-recorder parity, and
+//! every backend producing the same outcome shape.
 
 use rtseed::obs::export;
 use rtseed::prelude::*;
@@ -182,45 +182,48 @@ fn bounded_ring_drops_oldest_and_counts() {
     assert!(out.trace.dropped() > 0);
 }
 
+/// Every backend's `run` reads the same `RunConfig` and returns the same
+/// `Outcome`: the job count, a non-empty trace and a Chrome export.
 #[test]
-fn executor_trait_is_backend_agnostic() {
+fn every_backend_runs_traces_and_exports() {
     let system = overrun_config(4);
     let run = traced_run(3);
-    let mut executors: Vec<Box<dyn Executor>> = vec![
-        Box::new(SimExecutor::new(system.clone(), run.clone())),
-        Box::new(GlobalExecutor::from_config(&system, run.clone())),
-        Box::new(NativeExecutor::new(
-            {
-                // A fast native variant of the same shape (milliseconds,
-                // not seconds, so the test stays quick).
-                let t = TaskSpec::builder("native")
-                    .period(Span::from_millis(50))
-                    .mandatory(Span::from_millis(1))
-                    .windup(Span::from_millis(1))
-                    .optional_parts(2, Span::from_millis(5))
-                    .build()
-                    .unwrap();
-                SystemConfig::build(
-                    TaskSet::new(vec![t]).unwrap(),
-                    Topology::uniprocessor(),
-                    AssignmentPolicy::OneByOne,
-                )
-                .unwrap()
-            },
-            RunConfig {
-                jobs: 10,
-                attempt_rt: false,
-                trace: TraceConfig::enabled(),
-                ..RunConfig::default()
-            },
-        )),
+    // A fast native variant of the same shape (milliseconds, not seconds,
+    // so the test stays quick).
+    let native = {
+        let t = TaskSpec::builder("native")
+            .period(Span::from_millis(50))
+            .mandatory(Span::from_millis(1))
+            .windup(Span::from_millis(1))
+            .optional_parts(2, Span::from_millis(5))
+            .build()
+            .unwrap();
+        SystemConfig::build(
+            TaskSet::new(vec![t]).unwrap(),
+            Topology::uniprocessor(),
+            AssignmentPolicy::OneByOne,
+        )
+        .unwrap()
+    };
+    let native_run = RunConfig {
+        jobs: 10,
+        attempt_rt: false,
+        trace: TraceConfig::enabled(),
+        ..RunConfig::default()
+    };
+    let outcomes = [
+        ("sim", SimExecutor::new(system.clone(), run.clone()).run()),
+        ("global", GlobalExecutor::from_config(&system, run).run()),
+        (
+            "native",
+            NativeExecutor::new(native, native_run)
+                .run(vec![TaskBody::no_op()])
+                .expect("run"),
+        ),
     ];
-    let names: Vec<&str> = executors.iter().map(|e| e.backend().name()).collect();
-    assert_eq!(names, ["sim", "global", "native"]);
-    for ex in &mut executors {
-        let out = ex.execute().expect("run");
-        assert_eq!(out.qos.jobs(), 10, "{} backend", ex.backend().name());
-        assert!(!out.trace.is_empty(), "{} backend", ex.backend().name());
+    for (backend, out) in outcomes {
+        assert_eq!(out.qos.jobs(), 10, "{backend} backend");
+        assert!(!out.trace.is_empty(), "{backend} backend");
         // Exports work off every backend's outcome.
         let json = export::chrome_trace(&out.trace, &out.metrics);
         assert!(json.starts_with('{') && json.ends_with('}'));
@@ -239,13 +242,13 @@ fn run_config_validation_is_typed() {
         .build()
         .unwrap_err();
     assert!(matches!(err, RunConfigError::ZeroTraceCapacity));
-    // Executor::execute surfaces the same error as ExecError::Config.
-    let mut bad = SimExecutor::new(
-        overrun_config(4),
-        RunConfig {
-            rt_exec_fraction: -1.0,
-            ..RunConfig::default()
-        },
-    );
-    assert!(matches!(bad.execute(), Err(ExecError::Config(_))));
+    // A struct literal skips the builder; `validate` reports the same error.
+    let bad = RunConfig {
+        rt_exec_fraction: -1.0,
+        ..RunConfig::default()
+    };
+    assert!(matches!(
+        bad.validate(),
+        Err(RunConfigError::ExecFraction { .. })
+    ));
 }

@@ -331,6 +331,7 @@ fn two_cpu_manager(jobs: u64, placement: PlacementPolicy) -> SessionManager {
         },
     )
     .with_placement_policy(placement)
+    .expect("the placement policy is set before any submission")
 }
 
 fn seq_task(name: &str, period_ms: u64, mandatory_ms: u64) -> TaskSpec {
@@ -530,7 +531,8 @@ fn hot_arena_session_is_byte_identical_to_cold() {
             },
             arena,
         )
-        .with_placement_policy(PlacementPolicy::SemiPartitioned);
+        .with_placement_policy(PlacementPolicy::SemiPartitioned)
+        .expect("the placement policy is set before any submission");
         let _ = mgr.submit("r0", &[seq_task("r0", 400, 280)]);
         let _ = mgr.submit("r1", &[seq_task("r1", 400, 280)]);
         let _ = mgr.submit("big", &[seq_task("big", 100, 60)]);
