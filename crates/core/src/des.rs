@@ -72,7 +72,7 @@ pub(crate) struct Cpu {
 /// `ServeArena`).
 ///
 /// Holds everything a run allocates on its hot path — the event queue
-/// (heap, payload slab and the run buffers the Δb loops fill), the
+/// (heap, payload slab and the run buffers ascending pushes fill), the
 /// per-CPU ready queues, the Δb signal buffer and a recycled
 /// [`Engine`] (task vector, supervisor, recorder ring) — so a worker pool
 /// can execute thousands of runs, and a churn-replay worker thousands of
@@ -558,22 +558,22 @@ impl Substrate for Partitioned {
         let ds = d.sub.model.switch_to_optional(np);
         d.eng.sample(OverheadKind::SwitchToOptional, ds);
 
-        // The instants ascend except where a part waits for Δs, so the
-        // queue takes the loop as a few sorted runs, not np heap entries.
+        // The pushes wait for Δs, which is sampled after the loop. Their
+        // instants ascend except where a part waits for Δs too, so the
+        // queue keeps the loop as a few runs, not np heap entries.
         let mandatory_hw = d.eng.mandatory_hw(task);
-        d.events
-            .push_sorted(ready_times.iter().enumerate().map(|(k, &base)| {
-                let at = if d.eng.placement(task, k) == mandatory_hw {
-                    base + ds
-                } else {
-                    base
-                };
-                let work = Work {
-                    task,
-                    cursor: Cursor::Optional(k as u32),
-                };
-                (at, Event::Ready { work })
-            }));
+        for (k, &base) in ready_times.iter().enumerate() {
+            let at = if d.eng.placement(task, k) == mandatory_hw {
+                base + ds
+            } else {
+                base
+            };
+            let work = Work {
+                task,
+                cursor: Cursor::Optional(k as u32),
+            };
+            d.events.push(at, Event::Ready { work });
+        }
         d.sub.signal_scratch = ready_times;
     }
 

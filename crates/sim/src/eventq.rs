@@ -1,10 +1,10 @@
 //! Deterministic discrete-event queue.
 //!
 //! An indexed binary min-heap over a payload slab with a freelist, plus
-//! *runs*: batches that arrive already sorted and put only their head in
-//! the heap. Events are delivered in time order, breaking ties by insertion
-//! order (FIFO), which is what makes whole-simulation runs reproducible
-//! byte-for-byte across repeats and platforms.
+//! *runs*: stretches of pushes at non-decreasing instants that put only
+//! their head in the heap. Events are delivered in time order, breaking
+//! ties by insertion order (FIFO), which is what makes whole-simulation
+//! runs reproducible byte-for-byte across repeats and platforms.
 //!
 //! # Why not `BinaryHeap`?
 //!
@@ -20,26 +20,50 @@
 //!   into one `u128` key (time in the high 64 bits, insertion sequence in
 //!   the low 64), so sift operations compare one integer and move 32-byte
 //!   entries instead of calling a composite comparator over full payloads.
-//! * **A heap that does not grow with a sorted batch.** The Δb signalling
-//!   loop schedules one event per parallel optional part, at instants that
-//!   already ascend. [`EventQueue::push_sorted`] keeps every maximal
-//!   non-decreasing stretch of a batch as one run: a ring of `(Time, T)`
-//!   in arrival order whose head alone has a heap entry. Popping the head
+//! * **A heap that does not grow with pushes that ascend.** A simulator
+//!   mostly pushes in order. The Δb signalling loop schedules one `Ready`
+//!   event per parallel optional part at instants that ascend, and each
+//!   `Ready` handler starts its part and pushes its completion right after
+//!   the previous handler pushed the previous part's. [`EventQueue::push`]
+//!   keeps every such stretch as one *run*: a ring of `(Time, T)` in
+//!   arrival order whose head alone has a heap entry. Popping the head
 //!   rewrites that entry with the next event's key and sifts it down
-//!   (usually zero levels). With eight tasks of np = 228 on 57×4 the
-//!   heap held 1 367 entries at the mean pop and 2 912 at the peak, 1 824
-//!   of them such loops; with runs it holds 624 and 1 104 for the same
-//!   pending events (what is left is mostly completions of parts that
-//!   were terminated first), and every push and pop sifts through those.
+//!   (usually zero levels). With eight tasks of np = 228 on 57×4, 1 367
+//!   events are pending at the mean pop. As one heap entry each they made
+//!   a heap of 1 367 entries (2 912 at the peak). With the signalling
+//!   loops alone as runs it was 624 (1 104), mostly the completions of
+//!   parts that were terminated first. With every stretch as a run it is
+//!   23 (31), and every push and pop sifts through what is left.
 //!
-//! The ordering contract is unchanged and exact: keys are unique (the
-//! sequence number is), `(time, seq)` is a total order, and a min-heap
-//! pops a total order in sorted order — so pop order is precisely
-//! time-then-FIFO, independent of internal heap layout. A run keeps that
-//! contract because its events take consecutive sequence numbers from the
-//! same counter `push` uses and their keys ascend along the ring: the
-//! earliest pending event is always a plain heap entry or the head of
-//! some run, and every head is in the heap.
+//! # Where a push goes, and why the order stays exact
+//!
+//! Keys are unique (the sequence number is), `(time, seq)` is a total
+//! order, and a min-heap pops a total order in sorted order — so pop
+//! order is precisely time-then-FIFO, independent of internal layout,
+//! provided the earliest pending event is always in view. Every push
+//! takes the next sequence number from one counter and goes to one of
+//! three places:
+//!
+//! 1. **The open run**, the run the previous push went to, if the new
+//!    instant is at or after the run's tail. Nothing was pushed in
+//!    between, so the ring's sequence numbers stay consecutive (the run
+//!    stores only its front's and counts up as the front is popped) and
+//!    its keys ascend: the head, already in the heap, is still its least.
+//! 2. Otherwise **the staging slot**, which holds one event and its key
+//!    outside the heap. The slot always holds the latest push, so the next
+//!    push is its successor in sequence. If that push is not earlier, the
+//!    two start a new run headed by the staged event, which becomes the
+//!    open run. If it is earlier, the staged event is flushed into the
+//!    heap under its original key and the new push takes the slot.
+//! 3. **The heap**, as a plain entry, when flushed from the slot.
+//!
+//! A run drained while open is closed, so a push never lands in a ring
+//! that has no heap entry, even after its index is reused; `clear` drops
+//! the staged event and closes the open run. The earliest pending event
+//! is therefore the heap's first entry or the staged event: `pop` and
+//! `peek_time` compare the two keys, and `len` counts all three places.
+//! There is no threshold: a stretch of one costs one heap entry, a
+//! stretch of two is a run.
 //!
 //! Measured and rejected on the pop-dominated simulator workload: a 4-ary
 //! heap (shallower, but the min-of-4 child scan branch-mispredicts), the
@@ -80,11 +104,18 @@ pub struct EventQueue<T> {
     slots: Vec<Option<T>>,
     /// Recycled slab indices, popped before the slab is grown.
     free: Vec<u32>,
-    /// Sorted batches; an empty run is free (listed in `free_runs`).
+    /// Stretches of ascending pushes; an empty run is free (listed in
+    /// `free_runs`).
     runs: Vec<Run<T>>,
     /// Recycled run indices, popped before `runs` is grown.
     free_runs: Vec<u32>,
-    /// Pending events: plain heap entries plus everything in runs.
+    /// The latest push, with its key, while it is in no run or heap entry
+    /// yet.
+    staged: Option<(u128, T)>,
+    /// The run the latest push went to, while it has events pending.
+    open: Option<u32>,
+    /// Pending events: plain heap entries, events in runs and the staged
+    /// one.
     len: usize,
     /// Monotonic insertion counter: the FIFO tie-breaker.
     seq: u64,
@@ -134,18 +165,81 @@ impl<T> EventQueue<T> {
             free: Vec::with_capacity(capacity),
             runs: Vec::new(),
             free_runs: Vec::new(),
+            staged: None,
+            open: None,
             len: 0,
             seq: 0,
         }
     }
 
-    /// Schedules `payload` at instant `at`. Amortized O(log n); allocates
-    /// only when the pending-event count exceeds its previous high-water
+    /// Schedules `payload` at instant `at`. Amortized O(log n). A push at
+    /// or after the previous push's instant joins that push's stretch: the
+    /// second event makes the stretch a run with one heap entry, and every
+    /// later one is appended in O(1) without touching the heap (see the
+    /// [module docs](self) for where a push goes). Allocates only when the
+    /// pending events, or the events of one run, exceed their high-water
     /// mark.
+    ///
+    /// Inline, with everything but the append kept out of line in
+    /// `stage`: called through a function, the append cost `perfbench`'s
+    /// `feed_faults` ≈ 4 % of its scheduling throughput (interleaved
+    /// runs on a 2-vCPU x86-64 Xeon).
+    #[inline]
     pub fn push(&mut self, at: Time, payload: T) {
         let seq = self.seq;
         self.seq += 1;
         self.len += 1;
+        if let Some(index) = self.open {
+            debug_assert!(self.staged.is_none());
+            let events = &mut self.runs[index as usize].events;
+            if events.back().is_some_and(|&(tail, _)| tail <= at) {
+                events.push_back((at, payload));
+                return;
+            }
+            self.open = None;
+        }
+        self.stage(key(at, seq), payload);
+    }
+
+    /// Takes a push that extends no open run: it starts a run with the
+    /// staged event, or takes the slot after flushing that event.
+    #[inline(never)]
+    fn stage(&mut self, key: u128, payload: T) {
+        match self.staged.take() {
+            Some((first, staged)) if first <= key => {
+                // The staged event is the previous push: the two are a
+                // stretch, headed by the staged event's key.
+                debug_assert_eq!(first as u64 + 1, key as u64);
+                let index = match self.free_runs.pop() {
+                    Some(index) => index,
+                    None => {
+                        let index = next_index(self.runs.len());
+                        self.runs.push(Run {
+                            events: VecDeque::new(),
+                            seq: 0,
+                        });
+                        index
+                    }
+                };
+                let run = &mut self.runs[index as usize];
+                debug_assert!(run.events.is_empty());
+                run.seq = first as u64;
+                run.events.push_back((key_time(first), staged));
+                run.events.push_back((key_time(key), payload));
+                self.open = Some(index);
+                self.heap.push((first, RUN | index));
+                self.sift_up(self.heap.len() - 1);
+            }
+            Some((first, staged)) => {
+                self.flush(first, staged);
+                self.staged = Some((key, payload));
+            }
+            None => self.staged = Some((key, payload)),
+        }
+    }
+
+    /// Gives a staged event a plain heap entry under its own key.
+    fn flush(&mut self, key: u128, payload: T) {
         let slot = match self.free.pop() {
             Some(slot) => {
                 debug_assert!(self.slots[slot as usize].is_none());
@@ -158,57 +252,8 @@ impl<T> EventQueue<T> {
                 slot
             }
         };
-        self.heap.push((key(at, seq), slot));
+        self.heap.push((key, slot));
         self.sift_up(self.heap.len() - 1);
-    }
-
-    /// Schedules every `(at, payload)` of `events`, observably exactly as
-    /// one [`push`](EventQueue::push) per item in iteration order would:
-    /// same pop order (FIFO among equal instants, across batches and plain
-    /// pushes alike), same `len()` and `peek_time()`.
-    ///
-    /// What differs is the cost when the instants ascend. Every maximal
-    /// stretch of two or more non-decreasing instants becomes one run with
-    /// one heap entry (see the [module docs](self)), so a sorted batch of
-    /// n events costs one sift instead of n and deepens the heap by one
-    /// entry instead of n. A stretch of one — every item of a descending
-    /// batch — goes through `push`. Allocates only when a run outgrows the
-    /// recycled buffer it was given.
-    pub fn push_sorted<I>(&mut self, events: I)
-    where
-        I: IntoIterator<Item = (Time, T)>,
-    {
-        let mut events = events.into_iter().peekable();
-        while let Some((at, payload)) = events.next() {
-            if events.peek().is_none_or(|&(next, _)| next < at) {
-                self.push(at, payload);
-                continue;
-            }
-            let index = match self.free_runs.pop() {
-                Some(index) => index,
-                None => {
-                    let index = next_index(self.runs.len());
-                    self.runs.push(Run {
-                        events: VecDeque::new(),
-                        seq: 0,
-                    });
-                    index
-                }
-            };
-            let run = &mut self.runs[index as usize];
-            debug_assert!(run.events.is_empty());
-            run.seq = self.seq;
-            run.events.push_back((at, payload));
-            let mut last = at;
-            while let Some(event) = events.next_if(|&(next, _)| next >= last) {
-                last = event.0;
-                run.events.push_back(event);
-            }
-            self.seq += run.events.len() as u64;
-            self.len += run.events.len();
-            self.heap.push((key(at, run.seq), RUN | index));
-            self.sift_up(self.heap.len() - 1);
-        }
     }
 
     /// Removes and returns the earliest event, FIFO among equals.
@@ -220,12 +265,21 @@ impl<T> EventQueue<T> {
     /// 11 ns an event (a fifth of the whole per-event budget).
     #[inline(always)]
     pub fn pop(&mut self) -> Option<(Time, T)> {
-        let &(first, slot) = self.heap.first()?;
+        let first = self.heap.first().copied();
+        if let Some(&(staged, _)) = self.staged.as_ref() {
+            if first.is_none_or(|(first, _)| staged < first) {
+                let (staged, payload) = self.staged.take().expect("staged");
+                self.len -= 1;
+                return Some((key_time(staged), payload));
+            }
+        }
+        let (first, slot) = first?;
         self.len -= 1;
         if slot & RUN != 0 {
             // A run's head: the run stays in the heap under its next
             // event's key, which is larger, so it can only sink.
-            let run = &mut self.runs[(slot ^ RUN) as usize];
+            let index = slot ^ RUN;
+            let run = &mut self.runs[index as usize];
             let event = run.events.pop_front().expect("a queued run has a head");
             match run.events.front() {
                 Some(&(next, _)) => {
@@ -234,7 +288,10 @@ impl<T> EventQueue<T> {
                     self.sift_down(0);
                 }
                 None => {
-                    self.free_runs.push(slot ^ RUN);
+                    if self.open == Some(index) {
+                        self.open = None;
+                    }
+                    self.free_runs.push(index);
                     self.remove_first();
                 }
             }
@@ -258,7 +315,9 @@ impl<T> EventQueue<T> {
 
     /// The instant of the earliest pending event, if any. O(1).
     pub fn peek_time(&self) -> Option<Time> {
-        self.heap.first().map(|&(key, _)| key_time(key))
+        let first = self.heap.first().map(|&(key, _)| key);
+        let staged = self.staged.as_ref().map(|&(key, _)| key);
+        first.into_iter().chain(staged).min().map(key_time)
     }
 
     /// Number of pending events.
@@ -271,13 +330,16 @@ impl<T> EventQueue<T> {
         self.len == 0
     }
 
-    /// Removes all pending events (the insertion counter keeps running,
-    /// so FIFO ordering spans a clear). Every buffer, run buffers
-    /// included, keeps its capacity for the next fill.
+    /// Removes all pending events, the staged one included, and closes
+    /// the open run (the insertion counter keeps running, so FIFO ordering
+    /// spans a clear). Every buffer, run buffers included, keeps its
+    /// capacity for the next fill.
     pub fn clear(&mut self) {
         self.heap.clear();
         self.slots.clear();
         self.free.clear();
+        self.staged = None;
+        self.open = None;
         for run in &mut self.runs {
             run.events.clear();
         }
@@ -430,60 +492,129 @@ mod tests {
         }
         assert_eq!(q.len(), 8);
 
-        // The same through `push_sorted`: a batch of two runs and a single
-        // lands while both runs of the batch before are partly consumed,
-        // so four run buffers rotate through the freelist.
-        let batch = |q: &mut EventQueue<u64>, round: u64| {
-            q.push_sorted([0, 1, 1, 3, 2, 4, 5, 0].map(|dt| (t(round * 10 + dt), dt)));
+        // The same for stretches pushed one by one, with a pop inside a
+        // stretch: each cycle opens runs of four and three events, stages
+        // a descending push until the next cycle's first push heads a run
+        // with it, and drains runs while the freelist rotates their rings.
+        let fill = |q: &mut EventQueue<u64>, round: u64| {
+            for (i, dt) in [0, 1, 1, 3, 2, 4, 5, 0].into_iter().enumerate() {
+                q.push(t(round * 10 + dt), dt);
+                if i == 3 {
+                    q.pop().unwrap();
+                }
+            }
         };
         let cycle = |q: &mut EventQueue<u64>, round: u64| {
             for _ in 0..5 {
                 q.pop().unwrap();
             }
-            batch(q, round);
-            for _ in 0..3 {
+            fill(q, round);
+            for _ in 0..2 {
                 q.pop().unwrap();
             }
         };
         q.clear();
-        batch(&mut q, 0);
-        for round in 1..3 {
+        fill(&mut q, 0);
+        for round in 1..4 {
             cycle(&mut q, round);
         }
         let warm = capacities(&q);
-        assert_eq!(q.runs.len(), 4);
-        for round in 3..1000u64 {
+        let rings = q.runs.len();
+        assert!(rings >= 2, "the cycle keeps {rings} runs");
+        for round in 4..1000u64 {
             cycle(&mut q, round);
-            assert_eq!(q.len(), 8);
+            assert_eq!(q.len(), 7);
             if round % 100 == 0 {
                 // A clear parks the runs; refilling reuses them.
                 q.clear();
-                batch(&mut q, round);
+                fill(&mut q, round);
             }
             assert_eq!(capacities(&q), warm);
+            assert_eq!(q.runs.len(), rings);
         }
     }
 
     #[test]
-    fn push_sorted_keeps_fifo_with_plain_pushes() {
-        // Ties between a run's events and plain pushes made before and
-        // after the batch resolve by insertion order, like any other tie.
+    fn ascending_pushes_make_one_heap_entry() {
+        let mut q = EventQueue::new();
+        for i in 0..1000u64 {
+            q.push(t(i / 3), i);
+        }
+        assert_eq!(q.heap.len(), 1);
+        assert_eq!(q.runs.len(), 1);
+        assert!(q.staged.is_none());
+        assert_eq!(q.len(), 1000);
+        for i in 0..1000u64 {
+            assert_eq!(q.pop(), Some((t(i / 3), i)));
+        }
+        assert!(q.heap.is_empty());
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_staged_minimum_pops_first() {
+        let mut q = EventQueue::new();
+        q.push(t(20), "run-a");
+        q.push(t(30), "run-b");
+        // Earlier than the open run's tail: closes it and is staged.
+        q.push(t(5), "staged");
+        assert_eq!(q.heap.len(), 1);
+        assert!(q.staged.is_some());
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.peek_time(), Some(t(5)));
+        assert_eq!(q.pop(), Some((t(5), "staged")));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_time(), Some(t(20)));
+        // A staged event behind the heap's first waits its turn.
+        q.push(t(25), "later");
+        assert_eq!(q.peek_time(), Some(t(20)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
+        assert_eq!(order, ["run-a", "later", "run-b"]);
+    }
+
+    #[test]
+    fn a_run_drained_while_open_is_never_extended() {
+        let mut q = EventQueue::new();
+        q.push(t(1), 'a');
+        q.push(t(2), 'b');
+        assert_eq!(q.open, Some(0));
+        assert_eq!(q.pop(), Some((t(1), 'a')));
+        assert_eq!(q.pop(), Some((t(2), 'b')));
+        assert_eq!(q.open, None);
+        // At or after the drained run's tail, but the ring has no heap
+        // entry any more: the push is staged, not appended.
+        q.push(t(7), 'c');
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_time(), Some(t(7)));
+        // Flushes `c`, then a new stretch reuses ring 0.
+        q.push(t(3), 'd');
+        q.push(t(4), 'e');
+        assert_eq!(q.runs.len(), 1);
+        assert_eq!(q.open, Some(0));
+        q.push(t(9), 'f');
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
+        assert_eq!(order, ['d', 'e', 'c', 'f']);
+    }
+
+    #[test]
+    fn ties_resolve_by_push_order_across_runs() {
+        // Ties between events in runs, events in the heap and the staged
+        // event resolve by push order, like any other tie.
         let mut q = EventQueue::new();
         q.push(t(5), "before");
-        q.push_sorted([
-            (t(5), "run-a"),
-            (t(5), "run-b"),
-            (t(9), "run-c"),
-            (t(2), "single"),
-        ]);
+        q.push(t(5), "run-a");
+        q.push(t(5), "run-b");
+        q.push(t(9), "run-c");
+        q.push(t(2), "single");
         q.push(t(5), "after");
         q.push(t(9), "late");
-        assert_eq!(q.len(), 7);
+        q.push(t(5), "staged");
+        assert_eq!(q.len(), 8);
         assert_eq!(q.peek_time(), Some(t(2)));
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
         assert_eq!(
             order,
-            ["single", "before", "run-a", "run-b", "after", "run-c", "late"]
+            ["single", "before", "run-a", "run-b", "after", "staged", "run-c", "late"]
         );
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
@@ -492,16 +623,39 @@ mod tests {
     #[test]
     fn clear_sees_events_in_runs() {
         let mut q = EventQueue::new();
-        q.push_sorted((0..10u64).map(|i| (t(i), i)));
+        for i in 0..10u64 {
+            q.push(t(i), i);
+        }
         assert_eq!(q.pop(), Some((t(0), 0)));
         assert_eq!(q.len(), 9);
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
         assert_eq!(q.pop(), None);
-        q.push_sorted([(t(3), 30), (t(4), 40)]);
+        q.push(t(3), 30);
+        q.push(t(4), 40);
         assert_eq!(q.pop(), Some((t(3), 30)));
         assert_eq!(q.pop(), Some((t(4), 40)));
+    }
+
+    #[test]
+    fn clear_drops_the_staged_event_and_the_open_run() {
+        let mut q = EventQueue::new();
+        q.push(t(5), 'a');
+        assert!(q.staged.is_some());
+        q.clear();
+        assert!(q.staged.is_none());
+        assert_eq!(q.pop(), None);
+        q.push(t(1), 'b');
+        q.push(t(2), 'c');
+        assert!(q.open.is_some());
+        q.clear();
+        assert!(q.open.is_none());
+        // Not appended to the cleared ring, which has no heap entry.
+        q.push(t(3), 'd');
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((t(3), 'd')));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

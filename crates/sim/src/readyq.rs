@@ -15,6 +15,14 @@
 //! are O(1), which is what lets the simulator's dispatch loop scale to
 //! 228-hardware-thread topologies (each hardware thread owns one of these
 //! queues, and a scan-based pick made the dispatcher dominate runtime).
+//!
+//! Unlike the kernel's, a level's FIFO exists only once something was
+//! queued at it. A hardware thread uses two or three of the 99 levels
+//! (its mandatory, optional and wind-up priorities), and 99 empty ring
+//! headers on each of 228 threads were most of a many-core run's heap.
+//! A 99-byte table maps a level to its ring, 0 meaning never used; rings
+//! are made on first use, kept across `clear`, and a level never used
+//! reads as empty.
 
 use std::collections::VecDeque;
 
@@ -38,10 +46,14 @@ use rtseed_model::Priority;
 /// ```
 #[derive(Debug, Clone)]
 pub struct FifoReadyQueue<T> {
-    // Index 0 ⇒ priority level 1 … index 98 ⇒ level 99.
+    /// Per level (index 0 ⇒ priority level 1 … index 98 ⇒ level 99): 0 if
+    /// the level was never used, else 1 + the index of its ring in
+    /// `levels`.
+    at: [u8; 99],
+    /// The rings of the levels used so far, in order of first use.
     levels: Vec<VecDeque<T>>,
-    /// Occupancy index: bit `i` is set iff `levels[i]` is non-empty.
-    /// Invariant maintained by every mutating operation.
+    /// Occupancy index: bit `i` is set iff level `i + 1`'s ring is
+    /// non-empty. Invariant maintained by every mutating operation.
     bitmap: u128,
     len: usize,
 }
@@ -50,10 +62,34 @@ impl<T> FifoReadyQueue<T> {
     /// An empty ready queue.
     pub fn new() -> FifoReadyQueue<T> {
         FifoReadyQueue {
-            levels: (0..99).map(|_| VecDeque::new()).collect(),
+            at: [0; 99],
+            levels: Vec::new(),
             bitmap: 0,
             len: 0,
         }
+    }
+
+    /// Where level index `slot`'s ring is in `levels`, if the level was
+    /// ever used.
+    #[inline]
+    fn ring(&self, slot: usize) -> Option<usize> {
+        usize::from(self.at[slot]).checked_sub(1)
+    }
+
+    /// The ring of level index `slot`, if the level was ever used.
+    #[inline]
+    fn level(&self, slot: usize) -> Option<&VecDeque<T>> {
+        self.ring(slot).map(|ring| &self.levels[ring])
+    }
+
+    /// The ring of level index `slot`, made on its first use.
+    #[inline]
+    fn level_mut(&mut self, slot: usize) -> &mut VecDeque<T> {
+        if self.at[slot] == 0 {
+            self.levels.push(VecDeque::new());
+            self.at[slot] = self.levels.len() as u8;
+        }
+        &mut self.levels[usize::from(self.at[slot]) - 1]
     }
 
     #[inline]
@@ -75,7 +111,7 @@ impl<T> FifoReadyQueue<T> {
     #[inline]
     pub fn enqueue(&mut self, prio: Priority, value: T) {
         let slot = Self::slot(prio);
-        self.levels[slot].push_back(value);
+        self.level_mut(slot).push_back(value);
         self.bitmap |= 1 << slot;
         self.len += 1;
     }
@@ -86,7 +122,7 @@ impl<T> FifoReadyQueue<T> {
     #[inline]
     pub fn enqueue_front(&mut self, prio: Priority, value: T) {
         let slot = Self::slot(prio);
-        self.levels[slot].push_front(value);
+        self.level_mut(slot).push_front(value);
         self.bitmap |= 1 << slot;
         self.len += 1;
     }
@@ -96,8 +132,9 @@ impl<T> FifoReadyQueue<T> {
     #[inline]
     pub fn dequeue_highest(&mut self) -> Option<(Priority, T)> {
         let slot = self.top_slot()?;
-        let v = self.levels[slot].pop_front().expect("bitmap says non-empty");
-        if self.levels[slot].is_empty() {
+        let level = &mut self.levels[usize::from(self.at[slot]) - 1];
+        let v = level.pop_front().expect("bitmap says non-empty");
+        if level.is_empty() {
             self.bitmap &= !(1 << slot);
         }
         self.len -= 1;
@@ -127,26 +164,24 @@ impl<T> FifoReadyQueue<T> {
 
     /// Number of values queued at exactly `prio`.
     pub fn len_at(&self, prio: Priority) -> usize {
-        self.levels[Self::slot(prio)].len()
+        self.level(Self::slot(prio)).map_or(0, VecDeque::len)
     }
 
     /// Iterates over the values queued at `prio` in FIFO order.
     pub fn iter_at(&self, prio: Priority) -> impl Iterator<Item = &T> {
-        self.levels[Self::slot(prio)].iter()
+        self.level(Self::slot(prio)).into_iter().flatten()
     }
 
-    /// Empties every level, keeping all per-level ring allocations for
-    /// reuse. This is what lets a worker recycle one ready queue across
-    /// thousands of Monte-Carlo runs without touching the allocator.
+    /// Empties every level, keeping every ring made so far, and its
+    /// allocation, for reuse. This is what lets a worker recycle one ready
+    /// queue across thousands of Monte-Carlo runs without touching the
+    /// allocator.
     pub fn clear(&mut self) {
         if self.len == 0 {
             return;
         }
-        let mut bits = self.bitmap;
-        while bits != 0 {
-            let slot = bits.trailing_zeros() as usize;
-            self.levels[slot].clear();
-            bits &= bits - 1;
+        for level in &mut self.levels {
+            level.clear();
         }
         self.bitmap = 0;
         self.len = 0;
@@ -158,7 +193,10 @@ impl<T: PartialEq> FifoReadyQueue<T> {
     /// `true` if found (the kernel's dequeue-on-block/destroy path).
     pub fn remove(&mut self, prio: Priority, value: &T) -> bool {
         let slot = Self::slot(prio);
-        let q = &mut self.levels[slot];
+        let Some(ring) = self.ring(slot) else {
+            return false;
+        };
+        let q = &mut self.levels[ring];
         if let Some(pos) = q.iter().position(|v| v == value) {
             q.remove(pos);
             if q.is_empty() {
@@ -306,6 +344,60 @@ mod tests {
         assert_eq!(q.peek_highest_priority(), Some(p(99)));
         assert_eq!(q.dequeue_highest(), Some((p(99), 'z')));
         assert_eq!(q.dequeue_highest(), Some((p(1), 'a')));
+    }
+
+    #[test]
+    fn a_level_first_used_after_clear() {
+        let mut q = FifoReadyQueue::new();
+        q.enqueue(p(10), 'a');
+        q.clear();
+        q.enqueue(p(20), 'b');
+        q.enqueue_front(p(10), 'c');
+        assert_eq!(q.levels.len(), 2);
+        assert_eq!(q.peek_highest_priority(), Some(p(20)));
+        assert_eq!(q.dequeue_highest(), Some((p(20), 'b')));
+        assert_eq!(q.dequeue_highest(), Some((p(10), 'c')));
+        assert_eq!(q.dequeue_highest(), None);
+    }
+
+    #[test]
+    fn a_level_never_used_reads_empty() {
+        let mut q = FifoReadyQueue::new();
+        assert!(!q.remove(p(7), &'x'));
+        assert_eq!(q.len_at(p(7)), 0);
+        assert_eq!(q.iter_at(p(7)).count(), 0);
+        q.enqueue(p(8), 'x');
+        assert!(!q.remove(p(7), &'x'));
+        assert_eq!(q.len_at(p(7)), 0);
+        assert_eq!(q.iter_at(p(7)).count(), 0);
+        // Looking at a level does not make its ring.
+        assert_eq!(q.levels.len(), 1);
+        assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn refilling_after_clear_allocates_nothing() {
+        let fill = |q: &mut FifoReadyQueue<u32>| {
+            for i in 0..40 {
+                q.enqueue(p([50, 20, 99][i as usize % 3]), i);
+            }
+            q.enqueue_front(p(1), 40);
+        };
+        let capacities = |q: &FifoReadyQueue<u32>| {
+            let mut caps = vec![q.levels.capacity()];
+            caps.extend(q.levels.iter().map(VecDeque::capacity));
+            caps
+        };
+        let mut q = FifoReadyQueue::new();
+        fill(&mut q);
+        let warm = capacities(&q);
+        for _ in 0..10 {
+            q.clear();
+            assert_eq!(capacities(&q), warm);
+            fill(&mut q);
+            assert_eq!(capacities(&q), warm);
+            assert_eq!(q.levels.len(), 4);
+        }
     }
 
     #[test]

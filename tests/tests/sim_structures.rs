@@ -1,8 +1,9 @@
 //! Differential property tests for the simulator's hot-path structures.
 //!
-//! PR 3 replaced the scan-based ready queue with a bitmap-indexed one and
-//! the `BinaryHeap` event queue with a slab-backed heap. Both rewrites
-//! must be *behaviorally invisible*: the simulator's determinism contract
+//! The scan-based ready queue became a bitmap-indexed one with rings made
+//! on first use, and the `BinaryHeap` event queue a slab-backed heap that
+//! keeps ascending stretches of pushes as runs. Both rewrites must be
+//! *behaviorally invisible*: the simulator's determinism contract
 //! (byte-identical seeded traces) rides on these structures agreeing with
 //! their obviously-correct predecessors on every operation interleaving.
 //!
@@ -204,11 +205,12 @@ proptest! {
         }
     }
 
-    /// `push_sorted` against the reference, which knows no batch: every
-    /// item of a batch is one reference `push`. Batches are left as drawn
-    /// (several short runs and singles), sorted (one run, ties included)
-    /// or empty; pops of 0–11 leave runs half consumed under the next
-    /// batch, and a clear lands in the middle of some scripts.
+    /// Stretches of pushes against the reference, which knows no run:
+    /// each drawn batch is pushed one by one, as drawn (short ascents and
+    /// descending pushes), sorted (one run, ties included), sorted
+    /// descending (every push staged, then flushed), or sorted with a pop
+    /// after every push; pops of 0–11 leave runs half consumed under the
+    /// next batch, and a clear lands in the middle of some scripts.
     #[test]
     fn event_queue_batches_match_scan_reference(
         ops in prop::collection::vec((0u8..16, prop::collection::vec(any::<u8>(), 0..12)), 0..60),
@@ -219,21 +221,23 @@ proptest! {
         for (kind, raw) in &ops {
             match kind {
                 0..=7 => {
-                    let mut batch: Vec<(Time, u32)> = raw
-                        .iter()
-                        .map(|&a| {
-                            next_payload += 1;
-                            (Time::from_nanos((a % 16) as u64), next_payload)
-                        })
-                        .collect();
-                    if *kind >= 4 {
-                        // Stable: payloads stay in push order among ties.
-                        batch.sort_by_key(|&(at, _)| at);
+                    let mut times: Vec<u64> = raw.iter().map(|&a| (a % 16) as u64).collect();
+                    match kind {
+                        3..=5 => times.sort_unstable(),
+                        6 => times.sort_unstable_by(|a, b| b.cmp(a)),
+                        _ => {}
                     }
-                    for &(at, payload) in &batch {
-                        slow.push(at, payload);
+                    for t in times {
+                        next_payload += 1;
+                        let at = Time::from_nanos(t);
+                        fast.push(at, next_payload);
+                        slow.push(at, next_payload);
+                        prop_assert_eq!(fast.peek_time(), slow.peek_time());
+                        if *kind == 5 {
+                            prop_assert_eq!(fast.pop(), slow.pop());
+                        }
+                        prop_assert_eq!(fast.len(), slow.len());
                     }
-                    fast.push_sorted(batch);
                 }
                 8..=14 => {
                     for _ in 0..raw.len() {
