@@ -19,6 +19,12 @@
 //! later submissions under the same name are rejected with
 //! [`RejectReason::Evicted`].
 //!
+//! The ladder is per *name*, not per tenant: the session resolves a
+//! tenant name to a dense name id once per call (its name index points
+//! at the most recent tenant of each name) and [`ServeGuard`] keeps one
+//! ladder per id. A re-submission under a fresh `TenantId` inherits the
+//! name's strikes, and two admitted tenants of one name share a ladder.
+//!
 //! The module also defines the typed failure vocabulary of the submission
 //! path ([`RejectReason`], [`ServeError`], [`Submission`]) so callers can
 //! distinguish capacity rejections from policy rejections and from
@@ -275,16 +281,20 @@ struct GuardState {
     transitions: u32,
 }
 
-/// The degradation-ladder state machine, keyed by tenant *name* so that
-/// strikes survive re-submission under a fresh `TenantId`.
+/// The degradation-ladder state machine: one ladder per tenant name.
+///
+/// The guard never sees a name. The session resolves each name to a
+/// dense *name id* once per call and hands the guard the id, so a name's
+/// strikes survive re-submission under a fresh `TenantId`, two admitted
+/// tenants of one name share one ladder, and an evicted name stays
+/// barred. An id the guard was never signalled about reads
+/// [`LadderRung::Normal`] with all-zero [`GuardStats`].
 #[derive(Debug, Clone)]
 pub struct ServeGuard {
     cfg: GuardConfig,
-    /// Sorted by name: a lookup is a binary search of string compares and
-    /// allocates nothing. A name's *first* signal is what costs — it
-    /// allocates the `String` and shifts every entry behind it, all of
-    /// them in the worst case.
-    states: Vec<(String, GuardState)>,
+    /// Indexed by name id. An id past the end was never signalled; the
+    /// vector grows to a name's id on its first signal.
+    states: Vec<GuardState>,
 }
 
 impl ServeGuard {
@@ -306,37 +316,34 @@ impl ServeGuard {
         self.cfg
     }
 
-    /// Current ladder rung for a tenant name (Normal if never seen).
+    /// Current ladder rung for name id `name` (Normal if never seen).
     #[must_use]
-    pub fn rung(&self, name: &str) -> LadderRung {
-        match self.states.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-            Ok(i) => self.states[i].1.rung,
-            Err(_) => LadderRung::Normal,
-        }
+    pub fn rung(&self, name: u32) -> LadderRung {
+        self.state(name).rung
     }
 
-    /// Guard statistics for a tenant name (all-zero if never seen).
+    /// Guard statistics for name id `name` (all-zero if never seen).
     #[must_use]
-    pub fn stats(&self, name: &str) -> GuardStats {
-        match self.states.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-            Ok(i) => {
-                let s = self.states[i].1;
-                GuardStats { rung: s.rung, strikes: s.strikes, transitions: s.transitions }
-            }
-            Err(_) => GuardStats::default(),
-        }
+    pub fn stats(&self, name: u32) -> GuardStats {
+        let s = self.state(name);
+        GuardStats { rung: s.rung, strikes: s.strikes, transitions: s.transitions }
     }
 
-    /// Feed one attributed fault signal into the ladder.
+    /// Feed one attributed fault signal for name id `name` into the
+    /// ladder.
     ///
     /// Returns the transition the serving layer must enact, if the signal
     /// crossed a threshold. Signals for evicted names are ignored.
-    pub fn observe(&mut self, name: &str, signal: TenantSignal) -> Option<LadderTransition> {
+    pub fn observe(&mut self, name: u32, signal: TenantSignal) -> Option<LadderTransition> {
         if !self.cfg.enabled {
             return None;
         }
         let cfg = self.cfg;
-        let state = self.state_mut(name);
+        let at = name as usize;
+        if at >= self.states.len() {
+            self.states.resize(at + 1, GuardState::default());
+        }
+        let state = &mut self.states[at];
         if state.rung == LadderRung::Evicted {
             return None;
         }
@@ -385,20 +392,18 @@ impl ServeGuard {
         }
     }
 
-    fn state_mut(&mut self, name: &str) -> &mut GuardState {
-        match self.states.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-            Ok(i) => &mut self.states[i].1,
-            Err(i) => {
-                self.states.insert(i, (name.to_string(), GuardState::default()));
-                &mut self.states[i].1
-            }
-        }
+    fn state(&self, name: u32) -> GuardState {
+        self.states.get(name as usize).copied().unwrap_or_default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A name id well past every other one here: the guard grows to it
+    /// on its first signal.
+    const HOSTILE: u32 = 7;
 
     fn armed() -> ServeGuard {
         ServeGuard::new(GuardConfig::armed())
@@ -409,7 +414,7 @@ mod tests {
         let mut g = armed();
         let mut transitions = Vec::new();
         for _ in 0..10 {
-            if let Some(t) = g.observe("hostile", TenantSignal::Overrun) {
+            if let Some(t) = g.observe(HOSTILE, TenantSignal::Overrun) {
                 transitions.push(t);
             }
         }
@@ -417,70 +422,93 @@ mod tests {
             transitions,
             vec![LadderTransition::Shed, LadderTransition::Quarantine, LadderTransition::Evict]
         );
-        assert_eq!(g.rung("hostile"), LadderRung::Evicted);
+        assert_eq!(g.rung(HOSTILE), LadderRung::Evicted);
         // Evicted is terminal: further signals are ignored.
-        assert_eq!(g.observe("hostile", TenantSignal::Overrun), None);
-        assert_eq!(g.observe("hostile", TenantSignal::CleanJob), None);
-        assert_eq!(g.stats("hostile").transitions, 3);
+        assert_eq!(g.observe(HOSTILE, TenantSignal::Overrun), None);
+        assert_eq!(g.observe(HOSTILE, TenantSignal::CleanJob), None);
+        assert_eq!(g.stats(HOSTILE).transitions, 3);
+    }
+
+    #[test]
+    fn each_name_id_has_its_own_ladder_and_an_unseen_one_reads_normal() {
+        let mut g = armed();
+        for _ in 0..6 {
+            g.observe(HOSTILE, TenantSignal::Overrun);
+        }
+        g.observe(2, TenantSignal::Overrun);
+        assert_eq!(g.rung(HOSTILE), LadderRung::Quarantined);
+        assert_eq!(
+            g.stats(2),
+            GuardStats {
+                rung: LadderRung::Normal,
+                strikes: 1,
+                transitions: 0
+            }
+        );
+        // Below the highest id signalled so far, and past it.
+        for unseen in [0, 1, 3, HOSTILE + 1, u32::MAX] {
+            assert_eq!(g.rung(unseen), LadderRung::Normal, "{unseen}");
+            assert_eq!(g.stats(unseen), GuardStats::default(), "{unseen}");
+        }
     }
 
     #[test]
     fn clean_streak_steps_down_one_rung_and_clears_strikes() {
         let mut g = armed();
         for _ in 0..4 {
-            g.observe("flaky", TenantSignal::DeadlineMiss);
+            g.observe(0, TenantSignal::DeadlineMiss);
         }
-        assert_eq!(g.rung("flaky"), LadderRung::Shed);
+        assert_eq!(g.rung(0), LadderRung::Shed);
         for _ in 0..3 {
-            assert_eq!(g.observe("flaky", TenantSignal::CleanJob), None);
+            assert_eq!(g.observe(0, TenantSignal::CleanJob), None);
         }
         assert_eq!(
-            g.observe("flaky", TenantSignal::CleanJob),
+            g.observe(0, TenantSignal::CleanJob),
             Some(LadderTransition::Recover(LadderRung::Normal))
         );
-        assert_eq!(g.rung("flaky"), LadderRung::Normal);
-        assert_eq!(g.stats("flaky").strikes, 0);
+        assert_eq!(g.rung(0), LadderRung::Normal);
+        assert_eq!(g.stats(0).strikes, 0);
     }
 
     #[test]
     fn recovery_from_quarantine_lands_on_shed_not_normal() {
         let mut g = armed();
         for _ in 0..6 {
-            g.observe("q", TenantSignal::TimerLost);
+            g.observe(0, TenantSignal::TimerLost);
         }
-        assert_eq!(g.rung("q"), LadderRung::Quarantined);
+        assert_eq!(g.rung(0), LadderRung::Quarantined);
         for _ in 0..4 {
-            g.observe("q", TenantSignal::CleanJob);
+            g.observe(0, TenantSignal::CleanJob);
         }
-        assert_eq!(g.rung("q"), LadderRung::Shed);
+        assert_eq!(g.rung(0), LadderRung::Shed);
     }
 
     #[test]
     fn a_fault_resets_the_clean_streak() {
         let mut g = armed();
         for _ in 0..3 {
-            g.observe("t", TenantSignal::Overrun);
+            g.observe(0, TenantSignal::Overrun);
         }
-        assert_eq!(g.rung("t"), LadderRung::Shed);
+        assert_eq!(g.rung(0), LadderRung::Shed);
         for _ in 0..3 {
-            g.observe("t", TenantSignal::CleanJob);
+            g.observe(0, TenantSignal::CleanJob);
         }
         // One more fault restarts the streak; 3 cleans are not enough again.
-        g.observe("t", TenantSignal::Overrun);
+        g.observe(0, TenantSignal::Overrun);
         for _ in 0..3 {
-            assert_eq!(g.observe("t", TenantSignal::CleanJob), None);
+            assert_eq!(g.observe(0, TenantSignal::CleanJob), None);
         }
-        assert_eq!(g.rung("t"), LadderRung::Shed);
+        assert_eq!(g.rung(0), LadderRung::Shed);
     }
 
     #[test]
     fn disabled_guard_observes_nothing() {
         let mut g = ServeGuard::new(GuardConfig::default());
         for _ in 0..100 {
-            assert_eq!(g.observe("x", TenantSignal::Overrun), None);
+            assert_eq!(g.observe(0, TenantSignal::Overrun), None);
         }
-        assert_eq!(g.rung("x"), LadderRung::Normal);
-        assert_eq!(g.stats("x"), GuardStats::default());
+        assert_eq!(g.rung(0), LadderRung::Normal);
+        assert_eq!(g.stats(0), GuardStats::default());
     }
 
     #[test]

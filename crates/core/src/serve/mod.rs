@@ -579,9 +579,10 @@ mod tests {
         use Submission::{Admitted, Deferred, Rejected};
 
         // Eight heavies fill the machine: another heavy fits nowhere, a
-        // small task that outranks them still does. `strikes` overruns are on the guard's
-        // record against the submitting name (6 quarantine it, 10 evict
-        // it; an unarmed guard keeps no record).
+        // small task that outranks them still does. An empty submission
+        // under the name gives it its name id, and `strikes` overruns are
+        // on the guard's record against that id (6 quarantine it, 10
+        // evict it; an unarmed guard keeps no record).
         let resident = |armed: bool, strikes: u32| {
             let mut mgr = manager(1);
             if armed {
@@ -590,8 +591,13 @@ mod tests {
             for i in 0..8 {
                 mgr.submit(format!("t{i}"), &heavy(&format!("h{i}"))).unwrap();
             }
+            assert_eq!(
+                mgr.submit("x", &[]),
+                Err(ServeError::Rejected(EmptySubmission))
+            );
+            let x = mgr.find_name("x").id.expect("a rejection records the name");
             for _ in 0..strikes {
-                mgr.guard.observe("x", TenantSignal::Overrun);
+                mgr.guard.observe(x, TenantSignal::Overrun);
             }
             mgr
         };
@@ -603,7 +609,7 @@ mod tests {
                 .build()
                 .unwrap()]
         };
-        let next = rtseed_model::TenantId(8);
+        let next = rtseed_model::TenantId(9);
         let no_room = Unschedulable { index: 0 };
         // (guard armed, strikes, submitted set) → what `submit` returns,
         // what `submit_or_defer` returns.

@@ -48,12 +48,27 @@ pub(super) struct Binding {
     pub(super) engine_idx: usize,
 }
 
+/// One entry of the tenant table. Its position in the table is its
+/// [`TenantId`].
 #[derive(Debug)]
 pub(super) struct Tenant {
-    pub(super) id: TenantId,
-    pub(super) name: String,
-    pub(super) state: TenantState,
-    pub(super) tasks: Vec<Binding>,
+    /// The name index reads the name from here and keeps no copy of it;
+    /// the index and the guard key on `name_id`.
+    name: String,
+    name_id: u32,
+    state: TenantState,
+    tasks: Vec<Binding>,
+}
+
+/// Where a name stands in the session's name index. A submission looks
+/// its name up once and hands the slot on; it holds until the next tenant
+/// is recorded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct NameSlot {
+    /// The name's entry in the index, or where an entry for it goes.
+    at: usize,
+    /// The name's id; `None` for a name no tenant was recorded under.
+    pub(super) id: Option<u32>,
 }
 
 pub use crate::des::SimArena as ServeArena;
@@ -71,10 +86,14 @@ pub struct SessionManager {
     pub(super) des: Driver<Partitioned>,
     pub(super) ctl: AdmissionEngine,
     pub(super) tenants: Vec<Tenant>,
-    /// Positions in `tenants` of the admitted (not departed) ones, sorted
-    /// by `(name, position)`: the most recent admitted tenant of a name is
-    /// the last of its run.
-    pub(super) by_name: Vec<u32>,
+    /// The name index: one `(name id, position in tenants)` entry per
+    /// name, sorted by name. The position is the most recent tenant of
+    /// that name, whose `name` a lookup reads.
+    names: Vec<(u32, u32)>,
+    /// `(name id, position in tenants)` of the admitted (not departed)
+    /// tenants, sorted: the most recent admitted tenant of a name is the
+    /// last of its run.
+    by_name: Vec<(u32, u32)>,
     /// Live (admitted, not departed) task bindings sorted by admission
     /// key: key → engine slot, for applying OD deltas.
     pub(super) bindings: Vec<Binding>,
@@ -130,6 +149,7 @@ impl SessionManager {
             run,
             des,
             tenants: Vec::new(),
+            names: Vec::new(),
             by_name: Vec::new(),
             bindings: Vec::new(),
             counters: ServeCounters::default(),
@@ -210,11 +230,8 @@ impl SessionManager {
     /// The lifecycle state of the most recent tenant submitted under
     /// `name`, if any.
     pub fn state_of(&self, name: &str) -> Option<TenantState> {
-        self.tenants
-            .iter()
-            .rev()
-            .find(|t| t.name == name)
-            .map(|t| t.state)
+        let slot = self.find_name(name);
+        slot.id.map(|_| self.tenants[self.names[slot.at].1 as usize].state)
     }
 
     /// The decision counters so far.
@@ -222,11 +239,63 @@ impl SessionManager {
         self.counters
     }
 
+    /// Looks `name` up in the name index.
+    pub(super) fn find_name(&self, name: &str) -> NameSlot {
+        let found = self
+            .names
+            .binary_search_by(|&(_, pos)| self.tenants[pos as usize].name.as_str().cmp(name));
+        match found {
+            Ok(at) => {
+                let id = Some(self.names[at].0);
+                NameSlot { at, id }
+            }
+            Err(at) => NameSlot { at, id: None },
+        }
+    }
+
+    /// Appends a tenant to the table, interning its name at `slot`: a
+    /// known name's index entry moves to the new tenant, a new name gets
+    /// the next id.
+    pub(super) fn push_tenant(
+        &mut self,
+        name: String,
+        slot: NameSlot,
+        state: TenantState,
+        tasks: Vec<Binding>,
+    ) -> TenantId {
+        debug_assert_eq!(slot, self.find_name(&name), "a stale name slot");
+        let pos = self.tenants.len() as u32;
+        let name_id = match slot.id {
+            Some(id) => {
+                self.names[slot.at].1 = pos;
+                id
+            }
+            None => {
+                let id = self.names.len() as u32;
+                self.names.insert(slot.at, (id, pos));
+                id
+            }
+        };
+        if state == TenantState::Admitted {
+            // `pos` is the largest position yet: the end of its name's run.
+            let at = self.by_name.partition_point(|&(n, _)| n <= name_id);
+            self.by_name.insert(at, (name_id, pos));
+        }
+        self.tenants.push(Tenant {
+            name,
+            name_id,
+            state,
+            tasks,
+        });
+        TenantId(pos)
+    }
+
     /// Binds an accepted admission: engine tasks, placements, traces,
     /// release events, OD deltas, tenant-table entry.
     pub(super) fn bind_admission(
         &mut self,
         name: String,
+        slot: NameSlot,
         tasks: &[TaskSpec],
         admission: Admission,
     ) -> TenantId {
@@ -284,24 +353,7 @@ impl SessionManager {
             let at = self.bindings.partition_point(|x| x.key < b.key);
             self.bindings.insert(at, b);
         }
-        let pos = self.tenants.len();
-        self.tenants.push(Tenant {
-            id: tenant,
-            name,
-            state: TenantState::Admitted,
-            tasks: bound,
-        });
-        let at = self.name_slot(pos);
-        self.by_name.insert(at, pos as u32);
-        tenant
-    }
-
-    /// Where tenant `pos` is, or belongs, in `by_name`.
-    fn name_slot(&self, pos: usize) -> usize {
-        let name = self.tenants[pos].name.as_str();
-        self.by_name.partition_point(|&p| {
-            (self.tenants[p as usize].name.as_str(), p as usize) < (name, pos)
-        })
+        self.push_tenant(name, slot, TenantState::Admitted, bound)
     }
 
     /// Departs the most recent admitted tenant named `name`: aborts its
@@ -315,18 +367,16 @@ impl SessionManager {
     /// [`ServeError::UnknownTenant`] when no admitted tenant has
     /// that name.
     pub fn try_depart(&mut self, name: &str) -> Result<TenantId, ServeError> {
-        let end = self
-            .by_name
-            .partition_point(|&p| self.tenants[p as usize].name.as_str() <= name);
-        let pos = match end.checked_sub(1).map(|last| self.by_name[last] as usize) {
-            Some(pos) if self.tenants[pos].name == name => pos,
+        let id = self.find_name(name).id.ok_or(ServeError::UnknownTenant)?;
+        let end = self.by_name.partition_point(|&(n, _)| n <= id);
+        let pos = match end.checked_sub(1).map(|last| self.by_name[last]) {
+            Some((n, pos)) if n == id => pos as usize,
             _ => return Err(ServeError::UnknownTenant),
         };
-        let tenant = self.tenants[pos].id;
         self.depart_at(pos, TenantState::Departed);
         self.counters.departures += 1;
         self.admission_round(true);
-        Ok(tenant)
+        Ok(TenantId(pos as u32))
     }
 
     /// Boolean convenience wrapper over [`SessionManager::try_depart`].
@@ -339,7 +389,7 @@ impl SessionManager {
     /// of voluntary departure and guard eviction.
     pub(super) fn depart_at(&mut self, pos: usize, state: TenantState) {
         let bound = self.tenants[pos].tasks.clone();
-        let tenant = self.tenants[pos].id;
+        let tenant = TenantId(pos as u32);
         for b in &bound {
             if self.des.eng.job_in_flight(b.engine_idx) {
                 self.des.abort_job(b.engine_idx);
@@ -353,7 +403,11 @@ impl SessionManager {
                 self.bindings.remove(at);
             }
         }
-        let at = self.name_slot(pos);
+        let entry = (self.tenants[pos].name_id, pos as u32);
+        let at = self
+            .by_name
+            .binary_search(&entry)
+            .expect("an admitted tenant is in `by_name`");
         self.by_name.remove(at);
         self.apply_od_updates(&updates);
         let ev = if state == TenantState::Evicted {
@@ -375,14 +429,13 @@ impl SessionManager {
         let mut signals = std::mem::take(&mut self.guard_scratch);
         self.des.eng.drain_tenant_signals(&mut signals);
         for &(tenant, sig) in &signals {
-            let pos = tenant.0 as usize;
-            debug_assert!(self.tenants[pos].id == tenant);
+            let pos = tenant.index();
             // Signals raced with departure/eviction (e.g. the eviction
             // abort itself counts as a miss): the tenant already left.
             if self.tenants[pos].state != TenantState::Admitted {
                 continue;
             }
-            if let Some(tr) = self.guard.observe(&self.tenants[pos].name, sig) {
+            if let Some(tr) = self.guard.observe(self.tenants[pos].name_id, sig) {
                 self.apply_transition(pos, tr);
             }
         }
@@ -393,7 +446,7 @@ impl SessionManager {
     /// Enacts one ladder transition for tenant `pos`.
     fn apply_transition(&mut self, pos: usize, tr: LadderTransition) {
         let keep_ppm = self.guard.cfg().shed_keep_ppm;
-        let tenant = self.tenants[pos].id;
+        let tenant = TenantId(pos as u32);
         match tr {
             LadderTransition::Shed => {
                 self.counters.sheds += 1;
@@ -492,20 +545,20 @@ impl SessionManager {
                 retry_at.is_none_or(|r| c <= r) && sim_at.is_none_or(|s| c <= s)
             });
             if take_churn {
-                let ev = plan.events()[next_churn].clone();
+                let ev = &plan.events()[next_churn];
                 next_churn += 1;
                 self.counters.churn_events += 1;
                 if ev.at > self.des.now {
                     self.des.now = ev.at;
                 }
-                match ev.action {
+                match &ev.action {
                     ChurnAction::Arrive { name, tasks } => {
                         // A rejection or deferral is a recorded outcome,
                         // not a run failure.
-                        let _ = self.submit_or_defer(name, &tasks);
+                        let _ = self.submit_or_defer(name.clone(), tasks);
                     }
                     ChurnAction::Depart { name } => {
-                        let _ = self.depart(&name);
+                        let _ = self.depart(name);
                     }
                 }
                 self.pump_guard();
@@ -538,10 +591,11 @@ impl SessionManager {
             ..
         } = self;
         let (out, events_processed) = des.finish(arena);
-        let tenant_outcomes = tenants
-            .into_iter()
-            .map(|t| TenantOutcome {
-                tenant: t.id,
+        let tenant_outcomes = (0..)
+            .map(TenantId)
+            .zip(tenants)
+            .map(|(id, t)| TenantOutcome {
+                tenant: id,
                 state: t.state,
                 tasks: t
                     .tasks
@@ -550,10 +604,10 @@ impl SessionManager {
                     .collect(),
                 qos: out
                     .tenant_qos
-                    .binary_search_by_key(&t.id, |(id, _)| *id)
+                    .binary_search_by_key(&id, |(id, _)| *id)
                     .map(|at| out.tenant_qos[at].1.clone())
                     .unwrap_or_default(),
-                guard: guard.stats(&t.name),
+                guard: guard.stats(t.name_id),
                 name: t.name,
             })
             .collect();

@@ -7,7 +7,7 @@ use rtseed_model::{Span, TaskSpec, TenantId, TenantState, Time};
 use crate::obs::TraceEvent;
 
 use super::guard::{LadderRung, RejectReason, ServeError, Submission};
-use super::session::{SessionManager, Tenant};
+use super::session::{NameSlot, SessionManager};
 
 /// A submission parked on the bounded deferred-admission queue.
 #[derive(Debug, Clone)]
@@ -65,24 +65,30 @@ impl SessionManager {
         self.submit_one(name.into(), tasks, true)
     }
 
-    /// One submission, start to finish: count it, gate it, test it, then
-    /// bind the admission, park the submission (only where the caller
-    /// `may_defer`), or reject it.
+    /// One submission, start to finish: count it, look its name up, gate
+    /// it, test it, then bind the admission, park the submission (only
+    /// where the caller `may_defer`), or reject it.
     fn submit_one(&mut self, name: String, tasks: &[TaskSpec], may_defer: bool) -> Submission {
         self.counters.submissions += 1;
-        match self.verdict(&name, tasks) {
-            Ok(admission) => Submission::Admitted(self.bind_admission(name, tasks, admission)),
-            Err(reason) if may_defer && self.defers(reason) => self.defer(name, tasks.to_vec()),
-            Err(reason) => Submission::Rejected(self.record_rejection(name, reason)),
+        let slot = self.find_name(&name);
+        match self.verdict(slot, tasks) {
+            Ok(admission) => {
+                Submission::Admitted(self.bind_admission(name, slot, tasks, admission))
+            }
+            Err(reason) if may_defer && self.defers(reason) => {
+                self.defer(name, slot, tasks.to_vec())
+            }
+            Err(reason) => Submission::Rejected(self.record_rejection(name, slot, reason)),
         }
     }
 
-    /// The verdict on one submission: the guard's word on `name` first
-    /// (barred if evicted for good or quarantined for now), then the
-    /// admission test on `tasks` — an admission to bind, or the typed
-    /// reason there is none.
-    fn verdict(&mut self, name: &str, tasks: &[TaskSpec]) -> Result<Admission, RejectReason> {
-        match self.guard.rung(name) {
+    /// The verdict on one submission: the guard's word on the name at
+    /// `slot` first (barred if evicted for good or quarantined for now; a
+    /// name never recorded is neither), then the admission test on
+    /// `tasks` — an admission to bind, or the typed reason there is none.
+    fn verdict(&mut self, slot: NameSlot, tasks: &[TaskSpec]) -> Result<Admission, RejectReason> {
+        let rung = slot.id.map_or(LadderRung::Normal, |id| self.guard.rung(id));
+        match rung {
             LadderRung::Evicted => return Err(RejectReason::Evicted),
             LadderRung::Quarantined => return Err(RejectReason::Quarantined),
             _ => {}
@@ -109,7 +115,12 @@ impl SessionManager {
 
     /// Records a rejection: per-reason counters, trace event, and a
     /// `Rejected` entry in the tenant table. Returns the reason.
-    pub(super) fn record_rejection(&mut self, name: String, reason: RejectReason) -> RejectReason {
+    pub(super) fn record_rejection(
+        &mut self,
+        name: String,
+        slot: NameSlot,
+        reason: RejectReason,
+    ) -> RejectReason {
         self.counters.rejections += 1;
         match reason {
             RejectReason::Unschedulable { .. } => self.counters.rejected_capacity += 1,
@@ -121,21 +132,22 @@ impl SessionManager {
         }
         let tenant = TenantId(self.tenants.len() as u32);
         self.des.eng.trace(self.des.now, TraceEvent::TenantRejected { tenant, reason });
-        self.tenants.push(Tenant {
-            id: tenant,
-            name,
-            state: TenantState::Rejected,
-            tasks: Vec::new(),
-        });
+        self.push_tenant(name, slot, TenantState::Rejected, Vec::new());
         reason
     }
 
     /// Parks a submission on the deferred queue (or backpressures when
     /// the queue is at [`GuardConfig::queue_depth`](super::GuardConfig::queue_depth)).
-    pub(super) fn defer(&mut self, name: String, tasks: Vec<TaskSpec>) -> Submission {
+    pub(super) fn defer(
+        &mut self,
+        name: String,
+        slot: NameSlot,
+        tasks: Vec<TaskSpec>,
+    ) -> Submission {
         let cfg = self.guard.cfg();
         if self.deferred.len() >= cfg.queue_depth {
-            return Submission::Rejected(self.record_rejection(name, RejectReason::QueueFull));
+            let reason = RejectReason::QueueFull;
+            return Submission::Rejected(self.record_rejection(name, slot, reason));
         }
         self.counters.deferred_submissions += 1;
         if self.des.eng.tracing() {
@@ -176,10 +188,11 @@ impl SessionManager {
                 queue.push_back(d);
                 continue;
             }
-            match self.verdict(&d.name, &d.tasks) {
+            let slot = self.find_name(&d.name);
+            match self.verdict(slot, &d.tasks) {
                 Ok(admission) => {
                     let waited = self.des.now.saturating_elapsed_since(d.since);
-                    let tenant = self.bind_admission(d.name, &d.tasks, admission);
+                    let tenant = self.bind_admission(d.name, slot, &d.tasks, admission);
                     self.counters.deferred_admissions += 1;
                     self.deferred_latency.record_span(waited);
                     if self.des.eng.tracing() {
@@ -190,12 +203,12 @@ impl SessionManager {
                     }
                 }
                 Err(reason) if self.defers(reason) => {
-                    if let Some(d) = self.backoff_or_expire(d) {
+                    if let Some(d) = self.backoff_or_expire(d, slot) {
                         queue.push_back(d);
                     }
                 }
                 Err(reason) => {
-                    self.record_rejection(d.name, reason);
+                    self.record_rejection(d.name, slot, reason);
                 }
             }
         }
@@ -204,9 +217,9 @@ impl SessionManager {
 
     /// The still-failing tail of a retry: reject past the deadline,
     /// otherwise double the backoff (capped) and keep the entry parked.
-    fn backoff_or_expire(&mut self, mut d: Deferred) -> Option<Deferred> {
+    fn backoff_or_expire(&mut self, mut d: Deferred, slot: NameSlot) -> Option<Deferred> {
         if self.des.now >= d.deadline {
-            self.record_rejection(d.name, RejectReason::RetryDeadline);
+            self.record_rejection(d.name, slot, RejectReason::RetryDeadline);
             return None;
         }
         d.attempts += 1;

@@ -214,7 +214,7 @@ fn churn_replay_is_byte_deterministic() {
 
 // ----- tenant names ---------------------------------------------------------
 
-use rtseed::serve::GuardConfig;
+use rtseed::serve::{GuardConfig, GuardStats, LadderRung};
 use rtseed_model::TenantId;
 use rtseed_sim::{FaultPlan, FaultTarget, JobWindow, WcetFault};
 
@@ -311,6 +311,199 @@ fn a_resubmitted_name_is_a_fresh_tenant_with_its_old_strikes() {
     let strikes = entries[1].guard.strikes;
     assert!(strikes > 0, "the first tenant's strikes stay on the name's record");
     assert_eq!(entries[0].guard.strikes, strikes);
+}
+
+/// A name keys one ladder, whichever of its tenants raised the signals:
+/// two admitted tenants of one name share it, a departure takes the most
+/// recent admitted tenant of the name, a submission while the name is
+/// quarantined is deferred, one after the name was evicted is rejected, and
+/// every tenant of the name, fresh `TenantId`s included, reports the name's
+/// record.
+#[test]
+fn a_name_keys_one_ladder_across_all_its_tenants() {
+    // Every job of engine task 0 — the first "dup" — overruns tenfold; the
+    // other "dup"s run clean.
+    let mut mgr = guarded_manager(20, JobWindow::ALL);
+    let hostile = mgr.submit("dup", &[brick("d0")]).unwrap();
+    let clean = mgr.submit("dup", &[brick("d1")]).unwrap();
+    let latest = mgr.submit("dup", &[brick("d2")]).unwrap();
+    let good = mgr.submit("good", &[brick("g")]).unwrap();
+    assert_eq!(mgr.try_depart("dup"), Ok(latest));
+    assert_eq!(mgr.state_of("dup"), Some(TenantState::Departed));
+    // The hostile tenant is shed at 300 ms, quarantined at 600 ms and
+    // evicted at 1 s (one strike per 100 ms period).
+    let plan = ChurnPlan::new()
+        .arrive(Time::from_nanos(700_000_000), "dup", vec![brick("d3")])
+        .arrive(Time::from_nanos(1_500_000_000), "dup", vec![brick("d4")]);
+    let out = mgr.run_with_churn(&plan);
+    let c = out.counters;
+    assert_eq!((c.sheds, c.quarantines, c.evictions), (1, 1, 1));
+    // The 700 ms arrival found the name quarantined and was deferred, not
+    // rejected; its retries then found it evicted, as the 1.5 s arrival did.
+    assert_eq!(c.deferred_submissions, 1);
+    assert_eq!(c.rejected_quarantined, 0);
+    assert_eq!(c.rejected_evicted, 2);
+    let states: Vec<_> = out
+        .tenants
+        .iter()
+        .map(|t| (t.tenant, t.name.as_str(), t.state))
+        .collect();
+    assert_eq!(
+        states,
+        [
+            (hostile, "dup", TenantState::Evicted),
+            (clean, "dup", TenantState::Admitted),
+            (latest, "dup", TenantState::Departed),
+            (good, "good", TenantState::Admitted),
+            (TenantId(4), "dup", TenantState::Rejected),
+            (TenantId(5), "dup", TenantState::Rejected),
+        ]
+    );
+    // The eviction departed the tenant that faulted; its clean namesake
+    // kept running, under the name's (evicted) ladder.
+    assert_eq!(out.tenants[1].qos.jobs(), 20);
+    assert_eq!(out.tenants[1].qos.deadline_misses(), 0);
+    let record = GuardStats {
+        rung: LadderRung::Evicted,
+        strikes: 10,
+        transitions: 3,
+    };
+    for t in &out.tenants {
+        let expected = if t.name == "dup" {
+            record
+        } else {
+            GuardStats::default()
+        };
+        assert_eq!(t.guard, expected, "{:?}", t.tenant);
+    }
+}
+
+// ----- the name index against a reverse scan -------------------------------
+
+use proptest::prelude::*;
+
+/// Names a script draws from: some are prefixes or extensions of others,
+/// and their first submissions come in no particular order.
+const NAMES: [&str; 4] = ["b", "ab", "a", "ba"];
+
+/// A guarded, traced 4×2 session in which every job of each engine task in
+/// `hostile` overruns its mandatory part tenfold.
+fn scripted_manager(hostile: &[u32]) -> SessionManager {
+    let mut faults = FaultPlan::new(3);
+    for &task in hostile {
+        faults = faults.with_wcet_fault(WcetFault {
+            task: Some(task),
+            jobs: JobWindow::ALL,
+            target: FaultTarget::Mandatory,
+            factor: 10.0,
+        });
+    }
+    SessionManager::new(
+        Topology::quad_core_smt2(),
+        PartitionHeuristic::WorstFitDecreasing,
+        AssignmentPolicy::OneByOne,
+        RunConfig {
+            jobs: 12,
+            trace: TraceConfig::enabled(),
+            fault_plan: faults,
+            ..RunConfig::default()
+        },
+    )
+    .with_guard(GuardConfig::armed())
+}
+
+/// The most recent entry of `name` in a tenant list, found by scanning it
+/// from the end.
+fn latest_of<'a, T>(list: &'a [T], name: &str, name_of: impl Fn(&T) -> &str) -> Option<&'a T> {
+    list.iter().rev().find(|t| name_of(t) == name)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `state_of`, `try_depart` and every `TenantOutcome::guard` agree with
+    /// a model that keeps one flat list of tenants and scans it from the
+    /// end. A script op submits one brick (admitted or rejected for
+    /// capacity; half the ops), submits nothing (always rejected), or
+    /// departs. The
+    /// model's ladder is folded from the trace's transition events, each
+    /// credited to the name of the tenant it names.
+    #[test]
+    fn name_lookups_agree_with_a_reverse_scan(
+        script in prop::collection::vec((0u8..4, 0usize..NAMES.len()), 1..40),
+        hostile in prop::collection::vec(0u32..10, 1..4),
+    ) {
+        let mut mgr = scripted_manager(&hostile);
+        // Tenant id = position: (name, state).
+        let mut model: Vec<(&str, TenantState)> = Vec::new();
+        for (op, name) in script {
+            let name = NAMES[name];
+            match op {
+                0 | 1 => {
+                    let state = match mgr.submit(name, &[brick(name)]) {
+                        Ok(id) => {
+                            prop_assert_eq!(id, TenantId(model.len() as u32));
+                            TenantState::Admitted
+                        }
+                        Err(_) => TenantState::Rejected,
+                    };
+                    model.push((name, state));
+                }
+                2 => {
+                    let got = mgr.submit(name, &[]);
+                    prop_assert_eq!(got, Err(ServeError::Rejected(RejectReason::EmptySubmission)));
+                    model.push((name, TenantState::Rejected));
+                }
+                _ => {
+                    let at = model
+                        .iter()
+                        .rposition(|&(n, s)| n == name && s == TenantState::Admitted);
+                    let expected = at.map(|at| TenantId(at as u32));
+                    prop_assert_eq!(mgr.try_depart(name), expected.ok_or(ServeError::UnknownTenant));
+                    if let Some(at) = at {
+                        model[at].1 = TenantState::Departed;
+                    }
+                }
+            }
+            for name in NAMES {
+                let expected = latest_of(&model, name, |t| t.0).map(|t| t.1);
+                prop_assert_eq!(mgr.state_of(name), expected, "{}", name);
+            }
+        }
+        let out = mgr.run();
+        prop_assert_eq!(out.outcome.trace.dropped(), 0);
+        prop_assert_eq!(out.tenants.len(), model.len());
+        // Per name: the rung and the transition count its tenants' ladder
+        // events add up to.
+        let mut ladder = [(LadderRung::Normal, 0u32); NAMES.len()];
+        for (_, ev) in out.outcome.trace.events() {
+            let (tenant, to) = match *ev {
+                TraceEvent::TenantShed { tenant } => (tenant, Some(LadderRung::Shed)),
+                TraceEvent::TenantQuarantined { tenant } => (tenant, Some(LadderRung::Quarantined)),
+                TraceEvent::TenantEvicted { tenant } => (tenant, Some(LadderRung::Evicted)),
+                TraceEvent::TenantRecovered { tenant } => (tenant, None),
+                _ => continue,
+            };
+            let name = model[tenant.index()].0;
+            let (rung, transitions) = &mut ladder[NAMES.iter().position(|&n| n == name).unwrap()];
+            *rung = to.unwrap_or(match *rung {
+                LadderRung::Quarantined => LadderRung::Shed,
+                _ => LadderRung::Normal,
+            });
+            *transitions += 1;
+        }
+        for (t, &(name, state)) in out.tenants.iter().zip(&model) {
+            prop_assert_eq!(t.name.as_str(), name);
+            // The guard may have evicted an admitted tenant during the run.
+            let evicted = state == TenantState::Admitted && t.state == TenantState::Evicted;
+            prop_assert!(t.state == state || evicted, "{:?} ended {:?}", t.tenant, t.state);
+            let (rung, transitions) = ladder[NAMES.iter().position(|&n| n == name).unwrap()];
+            let got = (t.guard.rung, t.guard.transitions);
+            prop_assert_eq!(got, (rung, transitions), "{:?}", t.tenant);
+            let latest = latest_of(&out.tenants, name, |t| t.name.as_str()).unwrap();
+            prop_assert_eq!(t.guard, latest.guard, "{:?}", t.tenant);
+        }
+    }
 }
 
 // ----- placement-policy family (split + federated tasks) ------------------
