@@ -29,11 +29,15 @@
 //!
 //! Untouched CPUs are served from cache: admission cost scales with the
 //! touched CPU's population, not with the whole box. On a touched CPU a
-//! placement probe solves only the newcomer and the residents *below* it
-//! in the bin's priority order, each from the response time the cache
-//! holds (a lower bound of the new least fixpoint once interference has
-//! grown), and allocates nothing unless it passes; the full analysis is
-//! the same walk entered at the top with nothing warm.
+//! placement probe first asks an O(1) necessary condition, kept per bin
+//! beside the cached fixpoints, whether it is sure to fail; if not, it
+//! solves only the newcomer and the residents *below* it in the bin's
+//! priority order, each from the response time the cache holds (a lower
+//! bound of the new least fixpoint once interference has grown). The full
+//! analysis is the same walk entered at the top with nothing warm. A
+//! commit writes the probe's rows over the cached ones in place and logs
+//! what it overwrote; a rollback replays the log, and the neighbours' OD
+//! deltas are read off it. A decision allocates only its answer.
 //!
 //! The engine honours the whole [`PlacementPolicy`] family: under
 //! [`PlacementPolicy::SemiPartitioned`] a task that fits nowhere whole is
@@ -245,21 +249,6 @@ pub struct CpuFixpoints {
 }
 
 impl CpuFixpoints {
-    /// `len` rows: `base`'s as far as they go, zero after them.
-    fn with_len(base: Option<&CpuFixpoints>, len: usize) -> CpuFixpoints {
-        let column = |base: Option<&Vec<Span>>| {
-            let mut v = Vec::with_capacity(len);
-            v.extend_from_slice(base.map_or(&[], Vec::as_slice));
-            v.resize(len, Span::ZERO);
-            v
-        };
-        CpuFixpoints {
-            optional_deadlines: column(base.map(|b| &b.optional_deadlines)),
-            mandatory_responses: column(base.map(|b| &b.mandatory_responses)),
-            windup_responses: column(base.map(|b| &b.windup_responses)),
-        }
-    }
-
     fn row(&self, pos: usize) -> BinFix {
         BinFix {
             mandatory_response: self.mandatory_responses[pos],
@@ -268,12 +257,20 @@ impl CpuFixpoints {
         }
     }
 
-    /// Writes a walk's `(bin position, fixpoints)` rows over these.
-    fn set_rows(&mut self, rows: &[(u32, BinFix)]) {
-        for &(pos, row) in rows {
-            self.mandatory_responses[pos as usize] = row.mandatory_response;
-            self.windup_responses[pos as usize] = row.windup_response;
-            self.optional_deadlines[pos as usize] = row.optional_deadline;
+    fn set_row(&mut self, pos: usize, row: BinFix) {
+        self.mandatory_responses[pos] = row.mandatory_response;
+        self.windup_responses[pos] = row.windup_response;
+        self.optional_deadlines[pos] = row.optional_deadline;
+    }
+
+    /// Cuts every column to `len` rows, or pads it with zero rows.
+    fn resize(&mut self, len: usize) {
+        for column in [
+            &mut self.optional_deadlines,
+            &mut self.mandatory_responses,
+            &mut self.windup_responses,
+        ] {
+            column.resize(len, Span::ZERO);
         }
     }
 
@@ -298,14 +295,16 @@ struct CpuSlot {
 /// bin, in admission order. The owning [`AdmissionEngine`] maintains the
 /// invariant that after every public operation each CPU's entry is
 /// **valid** — it equals what a fresh analysis of the bin would
-/// produce — because every mutation that touches a bin stores the
-/// fixpoints it had to compute for the schedulability test anyway. This
-/// holds under every [`PlacementPolicy`] because a bin's analysis is a
-/// pure function of its membership (split subtasks carry their `2T`
-/// arrival with them; a granted wind-up band's OD is `T − w` from the
-/// spec alone). Counters expose the cache economics: `recomputes` counts
-/// RTA fixpoint solves against a CPU (including failed placement probes),
-/// `hits` counts reads served from the memo.
+/// produce — because every mutation that touches a bin writes the
+/// fixpoints it had to compute for the schedulability test anyway over
+/// the entry, in place. This holds under every [`PlacementPolicy`]
+/// because a bin's analysis is a pure function of its membership (split
+/// subtasks carry their `2T` arrival with them; a granted wind-up band's
+/// OD is `T − w` from the spec alone). Counters expose the cache
+/// economics: `recomputes` counts walks that solve RTA fixpoints against a
+/// CPU (placement probes that pass or fail, eviction and update
+/// re-solves, full analyses), `hits` counts placement probes the engine's
+/// pre-filter refused without solving one.
 #[derive(Debug, Clone, Default)]
 pub struct RtaCache {
     cpus: Vec<CpuSlot>,
@@ -345,14 +344,14 @@ impl RtaCache {
             .map(|f| f.optional_deadlines.as_slice())
     }
 
-    /// RTA fixpoint solves performed against `cpu` (including failed
-    /// placement probes).
+    /// Walks that solved RTA fixpoints against `cpu` (including placement
+    /// probes that failed).
     #[inline]
     pub fn recomputes(&self, cpu: usize) -> u64 {
         self.cpus[cpu].recomputes
     }
 
-    /// Reads of `cpu`'s fixpoints served from the memo.
+    /// Placement probes of `cpu` the pre-filter refused without a solve.
     #[inline]
     pub fn hits(&self, cpu: usize) -> u64 {
         self.cpus[cpu].hits
@@ -363,7 +362,7 @@ impl RtaCache {
         self.cpus.iter().map(|c| c.recomputes).sum()
     }
 
-    /// Total memo-served reads across all CPUs.
+    /// Total probes refused without a solve across all CPUs.
     pub fn total_hits(&self) -> u64 {
         self.cpus.iter().map(|c| c.hits).sum()
     }
@@ -378,10 +377,6 @@ impl RtaCache {
 
     fn store(&mut self, cpu: usize, fix: CpuFixpoints) {
         self.cpus[cpu].fix = Some(fix);
-    }
-
-    fn restore(&mut self, cpu: usize, fix: Option<CpuFixpoints>) {
-        self.cpus[cpu].fix = fix;
     }
 
     fn fixpoints_mut(&mut self, cpu: usize) -> Option<&mut CpuFixpoints> {
@@ -406,69 +401,96 @@ enum Residency {
     FedResidual,
 }
 
-/// The [`BinTask`] analysis entry for `spec` residing in a bin as `kind`.
-fn bin_task_for(spec: &TaskSpec, kind: Residency) -> BinTask {
-    match kind {
-        Residency::Whole | Residency::Split => BinTask {
-            arrival: if kind == Residency::Split {
-                spec.period() * 2
-            } else {
-                spec.period()
-            },
-            deadline: spec.deadline(),
-            mandatory: spec.mandatory(),
-            windup: spec.windup(),
-            deadline_only: spec.windup().is_zero() && spec.optional_count() == 0,
-        },
-        Residency::FedWindup => BinTask {
-            arrival: spec.period(),
-            deadline: spec.deadline(),
-            mandatory: Span::ZERO,
-            windup: spec.windup(),
-            deadline_only: false,
-        },
-        Residency::FedResidual => BinTask {
-            arrival: spec.period(),
-            deadline: spec.deadline() - spec.windup(),
-            mandatory: spec.mandatory(),
-            windup: Span::ZERO,
-            deadline_only: true,
-        },
-    }
-}
-
 /// Where a resident sorts in its bin's priority order, highest first: a
 /// granted wind-up band, then `(rank, period, key)` — Rate Monotonic
 /// whenever the ranks are equal.
 type PrioKey = (bool, u32, Span, TaskKey);
 
-fn prio_key(kind: Residency, rank: u32, spec: &TaskSpec, key: TaskKey) -> PrioKey {
-    (kind != Residency::FedWindup, rank, spec.period(), key)
-}
-
-/// One bin resident: its stable key, spec and residency kind, in
-/// admission order. A split task owns one entry in each of its two host
-/// bins; a federated task owns a [`Residency::FedWindup`] entry in its
-/// grant bin and a [`Residency::FedResidual`] entry in its primary bin.
-/// Exactly one entry per task is `primary` (the one on the hardware
-/// thread reported as `AdmittedTask::hw_thread`).
-#[derive(Debug, Clone)]
+/// One bin resident, in admission order: its stable key, the numbers the
+/// bin's analysis reads and how it resides. A split task owns one entry in
+/// each of its two host bins; a federated task owns a
+/// [`Residency::FedWindup`] entry in its grant bin and a
+/// [`Residency::FedResidual`] entry in its primary bin. Exactly one entry
+/// per task is `primary` (the one on the hardware thread reported as
+/// `AdmittedTask::hw_thread`).
+#[derive(Debug, Clone, Copy)]
 struct Entry {
     key: TaskKey,
-    spec: TaskSpec,
-    kind: Residency,
-    primary: bool,
+    /// The task's period `T` (its deadline), mandatory and wind-up WCETs.
+    period: Span,
+    mandatory: Span,
+    windup: Span,
     /// Sorts before the period within a bin; see [`Candidate::rank`].
     rank: u32,
+    kind: Residency,
+    primary: bool,
+    /// No wind-up and no optional part: a plain RM task, whose mandatory
+    /// part is bounded by the deadline rather than by the OD.
+    plain: bool,
 }
 
 impl Entry {
+    /// `spec` residing in a bin as `kind`.
+    fn new(key: TaskKey, spec: &TaskSpec, kind: Residency, primary: bool, rank: u32) -> Entry {
+        Entry {
+            key,
+            period: spec.period(),
+            mandatory: spec.mandatory(),
+            windup: spec.windup(),
+            rank,
+            kind,
+            primary,
+            plain: spec.windup().is_zero() && spec.optional_count() == 0,
+        }
+    }
+
+    /// The analysis entry of this residency.
     fn task(&self) -> BinTask {
-        bin_task_for(&self.spec, self.kind)
+        let whole = BinTask {
+            arrival: self.period,
+            deadline: self.period,
+            mandatory: self.mandatory,
+            windup: self.windup,
+            deadline_only: self.plain,
+        };
+        match self.kind {
+            Residency::Whole => whole,
+            Residency::Split => BinTask {
+                arrival: self.period * 2,
+                ..whole
+            },
+            Residency::FedWindup => BinTask {
+                mandatory: Span::ZERO,
+                deadline_only: false,
+                ..whole
+            },
+            Residency::FedResidual => BinTask {
+                deadline: self.period - self.windup,
+                windup: Span::ZERO,
+                deadline_only: true,
+                ..whole
+            },
+        }
+    }
+
+    /// The share of the bin's utilization this entry accounts for.
+    fn util(&self) -> f64 {
+        match self.kind {
+            Residency::Whole => (self.mandatory + self.windup) / self.period,
+            // Each host CPU sees every other job.
+            Residency::Split => (self.mandatory + self.windup) / self.period / 2.0,
+            Residency::FedWindup => self.windup / self.period,
+            Residency::FedResidual => self.mandatory / self.period,
+        }
     }
 
     fn prio_key(&self) -> PrioKey {
-        prio_key(self.kind, self.rank, &self.spec, self.key)
+        (
+            self.kind != Residency::FedWindup,
+            self.rank,
+            self.period,
+            self.key,
+        )
     }
 }
 
@@ -483,37 +505,77 @@ struct Candidate<'a> {
     rank: u32,
 }
 
-/// The share of bin utilization one entry accounts for.
-fn util_for(spec: &TaskSpec, kind: Residency) -> f64 {
-    match kind {
-        Residency::Whole => spec.utilization(),
-        // Each host CPU sees every other job.
-        Residency::Split => spec.utilization() / 2.0,
-        Residency::FedWindup => spec.windup() / spec.period(),
-        Residency::FedResidual => spec.mandatory() / spec.period(),
+impl Candidate<'_> {
+    fn entry(&self, kind: Residency, primary: bool) -> Entry {
+        Entry::new(self.key, self.spec, kind, primary, self.rank)
     }
 }
 
-fn entry_util(e: &Entry) -> f64 {
-    util_for(&e.spec, e.kind)
+/// `a + b`, or [`Span::MAX`] where that overflows.
+fn sat_add(a: Span, b: Span) -> Span {
+    a.checked_add(b).unwrap_or(Span::MAX)
 }
+
+/// How much demand `C = m + w` a newcomer above a resident may bring
+/// before the resident, with fixpoints `fix`, is sure to fail.
+///
+/// The newcomer joins the interferers of both real-time parts and charges
+/// each at least one job, whatever its arrival (a split subtask's `2T`
+/// too: `⌈R/2T⌉ ≥ 1`), so each least fixpoint grows by at least `C`. The
+/// resident then fails once `R^m + R^w + 2C` exceeds its deadline, or
+/// `R^m + C` for a deadline-only resident, whose mandatory part alone is
+/// bounded by it. A zero-cost part is assumed to grow by nothing, so only
+/// the parts with a cost count: with `k` of them the headroom is the slack
+/// over `k`.
+fn headroom(t: &BinTask, fix: BinFix) -> Span {
+    let mut slack = t.deadline;
+    let mut parts = 0;
+    for (cost, response) in [
+        (t.mandatory, fix.mandatory_response),
+        (t.windup, fix.windup_response),
+    ] {
+        if !cost.is_zero() {
+            slack = slack.saturating_sub(response);
+            parts += 1;
+        }
+    }
+    if parts == 0 {
+        Span::MAX
+    } else {
+        slack / parts
+    }
+}
+
+/// What the pre-filter reads of one bin, by priority position `p`, one
+/// slot more than the bin has members: the summed demand `m + w` of the
+/// members above `p`, and the least [`headroom`] of the members from `p`
+/// down ([`Span::MAX`] without cached rows).
+type Summary = Vec<(Span, Span)>;
 
 /// A probe that passed: where the candidate sorts in the bin's priority
-/// order and the fixpoints the bin has with it.
+/// order, and its walk's rows in [`Scratch::rows`].
 struct Fit {
     at: usize,
-    fix: CpuFixpoints,
+    rows: Range<usize>,
 }
 
-/// Engine-owned buffers of [`AdmissionEngine::walk`], so that a probe
-/// that fails has allocated nothing.
+/// Engine-owned buffers, so that a decision allocates only its answer.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     /// The interferers of the member being solved.
     hp: Vec<Interferer>,
-    /// `(bin position, fixpoints)` of every member the walk solved, in
-    /// priority order; the candidate's position is the bin's length.
+    /// `(bin position, fixpoints)` of every member a walk solved, in
+    /// priority order, one walk after another: each returns its range. A
+    /// candidate's position is the bin's length.
     rows: Vec<(u32, BinFix)>,
+    /// A batch's task indices in the order they are placed.
+    order: Vec<usize>,
+    /// Where each task of the batch went, in submission order.
+    placed: Vec<Placed>,
+    /// The bins an eviction vacates.
+    victims: Vec<usize>,
+    /// `(bin, position, key, OD)` of the keys an operation may have moved.
+    moved: Vec<(u32, u32, TaskKey, Span)>,
 }
 
 /// Committed placement of one batch task (internal mirror of
@@ -524,16 +586,24 @@ struct Placed {
     kind: PlacementKind,
 }
 
-/// Rollback record for one bin touched by a tentative placement.
+/// What a batch changed in one bin beyond its rows, for rollback.
+#[derive(Debug, Clone, Copy)]
 struct TouchedBin {
     bin: usize,
     saved_len: usize,
     saved_util: f64,
     saved_grant: Option<TaskKey>,
-    /// Pre-placement ODs of the bin (caching mode only; used for deltas).
-    old_ods: Vec<Span>,
-    /// Pre-placement cache entry, restored verbatim on rollback.
-    saved_fix: Option<CpuFixpoints>,
+}
+
+/// A cached row an operation overwrote, logged in order (`seq`): replayed
+/// backwards it restores the rows, and it holds the ODs the deltas compare
+/// against.
+#[derive(Debug, Clone, Copy)]
+struct Undo {
+    bin: u32,
+    pos: u32,
+    seq: u32,
+    row: BinFix,
 }
 
 /// Incremental online admission engine: per-hardware-thread bins kept
@@ -555,6 +625,9 @@ pub struct AdmissionEngine {
     /// ([`PrioKey`]), kept by insertion: a probe finds the newcomer's
     /// place, the commit inserts it there.
     prio: Vec<Vec<u32>>,
+    /// Per bin, what the pre-filter reads, rebuilt wherever the bin's
+    /// members or rows change.
+    sums: Vec<Summary>,
     bin_util: Vec<f64>,
     /// Every bin in the order the heuristic tries them, kept between
     /// decisions by [`AdmissionEngine::set_util`].
@@ -570,6 +643,10 @@ pub struct AdmissionEngine {
     cache: RtaCache,
     caching: bool,
     scratch: Scratch,
+    /// The bins the current batch touched, for rollback.
+    touched: Vec<TouchedBin>,
+    /// The cached rows the current operation overwrote.
+    undo: Vec<Undo>,
     cpu_base: u32,
     next_key: u64,
 }
@@ -587,6 +664,7 @@ impl AdmissionEngine {
         AdmissionEngine {
             bins: vec![Vec::new(); hw_threads],
             prio: vec![Vec::new(); hw_threads],
+            sums: vec![vec![(Span::ZERO, Span::MAX)]; hw_threads],
             bin_util: vec![0.0; hw_threads],
             // All empty: ties go by index under every heuristic.
             order: (0..hw_threads as u32).collect(),
@@ -597,6 +675,8 @@ impl AdmissionEngine {
             cache: RtaCache::new(hw_threads, true),
             caching: true,
             scratch: Scratch::default(),
+            touched: Vec::new(),
+            undo: Vec::new(),
             cpu_base: 0,
             next_key: 0,
         }
@@ -678,14 +758,11 @@ impl AdmissionEngine {
         !self.homes_of(key).is_empty()
     }
 
-    /// The residents of local CPU `cpu` as `(key, spec)` pairs, in
-    /// admission order — the membership the cached fixpoints describe. A
-    /// split or federated resident appears on both of its host CPUs.
-    pub fn residents_on(
-        &self,
-        cpu: usize,
-    ) -> impl Iterator<Item = (TaskKey, &TaskSpec)> + '_ {
-        self.bins[cpu].iter().map(|e| (e.key, &e.spec))
+    /// The keys of local CPU `cpu`'s residents, in admission order — the
+    /// membership the cached fixpoints describe. A split or federated
+    /// resident appears on both of its host CPUs.
+    pub fn residents_on(&self, cpu: usize) -> impl Iterator<Item = TaskKey> + '_ {
+        self.bins[cpu].iter().map(|e| e.key)
     }
 
     /// Drops the memoised fixpoints of local CPU `cpu`; the next read
@@ -736,112 +813,144 @@ impl AdmissionEngine {
         if tasks.is_empty() {
             return AdmissionDecision::Rejected(RejectReason::EmptySubmission);
         }
-        if self.caching {
-            match self.place_batch(tasks, base, ranks) {
-                Ok((placement, touched)) => self.admitted_from_touched(base, placement, touched),
-                Err(reason) => AdmissionDecision::Rejected(reason),
+        let old = if self.caching {
+            Vec::new()
+        } else {
+            self.full_snapshot()
+        };
+        if let Err(reason) = self.place_batch(tasks, base, ranks) {
+            return AdmissionDecision::Rejected(reason);
+        }
+        let admission = if self.caching {
+            let od_updates = self.logged_deltas(None);
+            Admission {
+                tasks: self.admitted_tasks(base, |eng, key| eng.effective_od(key, false)),
+                od_updates,
             }
         } else {
-            let old = self.full_snapshot();
-            match self.place_batch(tasks, base, ranks) {
-                Ok((placement, _)) => {
-                    let new = self.full_snapshot();
-                    AdmissionDecision::Admitted(Admission {
-                        od_updates: od_deltas(&old, &new),
-                        tasks: admitted_tasks(base, &placement, &new),
-                    })
-                }
-                Err(reason) => AdmissionDecision::Rejected(reason),
+            let new = self.full_snapshot();
+            Admission {
+                tasks: self.admitted_tasks(base, |_, key| {
+                    lookup(&new, key).expect("admitted task has an analyzed OD")
+                }),
+                od_updates: od_deltas(&old, &new),
             }
-        }
+        };
+        AdmissionDecision::Admitted(admission)
     }
 
-    /// Builds the [`Admission`] for a committed caching-mode placement:
-    /// old/new OD pairs come from the touched bins (plus the split
-    /// partners of their residents, whose effective OD is a min over both
-    /// hosts — served from cache, no extra RTA solve), ordered by bin
-    /// index to match the full-sweep path.
-    fn admitted_from_touched(
-        &mut self,
-        base: u64,
-        placement: Vec<Placed>,
-        touched: Vec<TouchedBin>,
-    ) -> AdmissionDecision {
-        let touched_bins: Vec<usize> = touched.iter().map(|t| t.bin).collect();
-        let read = self.read_set(&touched_bins);
-        let mut old_pairs = Vec::new();
-        for &b in &read {
-            match touched.iter().find(|t| t.bin == b) {
-                Some(t) => {
-                    collect_pairs(&self.bins[b][..t.saved_len], &t.old_ods, &mut old_pairs);
+    /// The batch's placements as [`AdmittedTask`]s, each with its OD.
+    fn admitted_tasks(&self, base: u64, od: impl Fn(&Self, TaskKey) -> Span) -> Vec<AdmittedTask> {
+        self.scratch
+            .placed
+            .iter()
+            .enumerate()
+            .map(|(i, placed)| {
+                let key = TaskKey(base + i as u64);
+                AdmittedTask {
+                    key,
+                    hw_thread: placed.hw,
+                    kind: placed.kind,
+                    optional_deadline: od(self, key),
                 }
-                // Split partner outside the touched set: unmutated.
-                None => {
-                    let ods = self.ods_of(b);
-                    collect_pairs(&self.bins[b], &ods, &mut old_pairs);
+            })
+            .collect()
+    }
+
+    /// The neighbour OD deltas of an operation, read off its undo log: a
+    /// key can only have moved if one of its rows was overwritten. Every
+    /// such key but `skip` whose effective OD moved — a split task's is the
+    /// minimum over its two hosts, a partner outside the operation read
+    /// from the memo — is reported once, where a sweep of the bins by
+    /// index, then position, first meets it: the order of the
+    /// full-recompute path's pairs.
+    fn logged_deltas(&mut self, skip: Option<TaskKey>) -> Vec<OdUpdate> {
+        // The oldest entry of a row holds its value before the operation.
+        self.undo.sort_unstable_by_key(|u| (u.bin, u.pos, u.seq));
+        self.undo.dedup_by_key(|u| (u.bin, u.pos));
+        let mut moved = std::mem::take(&mut self.scratch.moved);
+        moved.clear();
+        for i in 0..self.undo.len() {
+            let Undo { bin, pos, .. } = self.undo[i];
+            let e = self.bins[bin as usize][pos as usize];
+            if e.kind == Residency::FedResidual || Some(e.key) == skip {
+                continue;
+            }
+            let mut first = (bin, pos);
+            if e.kind == Residency::Split {
+                for h in self.homes_of(e.key) {
+                    let host = self.homes[h].1 as usize;
+                    self.ensure_cached(host);
+                    first = first.min((host as u32, self.position(host, e.key) as u32));
                 }
             }
+            moved.push((first.0, first.1, e.key, Span::ZERO));
         }
-        let new_pairs = self.od_pairs(&read);
-        AdmissionDecision::Admitted(Admission {
-            od_updates: od_deltas(&merge_min(old_pairs), &new_pairs),
-            tasks: admitted_tasks(base, &placement, &new_pairs),
-        })
+        moved.sort_unstable_by_key(|m| (m.0, m.1));
+        moved.dedup_by_key(|m| (m.0, m.1));
+        moved.retain_mut(|m| {
+            m.3 = self.effective_od(m.2, false);
+            m.3 != self.effective_od(m.2, true)
+        });
+        let updates = moved
+            .iter()
+            .map(|m| OdUpdate {
+                key: m.2,
+                optional_deadline: m.3,
+            })
+            .collect();
+        self.scratch.moved = moved;
+        updates
     }
 
-    /// The current `(key, OD)` pairs of `bins`' residents, a split task's
-    /// two host ODs collapsed to their minimum.
-    fn od_pairs(&mut self, bins: &[usize]) -> Vec<(TaskKey, Span)> {
-        let mut pairs = Vec::new();
-        for &b in bins {
-            let ods = self.ods_of(b);
-            collect_pairs(&self.bins[b], &ods, &mut pairs);
-        }
-        merge_min(pairs)
-    }
-
-    /// The bins whose OD pairs must be read when `bins` were mutated: the
-    /// bins themselves plus (transitively) the split partners of any
-    /// split resident, since a split task's effective OD is the minimum
-    /// over its two host bins.
-    fn read_set(&self, bins: &[usize]) -> Vec<usize> {
-        let mut set: Vec<usize> = bins.to_vec();
-        let mut i = 0;
-        while i < set.len() {
-            for e in &self.bins[set[i]] {
-                if e.kind == Residency::Split {
-                    for &(_, other) in &self.homes[self.homes_of(e.key)] {
-                        if !set.contains(&(other as usize)) {
-                            set.push(other as usize);
-                        }
+    /// `key`'s OD from the memo — a split task's minimum over its two
+    /// hosts; a federated task's from its wind-up entry on the grant core
+    /// (`T − w`), never from the residual's synthetic deadline — now, or
+    /// with `before` as it was before the rows in the (sorted) undo log
+    /// were overwritten.
+    fn effective_od(&self, key: TaskKey, before: bool) -> Span {
+        self.homes[self.homes_of(key)]
+            .iter()
+            .filter_map(|&(_, bin)| {
+                let (bin, pos) = (bin as usize, self.position(bin as usize, key));
+                if self.bins[bin][pos].kind == Residency::FedResidual {
+                    return None;
+                }
+                let logged = self
+                    .undo
+                    .binary_search_by_key(&(bin as u32, pos as u32), |u| (u.bin, u.pos))
+                    .ok()
+                    .filter(|_| before);
+                Some(match logged {
+                    Some(i) => self.undo[i].row.optional_deadline,
+                    None => {
+                        self.cache
+                            .fixpoints(bin)
+                            .expect("primed")
+                            .optional_deadlines[pos]
                     }
-                }
-            }
-            i += 1;
-        }
-        set.sort_unstable();
-        set.dedup();
-        set
+                })
+            })
+            .min()
+            .expect("every task has an entry that carries its OD")
     }
 
-    /// Records rollback state for `bin` if this batch has not touched it
-    /// yet.
-    fn touch(&mut self, touched: &mut Vec<TouchedBin>, bin: usize) {
-        if !touched.iter().any(|t| t.bin == bin) {
-            let old_ods = if self.caching {
-                self.ods_of(bin)
-            } else {
-                Vec::new()
-            };
-            touched.push(TouchedBin {
-                bin,
-                saved_len: self.bins[bin].len(),
-                saved_util: self.bin_util[bin],
-                saved_grant: self.grant_of[bin],
-                old_ods,
-                saved_fix: self.cache.fixpoints(bin).cloned(),
-            });
+    /// Records rollback state for `bin` the first time the batch touches
+    /// it, priming its memo first, and returns the bin's length before the
+    /// batch.
+    fn touch(&mut self, bin: usize) -> usize {
+        if let Some(t) = self.touched.iter().find(|t| t.bin == bin) {
+            return t.saved_len;
         }
+        self.ensure_cached(bin);
+        let saved_len = self.bins[bin].len();
+        self.touched.push(TouchedBin {
+            bin,
+            saved_len,
+            saved_util: self.bin_util[bin],
+            saved_grant: self.grant_of[bin],
+        });
+        saved_len
     }
 
     /// The global id of local CPU `bin`.
@@ -895,6 +1004,14 @@ impl AdmissionEngine {
         self.homes.partition_point(|&h| h < (key, bin as u32))
     }
 
+    /// The bin position of resident `key` in `bin`.
+    fn position(&self, bin: usize, key: TaskKey) -> usize {
+        self.bins[bin]
+            .iter()
+            .position(|e| e.key == key)
+            .expect("homes names the bins of a key")
+    }
+
     /// The priority position of entry `idx` of `bin`.
     fn rank_of(&self, bin: usize, idx: usize) -> usize {
         self.prio[bin]
@@ -907,32 +1024,37 @@ impl AdmissionEngine {
     /// entered at the top with nothing warm. The members above priority
     /// position `from` only interfere and their cached rows stand; the
     /// members from `from` down, `cand` among them at the position it
-    /// comes with, are solved in priority order into `scratch.rows`.
-    /// Without a cached slot there are no rows to stand, and the walk
-    /// starts at the top whatever `from` says.
+    /// comes with, are solved in priority order and appended to
+    /// `scratch.rows`. Without a cached slot there are no rows to stand,
+    /// and the walk starts at the top whatever `from` says.
     ///
     /// With `warm`, every resident's iterations start from its cached
     /// response times. That is sound only if all that happened since they
     /// were cached is that `cand` arrived: interference grew. After a
     /// departure or a changed spec they must start from the costs.
     ///
-    /// Returns `false` at the first bound exceeded.
+    /// Returns the range of rows appended, or `None` at the first bound
+    /// exceeded, having appended nothing.
     fn walk(
         &mut self,
         bin: usize,
         from: usize,
         cand: Option<(usize, BinTask)>,
         warm: bool,
-    ) -> bool {
+    ) -> Option<Range<usize>> {
         let entries = &self.bins[bin];
         let prio = &self.prio[bin];
         let cached = self.cache.fixpoints(bin);
         let from = if cached.is_some() { from } else { 0 };
         let warm = cached.filter(|_| warm);
-        let Scratch { hp, rows } = &mut self.scratch;
+        let Scratch { hp, rows, .. } = &mut self.scratch;
+        let start = rows.len();
         hp.clear();
-        rows.clear();
-        hp.extend(prio[..from].iter().map(|&i| entries[i as usize].task().interference()));
+        hp.extend(
+            prio[..from]
+                .iter()
+                .map(|&i| entries[i as usize].task().interference()),
+        );
         let resident = |&i: &u32| {
             let warm = warm.map(|w| w.row(i as usize));
             (i, entries[i as usize].task(), warm)
@@ -946,131 +1068,225 @@ impl AdmissionEngine {
         for (pos, t, warm) in members {
             match solve_next(hp, &t, warm) {
                 Ok(row) => rows.push((pos, row)),
-                Err(_) => return false,
+                Err(_) => {
+                    rows.truncate(start);
+                    return None;
+                }
             }
         }
-        true
+        Some(start..rows.len())
     }
 
-    /// `bin`'s fixpoints after a walk that passed, `len` rows of them: the
-    /// cached rows with the walk's written over them.
-    fn walked_fix(&self, bin: usize, len: usize) -> CpuFixpoints {
-        let mut fix = CpuFixpoints::with_len(self.cache.fixpoints(bin), len);
-        fix.set_rows(&self.scratch.rows);
-        fix
+    /// Writes the walk's `rows` over `bin`'s cached fixpoints in place — a
+    /// newcomer's row, one past the old end, is appended — and logs every
+    /// row it overwrites at a position below `logged_below`.
+    fn write_rows(&mut self, bin: usize, rows: Range<usize>, logged_below: usize) {
+        let fix = self
+            .cache
+            .fixpoints_mut(bin)
+            .expect("a bin is primed before it changes");
+        fix.resize(self.bins[bin].len());
+        for &(pos, row) in &self.scratch.rows[rows] {
+            if (pos as usize) < logged_below {
+                self.undo.push(Undo {
+                    bin: bin as u32,
+                    pos,
+                    seq: self.undo.len() as u32,
+                    row: fix.row(pos as usize),
+                });
+            }
+            fix.set_row(pos as usize, row);
+        }
+    }
+
+    /// Puts back every row the current operation overwrote, newest first.
+    fn undo_rows(&mut self) {
+        for u in self.undo.iter().rev() {
+            if let Some(fix) = self.cache.fixpoints_mut(u.bin as usize) {
+                fix.set_row(u.pos as usize, u.row);
+            }
+        }
+    }
+
+    /// Rebuilds `bin`'s [`Summary`] after its members or rows changed.
+    fn summarize(&mut self, bin: usize) {
+        let entries = &self.bins[bin];
+        let prio = &self.prio[bin];
+        let sum = &mut self.sums[bin];
+        sum.clear();
+        sum.resize(prio.len() + 1, (Span::ZERO, Span::MAX));
+        let mut above = Span::ZERO;
+        for (p, &i) in prio.iter().enumerate() {
+            sum[p].0 = above;
+            above = sat_add(above, entries[i as usize].task().interference().demand);
+        }
+        sum[prio.len()].0 = above;
+        if let Some(fix) = self.cache.fixpoints(bin) {
+            let mut least = Span::MAX;
+            for (p, &i) in prio.iter().enumerate().rev() {
+                least = least.min(headroom(&entries[i as usize].task(), fix.row(i as usize)));
+                sum[p].1 = least;
+            }
+        }
+    }
+
+    /// The pre-filter, O(1) from `bin`'s [`Summary`]: `true` when `bin`
+    /// with `task` added at priority position `at` is sure to fail the
+    /// RMWP test. Each of the newcomer's parts with a cost takes at least
+    /// that cost plus one job of every member above it, and those two
+    /// lower bounds together may not exceed its deadline — the wind-up's
+    /// response is bounded by D and the mandatory part's by `D − R^w`, or
+    /// by D alone for a deadline-only task, which has no wind-up cost. A
+    /// member below fails past its [`headroom`]. Refused probes are walked
+    /// anyway under `debug_assertions`, which must fail.
+    fn hopeless(&self, bin: usize, at: usize, task: &BinTask) -> bool {
+        let (above, room) = self.sums[bin][at];
+        let least = |cost: Span| {
+            if cost.is_zero() {
+                Span::ZERO
+            } else {
+                sat_add(cost, above)
+            }
+        };
+        sat_add(least(task.windup), least(task.mandatory)) > task.deadline
+            || task.interference().demand > room
+    }
+
+    /// Primes `cpu`'s memo where [`AdmissionEngine::invalidate`] dropped
+    /// it, so the rows an operation overwrites are there to log.
+    fn ensure_cached(&mut self, cpu: usize) {
+        if self.caching && !self.cache.is_cached(cpu) {
+            let fix = if self.bins[cpu].is_empty() {
+                CpuFixpoints::default()
+            } else {
+                self.fresh(cpu)
+            };
+            self.cache.store(cpu, fix);
+        }
     }
 
     /// Fresh fixpoints of resident bin `cpu`.
     fn fresh(&mut self, cpu: usize) -> CpuFixpoints {
         self.cache.note_recompute(cpu);
-        let fits = self.walk(cpu, 0, None, false);
-        assert!(fits, "resident bins were admitted incrementally");
-        self.walked_fix(cpu, self.bins[cpu].len())
+        let rows = self
+            .walk(cpu, 0, None, false)
+            .expect("resident bins were admitted incrementally");
+        let start = rows.start;
+        let mut fix = CpuFixpoints::default();
+        fix.resize(self.bins[cpu].len());
+        for &(pos, row) in &self.scratch.rows[rows] {
+            fix.set_row(pos as usize, row);
+        }
+        self.scratch.rows.truncate(start);
+        fix
     }
 
     /// The RMWP test of `bin` with `cand` added as `kind`: only `cand` and
     /// the residents below it are solved, each from the response time it
-    /// has now. One probe is one `recompute`, pass or fail.
+    /// has now — unless the pre-filter already knows the answer. A walk is
+    /// one `recompute`, pass or fail; a refusal is one `hit`.
     fn probe(&mut self, bin: usize, cand: &Candidate<'_>, kind: Residency) -> Option<Fit> {
-        self.cache.note_recompute(bin);
+        let new = cand.entry(kind, false);
         let entries = &self.bins[bin];
-        let key = prio_key(kind, cand.rank, cand.spec, cand.key);
+        let key = new.prio_key();
         let at = self.prio[bin].partition_point(|&i| entries[i as usize].prio_key() < key);
-        let len = entries.len() + 1;
-        self.walk(bin, at, Some((at, bin_task_for(cand.spec, kind))), true)
-            .then(|| Fit {
-                at,
-                fix: self.walked_fix(bin, len),
-            })
+        let task = new.task();
+        let added = Some((at, task));
+        if self.hopeless(bin, at, &task) {
+            self.cache.note_hit(bin);
+            debug_assert!(
+                self.walk(bin, at, added, true).is_none(),
+                "the pre-filter refused a probe that passes"
+            );
+            return None;
+        }
+        self.cache.note_recompute(bin);
+        self.walk(bin, at, added, true).map(|rows| Fit { at, rows })
     }
 
     /// Makes `cand` a resident of `bin`, as the probe that passed found.
     fn commit(
         &mut self,
-        touched: &mut Vec<TouchedBin>,
         bin: usize,
         cand: &Candidate<'_>,
         kind: Residency,
         primary: bool,
         fit: Fit,
     ) {
-        self.touch(touched, bin);
+        let saved_len = self.touch(bin);
+        let entry = cand.entry(kind, primary);
         self.prio[bin].insert(fit.at, self.bins[bin].len() as u32);
-        self.bins[bin].push(Entry {
-            key: cand.key,
-            spec: cand.spec.clone(),
-            kind,
-            primary,
-            rank: cand.rank,
-        });
+        self.bins[bin].push(entry);
         let at = self.home_slot(cand.key, bin);
         self.homes.insert(at, (cand.key, bin as u32));
-        self.set_util(bin, self.bin_util[bin] + util_for(cand.spec, kind));
+        self.set_util(bin, self.bin_util[bin] + entry.util());
         if self.caching {
-            self.cache.store(bin, fit.fix);
+            self.write_rows(bin, fit.rows, saved_len);
         }
+        self.summarize(bin);
     }
 
-    /// Places every task of the batch, mutating bins/utilization/cache in
-    /// place and recording rollback state per touched bin. On failure the
-    /// rollback has already been applied.
+    /// Places every task of the batch into `scratch.placed`, mutating
+    /// bins, utilization and cache in place and recording rollback state
+    /// per touched bin. On failure the rollback has already been applied.
     fn place_batch(
         &mut self,
         tasks: &[TaskSpec],
         base: u64,
         ranks: Option<&[u32]>,
-    ) -> Result<(Vec<Placed>, Vec<TouchedBin>), RejectReason> {
-        let mut order: Vec<usize> = (0..tasks.len()).collect();
-        order.sort_by(|&a, &b| {
+    ) -> Result<(), RejectReason> {
+        let mut order = std::mem::take(&mut self.scratch.order);
+        order.clear();
+        order.extend(0..tasks.len());
+        order.sort_unstable_by(|&a, &b| {
             let ua = tasks[a].utilization();
             let ub = tasks[b].utilization();
             ub.partial_cmp(&ua)
                 .expect("utilizations are finite")
                 .then(a.cmp(&b))
         });
-
-        let mut placement = vec![
-            Placed {
-                hw: self.hw(0),
-                kind: PlacementKind::Whole,
-            };
-            tasks.len()
-        ];
-        let mut touched: Vec<TouchedBin> = Vec::new();
+        let unplaced = Placed {
+            hw: self.hw(0),
+            kind: PlacementKind::Whole,
+        };
+        self.scratch.placed.clear();
+        self.scratch.placed.resize(tasks.len(), unplaced);
+        self.touched.clear();
+        self.undo.clear();
+        let mut verdict = Ok(());
         for &i in &order {
             let cand = Candidate {
                 key: TaskKey(base + i as u64),
                 spec: &tasks[i],
                 rank: ranks.map_or(0, |r| r[i]),
             };
+            self.scratch.rows.clear();
             let placed = self
-                .place_whole(&cand, &mut touched)
-                .or_else(|| self.place_split(&cand, &mut touched))
-                .or_else(|| self.place_federated(&cand, &mut touched));
+                .place_whole(&cand)
+                .or_else(|| self.place_split(&cand))
+                .or_else(|| self.place_federated(&cand));
             match placed {
-                Some(p) => placement[i] = p,
+                Some(p) => self.scratch.placed[i] = p,
                 None => {
-                    self.rollback(&touched);
-                    return Err(RejectReason::Unschedulable { index: i });
+                    self.rollback();
+                    verdict = Err(RejectReason::Unschedulable { index: i });
+                    break;
                 }
             }
         }
-        Ok((placement, touched))
+        self.scratch.order = order;
+        verdict
     }
 
     /// The paper's rule: the first shared bin, in the heuristic's order,
     /// that still passes the RMWP test with the whole task added.
-    fn place_whole(
-        &mut self,
-        cand: &Candidate<'_>,
-        touched: &mut Vec<TouchedBin>,
-    ) -> Option<Placed> {
+    fn place_whole(&mut self, cand: &Candidate<'_>) -> Option<Placed> {
         for i in 0..self.order.len() {
             let Some(bin) = self.shared_bin(i) else {
                 continue;
             };
             if let Some(fit) = self.probe(bin, cand, Residency::Whole) {
-                self.commit(touched, bin, cand, Residency::Whole, true, fit);
+                self.commit(bin, cand, Residency::Whole, true, fit);
                 return Some(Placed {
                     hw: self.hw(bin),
                     kind: PlacementKind::Whole,
@@ -1083,11 +1299,7 @@ impl AdmissionEngine {
     /// Semi-partitioned fallback: split into two subtasks pinned to two
     /// CPUs, each receiving every other job (arrival `2T`, deadline `T`).
     /// Both host bins must pass the split-aware RTA.
-    fn place_split(
-        &mut self,
-        cand: &Candidate<'_>,
-        touched: &mut Vec<TouchedBin>,
-    ) -> Option<Placed> {
+    fn place_split(&mut self, cand: &Candidate<'_>) -> Option<Placed> {
         if self.policy != PlacementPolicy::SemiPartitioned {
             return None;
         }
@@ -1095,6 +1307,7 @@ impl AdmissionEngine {
             let Some(a) = self.shared_bin(i) else {
                 continue;
             };
+            self.scratch.rows.clear();
             let Some(fit_a) = self.probe(a, cand, Residency::Split) else {
                 continue;
             };
@@ -1105,8 +1318,8 @@ impl AdmissionEngine {
                 let Some(fit_b) = self.probe(b, cand, Residency::Split) else {
                     continue;
                 };
-                self.commit(touched, a, cand, Residency::Split, true, fit_a);
-                self.commit(touched, b, cand, Residency::Split, false, fit_b);
+                self.commit(a, cand, Residency::Split, true, fit_a);
+                self.commit(b, cand, Residency::Split, false, fit_b);
                 return Some(Placed {
                     hw: self.hw(a),
                     kind: PlacementKind::Split {
@@ -1123,11 +1336,7 @@ impl AdmissionEngine {
     /// mandatory residual into another shared bin with deadline `T − w`.
     /// Grant bins are tried in index order; their earlier residents must
     /// stay schedulable under the new band.
-    fn place_federated(
-        &mut self,
-        cand: &Candidate<'_>,
-        touched: &mut Vec<TouchedBin>,
-    ) -> Option<Placed> {
+    fn place_federated(&mut self, cand: &Candidate<'_>) -> Option<Placed> {
         if self.policy != PlacementPolicy::SemiFederated
             || cand.spec.optional_utilization() < 1.0
         {
@@ -1137,6 +1346,7 @@ impl AdmissionEngine {
             if self.grant_of[g].is_some() {
                 continue;
             }
+            self.scratch.rows.clear();
             let Some(fit_g) = self.probe(g, cand, Residency::FedWindup) else {
                 continue;
             };
@@ -1147,8 +1357,8 @@ impl AdmissionEngine {
                 let Some(fit_r) = self.probe(bin, cand, Residency::FedResidual) else {
                     continue;
                 };
-                self.commit(touched, g, cand, Residency::FedWindup, false, fit_g);
-                self.commit(touched, bin, cand, Residency::FedResidual, true, fit_r);
+                self.commit(g, cand, Residency::FedWindup, false, fit_g);
+                self.commit(bin, cand, Residency::FedResidual, true, fit_r);
                 self.grant_of[g] = Some(cand.key);
                 return Some(Placed {
                     hw: self.hw(bin),
@@ -1161,8 +1371,10 @@ impl AdmissionEngine {
         None
     }
 
-    fn rollback(&mut self, touched: &[TouchedBin]) {
-        for t in touched {
+    fn rollback(&mut self) {
+        self.undo_rows();
+        for n in 0..self.touched.len() {
+            let t = self.touched[n];
             while self.bins[t.bin].len() > t.saved_len {
                 let e = self.bins[t.bin].pop().expect("longer than it was");
                 let at = self.home_slot(e.key, t.bin);
@@ -1171,9 +1383,10 @@ impl AdmissionEngine {
             self.prio[t.bin].retain(|&i| (i as usize) < t.saved_len);
             self.set_util(t.bin, t.saved_util);
             self.grant_of[t.bin] = t.saved_grant;
-            if self.caching {
-                self.cache.restore(t.bin, t.saved_fix.clone());
+            if let Some(fix) = self.cache.fixpoints_mut(t.bin) {
+                fix.resize(t.saved_len);
             }
+            self.summarize(t.bin);
         }
     }
 
@@ -1185,39 +1398,45 @@ impl AdmissionEngine {
     /// and every other CPU's memo entry is untouched. Evicting a federated
     /// task releases its core grant back to the shared pool.
     pub fn evict(&mut self, keys: &[TaskKey]) -> Vec<OdUpdate> {
-        let mut victims: Vec<usize> = keys
-            .iter()
-            .flat_map(|&key| &self.homes[self.homes_of(key)])
-            .map(|&(_, bin)| bin as usize)
-            .collect();
+        let mut victims = std::mem::take(&mut self.scratch.victims);
+        victims.clear();
+        victims.extend(
+            keys.iter()
+                .flat_map(|&key| &self.homes[self.homes_of(key)])
+                .map(|&(_, bin)| bin as usize),
+        );
         victims.sort_unstable();
         victims.dedup();
-        if !self.caching {
+        let updates = if self.caching {
+            self.undo.clear();
+            for &b in &victims {
+                // Vacating drops cached rows: an invalidated slot is primed
+                // first.
+                self.ensure_cached(b);
+                let from = self.vacate(b, keys);
+                if !self.bins[b].is_empty() {
+                    self.cache.note_recompute(b);
+                    let rows = self
+                        .walk(b, from, None, false)
+                        .expect("shrinking a schedulable bin keeps it schedulable");
+                    let start = rows.start;
+                    self.write_rows(b, rows, usize::MAX);
+                    self.scratch.rows.truncate(start);
+                }
+                self.summarize(b);
+            }
+            self.logged_deltas(None)
+        } else {
             let old = self.full_snapshot();
             for &b in &victims {
                 self.vacate(b, keys);
+                self.summarize(b);
             }
             let new = self.full_snapshot();
-            return od_deltas(&old, &new);
-        }
-        if victims.is_empty() {
-            return Vec::new();
-        }
-        let read = self.read_set(&victims);
-        // Reading the old pairs also primes a victim slot that had been
-        // invalidated, so every victim bin has rows to vacate.
-        let old_pairs = self.od_pairs(&read);
-        for &b in &victims {
-            let from = self.vacate(b, keys);
-            if !self.bins[b].is_empty() {
-                self.cache.note_recompute(b);
-                let fits = self.walk(b, from, None, false);
-                assert!(fits, "shrinking a schedulable bin keeps it schedulable");
-                let fix = self.cache.fixpoints_mut(b).expect("primed by od_pairs");
-                fix.set_rows(&self.scratch.rows);
-            }
-        }
-        od_deltas(&old_pairs, &self.od_pairs(&read))
+            od_deltas(&old, &new)
+        };
+        self.scratch.victims = victims;
+        updates
     }
 
     /// Removes `keys`' entries from `bin` — residents, priority index,
@@ -1247,7 +1466,7 @@ impl AdmissionEngine {
         if self.grant_of[bin].is_some_and(|k| keys.contains(&k)) {
             self.grant_of[bin] = None;
         }
-        self.set_util(bin, self.bins[bin].iter().map(entry_util).sum());
+        self.set_util(bin, self.bins[bin].iter().map(Entry::util).sum());
         from
     }
 
@@ -1277,52 +1496,49 @@ impl AdmissionEngine {
     /// unchanged and the caller should evict and re-admit through the
     /// packer.
     pub fn od_update(&mut self, key: TaskKey, spec: &TaskSpec) -> AdmissionDecision {
-        let locs = self.locate(key);
-        if locs.is_empty() {
+        let homes = self.homes_of(key);
+        if homes.is_empty() {
             return AdmissionDecision::Rejected(RejectReason::UnknownKey);
         }
-        let bins: Vec<usize> = locs.iter().map(|&(b, _)| b).collect();
-        let read = if self.caching {
-            self.read_set(&bins)
-        } else {
-            Vec::new()
-        };
         let old_pairs = if self.caching {
-            self.od_pairs(&read)
+            Vec::new()
         } else {
             self.full_snapshot()
         };
-        let (b0, i0) = locs[0];
-        let old_spec = self.bins[b0][i0].spec.clone();
-        // A changed spec is no newcomer: each host is solved from the
-        // resident's old or new priority position, whichever is higher,
-        // and from the costs.
-        let mut fixes = Vec::with_capacity(bins.len());
-        for &(b, idx) in &locs {
-            self.bins[b][idx].spec = spec.clone();
+        self.undo.clear();
+        // `(bin, index, entry before)` per host, for the way back. A changed
+        // spec is no newcomer: each host is solved from the resident's old
+        // or new priority position, whichever is higher, and from the costs.
+        let mut was = [None; 2];
+        for (n, h) in homes.enumerate() {
+            let b = self.homes[h].1 as usize;
+            self.ensure_cached(b);
+            let idx = self.position(b, key);
+            let old = self.bins[b][idx];
+            was[n] = Some((b, idx, old));
+            self.bins[b][idx] = Entry::new(key, spec, old.kind, old.primary, old.rank);
             let from = self.reseat(b, idx);
             self.cache.note_recompute(b);
-            if !self.walk(b, from, None, false) {
-                break;
+            let Some(rows) = self.walk(b, from, None, false) else {
+                for &(b, idx, old) in was.iter().flatten() {
+                    self.bins[b][idx] = old;
+                    self.reseat(b, idx);
+                }
+                self.undo_rows();
+                return AdmissionDecision::NeedsFullRecompute { key };
+            };
+            let start = rows.start;
+            if self.caching {
+                self.write_rows(b, rows, usize::MAX);
             }
-            fixes.push((b, self.walked_fix(b, self.bins[b].len())));
-        }
-        if fixes.len() < locs.len() {
-            for &(b, idx) in &locs {
-                self.bins[b][idx].spec = old_spec.clone();
-                self.reseat(b, idx);
-            }
-            return AdmissionDecision::NeedsFullRecompute { key };
-        }
-        for &(b, idx) in &locs {
-            let kind = self.bins[b][idx].kind;
-            let util = self.bin_util[b] + (util_for(spec, kind) - util_for(&old_spec, kind));
-            self.set_util(b, util);
+            self.scratch.rows.truncate(start);
         }
         let mut hw = self.hw(0);
         let mut kind = PlacementKind::Whole;
-        for &(b, idx) in &locs {
-            let e = &self.bins[b][idx];
+        for &(b, idx, old) in was.iter().flatten() {
+            let e = self.bins[b][idx];
+            self.set_util(b, self.bin_util[b] + (e.util() - old.util()));
+            self.summarize(b);
             let global = self.hw(b);
             match e.kind {
                 Residency::Whole => hw = global,
@@ -1336,19 +1552,16 @@ impl AdmissionEngine {
                 }
             }
         }
-        if self.caching {
-            for (b, fix) in fixes {
-                self.cache.store(b, fix);
-            }
-        }
-        let new_pairs = if self.caching {
-            self.od_pairs(&read)
+        let (od, od_updates) = if self.caching {
+            let od_updates = self.logged_deltas(Some(key));
+            (self.effective_od(key, false), od_updates)
         } else {
-            self.full_snapshot()
+            let new_pairs = self.full_snapshot();
+            let mut od_updates = od_deltas(&old_pairs, &new_pairs);
+            od_updates.retain(|u| u.key != key);
+            let od = lookup(&new_pairs, key).expect("updated task is resident");
+            (od, od_updates)
         };
-        let od = lookup(&new_pairs, key).expect("updated task is resident");
-        let mut od_updates = od_deltas(&old_pairs, &new_pairs);
-        od_updates.retain(|u| u.key != key);
         AdmissionDecision::Admitted(Admission {
             tasks: vec![AdmittedTask {
                 key,
@@ -1358,43 +1571,6 @@ impl AdmissionEngine {
             }],
             od_updates,
         })
-    }
-
-    /// Every `(bin, index)` hosting `key` — one for a whole task, two for
-    /// a split or federated one (ascending bin order).
-    fn locate(&self, key: TaskKey) -> Vec<(usize, usize)> {
-        self.homes[self.homes_of(key)]
-            .iter()
-            .map(|&(_, bin)| {
-                let bin = bin as usize;
-                let idx = self.bins[bin]
-                    .iter()
-                    .position(|e| e.key == key)
-                    .expect("homes names the bins of a key");
-                (bin, idx)
-            })
-            .collect()
-    }
-
-    /// The ODs of local CPU `cpu`, served from the memo when valid.
-    fn ods_of(&mut self, cpu: usize) -> Vec<Span> {
-        if self.bins[cpu].is_empty() {
-            return Vec::new();
-        }
-        if self.caching && self.cache.is_cached(cpu) {
-            self.cache.note_hit(cpu);
-            return self
-                .cache
-                .optional_deadlines(cpu)
-                .expect("checked is_cached")
-                .to_vec();
-        }
-        let fix = self.fresh(cpu);
-        let ods = fix.optional_deadlines.clone();
-        if self.caching {
-            self.cache.store(cpu, fix);
-        }
-        ods
     }
 
     /// Full-recompute snapshot: fresh RMWP fixpoints of every non-empty
@@ -1411,27 +1587,6 @@ impl AdmissionEngine {
         }
         merge_min(out)
     }
-}
-
-fn admitted_tasks(
-    base: u64,
-    placement: &[Placed],
-    new_pairs: &[(TaskKey, Span)],
-) -> Vec<AdmittedTask> {
-    placement
-        .iter()
-        .enumerate()
-        .map(|(i, placed)| {
-            let key = TaskKey(base + i as u64);
-            AdmittedTask {
-                key,
-                hw_thread: placed.hw,
-                kind: placed.kind,
-                optional_deadline: lookup(new_pairs, key)
-                    .expect("admitted task has an analyzed OD"),
-            }
-        })
-        .collect()
 }
 
 /// Appends `(key, od)` pairs for a bin's entries, skipping federated
@@ -1613,7 +1768,7 @@ mod tests {
         let rm = [1, 2, 3, 0];
         let entries: Vec<BinTask> = rm
             .iter()
-            .map(|&i| bin_task_for(&specs[i], Residency::Whole))
+            .map(|&i| Entry::new(TaskKey(i as u64), &specs[i], Residency::Whole, true, 0).task())
             .collect();
         let fixes = analyze_ordered(&entries).unwrap();
         let got = eng.cache().fixpoints(0).unwrap();
@@ -1816,6 +1971,36 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_split_task_reports_at_its_lower_host() {
+        // `big` splits across CPUs 0 and 1; the newcomer fits only on CPU 1,
+        // above `big` and `r1` there. Both ODs shrink, and the split task
+        // is reported where a sweep by bin index meets it first: CPU 0,
+        // ahead of CPU 1's `r1`, though only its CPU 1 row was re-solved.
+        let script = [
+            task("r0", 400, 240, 0),
+            task("r1", 400, 200, 0),
+            task("big", 100, 60, 0),
+            task("n", 50, 10, 0),
+        ];
+        let mut cached = AdmissionEngine::new(2, PartitionHeuristic::FirstFitDecreasing)
+            .with_placement(PlacementPolicy::SemiPartitioned);
+        let mut full = AdmissionEngine::new(2, PartitionHeuristic::FirstFitDecreasing)
+            .with_placement(PlacementPolicy::SemiPartitioned)
+            .without_cache();
+        let mut last = None;
+        for spec in &script {
+            let a = cached.try_admit(std::slice::from_ref(spec));
+            assert_eq!(a, full.try_admit(std::slice::from_ref(spec)));
+            last = a.admitted();
+        }
+        let n = last.expect("the newcomer fits on CPU 1");
+        assert_eq!(n.tasks[0].hw_thread, HwThreadId(1));
+        let order: Vec<TaskKey> = n.od_updates.iter().map(|u| u.key).collect();
+        assert_eq!(order, [TaskKey(2), TaskKey(1)]);
+        assert_eq!(n.od_updates[0].optional_deadline, Span::from_millis(90));
+    }
+
     // ---- RtaCache behaviour -------------------------------------------
 
     #[test]
@@ -1988,5 +2173,130 @@ mod tests {
             AdmissionDecision::NeedsFullRecompute { key }
         );
         assert!((eng.total_utilization() - util).abs() < 1e-12);
+    }
+
+    // ---- the pre-filter ------------------------------------------------
+
+    /// Seats `spec` in `bin` as `kind`, as a batch of one would.
+    fn seat(eng: &mut AdmissionEngine, bin: usize, spec: &TaskSpec, kind: Residency) {
+        let cand = Candidate {
+            key: TaskKey(eng.next_key),
+            spec,
+            rank: 0,
+        };
+        eng.next_key += 1;
+        eng.touched.clear();
+        eng.undo.clear();
+        eng.scratch.rows.clear();
+        let fit = eng.probe(bin, &cand, kind).expect("the seat fits");
+        eng.commit(bin, &cand, kind, true, fit);
+    }
+
+    /// What the pre-filter and the walk say about `spec` probed into
+    /// `bin` as `kind`: `(refused, passes)`.
+    fn verdicts(
+        eng: &mut AdmissionEngine,
+        bin: usize,
+        spec: &TaskSpec,
+        kind: Residency,
+    ) -> (bool, bool) {
+        let cand = Candidate {
+            key: TaskKey(eng.next_key),
+            spec,
+            rank: 0,
+        };
+        let new = cand.entry(kind, false);
+        let entries = &eng.bins[bin];
+        let at =
+            eng.prio[bin].partition_point(|&i| entries[i as usize].prio_key() < new.prio_key());
+        let refused = eng.hopeless(bin, at, &new.task());
+        let passes = eng.walk(bin, at, Some((at, new.task())), true).is_some();
+        eng.scratch.rows.clear();
+        (refused, passes)
+    }
+
+    #[test]
+    fn filter_keeps_a_deadline_only_resident_with_one_part_of_slack() {
+        // `dl` has no wind-up and no optional part: only R^m = 60 counts
+        // against D = 100, so its headroom is 40, not (100 − 60) / 2.
+        let mut eng = AdmissionEngine::new(1, PartitionHeuristic::FirstFitDecreasing);
+        seat(&mut eng, 0, &task("dl", 100, 60, 0), Residency::Whole);
+        // 60 + 35·⌈95/99⌉ = 95 ≤ 100.
+        let c = task("c", 99, 35, 0);
+        assert_eq!(verdicts(&mut eng, 0, &c, Residency::Whole), (false, true));
+        // 60 + 41 > 100 whatever the arrival.
+        let c = task("c", 99, 41, 0);
+        assert_eq!(verdicts(&mut eng, 0, &c, Residency::Whole), (true, false));
+    }
+
+    #[test]
+    fn filter_keeps_a_federated_windup_without_a_mandatory_part() {
+        // `t0`: R^m 27, R^w 28 against D 100, headroom (100 − 55) / 2 = 22.
+        let mut eng = AdmissionEngine::new(1, PartitionHeuristic::FirstFitDecreasing);
+        seat(&mut eng, 0, &task("t0", 100, 27, 28), Residency::Whole);
+        // The band's demand is its wind-up alone: R^w 28 + 22 = 50, OD 50,
+        // R^m 27 + 22 = 49. Its zero mandatory part adds nothing to its
+        // own bound.
+        let par = task("par", 100, 30, 22);
+        assert_eq!(
+            verdicts(&mut eng, 0, &par, Residency::FedWindup),
+            (false, true)
+        );
+        let par = task("par", 100, 30, 23);
+        assert_eq!(
+            verdicts(&mut eng, 0, &par, Residency::FedWindup),
+            (true, false)
+        );
+    }
+
+    #[test]
+    fn filter_keeps_split_entries_at_their_2t_arrival() {
+        // A split newcomer above a resident: 200 + 90·⌈R/200⌉ = 380 ≤ 400,
+        // where the same task whole (arrival 100) reaches 470. The filter
+        // charges one job either way and leaves the verdict to the walk.
+        let mut eng = AdmissionEngine::new(1, PartitionHeuristic::FirstFitDecreasing);
+        seat(&mut eng, 0, &task("r", 400, 200, 0), Residency::Whole);
+        let sp = task("sp", 100, 90, 0);
+        assert_eq!(verdicts(&mut eng, 0, &sp, Residency::Split), (false, true));
+        assert_eq!(verdicts(&mut eng, 0, &sp, Residency::Whole), (false, false));
+        // A split resident above a newcomer: 110 + 40·⌈R/200⌉ = 150 ≤ 150.
+        let mut eng = AdmissionEngine::new(1, PartitionHeuristic::FirstFitDecreasing);
+        seat(&mut eng, 0, &task("s", 100, 40, 0), Residency::Split);
+        let lo = task("lo", 150, 110, 0);
+        assert_eq!(verdicts(&mut eng, 0, &lo, Residency::Whole), (false, true));
+        let lo = task("lo", 150, 111, 0);
+        assert_eq!(verdicts(&mut eng, 0, &lo, Residency::Whole), (true, false));
+    }
+
+    #[test]
+    fn filter_keeps_probes_that_leave_exactly_zero_slack() {
+        // A resident left with none: `r` (R^m 30, R^w 30, headroom 20)
+        // under a newcomer of demand 20 reaches R^w 50, OD 50, R^m 50.
+        let mut eng = AdmissionEngine::new(1, PartitionHeuristic::FirstFitDecreasing);
+        seat(&mut eng, 0, &task("r", 100, 30, 30), Residency::Whole);
+        let c = task("c", 50, 10, 10);
+        assert_eq!(verdicts(&mut eng, 0, &c, Residency::Whole), (false, true));
+        let c = task("c", 50, 10, 11);
+        assert_eq!(verdicts(&mut eng, 0, &c, Residency::Whole), (true, false));
+        // A newcomer left with none: below `hi` (demand 20) its lower
+        // bounds are 30 + 20 and 30 + 20, together exactly D, and so are
+        // its fixpoints.
+        let mut eng = AdmissionEngine::new(1, PartitionHeuristic::FirstFitDecreasing);
+        seat(&mut eng, 0, &task("hi", 100, 10, 10), Residency::Whole);
+        let lo = task("lo", 100, 30, 30);
+        assert_eq!(verdicts(&mut eng, 0, &lo, Residency::Whole), (false, true));
+        let lo = task("lo", 100, 30, 31);
+        assert_eq!(verdicts(&mut eng, 0, &lo, Residency::Whole), (true, false));
+    }
+
+    #[test]
+    fn a_refused_probe_is_a_hit_and_solves_nothing() {
+        let mut eng = AdmissionEngine::new(1, PartitionHeuristic::FirstFitDecreasing);
+        eng.try_admit(&[heavy("a")]).admitted().unwrap();
+        let rec = eng.cache().recomputes(0);
+        // Below `a`: (30 + 60) + (30 + 60) > 100 before any solve.
+        assert!(!eng.try_admit(&[heavy("b")]).is_admitted());
+        assert_eq!(eng.cache().recomputes(0), rec);
+        assert_eq!(eng.cache().hits(0), 1);
     }
 }

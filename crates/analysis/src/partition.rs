@@ -204,7 +204,7 @@ impl Partition {
                 .map(|cpu| {
                     engine
                         .residents_on(cpu)
-                        .map(|(key, _)| TaskId(key.0 as u32))
+                        .map(|key| TaskId(key.0 as u32))
                         .collect()
                 })
                 .collect(),

@@ -101,7 +101,9 @@ impl SystemConfig {
             .iter()
             .map(|(id, spec)| {
                 let granted = partition.granted_core_of(id);
-                policy.placements_or_granted(&topology, spec.optional_count(), granted)
+                policy
+                    .placements_or_granted(&topology, spec.optional_count(), granted)
+                    .collect()
             })
             .collect();
         Ok(SystemConfig {

@@ -65,42 +65,35 @@ impl AssignmentPolicy {
     /// around: parts then share hardware threads and are serialized by the
     /// FIFO queue at their (equal) priority.
     pub fn placements(self, topology: &Topology, np: usize) -> Vec<HwThreadId> {
+        self.placements_or_granted(topology, np, None).collect()
+    }
+
+    /// Where the `np` optional parts of a placed task run, in part order
+    /// and without a buffer: a federated task's parallel phase owns its
+    /// `granted` core — every part runs there, preserving the analysed
+    /// top-band isolation — and everyone else spreads by
+    /// [`AssignmentPolicy::placements`].
+    pub(crate) fn placements_or_granted<'t>(
+        self,
+        topology: &'t Topology,
+        np: usize,
+        granted: Option<HwThreadId>,
+    ) -> impl Iterator<Item = HwThreadId> + 't {
         let k = self.stride(topology);
         let smt = topology.smt_per_core();
         let cores = topology.cores();
-        let capacity = topology.hw_threads() as usize;
-
-        // Enumerate hardware threads in policy order: passes of k slots.
-        let mut order = Vec::with_capacity(capacity);
-        let mut base_slot = 0u32;
-        while base_slot < smt {
-            let width = k.min(smt - base_slot);
-            for core in 0..cores {
-                for s in 0..width {
-                    order.push(topology.hw_thread(CoreId(core), base_slot + s));
-                }
-            }
-            base_slot += width;
-        }
-        debug_assert_eq!(order.len(), capacity);
-
-        (0..np).map(|i| order[i % capacity]).collect()
-    }
-
-    /// Where the `np` optional parts of a placed task run: a federated
-    /// task's parallel phase owns its `granted` core — every part runs
-    /// there, preserving the analysed top-band isolation — and everyone
-    /// else spreads by [`AssignmentPolicy::placements`].
-    pub(crate) fn placements_or_granted(
-        self,
-        topology: &Topology,
-        np: usize,
-        granted: Option<HwThreadId>,
-    ) -> Vec<HwThreadId> {
-        match granted {
-            Some(granted) => vec![granted; np],
-            None => self.placements(topology, np),
-        }
+        // Hardware threads in policy order are passes of k slots over every
+        // core (the last pass may be narrower), repeated once all are used:
+        // the i-th is found without listing the ones before it.
+        let pass_len = cores * k;
+        (0..np).map(move |i| {
+            granted.unwrap_or_else(|| {
+                let j = (i % topology.hw_threads() as usize) as u32;
+                let (pass, r) = (j / pass_len, j % pass_len);
+                let width = k.min(smt - pass * k);
+                topology.hw_thread(CoreId(r / width), pass * k + r % width)
+            })
+        })
     }
 
     /// Number of *distinct* cores used when placing `np` parts.

@@ -102,6 +102,8 @@ pub struct SessionManager {
     pub(super) deferred: VecDeque<Deferred>,
     pub(super) deferred_latency: Histogram,
     pub(super) guard_scratch: Vec<(TenantId, TenantSignal)>,
+    /// A departing tenant's admission keys, handed to the engine.
+    key_scratch: Vec<TaskKey>,
 }
 
 impl SessionManager {
@@ -157,6 +159,7 @@ impl SessionManager {
             deferred: VecDeque::new(),
             deferred_latency: Histogram::new(),
             guard_scratch: Vec::new(),
+            key_scratch: Vec::new(),
         }
     }
 
@@ -320,7 +323,6 @@ impl SessionManager {
                 PlacementKind::Split { secondary } => (Some(secondary), None),
                 PlacementKind::Federated { granted } => (None, Some(granted)),
             };
-            let placements = self.policy.placements_or_granted(&self.topology, np, granted);
             let id = TaskId(self.des.eng.task_count() as u32);
             let idx = self.des.eng.add_task(TaskParams {
                 id,
@@ -328,7 +330,11 @@ impl SessionManager {
                 mandatory_hw: admitted.hw_thread.index(),
                 secondary_hw: secondary.map(|h| h.index()),
                 granted_hw: granted.map(|h| h.index()),
-                placements: placements.iter().map(|h| h.index()).collect(),
+                placements: self
+                    .policy
+                    .placements_or_granted(&self.topology, np, granted)
+                    .map(|h| h.index())
+                    .collect(),
                 mand_prio,
                 opt_prio,
                 period: spec.period(),
@@ -388,21 +394,24 @@ impl SessionManager {
     /// keys, grow survivors' ODs) and records `state` — the shared tail
     /// of voluntary departure and guard eviction.
     pub(super) fn depart_at(&mut self, pos: usize, state: TenantState) {
-        let bound = self.tenants[pos].tasks.clone();
         let tenant = TenantId(pos as u32);
-        for b in &bound {
+        let mut keys = std::mem::take(&mut self.key_scratch);
+        keys.clear();
+        for i in 0..self.tenants[pos].tasks.len() {
+            let b = self.tenants[pos].tasks[i];
             if self.des.eng.job_in_flight(b.engine_idx) {
                 self.des.abort_job(b.engine_idx);
             }
             self.des.eng.remove_task(b.engine_idx);
+            keys.push(b.key);
         }
-        let keys: Vec<TaskKey> = bound.iter().map(|b| b.key).collect();
         let updates = self.ctl.evict(&keys);
         for key in &keys {
             if let Ok(at) = self.bindings.binary_search_by_key(key, |b| b.key) {
                 self.bindings.remove(at);
             }
         }
+        self.key_scratch = keys;
         let entry = (self.tenants[pos].name_id, pos as u32);
         let at = self
             .by_name

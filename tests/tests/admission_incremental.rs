@@ -8,6 +8,8 @@
 //!
 //! [`RtaCache`]: rtseed_analysis::RtaCache
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use rtseed_analysis::rmwp::RmwpAnalysis;
 use rtseed_analysis::{AdmissionDecision, AdmissionEngine, PartitionHeuristic, TaskKey};
@@ -82,16 +84,20 @@ fn assert_same_decision(a: &AdmissionDecision, b: &AdmissionDecision) {
     }
 }
 
+/// Each resident's spec by key, as the test admitted or updated it: the
+/// engine keeps only the numbers its analysis reads.
+type Specs = BTreeMap<TaskKey, TaskSpec>;
+
 /// The core cache invariant: for every CPU, the memoised fixpoints — the
 /// optional deadlines the engine hands out *and* the mandatory and wind-up
 /// response times its next probe starts from — equal what a fresh
 /// `RmwpAnalysis` of exactly that CPU's residents produces (priorities
 /// induced by the same (period, key) order the engine commits).
-fn assert_cache_matches_fresh_analysis(eng: &AdmissionEngine) {
+fn assert_cache_matches_fresh_analysis(eng: &AdmissionEngine, specs: &Specs) {
     for cpu in 0..eng.hw_threads() {
         let residents: Vec<(TaskKey, TaskSpec)> = eng
             .residents_on(cpu)
-            .map(|(k, s)| (k, s.clone()))
+            .map(|k| (k, specs[&k].clone()))
             .collect();
         let cached = eng
             .cache()
@@ -152,6 +158,7 @@ fn run_differential(ops: &[Op], cpus: usize, heuristic: PartitionHeuristic) {
     let mut full = AdmissionEngine::new(cpus, heuristic).without_cache();
     // Tenants admitted and not yet evicted, as (keys) batches.
     let mut live: Vec<Vec<TaskKey>> = Vec::new();
+    let mut specs = Specs::new();
     let mut serial = 0u64;
     for op in ops {
         match op {
@@ -168,6 +175,7 @@ fn run_differential(ops: &[Op], cpus: usize, heuristic: PartitionHeuristic) {
                 assert_same_decision(&a, &b);
                 if let AdmissionDecision::Admitted(adm) = a {
                     live.push(adm.tasks.iter().map(|t| t.key).collect());
+                    specs.extend(adm.tasks.iter().map(|t| t.key).zip(tasks));
                 }
             }
             Op::Evict(i) => {
@@ -178,6 +186,9 @@ fn run_differential(ops: &[Op], cpus: usize, heuristic: PartitionHeuristic) {
                 let a = cached.evict(&keys);
                 let b = full.evict(&keys);
                 assert_eq!(a, b, "eviction OD growth diverged");
+                for key in &keys {
+                    specs.remove(key);
+                }
             }
             Op::OdUpdate(i, shape) => {
                 if live.is_empty() {
@@ -190,6 +201,9 @@ fn run_differential(ops: &[Op], cpus: usize, heuristic: PartitionHeuristic) {
                 let a = cached.od_update(key, &spec);
                 let b = full.od_update(key, &spec);
                 assert_same_decision(&a, &b);
+                if a.is_admitted() {
+                    specs.insert(key, spec);
+                }
             }
         }
         assert_eq!(cached.resident_tasks(), full.resident_tasks());
@@ -197,7 +211,7 @@ fn run_differential(ops: &[Op], cpus: usize, heuristic: PartitionHeuristic) {
             (cached.total_utilization() - full.total_utilization()).abs() < 1e-12,
             "utilization bookkeeping diverged"
         );
-        assert_cache_matches_fresh_analysis(&cached);
+        assert_cache_matches_fresh_analysis(&cached, &specs);
     }
 }
 
@@ -258,15 +272,24 @@ fn eviction_resolves_survivors_from_their_costs() {
             .unwrap()
     };
     let mut eng = AdmissionEngine::new(1, PartitionHeuristic::FirstFitDecreasing);
-    let hi = eng.try_admit(&[ms("hi", 2, 1, 0)]).admitted().unwrap();
-    eng.try_admit(&[ms("mid", 6, 1, 1)]).admitted().unwrap();
-    let lo = eng.try_admit(&[ms("lo", 24, 1, 3)]).admitted().unwrap();
-    assert_eq!(lo.tasks[0].optional_deadline, Span::from_millis(24 - 18));
-    assert_cache_matches_fresh_analysis(&eng);
-    let grown = eng.evict(&[hi.tasks[0].key]);
+    let mut specs = Specs::new();
+    let admit = |eng: &mut AdmissionEngine, specs: &mut Specs, spec: TaskSpec| {
+        let a = eng
+            .try_admit(std::slice::from_ref(&spec))
+            .admitted()
+            .unwrap();
+        specs.insert(a.tasks[0].key, spec);
+        a.tasks[0].clone()
+    };
+    let hi = admit(&mut eng, &mut specs, ms("hi", 2, 1, 0));
+    admit(&mut eng, &mut specs, ms("mid", 6, 1, 1));
+    let lo = admit(&mut eng, &mut specs, ms("lo", 24, 1, 3));
+    assert_eq!(lo.optional_deadline, Span::from_millis(24 - 18));
+    assert_cache_matches_fresh_analysis(&eng, &specs);
+    let grown = eng.evict(&[hi.key]);
     assert_eq!(grown.len(), 2, "both survivors' optional deadlines grow");
     assert_eq!(grown[1].optional_deadline, Span::from_millis(24 - 5));
-    assert_cache_matches_fresh_analysis(&eng);
-    eng.try_admit(&[ms("hi", 2, 1, 0)]).admitted().unwrap();
-    assert_cache_matches_fresh_analysis(&eng);
+    assert_cache_matches_fresh_analysis(&eng, &specs);
+    admit(&mut eng, &mut specs, ms("hi", 2, 1, 0));
+    assert_cache_matches_fresh_analysis(&eng, &specs);
 }
