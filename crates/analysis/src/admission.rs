@@ -606,6 +606,9 @@ struct Undo {
     row: BinFix,
 }
 
+/// The empty half of an [`AdmissionEngine`] `homes` entry.
+const NO_BIN: u32 = u32::MAX;
+
 /// Incremental online admission engine: per-hardware-thread bins kept
 /// alive between decisions, with per-CPU RMWP fixpoints memoised in an
 /// [`RtaCache`]. The offline [`crate::Partition`] is one batch admitted
@@ -632,9 +635,11 @@ pub struct AdmissionEngine {
     /// Every bin in the order the heuristic tries them, kept between
     /// decisions by [`AdmissionEngine::set_util`].
     order: Vec<u32>,
-    /// `(key, bin)` of every entry, sorted: where a key resides without
-    /// looking through the bins.
-    homes: Vec<(TaskKey, u32)>,
+    /// Indexed by the key itself: the bins a key resides in, ascending,
+    /// [`NO_BIN`] filling the rest — where a key resides without looking
+    /// through the bins. Keys are handed out densely, so the table grows
+    /// by one entry per key issued and no edit moves another key's entry.
+    homes: Vec<[u32; 2]>,
     /// The key holding each bin's federated grant, if any. A granted bin
     /// leaves the shared pool until its holder departs.
     grant_of: Vec<Option<TaskKey>>,
@@ -755,7 +760,7 @@ impl AdmissionEngine {
 
     /// `true` if `key` is currently resident.
     pub fn contains(&self, key: TaskKey) -> bool {
-        !self.homes_of(key).is_empty()
+        self.homes_of(key).next().is_some()
     }
 
     /// The keys of local CPU `cpu`'s residents, in admission order — the
@@ -878,8 +883,7 @@ impl AdmissionEngine {
             }
             let mut first = (bin, pos);
             if e.kind == Residency::Split {
-                for h in self.homes_of(e.key) {
-                    let host = self.homes[h].1 as usize;
+                for host in self.homes_of(e.key) {
                     self.ensure_cached(host);
                     first = first.min((host as u32, self.position(host, e.key) as u32));
                 }
@@ -909,10 +913,9 @@ impl AdmissionEngine {
     /// with `before` as it was before the rows in the (sorted) undo log
     /// were overwritten.
     fn effective_od(&self, key: TaskKey, before: bool) -> Span {
-        self.homes[self.homes_of(key)]
-            .iter()
-            .filter_map(|&(_, bin)| {
-                let (bin, pos) = (bin as usize, self.position(bin as usize, key));
+        self.homes_of(key)
+            .filter_map(|bin| {
+                let pos = self.position(bin, key);
                 if self.bins[bin][pos].kind == Residency::FedResidual {
                     return None;
                 }
@@ -991,17 +994,40 @@ impl AdmissionEngine {
         self.grant_of[bin].is_none().then_some(bin)
     }
 
-    /// Where `key`'s entries are in `homes` — one for a whole task, two
+    /// The bins `key` resides in, ascending — one for a whole task, two
     /// for a split or federated one, none for a stranger.
-    fn homes_of(&self, key: TaskKey) -> Range<usize> {
-        let lo = self.homes.partition_point(|&(k, _)| k < key);
-        let hi = lo + self.homes[lo..].partition_point(|&(k, _)| k == key);
-        lo..hi
+    fn homes_of(&self, key: TaskKey) -> impl Iterator<Item = usize> {
+        let home = self.homes.get(key.0 as usize).copied();
+        home.into_iter()
+            .flatten()
+            .take_while(|&b| b != NO_BIN)
+            .map(|b| b as usize)
     }
 
-    /// Where `(key, bin)` is, or belongs, in `homes`.
-    fn home_slot(&self, key: TaskKey, bin: usize) -> usize {
-        self.homes.partition_point(|&h| h < (key, bin as u32))
+    /// Records `bin` among `key`'s homes, keeping the pair ascending.
+    fn add_home(&mut self, key: TaskKey, bin: usize) {
+        let at = key.0 as usize;
+        if self.homes.len() <= at {
+            self.homes.resize(at + 1, [NO_BIN; 2]);
+        }
+        let (home, bin) = (&mut self.homes[at], bin as u32);
+        debug_assert_eq!(home[1], NO_BIN, "a key has at most two homes");
+        if bin < home[0] {
+            home.swap(0, 1);
+            home[0] = bin;
+        } else {
+            home[1] = bin;
+        }
+    }
+
+    /// Drops `bin` from `key`'s homes.
+    fn remove_home(&mut self, key: TaskKey, bin: usize) {
+        let home = &mut self.homes[key.0 as usize];
+        let at = home.iter().position(|&b| b == bin as u32);
+        if at.expect("homes names the bins of a key") == 0 {
+            home[0] = home[1];
+        }
+        home[1] = NO_BIN;
     }
 
     /// The bin position of resident `key` in `bin`.
@@ -1217,8 +1243,7 @@ impl AdmissionEngine {
         let entry = cand.entry(kind, primary);
         self.prio[bin].insert(fit.at, self.bins[bin].len() as u32);
         self.bins[bin].push(entry);
-        let at = self.home_slot(cand.key, bin);
-        self.homes.insert(at, (cand.key, bin as u32));
+        self.add_home(cand.key, bin);
         self.set_util(bin, self.bin_util[bin] + entry.util());
         if self.caching {
             self.write_rows(bin, fit.rows, saved_len);
@@ -1377,8 +1402,7 @@ impl AdmissionEngine {
             let t = self.touched[n];
             while self.bins[t.bin].len() > t.saved_len {
                 let e = self.bins[t.bin].pop().expect("longer than it was");
-                let at = self.home_slot(e.key, t.bin);
-                self.homes.remove(at);
+                self.remove_home(e.key, t.bin);
             }
             self.prio[t.bin].retain(|&i| (i as usize) < t.saved_len);
             self.set_util(t.bin, t.saved_util);
@@ -1400,11 +1424,7 @@ impl AdmissionEngine {
     pub fn evict(&mut self, keys: &[TaskKey]) -> Vec<OdUpdate> {
         let mut victims = std::mem::take(&mut self.scratch.victims);
         victims.clear();
-        victims.extend(
-            keys.iter()
-                .flat_map(|&key| &self.homes[self.homes_of(key)])
-                .map(|&(_, bin)| bin as usize),
-        );
+        victims.extend(keys.iter().flat_map(|&key| self.homes_of(key)));
         victims.sort_unstable();
         victims.dedup();
         let updates = if self.caching {
@@ -1460,8 +1480,7 @@ impl AdmissionEngine {
                 *i -= 1;
             }
             from = from.min(rank);
-            let at = self.home_slot(key, bin);
-            self.homes.remove(at);
+            self.remove_home(key, bin);
         }
         if self.grant_of[bin].is_some_and(|k| keys.contains(&k)) {
             self.grant_of[bin] = None;
@@ -1496,8 +1515,7 @@ impl AdmissionEngine {
     /// unchanged and the caller should evict and re-admit through the
     /// packer.
     pub fn od_update(&mut self, key: TaskKey, spec: &TaskSpec) -> AdmissionDecision {
-        let homes = self.homes_of(key);
-        if homes.is_empty() {
+        if !self.contains(key) {
             return AdmissionDecision::Rejected(RejectReason::UnknownKey);
         }
         let old_pairs = if self.caching {
@@ -1510,8 +1528,7 @@ impl AdmissionEngine {
         // spec is no newcomer: each host is solved from the resident's old
         // or new priority position, whichever is higher, and from the costs.
         let mut was = [None; 2];
-        for (n, h) in homes.enumerate() {
-            let b = self.homes[h].1 as usize;
+        for (n, b) in self.homes_of(key).enumerate() {
             self.ensure_cached(b);
             let idx = self.position(b, key);
             let old = self.bins[b][idx];
@@ -2173,6 +2190,115 @@ mod tests {
             AdmissionDecision::NeedsFullRecompute { key }
         );
         assert!((eng.total_utilization() - util).abs() < 1e-12);
+    }
+
+    // ---- homes -----------------------------------------------------------
+
+    /// `key`'s homes, checked against a scan of the bins: ascending, and
+    /// exactly the bins that hold it.
+    fn hosts(eng: &AdmissionEngine, key: TaskKey) -> Vec<usize> {
+        let homes: Vec<usize> = eng.homes_of(key).collect();
+        let scan: Vec<usize> = (0..eng.hw_threads())
+            .filter(|&b| eng.residents_on(b).any(|k| k == key))
+            .collect();
+        assert_eq!(homes, scan, "{key}");
+        assert_eq!(eng.contains(key), !homes.is_empty(), "{key}");
+        homes
+    }
+
+    #[test]
+    fn a_split_key_keeps_two_ascending_homes() {
+        // Worst-fit tries the lighter CPU 1 first, so the split commits
+        // its primary on CPU 1 and its secondary on CPU 0.
+        let mut eng = AdmissionEngine::new(2, PartitionHeuristic::WorstFitDecreasing)
+            .with_placement(PlacementPolicy::SemiPartitioned);
+        let r0 = eng
+            .try_admit(&[task("r0", 400, 280, 0)])
+            .admitted()
+            .unwrap();
+        let r1 = eng
+            .try_admit(&[task("r1", 400, 260, 0)])
+            .admitted()
+            .unwrap();
+        let big = eng
+            .try_admit(&[task("big", 100, 60, 0)])
+            .admitted()
+            .unwrap();
+        let key = big.tasks[0].key;
+        assert_eq!(big.tasks[0].hw_thread, HwThreadId(1));
+        assert_eq!(
+            big.tasks[0].kind,
+            PlacementKind::Split {
+                secondary: HwThreadId(0)
+            }
+        );
+        assert_eq!(hosts(&eng, key), [0, 1]);
+        assert_eq!(hosts(&eng, r0.tasks[0].key), [0]);
+        assert_eq!(hosts(&eng, r1.tasks[0].key), [1]);
+        assert!(eng.od_update(key, &task("big", 100, 50, 0)).is_admitted());
+        assert_eq!(hosts(&eng, key), [0, 1]);
+        eng.evict(&[key]);
+        assert!(hosts(&eng, key).is_empty());
+        // A batch whose first task splits and whose second fits nowhere
+        // rolls the split back off both hosts.
+        let batch = [task("s", 100, 60, 0), task("t", 100, 60, 0)];
+        assert_eq!(
+            eng.try_admit(&batch),
+            AdmissionDecision::Rejected(RejectReason::Unschedulable { index: 1 })
+        );
+        for k in 3..5 {
+            assert!(hosts(&eng, TaskKey(k)).is_empty());
+        }
+        assert_eq!(hosts(&eng, r0.tasks[0].key), [0]);
+        assert_eq!(hosts(&eng, r1.tasks[0].key), [1]);
+        // The keys the rejected batch drew stay spent.
+        let again = eng
+            .try_admit(&[task("big", 100, 60, 0)])
+            .admitted()
+            .unwrap();
+        assert_eq!(again.tasks[0].key, TaskKey(5));
+        assert_eq!(hosts(&eng, TaskKey(5)), [0, 1]);
+    }
+
+    #[test]
+    fn a_federated_key_keeps_its_grant_and_residual_homes() {
+        let mut eng = AdmissionEngine::new(2, PartitionHeuristic::FirstFitDecreasing)
+            .with_placement(PlacementPolicy::SemiFederated);
+        eng.try_admit(&[task("t0", 100, 27, 28)])
+            .admitted()
+            .unwrap();
+        eng.try_admit(&[task("t1", 100, 27, 28)])
+            .admitted()
+            .unwrap();
+        // `par` (U 0.4) goes first: granted CPU 0, its residual on CPU 1,
+        // where `x` (U 0.3) then fits no more; rolled back.
+        assert_eq!(
+            eng.try_admit(&[parallel_heavy("par"), task("x", 100, 15, 15)]),
+            AdmissionDecision::Rejected(RejectReason::Unschedulable { index: 1 })
+        );
+        for k in 2..4 {
+            assert!(hosts(&eng, TaskKey(k)).is_empty());
+        }
+        let fed = eng.try_admit(&[parallel_heavy("par")]).admitted().unwrap();
+        let key = fed.tasks[0].key;
+        assert_eq!(key, TaskKey(4));
+        assert_eq!(hosts(&eng, key), [0, 1]);
+        let mut lighter = TaskSpec::builder("par");
+        lighter
+            .period(Span::from_millis(100))
+            .mandatory(Span::from_millis(20))
+            .windup(Span::from_millis(10))
+            .optional_parts(2, Span::from_millis(100));
+        let d = eng.od_update(key, &lighter.build().unwrap());
+        assert!(matches!(
+            d.admitted().unwrap().tasks[0].kind,
+            PlacementKind::Federated { .. }
+        ));
+        assert_eq!(hosts(&eng, key), [0, 1]);
+        eng.evict(&[key]);
+        assert!(hosts(&eng, key).is_empty());
+        assert_eq!(hosts(&eng, TaskKey(0)), [0]);
+        assert_eq!(hosts(&eng, TaskKey(1)), [1]);
     }
 
     // ---- the pre-filter ------------------------------------------------

@@ -305,8 +305,8 @@ impl ShardedAdmission {
         }
     }
 
-    /// The shard `key` resides in: one binary search of each engine's own
-    /// key index, so no second index is kept here.
+    /// The shard `key` resides in: one lookup in each engine's own key
+    /// index, so no second index is kept here.
     fn home_of(&self, key: TaskKey) -> Option<usize> {
         self.shards.iter().position(|e| e.contains(key))
     }

@@ -141,9 +141,10 @@ pub enum OdAction {
 /// tenant, for the serving layer's degradation ladder.
 ///
 /// Signals are queued only for tasks that carry a [`TenantId`] (the
-/// one-shot executors never tag tasks, so they pay nothing); the serving
-/// layer drains them with [`Engine::drain_tenant_signals`] after every
-/// event it processes.
+/// one-shot executors never tag tasks, so they pay nothing), and only
+/// while [`Engine::arm_tenant_signals`] says someone consumes them; the
+/// serving layer's armed guard drains them with
+/// [`Engine::drain_tenant_signals`] after every event that raised one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TenantSignal {
     /// A real-time part of the tenant's task hit its supervisor budget
@@ -315,9 +316,12 @@ struct TaskState {
     parts: Vec<PartState>,
     /// How many of `parts` have no outcome yet (the completion handler
     /// asks after every part; a scan there reads ≈ np²/2 states a job).
-    /// 32 bits here and in `optional_keep` keep this struct at 232 bytes:
-    /// a serving session holds one per resident task.
+    /// 32 bits here, in `qos_slot` and in `optional_keep` keep this
+    /// struct at 232 bytes: a serving session holds one per resident task.
     open_parts: u32,
+    /// The owning tenant's entry in the engine's `tenant_qos`, resolved
+    /// once at [`Engine::add_task`]; meaningless without a tenant.
+    qos_slot: u32,
     windup_scheduled: bool,
     /// The task entered the SQ waiting for its wind-up release (traced so
     /// the SQ enqueue/remove pair stays balanced).
@@ -387,13 +391,18 @@ pub struct Engine {
     topology: Topology,
     sup: OverloadSupervisor,
     qos: QosSummary,
-    /// Per-tenant QoS summaries sorted by tenant id, found by binary
-    /// search; empty (and untouched on the hot path) when no task carries
-    /// a tenant tag.
+    /// Per-tenant QoS summaries sorted by tenant id; a task reaches its
+    /// tenant's through its `qos_slot`. Tenant ids arrive ascending, so
+    /// the table only appends. Empty (and untouched on the hot path) when
+    /// no task carries a tenant tag.
     tenant_qos: Vec<(TenantId, QosSummary)>,
     /// Tenant-attributed fault signals queued for the serving layer
-    /// (empty and untouched unless tasks carry tenants).
+    /// (empty and untouched unless tasks carry tenants and signals are
+    /// armed).
     tenant_signals: Vec<(TenantId, TenantSignal)>,
+    /// Someone drains `tenant_signals`: without a consumer nothing is
+    /// queued, or the queue would gain an entry per tenant job.
+    signals_armed: bool,
     overheads: OverheadReport,
     metrics: MetricsRegistry,
     rec: TraceRecorder,
@@ -498,6 +507,7 @@ impl Engine {
             qos: QosSummary::new(),
             tenant_qos: Vec::new(),
             tenant_signals: Vec::new(),
+            signals_armed: false,
             overheads: OverheadReport::new(),
             metrics: MetricsRegistry::new(),
             rec: TraceRecorder::new(run.trace),
@@ -531,6 +541,7 @@ impl Engine {
         self.qos = QosSummary::new();
         self.tenant_qos.clear();
         self.tenant_signals.clear();
+        self.signals_armed = false;
         self.overheads = OverheadReport::new();
         self.metrics = MetricsRegistry::new();
         self.rec.reset(run.trace);
@@ -552,12 +563,21 @@ impl Engine {
     /// `rt_exec_fraction` here. The new task starts with zero jobs done
     /// and its phase `Done`; the driver schedules its first release. Its
     /// job quota is the engine's `run.jobs`, counted from arrival.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the task's tenant id is below the last tenant's: tenants
+    /// enter in ascending id order, each with all its tasks at once.
     pub fn add_task(&mut self, mut params: TaskParams) -> usize {
         let idx = self.tasks.len();
+        let mut qos_slot = 0;
         if let Some(tenant) = params.tenant {
-            if let Err(at) = self.tenant_qos.binary_search_by_key(&tenant, |(t, _)| *t) {
-                self.tenant_qos.insert(at, (tenant, QosSummary::new()));
+            let last = self.tenant_qos.last().map(|&(t, _)| t);
+            if last != Some(tenant) {
+                assert!(last < Some(tenant), "tenant ids enter ascending");
+                self.tenant_qos.push((tenant, QosSummary::new()));
             }
+            qos_slot = (self.tenant_qos.len() - 1) as u32;
         }
         params.mandatory = params.mandatory.mul_f64(self.rt_exec_fraction);
         params.windup = params.windup.mul_f64(self.rt_exec_fraction);
@@ -570,6 +590,7 @@ impl Engine {
             rt_budget: Span::ZERO,
             parts: Vec::new(),
             open_parts: 0,
+            qos_slot,
             windup_scheduled: false,
             in_sq: false,
             overran: false,
@@ -658,8 +679,26 @@ impl Engine {
         out.append(&mut self.tenant_signals);
     }
 
-    /// Queues `signal` against `task`'s owning tenant, if it has one.
+    /// Starts (`armed`) or stops queuing tenant signals for
+    /// [`Engine::drain_tenant_signals`] to hand out. The serving layer
+    /// arms them with its guard, the only consumer; until then, and after
+    /// every reset, none is queued.
+    pub fn arm_tenant_signals(&mut self, armed: bool) {
+        self.signals_armed = armed;
+    }
+
+    /// Whether a tenant signal waits for [`Engine::drain_tenant_signals`].
+    #[inline]
+    pub fn tenant_signals_pending(&self) -> bool {
+        !self.tenant_signals.is_empty()
+    }
+
+    /// Queues `signal` against `task`'s owning tenant, if it has one and
+    /// signals are armed.
     fn tenant_signal(&mut self, task: usize, signal: TenantSignal) {
+        if !self.signals_armed {
+            return;
+        }
         if let Some(tenant) = self.tasks[task].p.tenant {
             self.tenant_signals.push((tenant, signal));
         }
@@ -1544,19 +1583,17 @@ impl Engine {
             self.tasks[task].shed,
         );
         self.metrics.record_qos_level(ratio);
-        if let Some(tenant) = self.tasks[task].p.tenant {
-            // `tenant_qos` is sorted by id; the one-shot executors never
-            // get here (tenant is None).
-            if let Ok(at) = self.tenant_qos.binary_search_by_key(&tenant, |(t, _)| *t) {
-                self.tenant_qos[at].1.record_job(
-                    self.tasks[task].parts.iter().map(|p| {
-                        (p.executed, p.outcome.unwrap_or(OptionalOutcome::Discarded))
-                    }),
-                    requested,
-                    deadline_met,
-                    self.tasks[task].shed,
-                );
-            }
+        if self.tasks[task].p.tenant.is_some() {
+            // The one-shot executors never get here (tenant is None).
+            let t = &self.tasks[task];
+            self.tenant_qos[t.qos_slot as usize].1.record_job(
+                t.parts
+                    .iter()
+                    .map(|p| (p.executed, p.outcome.unwrap_or(OptionalOutcome::Discarded))),
+                requested,
+                deadline_met,
+                t.shed,
+            );
         }
         if self.sup.enabled() {
             if self.tasks[task].overran {
@@ -1608,5 +1645,16 @@ impl Engine {
             faults,
             tenant_qos: std::mem::take(&mut self.tenant_qos),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_task_state_stays_within_232_bytes() {
+        // A serving session holds one per task it ever admitted.
+        assert!(std::mem::size_of::<TaskState>() <= 232);
     }
 }

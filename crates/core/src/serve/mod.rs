@@ -644,6 +644,73 @@ mod tests {
     }
 
     #[test]
+    fn only_an_armed_guard_is_handed_tenant_signals() {
+        // Without a consumer the engine queues nothing: before, an
+        // unguarded session's queue gained an entry per tenant job.
+        for armed in [false, true] {
+            let mut mgr = manager(3);
+            if armed {
+                mgr = mgr.with_guard(GuardConfig::armed());
+            }
+            mgr.submit("a", &light("a")).unwrap();
+            mgr.submit("b", &light("b")).unwrap();
+            let mut signalled = false;
+            while mgr.des.step() {
+                signalled |= mgr.des.eng.tenant_signals_pending();
+                mgr.pump_guard();
+                assert!(!mgr.des.eng.tenant_signals_pending(), "armed {armed}");
+            }
+            assert_eq!(signalled, armed);
+        }
+    }
+
+    #[test]
+    fn the_guard_evicts_the_older_of_two_admitted_tenants_of_a_name() {
+        // Engine task 0 is the older "x"'s: its overruns walk the name's
+        // ladder to eviction while the newer "x" stays admitted.
+        let mut mgr = guarded_manager(30, overrun_task0(7, 10.0));
+        let old = mgr.submit("x", &light("old")).unwrap();
+        let new = mgr.submit("x", &light("new")).unwrap();
+        mgr.submit("y", &light("y")).unwrap();
+        assert_eq!(mgr.admitted_tenants(), 3);
+        while mgr.counters().evictions == 0 {
+            assert!(mgr.des.step(), "the guard evicts the older x");
+            mgr.pump_guard();
+        }
+        assert_eq!(mgr.admitted_tenants(), 2);
+        assert_eq!(mgr.try_depart("x"), Ok(new));
+        assert_eq!(mgr.admitted_tenants(), 1);
+        assert_eq!(mgr.try_depart("x"), Err(ServeError::UnknownTenant));
+        assert_eq!(mgr.try_depart("y").map(|t| t.index()), Ok(2));
+        assert_eq!(mgr.admitted_tenants(), 0);
+        let out = mgr.run();
+        assert_eq!(out.tenants[old.index()].state, TenantState::Evicted);
+        assert_eq!(out.tenants[new.index()].state, TenantState::Departed);
+        assert_eq!(out.counters.departures, 2);
+    }
+
+    #[test]
+    fn an_od_delta_for_a_key_no_longer_bound_is_ignored() {
+        use rtseed_analysis::{OdUpdate, TaskKey};
+        // Keys are handed out from 0: "a" holds key 0, "b" key 1.
+        let mut mgr = manager(1);
+        mgr.submit("a", &light("a")).unwrap();
+        mgr.submit("b", &light("b")).unwrap();
+        assert!(mgr.depart("a"));
+        let before = mgr.counters().od_updates_applied;
+        let od = Span::from_millis(50);
+        let delta = |key| OdUpdate {
+            key: TaskKey(key),
+            optional_deadline: od,
+        };
+        // Departed, never issued, bound.
+        mgr.apply_od_updates(&[delta(0), delta(99)]);
+        assert_eq!(mgr.counters().od_updates_applied, before);
+        mgr.apply_od_updates(&[delta(1)]);
+        assert_eq!(mgr.counters().od_updates_applied, before + 1);
+    }
+
+    #[test]
     fn guarded_noisy_neighbour_replay_is_deterministic() {
         let run = || {
             let mut mgr = guarded_manager(20, overrun_task0(11, 10.0));

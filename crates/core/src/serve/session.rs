@@ -3,6 +3,7 @@
 //! over the crate's discrete-event driver.
 
 use std::collections::VecDeque;
+use std::hash::{BuildHasher, RandomState};
 use std::sync::OnceLock;
 
 use rtseed_analysis::{
@@ -48,6 +49,10 @@ pub(super) struct Binding {
     pub(super) engine_idx: usize,
 }
 
+/// The empty value of the session's `u32` tables: no tenant, no name, no
+/// engine slot.
+const NONE: u32 = u32::MAX;
+
 /// One entry of the tenant table. Its position in the table is its
 /// [`TenantId`].
 #[derive(Debug)]
@@ -57,6 +62,9 @@ pub(super) struct Tenant {
     name: String,
     name_id: u32,
     state: TenantState,
+    /// While admitted: the position of the admitted tenant of the same
+    /// name admitted before this one, or [`NONE`].
+    prev_admitted: u32,
     tasks: Vec<Binding>,
 }
 
@@ -65,10 +73,89 @@ pub(super) struct Tenant {
 /// is recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) struct NameSlot {
-    /// The name's entry in the index, or where an entry for it goes.
+    /// The name's bucket in the index, or the empty bucket an entry for
+    /// it goes to.
     at: usize,
     /// The name's id; `None` for a name no tenant was recorded under.
     pub(super) id: Option<u32>,
+}
+
+/// The name index: an open-addressed table, probed linearly, of
+/// `(name id, position in tenants)` per name. The position is the most
+/// recent tenant of that name, whose `name` a probe compares against, so
+/// the index stores no name. Names hash with a keyed hasher: a tenant
+/// cannot pick names that collide.
+#[derive(Debug)]
+struct NameIndex {
+    hasher: RandomState,
+    /// A power of two many buckets, at most half of them used; an empty
+    /// one holds [`NONE`] as its name id.
+    buckets: Vec<(u32, u32)>,
+    /// Names recorded, which are also the ids given out.
+    len: u32,
+}
+
+impl NameIndex {
+    fn new() -> NameIndex {
+        NameIndex {
+            hasher: RandomState::new(),
+            buckets: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Looks `name` up; `tenants` holds the names the buckets point at.
+    fn find(&self, tenants: &[Tenant], name: &str) -> NameSlot {
+        if self.buckets.is_empty() {
+            return NameSlot { at: 0, id: None };
+        }
+        let mask = self.buckets.len() - 1;
+        let mut at = self.hasher.hash_one(name) as usize & mask;
+        loop {
+            let (id, pos) = self.buckets[at];
+            if id == NONE {
+                return NameSlot { at, id: None };
+            }
+            if tenants[pos as usize].name == name {
+                return NameSlot { at, id: Some(id) };
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// The most recent tenant of the recorded name at `slot`.
+    fn latest(&self, slot: NameSlot) -> u32 {
+        self.buckets[slot.at].1
+    }
+
+    /// Records tenant `pos` under `name`, found at `slot`, as the name's
+    /// most recent, and returns the name's id: a known name keeps its id,
+    /// a new one gets the next.
+    fn record(&mut self, tenants: &[Tenant], name: &str, slot: NameSlot, pos: u32) -> u32 {
+        if let Some(id) = slot.id {
+            self.buckets[slot.at].1 = pos;
+            return id;
+        }
+        let mut at = slot.at;
+        if 2 * (self.len as usize + 1) > self.buckets.len() {
+            self.grow(tenants);
+            at = self.find(tenants, name).at;
+        }
+        let id = self.len;
+        self.buckets[at] = (id, pos);
+        self.len += 1;
+        id
+    }
+
+    /// Doubles the table and places every entry anew.
+    fn grow(&mut self, tenants: &[Tenant]) {
+        let size = (2 * self.buckets.len()).max(16);
+        let old = std::mem::replace(&mut self.buckets, vec![(NONE, 0); size]);
+        for (id, pos) in old.into_iter().filter(|&(id, _)| id != NONE) {
+            let at = self.find(tenants, &tenants[pos as usize].name).at;
+            self.buckets[at] = (id, pos);
+        }
+    }
 }
 
 pub use crate::des::SimArena as ServeArena;
@@ -86,17 +173,17 @@ pub struct SessionManager {
     pub(super) des: Driver<Partitioned>,
     pub(super) ctl: AdmissionEngine,
     pub(super) tenants: Vec<Tenant>,
-    /// The name index: one `(name id, position in tenants)` entry per
-    /// name, sorted by name. The position is the most recent tenant of
-    /// that name, whose `name` a lookup reads.
-    names: Vec<(u32, u32)>,
-    /// `(name id, position in tenants)` of the admitted (not departed)
-    /// tenants, sorted: the most recent admitted tenant of a name is the
-    /// last of its run.
-    by_name: Vec<(u32, u32)>,
-    /// Live (admitted, not departed) task bindings sorted by admission
-    /// key: key → engine slot, for applying OD deltas.
-    pub(super) bindings: Vec<Binding>,
+    names: NameIndex,
+    /// Per name id, the position of the most recent admitted (not
+    /// departed) tenant of that name, or [`NONE`]; each admitted tenant
+    /// links to the one before it through `prev_admitted`.
+    admitted_by_name: Vec<u32>,
+    /// How many tenants are admitted (not departed).
+    admitted: usize,
+    /// Indexed by admission key: the engine slot of a live (admitted, not
+    /// departed) task, or [`NONE`], for applying OD deltas. Keys are
+    /// handed out densely, so the table grows by one entry per key.
+    bindings: Vec<u32>,
     pub(super) counters: ServeCounters,
     pub(super) guard: ServeGuard,
     pub(super) deferred: VecDeque<Deferred>,
@@ -151,8 +238,9 @@ impl SessionManager {
             run,
             des,
             tenants: Vec::new(),
-            names: Vec::new(),
-            by_name: Vec::new(),
+            names: NameIndex::new(),
+            admitted_by_name: Vec::new(),
+            admitted: 0,
             bindings: Vec::new(),
             counters: ServeCounters::default(),
             guard: ServeGuard::new(GuardConfig::default()),
@@ -180,6 +268,8 @@ impl SessionManager {
             self.run.supervisor = SupervisorConfig::tenant_scoped();
             self.des.eng.rearm_supervisor(self.run.supervisor);
         }
+        // The guard is the one consumer of the engine's tenant signals.
+        self.des.eng.arm_tenant_signals(cfg.enabled);
         self.guard = ServeGuard::new(cfg);
         self
     }
@@ -222,7 +312,7 @@ impl SessionManager {
 
     /// Number of tenants currently admitted (not departed).
     pub fn admitted_tenants(&self) -> usize {
-        self.by_name.len()
+        self.admitted
     }
 
     /// Total mandatory+wind-up utilization of the resident tasks.
@@ -234,7 +324,8 @@ impl SessionManager {
     /// `name`, if any.
     pub fn state_of(&self, name: &str) -> Option<TenantState> {
         let slot = self.find_name(name);
-        slot.id.map(|_| self.tenants[self.names[slot.at].1 as usize].state)
+        slot.id
+            .map(|_| self.tenants[self.names.latest(slot) as usize].state)
     }
 
     /// The decision counters so far.
@@ -244,16 +335,7 @@ impl SessionManager {
 
     /// Looks `name` up in the name index.
     pub(super) fn find_name(&self, name: &str) -> NameSlot {
-        let found = self
-            .names
-            .binary_search_by(|&(_, pos)| self.tenants[pos as usize].name.as_str().cmp(name));
-        match found {
-            Ok(at) => {
-                let id = Some(self.names[at].0);
-                NameSlot { at, id }
-            }
-            Err(at) => NameSlot { at, id: None },
-        }
+        self.names.find(&self.tenants, name)
     }
 
     /// Appends a tenant to the table, interning its name at `slot`: a
@@ -268,26 +350,21 @@ impl SessionManager {
     ) -> TenantId {
         debug_assert_eq!(slot, self.find_name(&name), "a stale name slot");
         let pos = self.tenants.len() as u32;
-        let name_id = match slot.id {
-            Some(id) => {
-                self.names[slot.at].1 = pos;
-                id
-            }
-            None => {
-                let id = self.names.len() as u32;
-                self.names.insert(slot.at, (id, pos));
-                id
-            }
-        };
+        let name_id = self.names.record(&self.tenants, &name, slot, pos);
+        if name_id as usize == self.admitted_by_name.len() {
+            self.admitted_by_name.push(NONE);
+        }
+        let mut prev_admitted = NONE;
         if state == TenantState::Admitted {
-            // `pos` is the largest position yet: the end of its name's run.
-            let at = self.by_name.partition_point(|&(n, _)| n <= name_id);
-            self.by_name.insert(at, (name_id, pos));
+            let head = &mut self.admitted_by_name[name_id as usize];
+            prev_admitted = std::mem::replace(head, pos);
+            self.admitted += 1;
         }
         self.tenants.push(Tenant {
             name,
             name_id,
             state,
+            prev_admitted,
             tasks,
         });
         TenantId(pos)
@@ -354,10 +431,12 @@ impl SessionManager {
             }
         }
         self.apply_od_updates(&admission.od_updates);
-        for &b in &bound {
-            // Keys are handed out ascending: this is the end of the list.
-            let at = self.bindings.partition_point(|x| x.key < b.key);
-            self.bindings.insert(at, b);
+        for b in &bound {
+            let at = b.key.0 as usize;
+            if self.bindings.len() <= at {
+                self.bindings.resize(at + 1, NONE);
+            }
+            self.bindings[at] = b.engine_idx as u32;
         }
         self.push_tenant(name, slot, TenantState::Admitted, bound)
     }
@@ -374,10 +453,9 @@ impl SessionManager {
     /// that name.
     pub fn try_depart(&mut self, name: &str) -> Result<TenantId, ServeError> {
         let id = self.find_name(name).id.ok_or(ServeError::UnknownTenant)?;
-        let end = self.by_name.partition_point(|&(n, _)| n <= id);
-        let pos = match end.checked_sub(1).map(|last| self.by_name[last]) {
-            Some((n, pos)) if n == id => pos as usize,
-            _ => return Err(ServeError::UnknownTenant),
+        let pos = match self.admitted_by_name[id as usize] {
+            NONE => return Err(ServeError::UnknownTenant),
+            pos => pos as usize,
         };
         self.depart_at(pos, TenantState::Departed);
         self.counters.departures += 1;
@@ -407,17 +485,10 @@ impl SessionManager {
         }
         let updates = self.ctl.evict(&keys);
         for key in &keys {
-            if let Ok(at) = self.bindings.binary_search_by_key(key, |b| b.key) {
-                self.bindings.remove(at);
-            }
+            self.bindings[key.0 as usize] = NONE;
         }
         self.key_scratch = keys;
-        let entry = (self.tenants[pos].name_id, pos as u32);
-        let at = self
-            .by_name
-            .binary_search(&entry)
-            .expect("an admitted tenant is in `by_name`");
-        self.by_name.remove(at);
+        self.unlink_admitted(pos);
         self.apply_od_updates(&updates);
         let ev = if state == TenantState::Evicted {
             TraceEvent::TenantEvicted { tenant }
@@ -428,13 +499,30 @@ impl SessionManager {
         self.tenants[pos].state = state;
     }
 
-    /// Drains the engine's attributed fault signals into the guard and
-    /// enacts any ladder transitions. Runs after every step of the event
-    /// loop.
-    pub(super) fn pump_guard(&mut self) {
-        if !self.guard.enabled() {
+    /// Takes admitted tenant `pos` off its name's admitted list: the head
+    /// for a departure, perhaps an older one for a guard eviction, found
+    /// by walking only that name's admitted tenants.
+    fn unlink_admitted(&mut self, pos: usize) {
+        let prev = self.tenants[pos].prev_admitted;
+        self.tenants[pos].prev_admitted = NONE;
+        self.admitted -= 1;
+        let head = &mut self.admitted_by_name[self.tenants[pos].name_id as usize];
+        if *head == pos as u32 {
+            *head = prev;
             return;
         }
+        let mut at = *head as usize;
+        while self.tenants[at].prev_admitted != pos as u32 {
+            at = self.tenants[at].prev_admitted as usize;
+        }
+        self.tenants[at].prev_admitted = prev;
+    }
+
+    /// Drains the engine's attributed fault signals into the guard and
+    /// enacts any ladder transitions. Signals are queued only while the
+    /// guard is armed; the event loop checks for one inline after each
+    /// step and calls this only then.
+    pub(super) fn pump_guard(&mut self) {
         let mut signals = std::mem::take(&mut self.guard_scratch);
         self.des.eng.drain_tenant_signals(&mut signals);
         for &(tenant, sig) in &signals {
@@ -502,9 +590,13 @@ impl SessionManager {
 
     pub(super) fn apply_od_updates(&mut self, updates: &[OdUpdate]) {
         for u in updates {
-            if let Ok(at) = self.bindings.binary_search_by_key(&u.key, |b| b.key) {
-                self.des.eng.set_od(self.bindings[at].engine_idx, u.optional_deadline);
-                self.counters.od_updates_applied += 1;
+            // A key the session no longer binds (its tenant left) is ignored.
+            match self.bindings.get(u.key.0 as usize) {
+                Some(&idx) if idx != NONE => {
+                    self.des.eng.set_od(idx as usize, u.optional_deadline);
+                    self.counters.od_updates_applied += 1;
+                }
+                _ => {}
             }
         }
     }
@@ -570,7 +662,9 @@ impl SessionManager {
                         let _ = self.depart(name);
                     }
                 }
-                self.pump_guard();
+                if self.des.eng.tenant_signals_pending() {
+                    self.pump_guard();
+                }
                 continue;
             }
             let take_retry = retry_at.is_some_and(|r| sim_at.is_none_or(|s| r <= s));
@@ -580,13 +674,17 @@ impl SessionManager {
                     self.des.now = r;
                 }
                 self.admission_round(false);
-                self.pump_guard();
+                if self.des.eng.tenant_signals_pending() {
+                    self.pump_guard();
+                }
                 continue;
             }
             if !self.des.step() {
                 break;
             }
-            self.pump_guard();
+            if self.des.eng.tenant_signals_pending() {
+                self.pump_guard();
+            }
         }
     }
 
@@ -599,7 +697,9 @@ impl SessionManager {
             deferred_latency,
             ..
         } = self;
-        let (out, events_processed) = des.finish(arena);
+        let (mut out, events_processed) = des.finish(arena);
+        // Both tables ascend by tenant id: walk them in step.
+        let mut qos = std::mem::take(&mut out.tenant_qos).into_iter().peekable();
         let tenant_outcomes = (0..)
             .map(TenantId)
             .zip(tenants)
@@ -611,10 +711,9 @@ impl SessionManager {
                     .iter()
                     .map(|b| TaskId(b.engine_idx as u32))
                     .collect(),
-                qos: out
-                    .tenant_qos
-                    .binary_search_by_key(&id, |(id, _)| *id)
-                    .map(|at| out.tenant_qos[at].1.clone())
+                qos: qos
+                    .next_if(|&(of, _)| of == id)
+                    .map(|(_, q)| q)
                     .unwrap_or_default(),
                 guard: guard.stats(t.name_id),
                 name: t.name,

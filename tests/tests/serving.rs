@@ -469,6 +469,8 @@ proptest! {
                 let expected = latest_of(&model, name, |t| t.0).map(|t| t.1);
                 prop_assert_eq!(mgr.state_of(name), expected, "{}", name);
             }
+            let admitted = model.iter().filter(|t| t.1 == TenantState::Admitted).count();
+            prop_assert_eq!(mgr.admitted_tenants(), admitted);
         }
         let out = mgr.run();
         prop_assert_eq!(out.outcome.trace.dropped(), 0);
