@@ -7,33 +7,42 @@
 //! * **wind-up part** — collect whatever opinions exist, decide
 //!   bid / ask / wait, and send the trade request to the venue.
 //!
-//! [`ImpreciseTrader`] is the shared state those three parts operate on;
-//! [`ImpreciseTrader::task_body`] packages them as a [`rtseed::runtime::TaskBody`]
-//! for the native executor. Attach a [`PipelineTracer`] to emit
-//! [`TraceEvent::PipelineStage`] events on the unified observability
-//! stream (`rtseed::obs`).
+//! The state those three parts operate on comes in two forms, by who owns
+//! it. [`ImpreciseTrader`] is owned by one thread, which runs every stage
+//! of every cycle: the simulated callers, the benchmarks and the tests.
+//! [`ImpreciseTrader::into_native`] moves the same state behind locks as a
+//! [`NativeTrader`], whose [`NativeTrader::task_body`] packages the parts as
+//! a [`rtseed::runtime::TaskBody`] for the native executor, which runs them
+//! on different threads. Attach a [`PipelineTracer`], which a conversion
+//! keeps, to emit [`TraceEvent::PipelineStage`] events on the unified
+//! observability stream (`rtseed::obs`).
 //!
 //! # What the parts share, and through what
 //!
-//! Every stage takes `&self`: on the native runtime the parts of one job
-//! run on different threads, the optional ones in parallel. Only state that
-//! a part mutates through `&mut` sits behind a lock, and each part takes
-//! exactly one:
+//! Every stage of either form takes `&self`. The stage bodies are written
+//! once, over how a form holds the state a part mutates through `&mut`:
+//! the single-owner form in a `RefCell` each, a borrow flag its one thread
+//! checks and sets with plain loads and stores; the native form behind a
+//! mutex each, so that each part takes exactly one lock.
 //!
-//! | state | written by | read by | through |
-//! |---|---|---|---|
-//! | the tick | mandatory | optional, wind-up | a single-writer, sequence-guarded cell of atomics |
-//! | opinion of part *k* | optional part *k* | wind-up | its own atomic slot, stamped with the tick's sequence |
-//! | feed, venue, decisions | mandatory, wind-up | the accessors | one mutex (the real-time state) |
-//! | strategy *k* | optional part *k* | — | its own mutex |
-//! | the tracer | `attach_tracer`, once | every stage | a `OnceLock`: one load |
-//! | trace lane 0 | mandatory, wind-up (one thread) | `snapshot` | single writer, `Release` length / `Acquire` snapshot |
-//! | trace lane *k* + 1 | optional part *k* | `snapshot` | single writer, `Release` length / `Acquire` snapshot |
+//! | state | written by | read by | single-owner | native |
+//! |---|---|---|---|---|
+//! | the tick | mandatory | optional, wind-up | a single-writer, sequence-guarded cell of atomics | the same cell |
+//! | opinion of part *k* | optional part *k* | wind-up | its own atomic slot, stamped with the tick's sequence | the same slot |
+//! | feed, venue, decisions | mandatory, wind-up | the accessors | one `RefCell` (the real-time state) | one mutex (the real-time state) |
+//! | strategy *k* | optional part *k* | — | its own `RefCell` | its own mutex |
+//! | the tracer | `attach_tracer`, once | every stage | a `OnceLock`: one load | the same |
+//! | trace lane 0 | mandatory, wind-up (one thread) | `snapshot` | single writer, `Release` length / `Acquire` snapshot | the same |
+//! | trace lane *k* + 1 | optional part *k* | `snapshot` | single writer, `Release` length / `Acquire` snapshot | the same |
 //!
-//! No lock is taken by both an optional part and a real-time part, traced
-//! or not, and none by a reader of the trace: an analysis preempted at any
-//! instruction holds nothing the mandatory part or the wind-up waits for.
+//! A single-owner cycle takes no lock and makes no atomic read-modify-write.
+//! On the native form no lock is taken by both an optional part and a
+//! real-time part, traced or not, and none by a reader of the trace: an
+//! analysis preempted at any instruction holds nothing the mandatory part
+//! or the wind-up waits for.
 
+use std::cell::{RefCell, RefMut};
+use std::ops::DerefMut;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
@@ -354,8 +363,8 @@ pub fn desk_task_set(
 /// follow it without a lock: a sequence counter guards the tick's three
 /// words and a presence flag.
 ///
-/// The one writer — [`ImpreciseTrader::ingest`], which stores while it
-/// holds the real-time lock, so writers are serialized — makes the sequence
+/// The one writer — the mandatory part, which stores while it holds the
+/// real-time state, so writers are serialized — makes the sequence
 /// odd, stores the fields and makes it even again. A reader takes the
 /// sequence, the fields and the sequence again, and keeps the fields only
 /// if both readings are the same even number: `seq / 2` publications have
@@ -455,15 +464,46 @@ struct RealTime {
     decisions: Vec<Signal>,
 }
 
-/// Shared state of one imprecise trading task (the module docs tabulate
-/// what is shared through what).
-///
-/// There are two kinds of lock, the real-time state's and one per strategy,
-/// and no stage ever holds two at once: the mandatory part and the wind-up
-/// take the first, once each; optional part *k* takes strategy *k*'s.
-pub struct ImpreciseTrader {
-    real_time: Mutex<RealTime>,
-    strategies: Vec<Mutex<Box<dyn Strategy>>>,
+/// How a form of the trader holds what a stage mutates through `&mut`: the
+/// stage bodies take it through [`Hold::hold`] and never learn which.
+trait Hold<T> {
+    type Held<'a>: DerefMut<Target = T>
+    where
+        Self: 'a;
+
+    fn hold(&self) -> Self::Held<'_>;
+}
+
+/// The single-owner hold: a borrow flag, checked and set by the one thread
+/// that runs the stages.
+impl<T> Hold<T> for RefCell<T> {
+    type Held<'a>
+        = RefMut<'a, T>
+    where
+        Self: 'a;
+
+    fn hold(&self) -> RefMut<'_, T> {
+        self.borrow_mut()
+    }
+}
+
+/// The native hold: a lock, taken by whichever thread runs the part.
+impl<T> Hold<T> for Mutex<T> {
+    type Held<'a>
+        = MutexGuard<'a, T>
+    where
+        Self: 'a;
+
+    fn hold(&self) -> MutexGuard<'_, T> {
+        self.lock().expect("a part panicked holding its state")
+    }
+}
+
+/// One imprecise trading task's state and its three stages, written once
+/// for both forms: `R` holds the real-time state and `S` each strategy.
+struct Pipeline<R, S> {
+    real_time: R,
+    strategies: Vec<S>,
     aggregator: SignalAggregator,
     tick: TickCell,
     opinions: Vec<AtomicU64>,
@@ -471,13 +511,117 @@ pub struct ImpreciseTrader {
     tracer: OnceLock<Arc<PipelineTracer>>,
 }
 
-impl std::fmt::Debug for ImpreciseTrader {
+impl<R, S> std::fmt::Debug for Pipeline<R, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ImpreciseTrader")
+        f.debug_struct("Pipeline")
             .field("strategies", &self.strategies.len())
             .finish_non_exhaustive()
     }
 }
+
+impl<R: Hold<RealTime>, S: Hold<Box<dyn Strategy>>> Pipeline<R, S> {
+    fn trace_stage(&self, stage: PipelineStage, part: Option<PartId>) {
+        if let Some(tr) = self.tracer.get() {
+            let cycle = if matches!(stage, PipelineStage::Ingest) {
+                tr.begin_cycle()
+            } else {
+                tr.current_cycle()
+            };
+            tr.record(cycle, stage, part);
+        }
+    }
+
+    fn ingest(&self) -> bool {
+        let mut rt = self.real_time.hold();
+        let tick = rt.feed.next_tick();
+        // Published while the real-time state is held: one writer at a time.
+        self.tick.store(tick);
+        let Some(tick) = tick else {
+            return false;
+        };
+        rt.venue.on_tick(tick);
+        drop(rt);
+        self.trace_stage(PipelineStage::Ingest, None);
+        true
+    }
+
+    fn analyze(&self, part: usize, should_stop: &dyn Fn() -> bool) {
+        let (seq, Some(tick)) = self.tick.load() else {
+            return;
+        };
+        self.trace_stage(PipelineStage::Analysis, Some(PartId(part as u32)));
+        if should_stop() {
+            return; // terminated before doing anything: abstain
+        }
+        let mut strategy = self.strategies[part].hold();
+        strategy.on_tick(&tick);
+        if should_stop() {
+            return; // terminated mid-analysis: abstain (partial work kept)
+        }
+        // The word is the whole message, stamp and vote; nothing else is
+        // published through it, so `Relaxed`. A wind-up that runs after
+        // this part reads it by coherence.
+        self.opinions[part].store(slot(seq, strategy.signal()), Ordering::Relaxed);
+    }
+
+    fn decide(&self) -> Signal {
+        self.trace_stage(PipelineStage::Decide, None);
+        let (seq, tick) = self.tick.load();
+        let votes = self
+            .opinions
+            .iter()
+            .map(|o| vote(o.load(Ordering::Relaxed), seq));
+        let signal = self.aggregator.tally(votes);
+        let mut rt = self.real_time.hold();
+        rt.decisions.push(signal);
+        // No tick, no order: only an analysis that loaded a tick stamps a
+        // slot with its sequence.
+        if let (Some(side), Some(tick)) = (Side::from_signal(signal), tick) {
+            // A failed submission (no market yet) is impossible after
+            // ingest(); quantity is validated at construction.
+            let _ = rt.venue.submit(Order {
+                at: tick.at,
+                side,
+                quantity: self.order_quantity,
+            });
+        }
+        signal
+    }
+
+    fn decisions(&self) -> Vec<Signal> {
+        self.real_time.hold().decisions.clone()
+    }
+
+    fn venue_snapshot(&self) -> PaperVenue {
+        self.real_time.hold().venue.clone()
+    }
+}
+
+/// One imprecise trading task, owned by one thread (the module docs
+/// tabulate what is held through what).
+///
+/// Its stages take `&self`, as the native form's do, but what they mutate
+/// sits in `RefCell`s: a cycle takes no lock and makes no atomic
+/// read-modify-write. The type is `Send` and not `Sync`, so the compiler
+/// keeps its stages on one thread at a time:
+///
+/// ```compile_fail
+/// fn shared<T: Sync>() {}
+/// shared::<rtseed_trading::imprecise::ImpreciseTrader>();
+/// ```
+///
+/// To run its parts on the native runtime's threads, convert it with
+/// [`ImpreciseTrader::into_native`].
+#[derive(Debug)]
+pub struct ImpreciseTrader {
+    pipeline: Pipeline<RefCell<RealTime>, RefCell<Box<dyn Strategy>>>,
+}
+
+// The single-owner trader moves between threads whole.
+const _: () = {
+    const fn send<T: Send>() {}
+    send::<ImpreciseTrader>();
+};
 
 impl ImpreciseTrader {
     /// Creates a trader over `feed` running one strategy per parallel
@@ -499,26 +643,28 @@ impl ImpreciseTrader {
             "order quantity must be positive"
         );
         ImpreciseTrader {
-            real_time: Mutex::new(RealTime {
-                feed,
-                venue,
-                decisions: Vec::new(),
-            }),
-            opinions: strategies.iter().map(|_| AtomicU64::new(0)).collect(),
-            strategies: strategies.into_iter().map(Mutex::new).collect(),
-            aggregator,
-            tick: TickCell::default(),
-            order_quantity,
-            tracer: OnceLock::new(),
+            pipeline: Pipeline {
+                real_time: RefCell::new(RealTime {
+                    feed,
+                    venue,
+                    decisions: Vec::new(),
+                }),
+                opinions: strategies.iter().map(|_| AtomicU64::new(0)).collect(),
+                strategies: strategies.into_iter().map(RefCell::new).collect(),
+                aggregator,
+                tick: TickCell::default(),
+                order_quantity,
+                tracer: OnceLock::new(),
+            },
         }
     }
 
     /// Attaches a [`PipelineTracer`]: from now on every ingest / analysis /
-    /// decision records a [`TraceEvent::PipelineStage`] event. A trader
-    /// takes one tracer for life (attach it before the first cycle), which
-    /// is what lets every stage find it, or find there is none, with one
-    /// load; and a tracer takes one trader, whose parts its lanes are cut
-    /// for here.
+    /// decision records a [`TraceEvent::PipelineStage`] event, in this form
+    /// and in the [`NativeTrader`] it becomes. A trader takes one tracer for
+    /// life (attach it before the first cycle), which is what lets every
+    /// stage find it, or find there is none, with one load; and a tracer
+    /// takes one trader, whose parts its lanes are cut for here.
     ///
     /// # Panics
     ///
@@ -526,7 +672,7 @@ impl ImpreciseTrader {
     /// records another trader.
     pub fn attach_tracer(&self, tracer: Arc<PipelineTracer>) {
         let mut attached = false;
-        self.tracer.get_or_init(|| {
+        self.pipeline.tracer.get_or_init(|| {
             tracer.bind(self.analyses());
             attached = true;
             tracer
@@ -534,24 +680,9 @@ impl ImpreciseTrader {
         assert!(attached, "a tracer is already attached");
     }
 
-    fn trace_stage(&self, stage: PipelineStage, part: Option<PartId>) {
-        if let Some(tr) = self.tracer.get() {
-            let cycle = if matches!(stage, PipelineStage::Ingest) {
-                tr.begin_cycle()
-            } else {
-                tr.current_cycle()
-            };
-            tr.record(cycle, stage, part);
-        }
-    }
-
-    fn real_time(&self) -> MutexGuard<'_, RealTime> {
-        self.real_time.lock().expect("a real-time part panicked")
-    }
-
     /// Number of parallel analyses (the task's `npᵢ`).
     pub fn analyses(&self) -> usize {
-        self.strategies.len()
+        self.pipeline.strategies.len()
     }
 
     /// **Mandatory part**: pulls the next tick and publishes it to the
@@ -562,16 +693,7 @@ impl ImpreciseTrader {
     /// carries the sequence of the tick it was formed on, and the new
     /// publication makes all of them stale.
     pub fn ingest(&self) -> bool {
-        let mut rt = self.real_time();
-        let tick = rt.feed.next_tick();
-        self.tick.store(tick);
-        let Some(tick) = tick else {
-            return false;
-        };
-        rt.venue.on_tick(tick);
-        drop(rt);
-        self.trace_stage(PipelineStage::Ingest, None);
-        true
+        self.pipeline.ingest()
     }
 
     /// **Parallel optional part** `part`: feeds the current tick to that
@@ -584,22 +706,7 @@ impl ImpreciseTrader {
     ///
     /// Panics if `part` is out of range.
     pub fn analyze(&self, part: usize, should_stop: &dyn Fn() -> bool) {
-        let (seq, Some(tick)) = self.tick.load() else {
-            return;
-        };
-        self.trace_stage(PipelineStage::Analysis, Some(PartId(part as u32)));
-        if should_stop() {
-            return; // terminated before doing anything: abstain
-        }
-        let mut strategy = self.strategies[part].lock().expect("strategy lock");
-        strategy.on_tick(&tick);
-        if should_stop() {
-            return; // terminated mid-analysis: abstain (partial work kept)
-        }
-        // The word is the whole message, stamp and vote; nothing else is
-        // published through it, so `Relaxed`. A wind-up that runs after
-        // this part reads it by coherence.
-        self.opinions[part].store(slot(seq, strategy.signal()), Ordering::Relaxed);
+        self.pipeline.analyze(part, should_stop);
     }
 
     /// **Wind-up part**: aggregates the opinions formed on the current
@@ -607,27 +714,7 @@ impl ImpreciseTrader {
     /// `Wait`. The tick is loaded once: the votes counted, the decision and
     /// the order's timestamp all belong to that one publication.
     pub fn decide(&self) -> Signal {
-        self.trace_stage(PipelineStage::Decide, None);
-        let (seq, tick) = self.tick.load();
-        let votes = self
-            .opinions
-            .iter()
-            .map(|o| vote(o.load(Ordering::Relaxed), seq));
-        let signal = self.aggregator.tally(votes);
-        let mut rt = self.real_time();
-        rt.decisions.push(signal);
-        // No tick, no order: only an analysis that loaded a tick stamps a
-        // slot with its sequence.
-        if let (Some(side), Some(tick)) = (Side::from_signal(signal), tick) {
-            // A failed submission (no market yet) is impossible after
-            // ingest(); quantity is validated at construction.
-            let _ = rt.venue.submit(Order {
-                at: tick.at,
-                side,
-                quantity: self.order_quantity,
-            });
-        }
-        signal
+        self.pipeline.decide()
     }
 
     /// Runs one full synchronous cycle (ingest → all analyses → decide) —
@@ -644,18 +731,100 @@ impl ImpreciseTrader {
 
     /// All decisions made so far, in cycle order.
     pub fn decisions(&self) -> Vec<Signal> {
-        self.real_time().decisions.clone()
+        self.pipeline.decisions()
     }
 
     /// Venue snapshot (position, fills, P&L).
     pub fn venue_snapshot(&self) -> PaperVenue {
-        self.real_time().venue.clone()
+        self.pipeline.venue_snapshot()
+    }
+
+    /// Moves this trader's state behind locks, for a runtime that runs its
+    /// parts on different threads: the real-time state behind one mutex,
+    /// each strategy behind its own. Everything else moves as it is: the
+    /// tick cell, the opinion slots, the decisions so far and the tracer.
+    pub fn into_native(self) -> NativeTrader {
+        let Pipeline {
+            real_time,
+            strategies,
+            aggregator,
+            tick,
+            opinions,
+            order_quantity,
+            tracer,
+        } = self.pipeline;
+        NativeTrader {
+            pipeline: Pipeline {
+                real_time: Mutex::new(real_time.into_inner()),
+                strategies: strategies
+                    .into_iter()
+                    .map(|s| Mutex::new(s.into_inner()))
+                    .collect(),
+                aggregator,
+                tick,
+                opinions,
+                order_quantity,
+                tracer,
+            },
+        }
+    }
+}
+
+/// An [`ImpreciseTrader`] whose parts may run on different threads, the
+/// optional ones in parallel: made by [`ImpreciseTrader::into_native`] and
+/// run by the native executor through [`NativeTrader::task_body`]. Its
+/// stages are the single-owner form's, with the same results.
+///
+/// There are two kinds of lock, the real-time state's and one per strategy,
+/// and no stage ever holds two at once: the mandatory part and the wind-up
+/// take the first, once each; optional part *k* takes strategy *k*'s.
+#[derive(Debug)]
+pub struct NativeTrader {
+    pipeline: Pipeline<Mutex<RealTime>, Mutex<Box<dyn Strategy>>>,
+}
+
+impl NativeTrader {
+    /// Number of parallel analyses (the task's `npᵢ`).
+    pub fn analyses(&self) -> usize {
+        self.pipeline.strategies.len()
+    }
+
+    /// **Mandatory part**, as [`ImpreciseTrader::ingest`], under the
+    /// real-time lock.
+    pub fn ingest(&self) -> bool {
+        self.pipeline.ingest()
+    }
+
+    /// **Parallel optional part** `part`, as [`ImpreciseTrader::analyze`],
+    /// under strategy `part`'s lock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `part` is out of range.
+    pub fn analyze(&self, part: usize, should_stop: &dyn Fn() -> bool) {
+        self.pipeline.analyze(part, should_stop);
+    }
+
+    /// **Wind-up part**, as [`ImpreciseTrader::decide`], under the
+    /// real-time lock.
+    pub fn decide(&self) -> Signal {
+        self.pipeline.decide()
+    }
+
+    /// All decisions made so far, in cycle order.
+    pub fn decisions(&self) -> Vec<Signal> {
+        self.pipeline.decisions()
+    }
+
+    /// Venue snapshot (position, fills, P&L).
+    pub fn venue_snapshot(&self) -> PaperVenue {
+        self.pipeline.venue_snapshot()
     }
 
     /// Packages this trader as a [`TaskBody`] for
-    /// [`rtseed::runtime::NativeExecutor`]: mandatory = [`ImpreciseTrader::ingest`],
-    /// optional part k = [`ImpreciseTrader::analyze`]`(k)`, wind-up =
-    /// [`ImpreciseTrader::decide`].
+    /// [`rtseed::runtime::NativeExecutor`]: mandatory = [`NativeTrader::ingest`],
+    /// optional part k = [`NativeTrader::analyze`]`(k)`, wind-up =
+    /// [`NativeTrader::decide`].
     pub fn task_body(self: &Arc<Self>) -> TaskBody {
         let m = Arc::clone(self);
         let o = Arc::clone(self);
@@ -764,7 +933,10 @@ mod tests {
         let t = ImpreciseTrader::new(
             Box::new(SyntheticFeed::new(
                 1,
-                crate::market::PriceProcess::GeometricBrownian { mu: 0.0, sigma: 0.001 },
+                crate::market::PriceProcess::GeometricBrownian {
+                    mu: 0.0,
+                    sigma: 0.001,
+                },
                 1.0,
                 0.0001,
                 rtseed_model::Span::from_secs(1),
@@ -879,7 +1051,7 @@ mod tests {
     #[test]
     fn the_trader_and_its_tracer_are_shareable() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<ImpreciseTrader>();
+        assert_send_sync::<NativeTrader>();
         assert_send_sync::<PipelineTracer>();
     }
 
@@ -928,10 +1100,7 @@ mod tests {
 
     #[test]
     fn trader_over_guarded_faulty_feed_keeps_trading() {
-        use crate::fault::{
-            FaultyFeed, FeedFault, FeedFaultPlan, FeedWatchdog,
-            WatchdogConfig,
-        };
+        use crate::fault::{FaultyFeed, FeedFault, FeedFaultPlan, FeedWatchdog, WatchdogConfig};
 
         // A feed with every fault class injected, guarded by the
         // watchdog, under the full trading pipeline.
@@ -965,12 +1134,11 @@ mod tests {
 
     #[test]
     fn watchdog_is_a_send_tick_source() {
-        use crate::fault::{FeedFaultPlan, FaultyFeed, FeedWatchdog, WatchdogConfig};
+        use crate::fault::{FaultyFeed, FeedFaultPlan, FeedWatchdog, WatchdogConfig};
         use crate::market::TickSource;
 
         // Boxed feeds compose under the watchdog too (blanket impl).
-        let boxed: Box<dyn TickSource + Send> =
-            Box::new(SyntheticFeed::eur_usd(1));
+        let boxed: Box<dyn TickSource + Send> = Box::new(SyntheticFeed::eur_usd(1));
         let mut dog = FeedWatchdog::new(
             FaultyFeed::new(boxed, FeedFaultPlan::none()),
             WatchdogConfig::default(),
@@ -978,6 +1146,101 @@ mod tests {
         assert!(dog.next_tick().is_some());
         fn assert_send<T: Send>(_: &T) {}
         assert_send(&dog);
+    }
+
+    /// A trader over a faulty feed whose watchdog retries nothing and never
+    /// trips: every faulted poll is a cycle with no tick.
+    fn dropping_trader(seed: u64, np: usize, quorum: usize) -> ImpreciseTrader {
+        use crate::fault::{
+            FaultyFeed, FeedFaultPlan, FeedFaultRates, FeedWatchdog, WatchdogConfig,
+        };
+        let rates = FeedFaultRates {
+            stall: 0.03,
+            stall_polls: 2,
+            gap: 0.03,
+            gap_ticks: 2,
+            out_of_order: 0.03,
+            nan: 0.03,
+        };
+        let watchdog = WatchdogConfig {
+            max_retries: 0,
+            trip_after: u32::MAX,
+            ..WatchdogConfig::default()
+        };
+        let strategies = (0..np)
+            .map(|k| -> Box<dyn Strategy> {
+                match k % 3 {
+                    0 => Box::new(BollingerReversion::new(5 + k, 1.0)),
+                    1 => Box::new(MacdMomentum::new(0.00002)),
+                    _ => Box::new(RsiContrarian::standard()),
+                }
+            })
+            .collect();
+        ImpreciseTrader::new(
+            Box::new(FeedWatchdog::new(
+                FaultyFeed::new(
+                    SyntheticFeed::eur_usd(seed),
+                    FeedFaultPlan::new(seed).with_random_faults(rates),
+                ),
+                watchdog,
+            )),
+            strategies,
+            SignalAggregator::new(quorum),
+            PaperVenue::new(ExecutionConfig::default()),
+            1.0,
+        )
+    }
+
+    /// A termination check that fires at its `polls`-th call (never for 0):
+    /// 1 cuts an analysis before its strategy runs, 2 between the strategy's
+    /// update and the vote.
+    fn stop_at(polls: u32) -> impl Fn() -> bool {
+        let seen = std::cell::Cell::new(0);
+        move || {
+            seen.set(seen.get() + 1);
+            seen.get() == polls
+        }
+    }
+
+    #[test]
+    fn both_forms_trade_alike() {
+        const CYCLES: u64 = 2_000;
+        for seed in [5, 11] {
+            for np in [1, 3, 7] {
+                for quorum in [1, 2] {
+                    let case = format!("seed {seed}, np {np}, quorum {quorum}");
+                    let owned = dropping_trader(seed, np, quorum);
+                    let native = dropping_trader(seed, np, quorum).into_native();
+                    let (mut tickless, mut cut, mut orders) = (0, 0, 0);
+                    for cycle in 0..CYCLES {
+                        let fresh = owned.ingest();
+                        assert_eq!(native.ingest(), fresh, "{case}, cycle {cycle}");
+                        tickless += u64::from(!fresh);
+                        for part in 0..np {
+                            let polls = match (cycle + part as u64) % 7 {
+                                0 => 1,
+                                3 => 2,
+                                _ => 0,
+                            };
+                            cut += u64::from(fresh && polls > 0);
+                            owned.analyze(part, &stop_at(polls));
+                            native.analyze(part, &stop_at(polls));
+                        }
+                        let signal = owned.decide();
+                        assert_eq!(native.decide(), signal, "{case}, cycle {cycle}");
+                        orders += usize::from(signal != Signal::Wait);
+                    }
+                    assert!(tickless > 0 && cut > 0, "{case}: {tickless} / {cut}");
+                    assert_eq!(owned.decisions(), native.decisions(), "{case}");
+                    let (a, b) = (owned.venue_snapshot(), native.venue_snapshot());
+                    assert_eq!(a.fills(), b.fills(), "{case}");
+                    assert_eq!(a.fills().len(), orders, "{case}");
+                    assert_eq!(a.equity().to_bits(), b.equity().to_bits(), "{case}");
+                    // One analysis never makes a quorum of two.
+                    assert_eq!(orders > 0, quorum <= np, "{case}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -989,9 +1252,10 @@ mod tests {
         use rtseed::termination::TerminationMode;
         use rtseed_model::{Span, TaskSet, TaskSpec, Topology};
 
-        let trader = Arc::new(trader(1));
+        let owned = trader(1);
         let tracer = Arc::new(PipelineTracer::new(TraceConfig::enabled()));
-        trader.attach_tracer(Arc::clone(&tracer));
+        owned.attach_tracer(Arc::clone(&tracer));
+        let trader = Arc::new(owned.into_native());
         let spec = TaskSpec::builder("trader")
             .period(Span::from_millis(40))
             .mandatory(Span::from_millis(2))
@@ -1025,9 +1289,7 @@ mod tests {
         // Every cycle traced ingest, three analyses, one decision.
         let trace = tracer.snapshot();
         let stage_count = |s: PipelineStage| {
-            trace.count(
-                |e| matches!(e, TraceEvent::PipelineStage { stage, .. } if *stage == s),
-            )
+            trace.count(|e| matches!(e, TraceEvent::PipelineStage { stage, .. } if *stage == s))
         };
         assert_eq!(stage_count(PipelineStage::Ingest), 5);
         assert_eq!(stage_count(PipelineStage::Analysis), 15);
@@ -1071,9 +1333,9 @@ mod tests {
                 ..Default::default()
             },
         );
-        let desk = desk_task_set("desk", &["EURUSD", "GBPUSD"], 2, Span::from_millis(50))
-            .unwrap();
-        mgr.submit("desk", &desk).expect("a light desk is admissible");
+        let desk = desk_task_set("desk", &["EURUSD", "GBPUSD"], 2, Span::from_millis(50)).unwrap();
+        mgr.submit("desk", &desk)
+            .expect("a light desk is admissible");
         let out = mgr.run();
         assert_eq!(out.tenant("desk").unwrap().qos.jobs(), 4);
     }
@@ -1119,7 +1381,10 @@ mod tests {
         // Detached by default: a fresh trader records nothing.
         let silent = trader(1);
         silent.run_cycle_synchronous();
-        assert_eq!(PipelineTracer::new(TraceConfig::enabled()).snapshot().len(), 0);
+        assert_eq!(
+            PipelineTracer::new(TraceConfig::enabled()).snapshot().len(),
+            0
+        );
     }
 
     #[test]
@@ -1241,7 +1506,7 @@ mod tests {
     /// Analyses of the cross-thread tests (the task's `np`).
     const PARTS: usize = 4;
 
-    fn cross_thread_trader(capacity: usize) -> (ImpreciseTrader, Arc<PipelineTracer>) {
+    fn cross_thread_trader(capacity: usize) -> (NativeTrader, Arc<PipelineTracer>) {
         let t = ImpreciseTrader::new(
             Box::new(SyntheticFeed::eur_usd(3)),
             (0..PARTS)
@@ -1253,7 +1518,7 @@ mod tests {
         );
         let tracer = Arc::new(PipelineTracer::new(TraceConfig::bounded(capacity)));
         t.attach_tracer(Arc::clone(&tracer));
-        (t, tracer)
+        (t.into_native(), tracer)
     }
 
     /// Runs `cycles` cycles the way the native runtime does: one task
@@ -1261,7 +1526,7 @@ mod tests {
     /// optional part, the parts of a cycle between two barriers. `observe`
     /// runs on the calling thread meanwhile, until it returns `false` or
     /// the task thread is done.
-    fn run_across_threads(t: &ImpreciseTrader, cycles: u64, mut observe: impl FnMut() -> bool) {
+    fn run_across_threads(t: &NativeTrader, cycles: u64, mut observe: impl FnMut() -> bool) {
         let gate = std::sync::Barrier::new(PARTS + 1);
         let done = AtomicBool::new(false);
         std::thread::scope(|s| {

@@ -16,7 +16,7 @@ use rtseed_trading::strategy::{
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Three parallel analyses — the paper's technical-analysis example.
-    let trader = Arc::new(ImpreciseTrader::new(
+    let trader = ImpreciseTrader::new(
         Box::new(SyntheticFeed::eur_usd(2026)),
         vec![
             Box::new(BollingerReversion::standard()),
@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         SignalAggregator::new(1),
         PaperVenue::new(ExecutionConfig::default()),
         10_000.0, // 10k units per order
-    ));
+    );
 
     // A 50 ms period (accelerated from the paper's 1 s so the demo runs in
     // seconds): mandatory 2 ms, wind-up 2 ms, 3 optional parts.
@@ -45,6 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Trace both the middleware protocol and the pipeline's own stages.
     let tracer = Arc::new(PipelineTracer::new(TraceConfig::enabled()));
     trader.attach_tracer(Arc::clone(&tracer));
+    // The native runtime runs the parts on their own threads.
+    let trader = Arc::new(trader.into_native());
 
     let jobs = 100;
     println!("Running {jobs} trading cycles on the native backend…");

@@ -1,8 +1,10 @@
 //! The tick→order path does not allocate: a cycle of `ingest` → analyses →
 //! `decide` touches the heap only when `decisions` or the venue's fills
-//! outgrow their vector (amortised), traced or not. What tracing it costs
-//! the heap is one block when the tracer is attached and a fixed number
-//! when it is read; a scheduling recorder's ring costs nothing once built.
+//! outgrow their vector (amortised), traced or not, on the single-owner
+//! trader and on its native form alike. A trader is two blocks whatever
+//! its parts. What tracing it costs the heap is one block when the tracer
+//! is attached and a fixed number when it is read; a scheduling recorder's
+//! ring costs nothing once built.
 //!
 //! An integration test is its own binary, so it can install its own
 //! counting allocator; calls are counted per thread, and each test counts
@@ -19,7 +21,7 @@ use rtseed_trading::fault::{
     FaultyFeed, FeedFaultPlan, FeedFaultRates, FeedWatchdog, WatchdogConfig,
 };
 use rtseed_trading::fundamentals::MacroFeed;
-use rtseed_trading::imprecise::{ImpreciseTrader, PipelineTracer};
+use rtseed_trading::imprecise::{ImpreciseTrader, NativeTrader, PipelineTracer};
 use rtseed_trading::market::SyntheticFeed;
 use rtseed_trading::strategy::{
     BollingerReversion, FundamentalBias, MacdMomentum, RsiContrarian, SignalAggregator, Strategy,
@@ -116,10 +118,49 @@ fn feed_faults_trader() -> ImpreciseTrader {
     )
 }
 
-fn cycle(trader: &ImpreciseTrader) {
+/// What a run reads of either form of the trader.
+trait Trader {
+    fn ingest(&self) -> bool;
+    fn analyze(&self, part: usize);
+    fn decide(&self);
+    /// Decisions made and orders filled so far.
+    fn made(&self) -> (usize, usize);
+}
+
+impl Trader for ImpreciseTrader {
+    fn ingest(&self) -> bool {
+        ImpreciseTrader::ingest(self)
+    }
+    fn analyze(&self, part: usize) {
+        ImpreciseTrader::analyze(self, part, &|| false);
+    }
+    fn decide(&self) {
+        ImpreciseTrader::decide(self);
+    }
+    fn made(&self) -> (usize, usize) {
+        (self.decisions().len(), self.venue_snapshot().fills().len())
+    }
+}
+
+impl Trader for NativeTrader {
+    fn ingest(&self) -> bool {
+        NativeTrader::ingest(self)
+    }
+    fn analyze(&self, part: usize) {
+        NativeTrader::analyze(self, part, &|| false);
+    }
+    fn decide(&self) {
+        NativeTrader::decide(self);
+    }
+    fn made(&self) -> (usize, usize) {
+        (self.decisions().len(), self.venue_snapshot().fills().len())
+    }
+}
+
+fn cycle(trader: &impl Trader) {
     assert!(trader.ingest(), "the watchdog outlasts every fault run");
     for part in 0..ANALYSES {
-        trader.analyze(part, &|| false);
+        trader.analyze(part);
     }
     trader.decide();
 }
@@ -132,7 +173,7 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 /// Heap allocations of `CYCLES` cycles after `WARMUP` warm-up cycles.
-fn allocations_of_a_run(trader: &ImpreciseTrader) -> u64 {
+fn allocations_of_a_run(trader: &impl Trader) -> u64 {
     for _ in 0..WARMUP {
         cycle(trader);
     }
@@ -142,8 +183,9 @@ fn allocations_of_a_run(trader: &ImpreciseTrader) -> u64 {
         }
     });
     // The run did trade: fills grew, so the callers' bound is not vacuous.
-    assert_eq!(trader.decisions().len(), WARMUP + CYCLES);
-    assert!(!trader.venue_snapshot().fills().is_empty());
+    let (decisions, fills) = trader.made();
+    assert_eq!(decisions, WARMUP + CYCLES);
+    assert!(fills > 0);
     allocs
 }
 
@@ -151,6 +193,31 @@ fn allocations_of_a_run(trader: &ImpreciseTrader) -> u64 {
 fn an_untraced_cycle_does_not_allocate() {
     let allocs = allocations_of_a_run(&feed_faults_trader());
     assert!(allocs < 64, "{allocs} allocations in {CYCLES} cycles");
+}
+
+#[test]
+fn a_native_cycle_does_not_allocate() {
+    let allocs = allocations_of_a_run(&feed_faults_trader().into_native());
+    assert!(allocs < 64, "{allocs} allocations in {CYCLES} cycles");
+}
+
+#[test]
+fn a_trader_is_two_blocks_whatever_the_parts() {
+    // `perfbench` builds a trader a desk inside the counted trading phase,
+    // 228 parts each on `manycore_np228`: a block more a trader is a
+    // rise of `allocs_per_cycle` its bound does not allow.
+    for np in [1, 3, 228] {
+        let feed = Box::new(SyntheticFeed::eur_usd(7));
+        let strategies = (0..np)
+            .map(|_| Box::new(RsiContrarian::standard()) as Box<dyn Strategy>)
+            .collect();
+        let venue = PaperVenue::new(ExecutionConfig::default());
+        let (trader, allocs) = allocations_of(|| {
+            ImpreciseTrader::new(feed, strategies, SignalAggregator::new(1), venue, 1.0)
+        });
+        assert_eq!(allocs, 2, "np = {np}: the opinion slots and the strategies");
+        assert_eq!(trader.analyses(), np);
+    }
 }
 
 #[test]

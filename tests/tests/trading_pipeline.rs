@@ -16,8 +16,8 @@ use rtseed_trading::strategy::{
     BollingerReversion, FundamentalBias, MacdMomentum, RsiContrarian, Signal, SignalAggregator,
 };
 
-fn trader(seed: u64, quorum: usize) -> Arc<ImpreciseTrader> {
-    Arc::new(ImpreciseTrader::new(
+fn trader(seed: u64, quorum: usize) -> ImpreciseTrader {
+    ImpreciseTrader::new(
         Box::new(SyntheticFeed::eur_usd(seed)),
         vec![
             Box::new(BollingerReversion::standard()),
@@ -27,7 +27,7 @@ fn trader(seed: u64, quorum: usize) -> Arc<ImpreciseTrader> {
         SignalAggregator::new(quorum),
         PaperVenue::new(ExecutionConfig::default()),
         1.0,
-    ))
+    )
 }
 
 #[test]
@@ -53,7 +53,7 @@ fn synchronous_baseline_decides_every_cycle() {
 
 #[test]
 fn native_pipeline_full_qos_with_fast_analyses() {
-    let t = trader(2, 1);
+    let t = Arc::new(trader(2, 1).into_native());
     let spec = TaskSpec::builder("bot")
         .period(Span::from_millis(30))
         .mandatory(Span::from_millis(1))
@@ -92,7 +92,7 @@ fn native_pipeline_terminations_degrade_to_waits_not_errors() {
     // A deliberately slow fundamental analysis that never finishes in its
     // window: it must be terminated, abstain, and the aggregate decision
     // must still be produced every cycle.
-    let slow_trader = Arc::new(ImpreciseTrader::new(
+    let slow_trader = ImpreciseTrader::new(
         Box::new(SyntheticFeed::eur_usd(3)),
         vec![
             Box::new(BollingerReversion::standard()),
@@ -101,7 +101,8 @@ fn native_pipeline_terminations_degrade_to_waits_not_errors() {
         SignalAggregator::new(2),
         PaperVenue::new(ExecutionConfig::default()),
         1.0,
-    ));
+    );
+    let slow_trader = Arc::new(slow_trader.into_native());
     let spec = TaskSpec::builder("slow-bot")
         .period(Span::from_millis(30))
         .mandatory(Span::from_millis(1))
@@ -165,13 +166,13 @@ fn trending_market_trades_in_trend_direction_with_macd() {
         Span::from_secs(1),
         None,
     );
-    let t = Arc::new(ImpreciseTrader::new(
+    let t = ImpreciseTrader::new(
         Box::new(trending),
         vec![Box::new(MacdMomentum::new(0.0))],
         SignalAggregator::new(1),
         PaperVenue::new(ExecutionConfig::default()),
         1.0,
-    ));
+    );
     for _ in 0..120 {
         t.run_cycle_synchronous();
     }
