@@ -92,7 +92,6 @@ use core::fmt;
 use core::ops::Range;
 
 use rtseed_model::{HwThreadId, Span, TaskSpec};
-use serde::{Deserialize, Serialize};
 
 use crate::partition::{PartitionHeuristic, PlacementPolicy};
 use crate::rmwp::{solve_next, BinFix, BinTask};
@@ -102,9 +101,7 @@ use crate::rta::Interferer;
 ///
 /// Keys are assigned monotonically and never reused, so a stale key from
 /// an evicted task can never alias a live one.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskKey(pub u64);
 
 impl fmt::Display for TaskKey {

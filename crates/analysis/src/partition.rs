@@ -12,14 +12,13 @@
 use core::fmt;
 
 use rtseed_model::{HwThreadId, Span, TaskId, TaskSet, TaskSpec, Topology};
-use serde::{Deserialize, Serialize};
 
 use crate::admission::{AdmissionDecision, AdmissionEngine, PlacementKind, RejectReason};
 
 /// Bin-packing heuristic for partitioned assignment. All heuristics
 /// consider tasks in decreasing-utilization order (the "-decreasing"
 /// variants known to dominate their plain counterparts).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PartitionHeuristic {
     /// First hardware thread that admits the task.
     FirstFitDecreasing,
@@ -72,7 +71,7 @@ impl fmt::Display for PartitionHeuristic {
 /// both new policies produce decisions byte-identical to
 /// [`PlacementPolicy::Partitioned`]: the extra machinery only engages on
 /// the fallback path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PlacementPolicy {
     /// Plain partitioned P-RMWP (every task whole on one CPU).
     #[default]

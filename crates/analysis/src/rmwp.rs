@@ -29,13 +29,12 @@
 use core::fmt;
 
 use rtseed_model::{Span, TaskId, TaskSet};
-use serde::{Deserialize, Serialize};
 
 use crate::rta::{response_time, response_time_from, Interferer, RtaError};
 
 /// Result of analyzing a task set for RMWP on a single processor: per-task
 /// response times and optional deadlines, in the task set's id order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RmwpAnalysis {
     mandatory_response: Vec<Span>,
     windup_response: Vec<Span>,
@@ -301,7 +300,7 @@ pub fn analyze_ordered(tasks: &[BinTask]) -> Result<Vec<BinFix>, usize> {
 }
 
 /// Which real-time part failed the schedulability test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnschedulablePart {
     /// The mandatory part cannot be guaranteed to complete by the optional
     /// deadline.

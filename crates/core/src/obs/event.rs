@@ -12,12 +12,11 @@
 
 use rtseed_model::{HwThreadId, JobId, OptionalOutcome, PartId, Priority, Span, Time};
 use rtseed_sim::{FaultTarget, TimerFault};
-use serde::{Deserialize, Serialize};
 
 use crate::serve::guard::RejectReason;
 
 /// One of RT-Seed's four scheduling queues (paper §IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueueBand {
     /// The reserved highest-priority queue (SCHED_FIFO level 99).
     Hpq,
@@ -54,7 +53,7 @@ impl QueueBand {
 }
 
 /// What happened to a queue entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueueOp {
     /// Work was appended to the band (FIFO within a level).
     Enqueue,
@@ -76,7 +75,7 @@ impl QueueOp {
 }
 
 /// A stage of the imprecise trading pipeline (`rtseed-trading`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PipelineStage {
     /// Mandatory part: market-data ingest and validation.
     Ingest,
@@ -98,7 +97,7 @@ impl PipelineStage {
 }
 
 /// One traced occurrence, timestamped by the recording [`super::Trace`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     // ── part transitions ──────────────────────────────────────────────
     /// A job was released (periodic release or initial synchronous release).

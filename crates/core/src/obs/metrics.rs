@@ -11,7 +11,6 @@ use core::fmt;
 
 use rtseed_model::Span;
 use rtseed_sim::OverheadKind;
-use serde::{Deserialize, Serialize};
 
 /// Number of log₂ buckets: bucket `i` holds values `v` with
 /// `⌊log₂ v⌋ = i` (bucket 0 also holds 0). 2⁶³ ns ≈ 292 years, so 64
@@ -20,7 +19,7 @@ const BUCKETS: usize = 64;
 
 /// A log₂-bucketed histogram over `u64` values with exact count/sum/
 /// min/max. Fixed 64-bucket footprint, O(1) record, deterministic merge.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     count: u64,
     sum: u128,
@@ -166,7 +165,7 @@ pub const QOS_PPM: u64 = 1_000_000;
 /// Time-valued histograms are in nanoseconds; `qos_level` is in
 /// parts-per-million of the requested QoS (so `mean()` of 1 000 000 means
 /// every job achieved full QoS).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsRegistry {
     overheads: [Histogram; OverheadKind::ALL.len()],
     response_time: Histogram,

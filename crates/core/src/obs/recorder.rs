@@ -11,12 +11,11 @@
 use core::fmt;
 
 use rtseed_model::{JobId, Time};
-use serde::{Deserialize, Serialize};
 
 use super::TraceEvent;
 
 /// Configuration of the observability sink for one run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Record events at all. When `false` the recorder is a no-op and the
     /// run outcome carries an empty [`Trace`].
@@ -209,7 +208,7 @@ impl Default for TraceRecorder {
 
 /// A time-ordered, bounded execution trace: the read side of a
 /// [`TraceRecorder`], carried in every run outcome.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     events: Vec<(Time, TraceEvent)>,
     dropped: u64,

@@ -17,10 +17,9 @@
 use core::fmt;
 
 use rtseed_model::{CoreId, HwThreadId, Topology};
-use serde::{Deserialize, Serialize};
 
 /// How parallel optional parts are assigned to hardware threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AssignmentPolicy {
     /// One slot per core per pass (paper's "One by One").
     OneByOne,

@@ -16,10 +16,9 @@ use core::fmt;
 
 use rtseed_analysis::bounds::rmus_threshold;
 use rtseed_model::{Priority, TaskId, TaskSet};
-use serde::{Deserialize, Serialize};
 
 /// Computed priority assignment for a task set.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PriorityMap {
     mandatory: Vec<Priority>,
     optional: Vec<Priority>,

@@ -13,10 +13,9 @@
 //! at `mᵢ + wᵢ`, before any optional analysis could inform it).
 
 use rtseed_model::{Span, TaskSpec};
-use serde::{Deserialize, Serialize};
 
 /// Which scheduling discipline a profile describes (paper Fig. 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulingMode {
     /// Liu & Layland general scheduling: `C = m + w` contiguous.
     General,
@@ -26,7 +25,7 @@ pub enum SchedulingMode {
 
 /// A piecewise-linear `R(t)` profile as breakpoints `(t, remaining)`.
 /// Between breakpoints the remaining time interpolates linearly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RemainingProfile {
     points: Vec<(Span, Span)>,
 }

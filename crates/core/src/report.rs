@@ -7,10 +7,9 @@ use core::fmt;
 
 use rtseed_model::Span;
 use rtseed_sim::OverheadKind;
-use serde::{Deserialize, Serialize};
 
 /// Samples of the four overheads (Δm, Δb, Δs, Δe) across a run's jobs.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OverheadReport {
     begin_mandatory: Vec<Span>,
     begin_optional: Vec<Span>,
@@ -108,7 +107,7 @@ impl fmt::Display for OverheadReport {
 /// All counters are totals over one run; [`merge`](FaultReport::merge)
 /// combines runs (dwell/latency spans add, so per-run means need the
 /// episode counts).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultReport {
     /// WCET overruns the plan injected (demand multipliers applied).
     pub wcet_faults: u64,

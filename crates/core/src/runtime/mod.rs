@@ -28,10 +28,10 @@ pub mod posix;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant};
 
-use parking_lot::{Condvar, Mutex};
 use rtseed_model::{JobId, OptionalOutcome, PartId, QosSummary, Span, TaskId, Time};
 use rtseed_sim::OverheadKind;
 
@@ -381,6 +381,44 @@ struct PartResult {
     outcome: OptionalOutcome,
 }
 
+/// Locks `m`, clearing poisoning: every user panic is caught and reported
+/// on its own, and no lock is held across user code.
+fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A task's parallel optional threads. Dropping it shuts them down, so no
+/// worker outlives its task, also when a mandatory or wind-up body panics
+/// and `task_main` unwinds.
+struct Workers {
+    slots: Vec<Arc<WorkerSlot>>,
+    handles: Vec<JoinHandle<()>>,
+}
+
+impl Workers {
+    /// Tells every worker to exit and joins them all; returns the message
+    /// of the first one that panicked.
+    fn shut_down(&mut self) -> Option<String> {
+        for slot in self.slots.drain(..) {
+            lock(&slot.cell).push(Cmd::Exit);
+            slot.cv.notify_one();
+        }
+        let mut first = None;
+        for h in self.handles.drain(..) {
+            if let Err(payload) = h.join() {
+                first.get_or_insert_with(|| panic_message(payload.as_ref()));
+            }
+        }
+        first
+    }
+}
+
+impl Drop for Workers {
+    fn drop(&mut self) {
+        self.shut_down();
+    }
+}
+
 fn span(d: StdDuration) -> Span {
     Span::from_nanos(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
 }
@@ -400,7 +438,7 @@ fn try_rt_setup(report: &Mutex<RuntimeReport>, prio: u8, hw: usize, attempt: boo
         return;
     }
     let os_cpus = posix::online_cpus();
-    let mut r = report.lock();
+    let mut r = lock(report);
     r.os_cpus = os_cpus;
     match posix::set_sched_fifo(prio) {
         Ok(()) => r.sched_fifo_ok += 1,
@@ -431,12 +469,12 @@ fn worker_main(
 ) {
     loop {
         let cmd = {
-            let mut cell = slot.cell.lock();
+            let mut cell = lock(&slot.cell);
             loop {
                 if let Some(cmd) = cell.pop() {
                     break cmd;
                 }
-                slot.cv.wait(&mut cell);
+                cell = slot.cv.wait(cell).unwrap_or_else(PoisonError::into_inner);
             }
         };
         let order = match cmd {
@@ -474,7 +512,7 @@ fn worker_main(
             }
         };
 
-        order.sync.results.lock().push(PartResult {
+        lock(&order.sync.results).push(PartResult {
             part,
             started,
             executed,
@@ -484,13 +522,13 @@ fn worker_main(
         // mandatory thread is guaranteed to observe it when the job ends.
         let dead = user_panic.is_some();
         if let Some(payload) = user_panic {
-            let mut slot = fatal.lock();
+            let mut slot = lock(&fatal);
             if slot.is_none() {
                 *slot = Some(payload);
             }
         }
         {
-            let mut remaining = order.sync.remaining.lock();
+            let mut remaining = lock(&order.sync.remaining);
             *remaining -= 1;
             if *remaining == 0 {
                 order.sync.cv.notify_all();
@@ -548,7 +586,7 @@ fn task_main(
             })
         })
         .collect();
-    let workers: Vec<_> = (0..np)
+    let handles = (0..np)
         .map(|k| {
             let slot = Arc::clone(&slots[k]);
             let body = Arc::clone(&optional);
@@ -564,6 +602,7 @@ fn task_main(
             })
         })
         .collect();
+    let mut workers = Workers { slots, handles };
 
     // Overruns detected and degraded jobs are driver observations; the
     // engine's own report (empty here — no fault plan, supervisor off) is
@@ -616,8 +655,8 @@ fn task_main(
 
                 // Δb: the signal loop waking every optional thread.
                 let signal_start = Instant::now();
-                for slot in &slots {
-                    slot.cell.lock().push(Cmd::Run(WorkOrder {
+                for slot in &workers.slots {
+                    lock(&slot.cell).push(Cmd::Run(WorkOrder {
                         job,
                         stop: Arc::clone(&stop),
                         deadline: od_instant,
@@ -635,24 +674,31 @@ fn task_main(
                 // is first (the paper's pthread_cond_wait / one-shot timer
                 // pair).
                 {
-                    let mut remaining = sync.remaining.lock();
+                    let mut remaining = lock(&sync.remaining);
                     while *remaining > 0 {
                         let now = Instant::now();
                         if now >= od_instant {
                             break;
                         }
-                        sync.cv.wait_for(&mut remaining, od_instant - now);
+                        remaining = sync
+                            .cv
+                            .wait_timeout(remaining, od_instant - now)
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .0;
                     }
                     if *remaining > 0 {
                         stop.store(true, Ordering::Relaxed);
                     }
                     while *remaining > 0 {
-                        sync.cv.wait(&mut remaining);
+                        remaining = sync
+                            .cv
+                            .wait(remaining)
+                            .unwrap_or_else(PoisonError::into_inner);
                     }
                 }
                 let all_ended = Instant::now();
 
-                let results = sync.results.lock();
+                let results = lock(&sync.results);
                 // Δe: optional deadline → all parts ended, sampled whenever
                 // any part was actually terminated (whether the mandatory
                 // thread set the stop flag or the worker observed the
@@ -707,29 +753,15 @@ fn task_main(
 
         // A user panic in an optional part aborts the run after the job's
         // bookkeeping so the caller sees both the records and the panic.
-        if let Some(payload) = fatal.lock().take() {
+        if let Some(payload) = lock(&fatal).take() {
             aborted = Some(payload);
             break;
         }
     }
 
-    // Shut the workers down; join all of them before reporting any error
-    // so no optional thread outlives its task.
-    for slot in &slots {
-        slot.cell.lock().push(Cmd::Exit);
-        slot.cv.notify_one();
-    }
-    let mut worker_err = None;
-    for w in workers {
-        if let Err(payload) = w.join() {
-            worker_err.get_or_insert_with(|| RuntimeError::WorkerPanicked {
-                task,
-                message: panic_message(payload.as_ref()),
-            });
-        }
-    }
-    if let Some(e) = worker_err {
-        return Err(e);
+    // Join every worker before reporting any error.
+    if let Some(message) = workers.shut_down() {
+        return Err(RuntimeError::WorkerPanicked { task, message });
     }
     if let Some(payload) = aborted {
         return Err(RuntimeError::WorkerPanicked {
@@ -739,8 +771,8 @@ fn task_main(
     }
 
     let report = Arc::try_unwrap(report)
-        .map(Mutex::into_inner)
-        .unwrap_or_else(|arc| arc.lock().clone());
+        .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
+        .unwrap_or_else(|arc| lock(&arc).clone());
     let out = eng.finish(cfg.stamp(Instant::now()));
     let mut faults_total = out.faults;
     faults_total.merge(&faults);
@@ -890,6 +922,45 @@ mod tests {
             other => panic!("unexpected error: {other:?}"),
         }
         assert!(err.to_string().contains("user bug"), "{err}");
+    }
+
+    /// Runs one job of a three-part task whose mandatory or wind-up body
+    /// panics, and checks that the error names it and that the optional
+    /// threads, which hold the optional body, are gone when `run` returns.
+    fn assert_a_panic_stops_every_worker(
+        mandatory: impl FnMut(JobId) + Send + 'static,
+        windup: impl FnMut(JobId) + Send + 'static,
+        expected: &str,
+    ) {
+        let probe = Arc::new(());
+        let held = Arc::clone(&probe);
+        let err = NativeExecutor::new(quick_config(3), run_cfg(1))
+            .run(vec![TaskBody::new(
+                mandatory,
+                move |_, _, _| {
+                    let _ = &held;
+                },
+                windup,
+            )])
+            .unwrap_err();
+        match &err {
+            RuntimeError::TaskPanicked { task, message } => {
+                assert_eq!(*task, 0);
+                assert_eq!(message, expected);
+            }
+            other => panic!("unexpected error: {other:?}"),
+        }
+        assert_eq!(Arc::strong_count(&probe), 1, "a worker outlived `run`");
+    }
+
+    #[test]
+    fn a_mandatory_panic_stops_every_worker() {
+        assert_a_panic_stops_every_worker(|_| panic!("mandatory bug"), |_| {}, "mandatory bug");
+    }
+
+    #[test]
+    fn a_windup_panic_stops_every_worker() {
+        assert_a_panic_stops_every_worker(|_| {}, |_| panic!("wind-up bug"), "wind-up bug");
     }
 
     #[test]

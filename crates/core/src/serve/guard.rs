@@ -33,7 +33,6 @@
 use core::fmt;
 
 use rtseed_model::Span;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::TenantSignal;
 
@@ -44,7 +43,7 @@ use crate::engine::TenantSignal;
 /// for the default-armed variant. All thresholds are counted in fault
 /// *strikes*: one strike per attributed overrun, lost timer, or deadline
 /// miss.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GuardConfig {
     /// Master switch. When false the guard observes nothing and the
     /// serving layer behaves exactly as without a guard.
@@ -104,9 +103,7 @@ impl GuardConfig {
 /// Rungs are ordered by severity: `Normal < Shed < Quarantined <
 /// Evicted`. The guard only escalates along this order (never skips a
 /// trace event) and recovery steps down one rung at a time.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LadderRung {
     /// Full service: mandatory and optional parts as admitted.
     #[default]
@@ -143,7 +140,7 @@ impl fmt::Display for LadderRung {
 /// Every rejection on the serving path carries one of these, is counted
 /// per-reason in `ServeCounters`, and is attached to the
 /// `TenantRejected` trace event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RejectReason {
     /// Offline P-RMWP admission control could not schedule the set; the
     /// index is the first task that failed response-time analysis.
@@ -249,7 +246,7 @@ pub enum Submission {
 }
 
 /// Per-tenant guard statistics reported in `TenantOutcome`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GuardStats {
     /// Final ladder rung at the end of the run.
     pub rung: LadderRung,

@@ -32,14 +32,13 @@
 //! observes and does is tallied in a [`FaultReport`].
 
 use rtseed_model::{Span, Time};
-use serde::{Deserialize, Serialize};
 
 use crate::report::FaultReport;
 
 /// Overload supervisor tuning. `Default` is **disabled** (executors behave
 /// exactly as without a supervisor); flip [`enabled`](Self::enabled) on to
 /// arm it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupervisorConfig {
     /// Whether the supervisor is armed at all.
     pub enabled: bool,
@@ -102,7 +101,7 @@ impl SupervisorConfig {
 }
 
 /// The supervisor's global operating mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverloadMode {
     /// Full service: optional parts are scheduled normally.
     Normal,

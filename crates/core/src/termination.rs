@@ -31,10 +31,9 @@
 use core::fmt;
 
 use rtseed_model::{Span, Time};
-use serde::{Deserialize, Serialize};
 
 /// How optional parts are terminated at the optional deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TerminationMode {
     /// `sigsetjmp`/`siglongjmp` with a one-shot optional-deadline timer
     /// (the paper's recommended mechanism, Fig. 7): terminates at any

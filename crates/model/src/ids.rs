@@ -3,13 +3,9 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a task within a [`crate::TaskSet`] (0-based, RM rank order is
 /// assigned separately by the analysis crate).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub u32);
 
 impl TaskId {
@@ -28,9 +24,7 @@ impl fmt::Display for TaskId {
 
 /// A job: the `seq`-th instance of task `task` (paper §II-A: "each instance
 /// of a task is called a job").
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId {
     /// The owning task.
     pub task: TaskId,
@@ -45,9 +39,7 @@ impl fmt::Display for JobId {
 }
 
 /// Index of one parallel optional part within a job (`k` in `oᵢ,ₖ`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PartId(pub u32);
 
 impl PartId {
@@ -65,9 +57,7 @@ impl fmt::Display for PartId {
 }
 
 /// A physical core (C0–C56 on the Xeon Phi 3120A).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreId(pub u32);
 
 impl CoreId {
@@ -86,9 +76,7 @@ impl fmt::Display for CoreId {
 
 /// A hardware thread (SMT sibling). On the Xeon Phi 3120A there are four per
 /// core, giving hw-thread ids 0–227.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HwThreadId(pub u32);
 
 impl HwThreadId {
@@ -110,9 +98,7 @@ impl fmt::Display for HwThreadId {
 /// Tenant ids are assigned by the `SessionManager` in submission order and
 /// never reused within a session, so a rejected submission still gets a
 /// distinct id for audit trails.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TenantId(pub u32);
 
 impl TenantId {
@@ -148,9 +134,7 @@ impl fmt::Display for TenantId {
 /// assert_eq!(optional.level(), 41);
 /// assert!(mandatory > optional);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Priority(u8);
 
 /// Error returned when a priority level is outside `1..=99` or outside the

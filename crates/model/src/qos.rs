@@ -7,8 +7,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::state::OptionalOutcome;
 use crate::time::Span;
 
@@ -26,7 +24,7 @@ use crate::time::Span;
 /// assert_eq!(sum.jobs(), 1);
 /// assert!((sum.mean_ratio() - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QosSummary {
     jobs: u64,
     deadline_misses: u64,

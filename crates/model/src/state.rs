@@ -3,11 +3,9 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Terminal state of one parallel optional part (paper Fig. 1: each part is
 /// completed, terminated or discarded *independently*).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OptionalOutcome {
     /// Ran to completion before the optional deadline: full QoS.
     Completed,
@@ -50,7 +48,7 @@ impl fmt::Display for OptionalOutcome {
 ///
 /// A job whose mandatory part completes *after* the optional deadline skips
 /// `OptionalRunning` entirely (its optional parts are discarded, §II-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobPhase {
     /// Released, mandatory part not yet started.
     Released,
@@ -106,7 +104,7 @@ impl fmt::Display for JobPhase {
 /// `Rejected` and `Departed`/`Evicted` are terminal: a tenant that wants
 /// back in submits again under a fresh id, so admission decisions stay an
 /// append-only audit trail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TenantState {
     /// Submitted, admission test not yet run.
     Pending,

@@ -2,8 +2,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::TaskId;
 use crate::time::Span;
 
@@ -31,7 +29,7 @@ use crate::time::Span;
 /// assert_eq!(t.optional_count(), 4);
 /// # Ok::<(), rtseed_model::TaskSetError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskSpec {
     name: String,
     period: Span,
@@ -235,7 +233,7 @@ impl TaskSpecBuilder {
 /// Tasks keep their insertion order; [`TaskId`]s index into it. Rate
 /// Monotonic *rank* (shorter period first) is computed by the analysis
 /// crate, not stored here.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskSet {
     tasks: Vec<TaskSpec>,
 }

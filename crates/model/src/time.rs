@@ -9,8 +9,6 @@ use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Rem, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A span of (simulated or measured) time, in nanoseconds.
 ///
 /// # Examples
@@ -21,9 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(period.as_millis(), 1_000);
 /// assert_eq!(period / 4, Span::from_millis(250));
 /// ```
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Span(u64);
 
 impl Span {
@@ -292,9 +288,7 @@ impl fmt::Display for Span {
 /// let deadline = release + Span::from_secs(1);
 /// assert_eq!(deadline.elapsed_since(release), Span::from_secs(1));
 /// ```
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Time(u64);
 
 impl Time {

@@ -12,8 +12,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{CoreId, HwThreadId};
 
 /// A homogeneous multi-/many-core topology.
@@ -27,7 +25,7 @@ use crate::ids::{CoreId, HwThreadId};
 /// assert_eq!(phi.smt_per_core(), 4);
 /// assert_eq!(phi.hw_threads(), 228);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Topology {
     cores: u32,
     smt_per_core: u32,

@@ -11,13 +11,12 @@
 //! byte-identical trace.
 
 use rtseed_model::{Span, TaskSpec, Time};
-use serde::{Deserialize, Serialize};
 
 use crate::churn::ChurnPlan;
 use crate::fault::{FaultPlan, FaultTarget, JobWindow, WcetFault};
 
 /// A seeded, replayable chaos scenario: churn and faults composed.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaosPlan {
     /// The seed both halves were derived from.
     pub seed: u64,

@@ -13,10 +13,9 @@
 //! `rtseed-analysis`, consulted by the serving layer at replay time.
 
 use rtseed_model::{TaskSpec, Time};
-use serde::{Deserialize, Serialize};
 
 /// What a tenant does at a churn instant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ChurnAction {
     /// A tenant named `name` submits `tasks` for admission.
     ///
@@ -40,7 +39,7 @@ pub enum ChurnAction {
 }
 
 /// A churn instant: an action at a simulated time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChurnEvent {
     /// When the action happens.
     pub at: Time,
@@ -71,7 +70,7 @@ pub struct ChurnEvent {
 /// assert_eq!(plan.len(), 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChurnPlan {
     events: Vec<ChurnEvent>,
 }

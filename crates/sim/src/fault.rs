@@ -18,7 +18,6 @@
 //! load-shedding safety valve.
 
 use rtseed_model::{Span, Time};
-use serde::{Deserialize, Serialize};
 
 /// Which real-time part of a job a WCET fault applies to.
 ///
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// simply terminated at the optional deadline, which is the model's
 /// built-in fault absorption. Faults that threaten deadlines are faults
 /// in the *guaranteed* parts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultTarget {
     /// The job's mandatory part.
     Mandatory,
@@ -36,7 +35,7 @@ pub enum FaultTarget {
 }
 
 /// A fault of the one-shot optional-deadline timer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TimerFault {
     /// The timer fires late by the given span (interrupt latency spike).
     Delay(Span),
@@ -46,7 +45,7 @@ pub enum TimerFault {
 }
 
 /// A half-open window of job sequence numbers `[from, until)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobWindow {
     /// First affected job sequence number.
     pub from: u64,
@@ -74,7 +73,7 @@ impl JobWindow {
 
 /// An explicit WCET overrun: the targeted part's execution demand is
 /// multiplied by `factor` for matching jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WcetFault {
     /// Task index the fault applies to; `None` applies to every task.
     pub task: Option<u32>,
@@ -87,7 +86,7 @@ pub struct WcetFault {
 }
 
 /// An explicit optional-deadline timer fault for matching jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimerFaultSpec {
     /// Task index the fault applies to; `None` applies to every task.
     pub task: Option<u32>,
@@ -99,7 +98,7 @@ pub struct TimerFaultSpec {
 
 /// A window during which one hardware thread executes nothing (SMI,
 /// thermal throttle, hypervisor steal).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuStall {
     /// The stalled hardware thread.
     pub hw: u32,
@@ -114,7 +113,7 @@ pub struct CpuStall {
 /// `[min_factor, max_factor]`. Both the decision and the factor are
 /// derived by hashing the plan seed with the job coordinates, never from
 /// mutable generator state — replay cannot drift.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RandomOverruns {
     /// Per-job overrun probability in `[0, 1]`.
     pub probability: f64,
@@ -132,7 +131,7 @@ pub struct RandomOverruns {
 /// executor via [`wcet_factor`](FaultPlan::wcet_factor),
 /// [`timer_fault`](FaultPlan::timer_fault) and
 /// [`stalls`](FaultPlan::stalls).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
     wcet: Vec<WcetFault>,

@@ -13,10 +13,8 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The background-load condition of an overhead experiment.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum BackgroundLoad {
     /// No background tasks are executed.
     #[default]

@@ -20,12 +20,11 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rtseed_model::{Span, Topology};
-use serde::{Deserialize, Serialize};
 
 use crate::load::BackgroundLoad;
 
 /// Which of the four measured overheads a sample belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OverheadKind {
     /// Δm: release time → beginning of the mandatory part.
     BeginMandatory,
@@ -58,7 +57,7 @@ impl OverheadKind {
 }
 
 /// One measured overhead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverheadSample {
     /// Which overhead was measured.
     pub kind: OverheadKind,
@@ -69,7 +68,7 @@ pub struct OverheadSample {
 /// Calibration constants (nanoseconds unless noted). Defaults are set so
 /// that the simulated Xeon Phi reproduces the magnitudes on the axes of the
 /// paper's Figs. 10–13.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Calibration {
     /// Δm base: timer wake-up + SCHED_FIFO pick with an idle machine.
     pub begin_mandatory_ns: u64,

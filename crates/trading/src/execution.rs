@@ -5,13 +5,12 @@
 use core::fmt;
 
 use rtseed_model::Time;
-use serde::{Deserialize, Serialize};
 
 use crate::market::Tick;
 use crate::strategy::Signal;
 
 /// Order side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Side {
     /// Buy the base currency.
     Buy,
@@ -40,7 +39,7 @@ impl fmt::Display for Side {
 }
 
 /// A market order.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Order {
     /// Submission time.
     pub at: Time,
@@ -51,7 +50,7 @@ pub struct Order {
 }
 
 /// A fill returned by the venue.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fill {
     /// The order that filled.
     pub order: Order,
@@ -60,7 +59,7 @@ pub struct Fill {
 }
 
 /// Venue behaviour knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutionConfig {
     /// Extra adverse price movement per unit quantity (linear impact).
     pub slippage_per_unit: f64,
@@ -78,7 +77,7 @@ impl Default for ExecutionConfig {
 }
 
 /// Net position and realized P&L.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Position {
     /// Signed base-currency quantity (positive = long).
     pub quantity: f64,

@@ -27,12 +27,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use rtseed_model::{Span, Time};
-use serde::{Deserialize, Serialize};
 
 use crate::market::{Tick, TickError, TickSource};
 
 /// One fault the plan can inject at a poll slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FeedFault {
     /// The feed yields nothing for `polls` consecutive polls (this one
     /// included), then resumes where it left off.
@@ -55,7 +54,7 @@ pub enum FeedFault {
 
 /// Per-poll probabilities for randomly injected faults (evaluated in the
 /// order stall, gap, out-of-order, NaN; first hit wins).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeedFaultRates {
     /// Probability of a stall at each slot.
     pub stall: f64,
@@ -102,7 +101,7 @@ impl Default for FeedFaultRates {
 /// let ticks: Vec<_> = (0..3).filter_map(|_| feed.next_tick()).collect();
 /// assert!(ticks[2].bid.is_nan());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeedFaultPlan {
     seed: u64,
     scheduled: Vec<(u64, FeedFault)>,
@@ -213,7 +212,7 @@ fn unit(h: u64) -> f64 {
 }
 
 /// Counters of what a [`FaultyFeed`] actually injected.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InjectedFaults {
     /// Stall windows entered.
     pub stalls: u64,
@@ -350,7 +349,7 @@ impl KillSwitch {
 }
 
 /// Watchdog tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WatchdogConfig {
     /// Extra polls attempted after an empty or invalid one before the
     /// cycle is declared a dropout.
@@ -407,7 +406,7 @@ impl WatchdogConfig {
 }
 
 /// Why a [`FeedWatchdog::poll`] produced no tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FeedError {
     /// The retry budget was exhausted this cycle (stalled or persistently
     /// invalid feed); the consumer should abstain this cycle.
@@ -435,7 +434,7 @@ impl std::error::Error for FeedError {}
 
 /// What the watchdog saw and did over a run — the trading-layer
 /// counterpart of the scheduler core's `FaultReport`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FeedFaultReport {
     /// Validated ticks delivered downstream.
     pub ticks_delivered: u64,

@@ -10,10 +10,9 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rtseed_model::{Span, Time};
-use serde::{Deserialize, Serialize};
 
 /// A macro-economic indicator type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MacroIndicator {
     /// Annualized GDP growth (percent).
     GdpGrowth,
@@ -36,7 +35,7 @@ impl MacroIndicator {
 }
 
 /// Which economy of the pair a release concerns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Economy {
     /// The base currency's economy (EUR in EUR/USD).
     Base,
@@ -45,7 +44,7 @@ pub enum Economy {
 }
 
 /// One released data point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MacroRelease {
     /// Release timestamp.
     pub at: Time,

@@ -6,8 +6,7 @@
 //!
 //! * [`market`] — synthetic market data (the paper's OANDA feed provides
 //!   one EUR/USD rate per second; we generate statistically similar ticks
-//!   with seeded GBM / Ornstein–Uhlenbeck processes, plus a replay source
-//!   and a compact wire codec);
+//!   with seeded GBM / Ornstein–Uhlenbeck processes, plus a replay source);
 //! * [`indicators`] — streaming **technical analysis**: SMA, EMA,
 //!   Bollinger Bands (the paper's §II-A example), RSI, MACD;
 //! * [`fundamentals`] — synthetic **fundamental analysis**: periodic macro

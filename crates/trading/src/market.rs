@@ -1,5 +1,4 @@
-//! Market data: ticks, synthetic price processes, replay, and a compact
-//! wire codec.
+//! Market data: ticks, synthetic price processes and replay.
 //!
 //! The paper's feed (OANDA Japan) delivers one exchange rate per second;
 //! [`SyntheticFeed`] reproduces that cadence with a seeded stochastic
@@ -7,14 +6,12 @@
 
 use core::fmt;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rtseed_model::{Span, Time};
-use serde::{Deserialize, Serialize};
 
 /// One market tick: best bid/ask at an instant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tick {
     /// Feed timestamp.
     pub at: Time,
@@ -36,29 +33,6 @@ impl Tick {
     pub fn spread(&self) -> f64 {
         self.ask - self.bid
     }
-
-    /// Encodes the tick to the 24-byte wire format
-    /// (`u64` nanos, `f64` bid, `f64` ask, all big-endian).
-    pub fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u64(self.at.as_nanos());
-        buf.put_f64(self.bid);
-        buf.put_f64(self.ask);
-    }
-
-    /// Decodes one tick from the wire format.
-    ///
-    /// Returns `None` if fewer than 24 bytes are available (no bytes are
-    /// consumed in that case).
-    pub fn decode(buf: &mut Bytes) -> Option<Tick> {
-        if buf.len() < 24 {
-            return None;
-        }
-        Some(Tick {
-            at: Time::from_nanos(buf.get_u64()),
-            bid: buf.get_f64(),
-            ask: buf.get_f64(),
-        })
-    }
 }
 
 impl fmt::Display for Tick {
@@ -68,7 +42,7 @@ impl fmt::Display for Tick {
 }
 
 /// Why a tick failed [`Tick::validate`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TickError {
     /// Bid or ask is NaN or infinite.
     NonFinite,
@@ -140,7 +114,7 @@ impl<T: TickSource + ?Sized> TickSource for Box<T> {
 }
 
 /// The stochastic process driving a [`SyntheticFeed`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PriceProcess {
     /// Geometric Brownian motion with per-step drift `mu` and volatility
     /// `sigma` (fractions of price per step).
@@ -308,50 +282,6 @@ mod tests {
         };
         assert!((t.mid() - 1.1).abs() < 1e-12);
         assert!((t.spread() - 0.0002).abs() < 1e-12);
-    }
-
-    #[test]
-    fn wire_roundtrip() {
-        let t = Tick {
-            at: Time::from_nanos(123_456_789),
-            bid: 1.09995,
-            ask: 1.10005,
-        };
-        let mut buf = BytesMut::new();
-        t.encode(&mut buf);
-        assert_eq!(buf.len(), 24);
-        let mut bytes = buf.freeze();
-        let back = Tick::decode(&mut bytes).unwrap();
-        assert_eq!(back, t);
-        assert!(bytes.is_empty());
-    }
-
-    #[test]
-    fn decode_short_buffer_is_none() {
-        let mut short = Bytes::from_static(&[0u8; 23]);
-        assert!(Tick::decode(&mut short).is_none());
-        assert_eq!(short.len(), 23, "no bytes consumed");
-    }
-
-    #[test]
-    fn decode_stream_of_ticks() {
-        let mut buf = BytesMut::new();
-        let ticks: Vec<Tick> = (0..5)
-            .map(|i| Tick {
-                at: Time::from_nanos(i),
-                bid: 1.0 + i as f64,
-                ask: 1.1 + i as f64,
-            })
-            .collect();
-        for t in &ticks {
-            t.encode(&mut buf);
-        }
-        let mut bytes = buf.freeze();
-        let mut decoded = Vec::new();
-        while let Some(t) = Tick::decode(&mut bytes) {
-            decoded.push(t);
-        }
-        assert_eq!(decoded, ticks);
     }
 
     #[test]

@@ -10,14 +10,12 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::fundamentals::FundamentalModel;
 use crate::indicators::{BollingerBands, Macd, Rsi};
 use crate::market::Tick;
 
 /// A trading decision for the next period.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Signal {
     /// Buy the base currency (lift the ask).
     Bid,
