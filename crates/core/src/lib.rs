@@ -71,8 +71,9 @@
 //! ```
 
 #![warn(missing_docs, missing_debug_implementations)]
-// `unsafe` is confined to `runtime::posix` (libc calls); everything else is
-// checked at the module level.
+// `unsafe` is confined to `runtime::posix` (libc calls) and the one
+// time-stamp counter read in `obs::clock`; everything else is checked at
+// the module level.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod config;

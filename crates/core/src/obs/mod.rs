@@ -14,6 +14,8 @@
 //!   (read side). One branch per record call when disabled.
 //! * [`MetricsRegistry`] / [`Histogram`] — log₂-bucketed histograms for
 //!   Δm/Δb/Δs/Δe, response times, release jitter, and QoS levels.
+//! * [`clock`] — the hot path's timestamp: one counter reading a record,
+//!   converted to nanoseconds when the records are read.
 //! * [`export`] — JSONL and Chrome trace-event (Perfetto) exporters;
 //!   byte-identical output for identical seeds.
 //!
@@ -43,6 +45,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+pub mod clock;
 mod event;
 pub mod export;
 mod metrics;

@@ -5,8 +5,8 @@
 //! wind-up parts, and `npᵢ` **parallel optional threads** woken by
 //! per-thread condition-variable signals, pinned with `sched_setaffinity`,
 //! prioritized with `sched_setscheduler(SCHED_FIFO)` and put to sleep with
-//! absolute-deadline waits (the `clock_nanosleep(TIMER_ABSTIME)`
-//! equivalent).
+//! absolute-deadline waits (`clock_nanosleep(CLOCK_MONOTONIC,
+//! TIMER_ABSTIME)` on Linux).
 //!
 //! Privileged calls are *attempted* and their outcomes recorded in
 //! [`RuntimeReport`]; without `CAP_SYS_NICE` the middleware still runs with
@@ -423,7 +423,21 @@ fn span(d: StdDuration) -> Span {
     Span::from_nanos(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
 }
 
+/// Sleeps until `target`: on Linux one absolute `clock_nanosleep` on the
+/// clock `Instant` reads, so a wake-up that comes late or is interrupted
+/// does not carry its lateness into the next wait. A target in the past
+/// returns at once; no call returns before its target.
 fn sleep_until(target: Instant) {
+    #[cfg(target_os = "linux")]
+    if posix::sleep_until(target).is_ok() {
+        return;
+    }
+    sleep_in_steps(target);
+}
+
+/// The fallback where there is no absolute sleep: relative sleeps until
+/// the target has passed.
+fn sleep_in_steps(target: Instant) {
     loop {
         let now = Instant::now();
         if now >= target {
@@ -818,6 +832,31 @@ mod tests {
             },
             attempt_rt: false,
             ..RunConfig::default()
+        }
+    }
+
+    #[test]
+    fn sleep_until_a_past_target_returns_at_once() {
+        let past = Instant::now();
+        std::thread::sleep(StdDuration::from_millis(1));
+        let t0 = Instant::now();
+        sleep_until(past);
+        sleep_until(t0);
+        assert!(t0.elapsed() < StdDuration::from_millis(50));
+    }
+
+    #[test]
+    fn sleep_until_never_returns_before_its_target() {
+        for micros in [1, 50, 300, 2_000] {
+            let target = Instant::now() + StdDuration::from_micros(micros);
+            sleep_until(target);
+            assert!(Instant::now() >= target, "woke before a {micros} µs target");
+            let target = Instant::now() + StdDuration::from_micros(micros);
+            sleep_in_steps(target);
+            assert!(
+                Instant::now() >= target,
+                "stepped before a {micros} µs target"
+            );
         }
     }
 

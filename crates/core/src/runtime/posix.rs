@@ -1,15 +1,18 @@
 //! Thin, fallible wrappers over the POSIX scheduling interfaces the paper's
 //! middleware is built on: `sched_setscheduler(SCHED_FIFO)`,
-//! `sched_setaffinity`, `sched_getcpu` (paper §IV-C).
+//! `sched_setaffinity`, `sched_getcpu` and the absolute
+//! `clock_nanosleep(TIMER_ABSTIME)` release wait (paper §IV-C).
 //!
 //! All calls degrade gracefully: on `EPERM` (no RT privilege, the common
 //! case in containers) or on non-Linux hosts the caller receives an error
 //! to *record*, never a panic — RT-Seed then runs with the default policy,
 //! which preserves the protocol semantics if not its latency bounds.
 //!
-//! This module is the only place in the workspace that uses `unsafe`.
+//! These calls and the one time-stamp counter read in
+//! [`crate::obs::clock`] are the workspace's only `unsafe`.
 
 use std::io;
+use std::time::Instant;
 
 /// Sets the calling thread to `SCHED_FIFO` at `priority` (1–99).
 ///
@@ -60,6 +63,58 @@ pub fn current_cpu() -> Option<usize> {
     // SAFETY: sched_getcpu takes no arguments and returns -1 on error.
     let cpu = unsafe { libc::sched_getcpu() };
     usize::try_from(cpu).ok()
+}
+
+/// Sleeps until `target` with one absolute
+/// `clock_nanosleep(CLOCK_MONOTONIC, TIMER_ABSTIME)`, resumed when a signal
+/// handler interrupts it. `Instant` reads `CLOCK_MONOTONIC` on Linux: the
+/// clock is read once, after the time left to `target`, so the deadline
+/// never falls before it. Returns at once for a target in the past.
+///
+/// # Errors
+///
+/// Returns the OS error if the clock cannot be read or the sleep fails for
+/// anything but a signal; the target may not have been reached then.
+pub fn sleep_until(target: Instant) -> io::Result<()> {
+    let left = target.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Ok(());
+    }
+    let mut now = libc::timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `now` is a valid, writable timespec and CLOCK_MONOTONIC a
+    // valid clock id.
+    if unsafe { libc::clock_gettime(libc::CLOCK_MONOTONIC, &mut now) } != 0 {
+        return Err(io::Error::last_os_error());
+    }
+    let nanos = now.tv_nsec + i64::from(left.subsec_nanos());
+    let secs = i64::try_from(left.as_secs()).unwrap_or(i64::MAX / 2);
+    let deadline = libc::timespec {
+        tv_sec: now
+            .tv_sec
+            .saturating_add(secs)
+            .saturating_add(nanos / 1_000_000_000),
+        tv_nsec: nanos % 1_000_000_000,
+    };
+    loop {
+        // SAFETY: `deadline` is a valid timespec with `tv_nsec` below one
+        // second; with TIMER_ABSTIME the remainder is unused and may be null.
+        let rc = unsafe {
+            libc::clock_nanosleep(
+                libc::CLOCK_MONOTONIC,
+                libc::TIMER_ABSTIME,
+                &deadline,
+                std::ptr::null_mut(),
+            )
+        };
+        match rc {
+            0 => return Ok(()),
+            libc::EINTR => continue,
+            err => return Err(io::Error::from_raw_os_error(err)),
+        }
+    }
 }
 
 /// Number of online OS CPUs (at least 1).

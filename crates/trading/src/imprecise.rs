@@ -47,6 +47,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
+use rtseed::obs::clock::{self, Mark, Scale};
 use rtseed::obs::{PipelineStage, Trace, TraceConfig, TraceEvent};
 use rtseed::runtime::{OptionalControl, TaskBody};
 use rtseed_model::{JobId, PartId, Span, TaskSetError, TaskSpec, Time};
@@ -71,9 +72,16 @@ use crate::strategy::{Signal, SignalAggregator, Strategy};
 /// Cycles are numbered from 0: each [`ImpreciseTrader::ingest`] that
 /// obtains a tick starts a new cycle; analyses and the decision record
 /// against the current one.
+///
+/// A record's time is one [`clock::ticks`] reading, which on most x86-64
+/// hosts is a single `RDTSC`; [`PipelineTracer::snapshot`] converts the
+/// readings to nanoseconds since the epoch. The stages do no clock
+/// arithmetic.
 #[derive(Debug)]
 pub struct PipelineTracer {
     epoch: Instant,
+    /// Taken when the tracer was built: where a snapshot's scale starts.
+    built: Mark,
     config: TraceConfig,
     /// Cycles begun. Written by the task thread alone.
     cycle: AtomicU64,
@@ -89,7 +97,8 @@ impl PipelineTracer {
     /// run), use [`PipelineTracer::with_epoch`] instead so all timestamps
     /// share one time base.
     pub fn new(config: TraceConfig) -> PipelineTracer {
-        PipelineTracer::with_epoch(config, Instant::now())
+        let built = Mark::now();
+        PipelineTracer::at(config, built.instant(), built)
     }
 
     /// Creates a tracer whose timestamps are nanoseconds since `epoch`.
@@ -99,8 +108,13 @@ impl PipelineTracer {
     /// merged traces line up on a single time axis instead of each tracer
     /// starting its own clock at construction.
     pub fn with_epoch(config: TraceConfig, epoch: Instant) -> PipelineTracer {
+        PipelineTracer::at(config, epoch, Mark::now())
+    }
+
+    fn at(config: TraceConfig, epoch: Instant, built: Mark) -> PipelineTracer {
         PipelineTracer {
             epoch,
+            built,
             config,
             cycle: AtomicU64::new(0),
             lanes: OnceLock::new(),
@@ -139,8 +153,7 @@ impl PipelineTracer {
     fn record(&self, cycle: u64, stage: PipelineStage, part: Option<PartId>) {
         if let Some(lanes) = self.lanes() {
             let lane = part.map_or(0, |p| p.index() + 1);
-            let at = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            lanes.push(lane, at, cycle, stage);
+            lanes.push(lane, clock::ticks(), cycle, stage);
         }
     }
 
@@ -153,7 +166,19 @@ impl PipelineTracer {
     /// records published before it looked; one the writer overwrote
     /// meanwhile is counted in [`Trace::dropped`], never returned half old
     /// and half new.
+    ///
+    /// Timestamps are placed by the line through the [`Mark`] taken when
+    /// the tracer was built and one taken after the lanes are read, so
+    /// every record lies between the two. Each snapshot draws its own
+    /// line: a record two snapshots return may differ between them by the
+    /// marks' error, a few nanoseconds.
     pub fn snapshot(&self) -> Trace {
+        self.snapshot_to(Mark::now)
+    }
+
+    /// [`PipelineTracer::snapshot`], with the scale's second mark taken by
+    /// `end` once the lanes are read.
+    fn snapshot_to(&self, end: impl FnOnce() -> Mark) -> Trace {
         let Some(lanes) = self.lanes() else {
             return Trace::new();
         };
@@ -164,11 +189,15 @@ impl PipelineTracer {
         }
         // Every lane is a sorted run, which is the stable sort's best case.
         events.sort_by_key(|(at, _)| *at);
+        let scale = Scale::new(self.epoch, self.built, end());
+        for (at, _) in &mut events {
+            *at = Time::from_nanos(scale.nanos(at.as_nanos()));
+        }
         Trace::from_parts(events, dropped)
     }
 }
 
-/// Words of a record: its stamp, nanoseconds since the epoch, the cycle.
+/// Words of a record: its stamp, its [`clock::ticks`] reading, the cycle.
 const RECORD: usize = 3;
 
 /// A record's stamp: its index in its lane over the stage's two bits.
@@ -279,12 +308,12 @@ impl Lanes {
     }
 
     /// Appends a record to `lane`. Callers of one lane must not overlap.
-    fn push(&self, lane: usize, at: u64, cycle: u64, stage: PipelineStage) {
+    fn push(&self, lane: usize, ticks: u64, cycle: u64, stage: PipelineStage) {
         let (base, capacity) = self.lane(lane);
         let index = self.words[base].load(Ordering::Relaxed);
         let slot = Lanes::slot(base, capacity, index);
         self.words[slot].store(stamp(index, stage), Ordering::Relaxed);
-        self.words[slot + 1].store(at, Ordering::Release);
+        self.words[slot + 1].store(ticks, Ordering::Release);
         self.words[slot + 2].store(cycle, Ordering::Release);
         self.words[base].store(index + 1, Ordering::Release);
     }
@@ -296,10 +325,11 @@ impl Lanes {
         len.min(capacity as u64) as usize
     }
 
-    /// Decodes what `lane`'s ring holds onto `events`, oldest first, and
-    /// returns how many of the lane's records are lost: those the ring no
-    /// longer holds and those overwritten during the read. What it keeps
-    /// is always the lane's latest records with none missing in between.
+    /// Decodes what `lane`'s ring holds onto `events`, oldest first, each
+    /// at its raw clock reading, and returns how many of the lane's records
+    /// are lost: those the ring no longer holds and those overwritten
+    /// during the read. What it keeps is always the lane's latest records
+    /// with none missing in between.
     fn read(&self, lane: usize, events: &mut Vec<(Time, TraceEvent)>) -> u64 {
         let (base, capacity) = self.lane(lane);
         let len = self.words[base].load(Ordering::Acquire);
@@ -307,11 +337,11 @@ impl Lanes {
         let start = events.len();
         for index in len.saturating_sub(capacity as u64)..len {
             let slot = Lanes::slot(base, capacity, index);
-            let at = self.words[slot + 1].load(Ordering::Acquire);
+            let ticks = self.words[slot + 1].load(Ordering::Acquire);
             let cycle = self.words[slot + 2].load(Ordering::Acquire);
             match stamped(self.words[slot].load(Ordering::Relaxed), index) {
                 Some(stage) => events.push((
-                    Time::from_nanos(at),
+                    Time::from_nanos(ticks),
                     TraceEvent::PipelineStage { cycle, stage, part },
                 )),
                 // The writer has come round to this slot, so it has been
@@ -1359,6 +1389,36 @@ mod tests {
     }
 
     #[test]
+    fn tracer_stamps_fall_between_the_instants_around_the_cycles() {
+        let epoch = Instant::now();
+        let tracer = Arc::new(PipelineTracer::with_epoch(TraceConfig::enabled(), epoch));
+        let t = trader(1);
+        t.attach_tracer(Arc::clone(&tracer));
+        let since = |at: Instant| at.duration_since(epoch).as_nanos() as u64;
+        let before = since(Instant::now());
+        for _ in 0..1_000 {
+            t.run_cycle_synchronous();
+        }
+        let trace = tracer.snapshot();
+        let after = since(Instant::now());
+        assert_eq!(trace.len(), 1_000 * 5);
+        let (first, last) = (trace.events()[0].0, trace.events()[trace.len() - 1].0);
+        assert!(first.as_nanos() >= before, "{first:?} before {before} ns");
+        assert!(last.as_nanos() <= after, "{last:?} after {after} ns");
+        // A tracer of its own reads the same host time on the same axis.
+        let own = Arc::new(PipelineTracer::new(TraceConfig::enabled()));
+        let t = trader(1);
+        t.attach_tracer(Arc::clone(&own));
+        t.run_cycle_synchronous();
+        let spent = since(Instant::now());
+        assert!(own
+            .snapshot()
+            .events()
+            .iter()
+            .all(|(at, _)| at.as_nanos() <= spent));
+    }
+
+    #[test]
     fn pipeline_tracer_numbers_cycles() {
         let t = trader(1);
         let tracer = Arc::new(PipelineTracer::new(TraceConfig::enabled()));
@@ -1628,11 +1688,16 @@ mod tests {
         const CYCLES: u64 = 20_000;
         // 64 cycles a lane: the writers lap the reader again and again.
         let (t, tracer) = cross_thread_trader(64 * (PARTS + 2));
+        // Every snapshot on one scale, so that a record two of them
+        // return has one timestamp in both.
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let end = Mark::now();
+        let snapshot = || tracer.snapshot_to(|| end);
         let mut snapshots = 0;
-        let mut earlier = by_lane(&tracer.snapshot());
+        let mut earlier = by_lane(&snapshot());
         let mut accounted = 0;
         run_across_threads(&t, CYCLES, || {
-            let trace = tracer.snapshot();
+            let trace = snapshot();
             for (lane, (was, now)) in earlier.iter_mut().zip(by_lane(&trace)).enumerate() {
                 // A reader the writer lapped from end to end comes back
                 // with nothing of the lane, which says nothing about it.

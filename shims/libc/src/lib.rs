@@ -1,11 +1,11 @@
 //! Offline stand-in for the `libc` crate.
 //!
-//! Declares exactly the glibc scheduling surface `rtseed-core`'s
+//! Declares exactly the glibc scheduling and clock surface `rtseed-core`'s
 //! `runtime/posix.rs` uses: `sched_setscheduler`, `sched_setaffinity`,
-//! `sched_getcpu`, `sysconf`, plus the associated types and constants.
-//! Layouts and constant values match glibc on x86_64/aarch64 Linux
-//! (`sched_param` is one `int`; `cpu_set_t` is 1024 bits of
-//! `unsigned long`).
+//! `sched_getcpu`, `sysconf`, `clock_gettime`, `clock_nanosleep`, plus the
+//! associated types and constants. Layouts and constant values match glibc
+//! on x86_64/aarch64 Linux (`sched_param` is one `int`; `cpu_set_t` is 1024
+//! bits of `unsigned long`; `timespec` is two 64-bit words).
 
 #![allow(non_camel_case_types)]
 
@@ -17,6 +17,10 @@ pub type c_long = i64;
 pub type size_t = usize;
 /// POSIX process/thread id.
 pub type pid_t = i32;
+/// C `time_t` (64-bit).
+pub type time_t = i64;
+/// POSIX clock id.
+pub type clockid_t = i32;
 
 /// `SCHED_OTHER`: the default time-sharing policy.
 pub const SCHED_OTHER: c_int = 0;
@@ -26,10 +30,26 @@ pub const SCHED_FIFO: c_int = 1;
 pub const CPU_SETSIZE: c_int = 1024;
 /// Operation not permitted.
 pub const EPERM: c_int = 1;
+/// Interrupted system call.
+pub const EINTR: c_int = 4;
 /// Invalid argument.
 pub const EINVAL: c_int = 22;
 /// `sysconf` name for the count of online processors (glibc value).
 pub const _SC_NPROCESSORS_ONLN: c_int = 84;
+/// The clock `std::time::Instant` reads on Linux: monotonic, not set.
+pub const CLOCK_MONOTONIC: clockid_t = 1;
+/// `clock_nanosleep` flag: the request is an absolute time on the clock.
+pub const TIMER_ABSTIME: c_int = 1;
+
+/// A time as seconds and nanoseconds.
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+pub struct timespec {
+    /// Whole seconds.
+    pub tv_sec: time_t,
+    /// Nanoseconds, below one second.
+    pub tv_nsec: c_long,
+}
 
 /// Scheduling parameters for `sched_setscheduler`.
 #[repr(C)]
@@ -70,6 +90,17 @@ extern "C" {
     pub fn sched_getcpu() -> c_int;
     /// POSIX runtime configuration query.
     pub fn sysconf(name: c_int) -> c_long;
+    /// Reads `clockid` into `tp`; 0, or -1 with `errno` set.
+    pub fn clock_gettime(clockid: clockid_t, tp: *mut timespec) -> c_int;
+    /// Sleeps on `clockid` until `request` (with [`TIMER_ABSTIME`]) or for
+    /// it; returns 0 or the error number itself, [`EINTR`] when a signal
+    /// handler interrupted the sleep.
+    pub fn clock_nanosleep(
+        clockid: clockid_t,
+        flags: c_int,
+        request: *const timespec,
+        remain: *mut timespec,
+    ) -> c_int;
 }
 
 #[cfg(test)]
@@ -88,6 +119,19 @@ mod tests {
         unsafe { CPU_SET(65, &mut set) };
         assert_eq!(set.bits[1], 2);
         assert_eq!(set.bits[0], 0);
+    }
+
+    #[test]
+    fn an_absolute_sleep_to_the_past_returns_at_once() {
+        let mut now = timespec {
+            tv_sec: 0,
+            tv_nsec: 0,
+        };
+        assert_eq!(unsafe { clock_gettime(CLOCK_MONOTONIC, &mut now) }, 0);
+        assert!(now.tv_sec > 0 || now.tv_nsec > 0);
+        let rc =
+            unsafe { clock_nanosleep(CLOCK_MONOTONIC, TIMER_ABSTIME, &now, std::ptr::null_mut()) };
+        assert_eq!(rc, 0);
     }
 
     #[test]
