@@ -176,8 +176,6 @@ pub struct StopTarget {
 pub struct EngineOutput {
     /// Per-job QoS accounting (§IV).
     pub qos: QosSummary,
-    /// Per-kind overhead samples (Δm/Δb/Δs/Δe) the driver fed in.
-    pub overheads: OverheadReport,
     /// Histogram metrics (overheads, response times, jitter, QoS ppm).
     pub metrics: MetricsRegistry,
     /// The recorded trace (empty and free if tracing was disabled).
@@ -200,7 +198,7 @@ impl EngineOutput {
     pub fn into_outcome(self, events_processed: u64) -> Outcome {
         Outcome {
             qos: self.qos,
-            overheads: self.overheads,
+            overheads: OverheadReport::from_metrics(&self.metrics),
             faults: self.faults,
             metrics: self.metrics,
             trace: self.trace,
@@ -403,7 +401,6 @@ pub struct Engine {
     /// Someone drains `tenant_signals`: without a consumer nothing is
     /// queued, or the queue would gain an entry per tenant job.
     signals_armed: bool,
-    overheads: OverheadReport,
     metrics: MetricsRegistry,
     rec: TraceRecorder,
     // Termination-loop scratch (reset by `od_expired`, consumed by
@@ -508,7 +505,6 @@ impl Engine {
             tenant_qos: Vec::new(),
             tenant_signals: Vec::new(),
             signals_armed: false,
-            overheads: OverheadReport::new(),
             metrics: MetricsRegistry::new(),
             rec: TraceRecorder::new(run.trace),
             term_at: Time::ZERO,
@@ -542,7 +538,6 @@ impl Engine {
         self.tenant_qos.clear();
         self.tenant_signals.clear();
         self.signals_armed = false;
-        self.overheads = OverheadReport::new();
         self.metrics = MetricsRegistry::new();
         self.rec.reset(run.trace);
         self.term_at = Time::ZERO;
@@ -719,10 +714,8 @@ impl Engine {
         self.rec.record(at, ev);
     }
 
-    /// Records one overhead sample in both the per-kind sample report and
-    /// the histogram metrics.
+    /// Records one overhead sample in the histogram metrics.
     pub fn sample(&mut self, kind: OverheadKind, value: Span) {
-        self.overheads.push(kind, value);
         self.metrics.record_overhead(kind, value);
     }
 
@@ -1639,7 +1632,6 @@ impl Engine {
         let faults = self.sup.finish(now);
         EngineOutput {
             qos: std::mem::take(&mut self.qos),
-            overheads: std::mem::take(&mut self.overheads),
             metrics: std::mem::take(&mut self.metrics),
             trace: self.rec.take_trace(),
             faults,

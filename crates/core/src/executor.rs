@@ -256,8 +256,8 @@ impl std::error::Error for RunConfigError {}
 pub struct Outcome {
     /// QoS summary across all jobs of all tasks.
     pub qos: QosSummary,
-    /// The four middleware overheads (Δm, Δb, Δs, Δe), one sample per
-    /// applicable job.
+    /// The four middleware overheads (Δm, Δb, Δs, Δe): their histograms,
+    /// read from [`metrics`](Outcome::metrics) when the run ends.
     pub overheads: OverheadReport,
     /// Fault injections observed and supervisor responses.
     pub faults: FaultReport,

@@ -82,8 +82,7 @@ impl Histogram {
         self.sum
     }
 
-    /// Exact arithmetic mean (truncating), 0 if empty. Matches the integer
-    /// mean of [`crate::report::OverheadReport`] for the same samples.
+    /// Exact arithmetic mean (truncating), 0 if empty.
     pub fn mean(&self) -> u64 {
         if self.count == 0 {
             0

@@ -1,6 +1,6 @@
-//! Overhead sample collection and statistics — the measurement side of the
-//! paper's §V-B (means over 100 jobs per configuration) — plus the fault /
-//! overload resilience report produced when a run executes under a
+//! Overhead statistics — the measurement side of the paper's §V-B (means
+//! over 100 jobs per configuration) — plus the fault / overload resilience
+//! report produced when a run executes under a
 //! [`FaultPlan`](rtseed_sim::FaultPlan) with the overload supervisor.
 
 use core::fmt;
@@ -8,13 +8,14 @@ use core::fmt;
 use rtseed_model::Span;
 use rtseed_sim::OverheadKind;
 
-/// Samples of the four overheads (Δm, Δb, Δs, Δe) across a run's jobs.
+use crate::obs::{Histogram, MetricsRegistry};
+
+/// The four overheads (Δm, Δb, Δs, Δe) across a run's jobs: the run's
+/// overhead histograms, read from its [`MetricsRegistry`] once the run
+/// ends.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OverheadReport {
-    begin_mandatory: Vec<Span>,
-    begin_optional: Vec<Span>,
-    switch_to_optional: Vec<Span>,
-    end_optional: Vec<Span>,
+    kinds: [Histogram; OverheadKind::ALL.len()],
 }
 
 impl OverheadReport {
@@ -23,65 +24,31 @@ impl OverheadReport {
         OverheadReport::default()
     }
 
-    fn bucket(&self, kind: OverheadKind) -> &Vec<Span> {
-        match kind {
-            OverheadKind::BeginMandatory => &self.begin_mandatory,
-            OverheadKind::BeginOptional => &self.begin_optional,
-            OverheadKind::SwitchToOptional => &self.switch_to_optional,
-            OverheadKind::EndOptional => &self.end_optional,
+    /// The overhead histograms `metrics` recorded.
+    pub fn from_metrics(metrics: &MetricsRegistry) -> OverheadReport {
+        OverheadReport {
+            kinds: OverheadKind::ALL.map(|kind| metrics.overhead(kind).clone()),
         }
     }
 
-    fn bucket_mut(&mut self, kind: OverheadKind) -> &mut Vec<Span> {
-        match kind {
-            OverheadKind::BeginMandatory => &mut self.begin_mandatory,
-            OverheadKind::BeginOptional => &mut self.begin_optional,
-            OverheadKind::SwitchToOptional => &mut self.switch_to_optional,
-            OverheadKind::EndOptional => &mut self.end_optional,
-        }
-    }
-
-    /// Records one sample.
-    pub fn push(&mut self, kind: OverheadKind, value: Span) {
-        self.bucket_mut(kind).push(value);
-    }
-
-    /// All samples of `kind` in recording order.
-    pub fn samples(&self, kind: OverheadKind) -> &[Span] {
-        self.bucket(kind)
+    fn histogram(&self, kind: OverheadKind) -> &Histogram {
+        &self.kinds[kind as usize]
     }
 
     /// Number of samples of `kind`.
     pub fn count(&self, kind: OverheadKind) -> usize {
-        self.bucket(kind).len()
+        self.histogram(kind).count() as usize
     }
 
-    /// Arithmetic mean of `kind`'s samples ([`Span::ZERO`] when empty).
+    /// Arithmetic mean of `kind`'s samples, truncated to the nanosecond
+    /// ([`Span::ZERO`] when empty).
     pub fn mean(&self, kind: OverheadKind) -> Span {
-        let b = self.bucket(kind);
-        if b.is_empty() {
-            return Span::ZERO;
-        }
-        let total: u128 = b.iter().map(|s| s.as_nanos() as u128).sum();
-        Span::from_nanos((total / b.len() as u128) as u64)
+        self.histogram(kind).mean_span()
     }
 
     /// Largest sample of `kind` ([`Span::ZERO`] when empty).
     pub fn max(&self, kind: OverheadKind) -> Span {
-        self.bucket(kind).iter().copied().max().unwrap_or(Span::ZERO)
-    }
-
-    /// Smallest sample of `kind` ([`Span::ZERO`] when empty).
-    pub fn min(&self, kind: OverheadKind) -> Span {
-        self.bucket(kind).iter().copied().min().unwrap_or(Span::ZERO)
-    }
-
-    /// Merges another report's samples into this one.
-    pub fn merge(&mut self, other: &OverheadReport) {
-        for kind in OverheadKind::ALL {
-            self.bucket_mut(kind)
-                .extend_from_slice(other.bucket(kind));
-        }
+        self.histogram(kind).max_span()
     }
 }
 
@@ -197,35 +164,28 @@ mod tests {
             assert_eq!(r.count(kind), 0);
             assert_eq!(r.mean(kind), Span::ZERO);
             assert_eq!(r.max(kind), Span::ZERO);
-            assert_eq!(r.min(kind), Span::ZERO);
         }
     }
 
     #[test]
     fn mean_min_max() {
-        let mut r = OverheadReport::new();
+        let mut m = MetricsRegistry::new();
         for v in [10u64, 20, 30] {
-            r.push(OverheadKind::BeginMandatory, us(v));
+            m.record_overhead(OverheadKind::BeginMandatory, us(v));
         }
+        // The mean truncates: (1 ns + 2 ns) / 2 reads 1 ns.
+        m.record_overhead(OverheadKind::EndOptional, Span::from_nanos(1));
+        m.record_overhead(OverheadKind::EndOptional, Span::from_nanos(2));
+        let r = OverheadReport::from_metrics(&m);
         assert_eq!(r.count(OverheadKind::BeginMandatory), 3);
         assert_eq!(r.mean(OverheadKind::BeginMandatory), us(20));
-        assert_eq!(r.min(OverheadKind::BeginMandatory), us(10));
+        assert_eq!(m.overhead(OverheadKind::BeginMandatory).min(), 10_000);
         assert_eq!(r.max(OverheadKind::BeginMandatory), us(30));
+        assert_eq!(r.count(OverheadKind::EndOptional), 2);
+        assert_eq!(r.mean(OverheadKind::EndOptional), Span::from_nanos(1));
         // Other kinds untouched.
-        assert_eq!(r.count(OverheadKind::EndOptional), 0);
-    }
-
-    #[test]
-    fn merge_combines_samples() {
-        let mut a = OverheadReport::new();
-        let mut b = OverheadReport::new();
-        a.push(OverheadKind::BeginOptional, us(5));
-        b.push(OverheadKind::BeginOptional, us(15));
-        b.push(OverheadKind::SwitchToOptional, us(1));
-        a.merge(&b);
-        assert_eq!(a.count(OverheadKind::BeginOptional), 2);
-        assert_eq!(a.mean(OverheadKind::BeginOptional), us(10));
-        assert_eq!(a.count(OverheadKind::SwitchToOptional), 1);
+        assert_eq!(r.count(OverheadKind::BeginOptional), 0);
+        assert_eq!(r.mean(OverheadKind::SwitchToOptional), Span::ZERO);
     }
 
     #[test]

@@ -265,7 +265,6 @@ impl NativeExecutor {
             let eng = Engine::single_task(&self.config, TaskId(idx as u32), &self.run_cfg);
             handles.push(std::thread::spawn(move || task_main(tcfg, body, eng)));
         }
-        let mut overheads = OverheadReport::new();
         let mut qos = QosSummary::new();
         let mut runtime = RuntimeReport::default();
         let mut faults = FaultReport::new();
@@ -276,7 +275,6 @@ impl NativeExecutor {
         for (task, h) in handles.into_iter().enumerate() {
             match h.join() {
                 Ok(Ok(done)) => {
-                    overheads.merge(&done.overheads);
                     qos.merge(&done.qos);
                     runtime.merge(&done.runtime);
                     faults.merge(&done.faults);
@@ -298,7 +296,7 @@ impl NativeExecutor {
             return Err(e);
         }
         Ok(Outcome {
-            overheads,
+            overheads: OverheadReport::from_metrics(&metrics),
             qos,
             runtime,
             faults,
@@ -555,7 +553,6 @@ fn worker_main(
 }
 
 struct TaskMainOk {
-    overheads: OverheadReport,
     qos: QosSummary,
     runtime: RuntimeReport,
     faults: FaultReport,
@@ -791,7 +788,6 @@ fn task_main(
     let mut faults_total = out.faults;
     faults_total.merge(&faults);
     Ok(TaskMainOk {
-        overheads: out.overheads,
         qos: out.qos,
         runtime: report,
         faults: faults_total,

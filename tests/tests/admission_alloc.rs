@@ -5,7 +5,9 @@
 //! `Admission`, and an eviction only the vector of OD deltas it returns.
 //! The serving layer adds at most three vectors a bind (the binding list,
 //! the optional parts' placements and their demands) and nothing of its own
-//! a departure.
+//! a departure. Below the serving layer, a simulated run over a warmed
+//! `SimArena` allocates the same whatever its number of jobs: what it
+//! measures is kept in fixed-size histograms, not a sample a job.
 //!
 //! An integration test is its own binary, so it can install its own
 //! counting allocator; calls are counted per thread, and each test counts
@@ -15,11 +17,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use rtseed::serve::SessionManager;
-use rtseed::{AssignmentPolicy, RunConfig};
+use rtseed::{AssignmentPolicy, RunConfig, SimArena, SimExecutor, SystemConfig};
 use rtseed_analysis::{
     AdmissionDecision, AdmissionEngine, PartitionHeuristic, PlacementKind, PlacementPolicy,
 };
-use rtseed_model::{Span, TaskSpec, Topology};
+use rtseed_model::{Span, TaskSet, TaskSpec, Topology};
+use rtseed_sim::OverheadKind;
 
 thread_local! {
     // Const-initialised and without a destructor, so touching it from
@@ -210,5 +213,45 @@ fn a_bind_and_a_departure_allocate_a_bounded_few() {
     assert!(
         per_departure <= 1.5,
         "{per_departure} allocations a departure"
+    );
+}
+
+#[test]
+fn a_sim_run_allocates_the_same_for_any_number_of_jobs() {
+    // The paper's always-overrunning task: every job samples all four
+    // overheads.
+    let task = TaskSpec::builder("τ1")
+        .period(Span::from_secs(1))
+        .mandatory(Span::from_millis(250))
+        .windup(Span::from_millis(250))
+        .optional_parts(8, Span::from_secs(1))
+        .build()
+        .unwrap();
+    let config = SystemConfig::build(
+        TaskSet::new(vec![task]).unwrap(),
+        Topology::quad_core_smt2(),
+        AssignmentPolicy::OneByOne,
+    )
+    .unwrap();
+    let executor = |jobs| {
+        SimExecutor::new(
+            config.clone(),
+            RunConfig {
+                jobs,
+                ..RunConfig::default()
+            },
+        )
+    };
+    let (short, long) = (executor(1_000), executor(4_000));
+    let mut arena = SimArena::new();
+    // Warm the arena on the longer run, so neither counted run grows it.
+    long.run_in(&mut arena);
+    let (short_out, short_allocs) = allocations_of(|| short.run_in(&mut arena));
+    let (long_out, long_allocs) = allocations_of(|| long.run_in(&mut arena));
+    assert_eq!(short_out.overheads.count(OverheadKind::EndOptional), 1_000);
+    assert_eq!(long_out.overheads.count(OverheadKind::EndOptional), 4_000);
+    assert_eq!(
+        short_allocs, long_allocs,
+        "1 000 jobs allocate {short_allocs}, 4 000 jobs {long_allocs}"
     );
 }

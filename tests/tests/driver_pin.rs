@@ -5,14 +5,14 @@
 //! A seeded grid of (task set × assignment policy × placement policy ×
 //! fault scenario × seed) runs through [`SimExecutor`], [`GlobalExecutor`]
 //! and [`SessionManager::run_with_churn`]; per run the QoS summary, the
-//! overhead samples, the fault report, the event count, the migration and
-//! dispatch counts and the JSONL trace export are folded into one FNV-1a
-//! fingerprint per front-end. The grid reaches every path of the loop
-//! that is easy to get wrong when handlers move: a CPU stall at `t = 0`,
-//! a WCET overrun that runs into the next release (retry, then abort), a
-//! lost and a delayed optional-deadline timer, an armed supervisor, a
-//! split task, a federated grant, and a departure while a job is in
-//! flight.
+//! metrics histograms (the four overheads among them), the fault report,
+//! the event count, the migration and dispatch counts and the JSONL trace
+//! export are folded into one FNV-1a fingerprint per front-end. The grid
+//! reaches every path of the loop that is easy to get wrong when handlers
+//! move: a CPU stall at `t = 0`, a WCET overrun that runs into the next
+//! release (retry, then abort), a lost and a delayed optional-deadline
+//! timer, an armed supervisor, a split task, a federated grant, and a
+//! departure while a job is in flight.
 
 use rtseed::obs::{export, TraceConfig, TraceEvent};
 use rtseed::serve::{GuardConfig, SessionManager};
@@ -197,7 +197,7 @@ impl Fnv {
 
     fn outcome(&mut self, out: &Outcome) {
         self.debug(&out.qos);
-        self.debug(&out.overheads);
+        self.debug(&out.metrics);
         self.debug(&out.faults);
         self.word(out.events_processed);
         self.word(out.migrations);
@@ -291,10 +291,12 @@ fn offline_fingerprint(
     (fp.0, reached)
 }
 
-/// Recorded at the commit before the three event loops became one driver.
-const PINNED_SIM: u64 = 0xd775_c7e1_709b_9058;
-const PINNED_GLOBAL: u64 = 0x76ec_c031_d545_d40d;
-const PINNED_SERVE: u64 = 0xe628_525e_07dd_ef53;
+/// First recorded at the commit before the three event loops became one
+/// driver; recorded again when the fold read the metrics histograms in
+/// place of the overhead samples, from the commit before that change.
+const PINNED_SIM: u64 = 0xf9b0_8e8f_8c25_9252;
+const PINNED_GLOBAL: u64 = 0x0b08_da79_0d1d_cceb;
+const PINNED_SERVE: u64 = 0x0235_968d_9654_db5d;
 
 #[test]
 fn sim_executor_fingerprint_is_pinned() {
