@@ -363,8 +363,7 @@ fn ablation_grmwp() -> (Vec<Row>, Vec<Shape>) {
                 Some((seed, cfg))
             })
             .expect("a seed below 50 is admitted");
-        let migration_cost = Span::from_micros(100);
-        let g = GlobalExecutor::from_config(&cfg, RunConfig { migration_cost, ..jobs(30) }).run();
+        let g = GlobalExecutor::from_config(&cfg, jobs(30)).run();
         let p = SimExecutor::new(cfg, jobs(30)).run();
         p_migrations.push(p.migrations as f64);
         per_dispatch.push(g.migrations as f64 / g.dispatches as f64);

@@ -644,7 +644,6 @@ mod tests {
     use crate::obs::TraceConfig;
     use crate::policy::AssignmentPolicy;
     use crate::serve::{ServeOutcome, SessionManager};
-    use crate::supervisor::SupervisorConfig;
     use rtseed_analysis::PartitionHeuristic;
     use rtseed_model::{JobId, TaskId, TaskSet, TaskSpec};
     use rtseed_sim::{ChurnPlan, CpuStall, FaultTarget, RandomOverruns};
@@ -779,7 +778,7 @@ mod tests {
                         max_factor: 6.0,
                         target: FaultTarget::Mandatory,
                     }),
-                    supervisor: SupervisorConfig::armed(),
+                    supervisor: true,
                     ..traced(6)
                 },
             ),

@@ -49,7 +49,7 @@ use crate::obs::{MetricsRegistry, Trace, TraceEvent, TraceRecorder};
 use crate::obs::{QueueBand, QueueOp};
 use crate::policy::AssignmentPolicy;
 use crate::report::{FaultReport, OverheadReport};
-use crate::supervisor::{OverloadSupervisor, SupervisorConfig};
+use crate::supervisor::{OverloadSupervisor, SupervisorMode};
 use crate::termination::TerminationMode;
 
 /// Which part of a job a unit of schedulable work belongs to.
@@ -474,7 +474,7 @@ impl Engine {
     pub fn single_task(cfg: &SystemConfig, id: TaskId, run: &RunConfig) -> Engine {
         let mut eng = Engine::empty(*cfg.topology(), run);
         eng.fault_plan = FaultPlan::default();
-        eng.rearm_supervisor(SupervisorConfig::default());
+        eng.rearm_supervisor(SupervisorMode::Off);
         eng.add_task(TaskParams::from_config(cfg, id));
         eng
     }
@@ -486,7 +486,7 @@ impl Engine {
     ///
     /// `run` supplies everything run-scoped: the per-task job quota, the
     /// `rt_exec_fraction`, the termination mode, fault plan, supervisor
-    /// config, and trace sink.
+    /// switch, and trace sink.
     ///
     /// # Panics
     ///
@@ -500,7 +500,7 @@ impl Engine {
             fault_plan: run.fault_plan.clone(),
             termination: run.termination,
             topology,
-            sup: OverloadSupervisor::new(run.supervisor, 0),
+            sup: OverloadSupervisor::new(SupervisorMode::of_run(run.supervisor), 0),
             qos: QosSummary::new(),
             tenant_qos: Vec::new(),
             tenant_signals: Vec::new(),
@@ -533,7 +533,7 @@ impl Engine {
         self.fault_plan.clone_from(&run.fault_plan);
         self.termination = run.termination;
         self.topology = topology;
-        self.sup = OverloadSupervisor::new(run.supervisor, 0);
+        self.sup = OverloadSupervisor::new(SupervisorMode::of_run(run.supervisor), 0);
         self.qos = QosSummary::new();
         self.tenant_qos.clear();
         self.tenant_signals.clear();
@@ -645,16 +645,15 @@ impl Engine {
         self.tasks[task].p.od = od;
     }
 
-    /// Replaces the supervisor configuration. Only legal before any task
-    /// is added — the serving layer calls it when the tenant guard arms a
-    /// [`SupervisorConfig::tenant_scoped`] supervisor over a manager built
-    /// with the default (disarmed) one.
-    pub fn rearm_supervisor(&mut self, cfg: SupervisorConfig) {
+    /// Replaces the supervisor's mode. Only legal before any task is
+    /// added — the serving layer calls it when the tenant guard arms a
+    /// tenant-scoped supervisor over a manager whose run left it off.
+    pub(crate) fn rearm_supervisor(&mut self, mode: SupervisorMode) {
         debug_assert!(
             self.tasks.is_empty(),
             "rearm the supervisor before any task is added"
         );
-        self.sup = OverloadSupervisor::new(cfg, self.tasks.len());
+        self.sup = OverloadSupervisor::new(mode, self.tasks.len());
     }
 
     /// Sets `task`'s tenant-guard QoS floor: future jobs signal at most
@@ -674,12 +673,11 @@ impl Engine {
         out.append(&mut self.tenant_signals);
     }
 
-    /// Starts (`armed`) or stops queuing tenant signals for
-    /// [`Engine::drain_tenant_signals`] to hand out. The serving layer
-    /// arms them with its guard, the only consumer; until then, and after
-    /// every reset, none is queued.
-    pub fn arm_tenant_signals(&mut self, armed: bool) {
-        self.signals_armed = armed;
+    /// Starts queuing tenant signals for [`Engine::drain_tenant_signals`]
+    /// to hand out. The serving layer arms them with its guard, the only
+    /// consumer; until then, and after every reset, none is queued.
+    pub fn arm_tenant_signals(&mut self) {
+        self.signals_armed = true;
     }
 
     /// Whether a tenant signal waits for [`Engine::drain_tenant_signals`].

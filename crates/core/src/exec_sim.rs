@@ -85,7 +85,6 @@ mod tests {
     use super::*;
     use crate::obs::TraceEvent;
     use crate::policy::AssignmentPolicy;
-    use crate::supervisor::SupervisorConfig;
     use crate::termination::TerminationMode;
     use rtseed_model::{Span, TaskId, TaskSet, TaskSpec, Time, Topology};
     use rtseed_sim::{FaultPlan, FaultTarget, OverheadKind, TimerFault};
@@ -288,7 +287,7 @@ mod tests {
             RunConfig {
                 jobs: 4,
                 fault_plan: mandatory_fault_plan(5.0, rtseed_sim::JobWindow::ALL),
-                supervisor: SupervisorConfig::armed(),
+                supervisor: true,
                 trace: crate::obs::TraceConfig::enabled(),
                 ..Default::default()
             },
@@ -328,7 +327,7 @@ mod tests {
             RunConfig {
                 jobs: 8,
                 fault_plan: mandatory_fault_plan(5.0, rtseed_sim::JobWindow::new(0, 2)),
-                supervisor: SupervisorConfig::armed(),
+                supervisor: true,
                 trace: crate::obs::TraceConfig::enabled(),
                 ..Default::default()
             },
@@ -453,7 +452,7 @@ mod tests {
                             at: Time::from_nanos(2_300_000_000),
                             duration: Span::from_millis(40),
                         }),
-                    supervisor: SupervisorConfig::armed(),
+                    supervisor: true,
                     trace: crate::obs::TraceConfig::enabled(),
                     ..Default::default()
                 },

@@ -39,16 +39,14 @@ use rtseed_sim::{BackgroundLoad, Calibration, FaultPlan, OverheadKind};
 use crate::obs::{MetricsRegistry, Trace, TraceConfig};
 use crate::report::{FaultReport, OverheadReport};
 use crate::runtime::RuntimeReport;
-use crate::supervisor::SupervisorConfig;
 use crate::termination::TerminationMode;
 
 /// Run parameters shared by every backend.
 ///
 /// Each backend reads the subset that applies to it and ignores the rest
 /// (the simulator ignores `attempt_rt`; the native runtime ignores
-/// `calibration`, `load`, `seed`, `migration_cost`, `fault_plan`,
-/// `supervisor`; the global ablation ignores `calibration`,
-/// `load`). Construct it with
+/// `calibration`, `load`, `seed`, `fault_plan`, `supervisor`; the global
+/// ablation ignores `calibration`, `load`). Construct it with
 /// [`RunConfig::builder`] for validation, or as a struct literal with
 /// `..Default::default()`.
 #[derive(Debug, Clone)]
@@ -76,12 +74,14 @@ pub struct RunConfig {
     /// Deterministic fault schedule injected into the run
     /// ([`FaultPlan::none`] by default: a healthy machine).
     pub fault_plan: FaultPlan,
-    /// Overload supervisor configuration (disabled by default: faults run
-    /// their course unsupervised).
-    pub supervisor: SupervisorConfig,
-    /// Cost added to a real-time part's remaining execution each time it
-    /// resumes on a different hardware thread (global backend only).
-    pub migration_cost: Span,
+    /// Whether the overload supervisor is armed (off by default: faults
+    /// run their course unsupervised). Armed, it cuts every real-time
+    /// part at its declared WCET, quarantines a task's optional parts
+    /// after 3 consecutive overruns and sheds every task's after 2
+    /// overrun events in a row, each until 4 clean jobs (DESIGN.md,
+    /// "Overload supervisor"). The thresholds are constants: one value of
+    /// each is in use.
+    pub supervisor: bool,
     /// Whether to attempt `SCHED_FIFO` and affinity syscalls (native
     /// backend only; disable in tests that must not perturb the host).
     pub attempt_rt: bool,
@@ -98,8 +98,7 @@ impl Default for RunConfig {
             trace: TraceConfig::disabled(),
             rt_exec_fraction: 0.75,
             fault_plan: FaultPlan::none(),
-            supervisor: SupervisorConfig::default(),
-            migration_cost: Span::from_micros(100),
+            supervisor: false,
             attempt_rt: true,
         }
     }
@@ -189,15 +188,9 @@ impl RunConfigBuilder {
         self
     }
 
-    /// Overload supervisor configuration.
-    pub fn supervisor(mut self, supervisor: SupervisorConfig) -> Self {
-        self.cfg.supervisor = supervisor;
-        self
-    }
-
-    /// Migration penalty (global backend).
-    pub fn migration_cost(mut self, cost: Span) -> Self {
-        self.cfg.migration_cost = cost;
+    /// Whether the overload supervisor is armed.
+    pub fn supervisor(mut self, armed: bool) -> Self {
+        self.cfg.supervisor = armed;
         self
     }
 
@@ -325,14 +318,14 @@ mod tests {
             .jobs(7)
             .seed(42)
             .rt_exec_fraction(1.0)
-            .migration_cost(Span::from_micros(5))
+            .supervisor(true)
             .attempt_rt(false)
             .trace(TraceConfig::bounded(128))
             .build()
             .unwrap();
         assert_eq!(cfg.jobs, 7);
         assert_eq!(cfg.seed, 42);
-        assert_eq!(cfg.migration_cost, Span::from_micros(5));
+        assert!(cfg.supervisor);
         assert!(!cfg.attempt_rt);
         assert!(cfg.trace.enabled);
         assert_eq!(cfg.trace.capacity, 128);

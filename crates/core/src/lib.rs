@@ -90,7 +90,7 @@ pub mod profile;
 pub mod report;
 pub mod runtime;
 pub mod serve;
-pub mod supervisor;
+mod supervisor;
 pub mod termination;
 
 pub use config::{ConfigError, SystemConfig};
@@ -104,5 +104,4 @@ pub use serve::{
     GuardConfig, GuardStats, LadderRung, RejectReason, ServeArena, ServeCounters, ServeError,
     ServeOutcome, SessionManager, Submission, TenantOutcome,
 };
-pub use supervisor::{OverloadMode, OverloadSupervisor, SupervisorConfig};
 pub use termination::TerminationMode;

@@ -36,7 +36,6 @@ pub use crate::serve::{
 pub use crate::runtime::{
     NativeExecutor, OptionalControl, RuntimeError, RuntimeReport, TaskBody,
 };
-pub use crate::supervisor::{OverloadMode, SupervisorConfig};
 pub use crate::termination::TerminationMode;
 
 pub use rtseed_analysis::PartitionHeuristic;

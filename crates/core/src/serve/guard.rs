@@ -4,24 +4,32 @@
 //! (budget overruns, lost OD timers, deadline misses) and walks each
 //! offender down a three-rung **degradation ladder**:
 //!
-//! 1. **Shed** — the tenant's optional parts are cut down to a QoS floor
-//!    ([`GuardConfig::shed_keep_ppm`]); mandatory work is untouched.
-//! 2. **Quarantine** — the tenant is forced mandatory-only and new
-//!    submissions under its name are deferred instead of admitted.
-//! 3. **Evict** — the tenant is departed with in-flight abort; the freed
-//!    capacity immediately triggers a re-evaluation of deferred
-//!    submissions.
+//! 1. **Shed** at 3 strikes — the tenant's optional parts are cut down
+//!    to a QoS floor of half of each task's parts (floor rounding);
+//!    mandatory work is untouched.
+//! 2. **Quarantine** at 6 strikes — the tenant is forced mandatory-only
+//!    and new submissions under its name are deferred instead of
+//!    admitted.
+//! 3. **Evict** at 10 strikes — the tenant is departed with in-flight
+//!    abort; the freed capacity immediately triggers a re-evaluation of
+//!    deferred submissions.
 //!
 //! Escalation is driven by a cumulative strike count with hysteresis:
-//! every fault signal adds a strike, and a run of
-//! [`GuardConfig::recover_after`] clean jobs clears the strikes and steps
-//! the tenant back down one rung. Eviction is terminal for a tenant name;
-//! later submissions under the same name are rejected with
-//! [`RejectReason::Evicted`].
+//! every fault signal adds a strike, and a run of 4 clean jobs clears the
+//! strikes and steps the tenant back down one rung. Eviction is terminal
+//! for a tenant name; later submissions under the same name are rejected
+//! with [`RejectReason::Evicted`].
+//!
+//! A deferred submission waits in a queue of at most 64 entries and is
+//! retried after 10 ms, the backoff doubling on each failed retry up to
+//! 160 ms, until it is admitted or 1 s has passed. These numbers are
+//! constants, not settings: one value of each is in use, and what a
+//! session chooses is only whether to arm the guard
+//! (`with_guard(`[`GuardConfig::armed`]`())`).
 //!
 //! The ladder is per *name*, not per tenant: the session resolves a
 //! tenant name to a dense name id once per call (its name index points
-//! at the most recent tenant of each name) and [`ServeGuard`] keeps one
+//! at the most recent tenant of each name) and the guard keeps one
 //! ladder per id. A re-submission under a fresh `TenantId` inherits the
 //! name's strikes, and two admitted tenants of one name share a ladder.
 //!
@@ -36,65 +44,56 @@ use rtseed_model::Span;
 
 use crate::engine::TenantSignal;
 
-/// Configuration of the tenant degradation ladder and the deferred
-/// admission queue.
-///
-/// The default configuration is **disabled**; use [`GuardConfig::armed`]
-/// for the default-armed variant. All thresholds are counted in fault
-/// *strikes*: one strike per attributed overrun, lost timer, or deadline
-/// miss.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GuardConfig {
-    /// Master switch. When false the guard observes nothing and the
-    /// serving layer behaves exactly as without a guard.
-    pub enabled: bool,
-    /// Cumulative strikes before a tenant is shed (rung 1).
-    pub shed_after: u32,
-    /// Further strikes (beyond `shed_after`) before quarantine (rung 2).
-    pub quarantine_after: u32,
-    /// Further strikes (beyond quarantine) before eviction (rung 3).
-    pub evict_after: u32,
-    /// Consecutive clean jobs that clear the strike count and step the
-    /// tenant back down one rung.
-    pub recover_after: u32,
-    /// Fraction of each task's optional parts (in parts-per-million) that
-    /// a shed tenant keeps. Applied with floor rounding, so small part
-    /// counts degrade toward mandatory-only.
-    pub shed_keep_ppm: u32,
-    /// Maximum number of deferred submissions queued at once; beyond this
-    /// the path backpressures with [`RejectReason::QueueFull`].
-    pub queue_depth: usize,
-    /// Initial deferred-retry backoff; doubles on every failed retry.
-    pub retry_backoff: Span,
-    /// Upper bound on the doubling retry backoff.
-    pub retry_backoff_cap: Span,
-    /// How long a deferred submission may wait in total before it is
-    /// rejected with [`RejectReason::RetryDeadline`].
-    pub retry_deadline: Span,
+/// Cumulative strikes at which a tenant is shed (rung 1).
+const SHED_AT: u64 = 3;
+/// Cumulative strikes at which a tenant is quarantined (rung 2): 3 more
+/// than shedding.
+const QUARANTINE_AT: u64 = SHED_AT + 3;
+/// Cumulative strikes at which a tenant is evicted (rung 3): 4 more than
+/// quarantine.
+const EVICT_AT: u64 = QUARANTINE_AT + 4;
+/// Consecutive clean jobs that clear the strike count and step the tenant
+/// back down one rung.
+const RECOVER_AFTER: u32 = 4;
+/// Fraction of each task's optional parts (in parts-per-million) that a
+/// shed tenant keeps. Applied with floor rounding, so small part counts
+/// degrade toward mandatory-only.
+pub(super) const SHED_KEEP_PPM: u32 = 500_000;
+/// Maximum number of deferred submissions queued at once; beyond this the
+/// path backpressures with [`RejectReason::QueueFull`].
+pub(super) const QUEUE_DEPTH: usize = 64;
+/// Initial deferred-retry backoff; doubles on every failed retry.
+const RETRY_BACKOFF: Span = Span::from_millis(10);
+/// Failed retries after which the backoff stops doubling: 10 ms doubled
+/// 4 times caps it at 160 ms.
+const RETRY_BACKOFF_DOUBLINGS: u32 = 4;
+/// How long a deferred submission may wait in total before it is rejected
+/// with [`RejectReason::RetryDeadline`].
+pub(super) const RETRY_DEADLINE: Span = Span::from_millis(1_000);
+
+/// The backoff before a deferred submission's retry after `attempts`
+/// failed ones: [`RETRY_BACKOFF`] doubled per attempt, for at most
+/// [`RETRY_BACKOFF_DOUBLINGS`] attempts.
+pub(super) fn deferred_backoff(attempts: u32) -> Span {
+    RETRY_BACKOFF * (1u64 << attempts.min(RETRY_BACKOFF_DOUBLINGS))
 }
 
-impl Default for GuardConfig {
-    fn default() -> GuardConfig {
-        GuardConfig {
-            enabled: false,
-            shed_after: 3,
-            quarantine_after: 3,
-            evict_after: 4,
-            recover_after: 4,
-            shed_keep_ppm: 500_000,
-            queue_depth: 64,
-            retry_backoff: Span::from_millis(10),
-            retry_backoff_cap: Span::from_millis(160),
-            retry_deadline: Span::from_millis(1_000),
-        }
-    }
-}
+/// The armed tenant guard: the degradation ladder and the deferred
+/// admission queue, passed to [`SessionManager::with_guard`].
+///
+/// It holds nothing. A session without a guard never calls `with_guard`;
+/// the ladder's thresholds and the queue's depth and timings are
+/// constants (see the [module docs](crate::serve::guard)).
+///
+/// [`SessionManager::with_guard`]: crate::serve::SessionManager::with_guard
+#[derive(Debug, Clone, Copy)]
+pub struct GuardConfig;
 
 impl GuardConfig {
-    /// The default configuration with the guard switched on.
+    /// The guard, armed.
     #[must_use]
     pub fn armed() -> GuardConfig {
-        GuardConfig { enabled: true, ..GuardConfig::default() }
+        GuardConfig
     }
 }
 
@@ -259,7 +258,7 @@ pub struct GuardStats {
 /// A single ladder move returned by [`ServeGuard::observe`] for the
 /// serving layer to enact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LadderTransition {
+pub(crate) enum LadderTransition {
     /// Cut the tenant's optionals to the QoS floor.
     Shed,
     /// Force the tenant mandatory-only.
@@ -287,41 +286,35 @@ struct GuardState {
 /// barred. An id the guard was never signalled about reads
 /// [`LadderRung::Normal`] with all-zero [`GuardStats`].
 #[derive(Debug, Clone)]
-pub struct ServeGuard {
-    cfg: GuardConfig,
+pub(crate) struct ServeGuard {
+    enabled: bool,
     /// Indexed by name id. An id past the end was never signalled; the
     /// vector grows to a name's id on its first signal.
     states: Vec<GuardState>,
 }
 
 impl ServeGuard {
-    /// Create a guard with the given configuration.
+    /// A guard that observes faults when `enabled`.
     #[must_use]
-    pub fn new(cfg: GuardConfig) -> ServeGuard {
-        ServeGuard { cfg, states: Vec::new() }
+    pub(crate) fn new(enabled: bool) -> ServeGuard {
+        ServeGuard { enabled, states: Vec::new() }
     }
 
     /// Whether the guard is observing faults at all.
     #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.cfg.enabled
-    }
-
-    /// The guard's configuration.
-    #[must_use]
-    pub fn cfg(&self) -> GuardConfig {
-        self.cfg
+    pub(crate) fn enabled(&self) -> bool {
+        self.enabled
     }
 
     /// Current ladder rung for name id `name` (Normal if never seen).
     #[must_use]
-    pub fn rung(&self, name: u32) -> LadderRung {
+    pub(crate) fn rung(&self, name: u32) -> LadderRung {
         self.state(name).rung
     }
 
     /// Guard statistics for name id `name` (all-zero if never seen).
     #[must_use]
-    pub fn stats(&self, name: u32) -> GuardStats {
+    pub(crate) fn stats(&self, name: u32) -> GuardStats {
         let s = self.state(name);
         GuardStats { rung: s.rung, strikes: s.strikes, transitions: s.transitions }
     }
@@ -331,11 +324,10 @@ impl ServeGuard {
     ///
     /// Returns the transition the serving layer must enact, if the signal
     /// crossed a threshold. Signals for evicted names are ignored.
-    pub fn observe(&mut self, name: u32, signal: TenantSignal) -> Option<LadderTransition> {
-        if !self.cfg.enabled {
+    pub(crate) fn observe(&mut self, name: u32, signal: TenantSignal) -> Option<LadderTransition> {
+        if !self.enabled {
             return None;
         }
-        let cfg = self.cfg;
         let at = name as usize;
         if at >= self.states.len() {
             self.states.resize(at + 1, GuardState::default());
@@ -347,7 +339,7 @@ impl ServeGuard {
         match signal {
             TenantSignal::CleanJob => {
                 state.clean += 1;
-                if state.rung != LadderRung::Normal && state.clean >= cfg.recover_after {
+                if state.rung != LadderRung::Normal && state.clean >= RECOVER_AFTER {
                     state.clean = 0;
                     state.strikes = 0;
                     let to = match state.rung {
@@ -363,14 +355,11 @@ impl ServeGuard {
             TenantSignal::Overrun | TenantSignal::DeadlineMiss | TenantSignal::TimerLost => {
                 state.clean = 0;
                 state.strikes += 1;
-                let shed_at = u64::from(cfg.shed_after);
-                let quarantine_at = shed_at + u64::from(cfg.quarantine_after);
-                let evict_at = quarantine_at + u64::from(cfg.evict_after);
-                let next = if state.strikes >= evict_at {
+                let next = if state.strikes >= EVICT_AT {
                     LadderRung::Evicted
-                } else if state.strikes >= quarantine_at {
+                } else if state.strikes >= QUARANTINE_AT {
                     LadderRung::Quarantined
-                } else if state.strikes >= shed_at {
+                } else if state.strikes >= SHED_AT {
                     LadderRung::Shed
                 } else {
                     LadderRung::Normal
@@ -403,7 +392,7 @@ mod tests {
     const HOSTILE: u32 = 7;
 
     fn armed() -> ServeGuard {
-        ServeGuard::new(GuardConfig::armed())
+        ServeGuard::new(true)
     }
 
     #[test]
@@ -499,8 +488,16 @@ mod tests {
     }
 
     #[test]
+    fn deferred_backoff_doubles_from_10_ms_to_a_160_ms_cap() {
+        let ms = Span::from_millis;
+        let got: Vec<Span> = (0..7).map(deferred_backoff).collect();
+        assert_eq!(got, [ms(10), ms(20), ms(40), ms(80), ms(160), ms(160), ms(160)]);
+        assert_eq!(deferred_backoff(u32::MAX), ms(160));
+    }
+
+    #[test]
     fn disabled_guard_observes_nothing() {
-        let mut g = ServeGuard::new(GuardConfig::default());
+        let mut g = ServeGuard::new(false);
         for _ in 0..100 {
             assert_eq!(g.observe(0, TenantSignal::Overrun), None);
         }

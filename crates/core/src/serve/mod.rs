@@ -21,9 +21,8 @@
 //!
 //! Departures evict the tenant's tasks (aborting any job in flight exactly
 //! as a hard deadline miss would), free its utilization, and *grow* the
-//! survivors' optional deadlines. The run-scoped
-//! [`OverloadSupervisor`](crate::supervisor::OverloadSupervisor) keeps
-//! working across tenants, so a misbehaving tenant degrades into
+//! survivors' optional deadlines. The run-scoped overload supervisor
+//! keeps working across tenants, so a misbehaving tenant degrades into
 //! optional-part shedding rather than taking down its neighbours.
 //!
 //! The scheduling substrate is the same discrete-event driver that runs
@@ -113,10 +112,7 @@ mod outcome;
 mod session;
 mod submission;
 
-pub use guard::{
-    GuardConfig, GuardStats, LadderRung, LadderTransition, RejectReason, ServeError, ServeGuard,
-    Submission,
-};
+pub use guard::{GuardConfig, GuardStats, LadderRung, RejectReason, ServeError, Submission};
 pub use outcome::{ServeCounters, ServeOutcome, TenantOutcome};
 pub use session::{mandatory_priority_for_period, ServeArena, SessionManager};
 
@@ -553,20 +549,21 @@ mod tests {
 
     #[test]
     fn queue_depth_backpressures_with_a_typed_reason() {
-        let mut mgr = guarded_manager(2, FaultPlan::none())
-            .with_guard(GuardConfig {
-                queue_depth: 1,
-                ..GuardConfig::armed()
-            });
+        let mut mgr = guarded_manager(2, FaultPlan::none());
         for i in 0..8 {
             mgr.submit(format!("t{i}"), &heavy(&format!("h{i}"))).unwrap();
         }
+        // The queue holds 64 deferred submissions; the 65th backpressures.
+        for i in 0..64 {
+            assert_eq!(
+                mgr.submit_or_defer(format!("d{i}"), &heavy(&format!("x{i}"))),
+                Submission::Deferred,
+                "d{i}"
+            );
+        }
+        assert_eq!(mgr.deferred_len(), 64);
         assert_eq!(
-            mgr.submit_or_defer("d1", &heavy("x1")),
-            Submission::Deferred
-        );
-        assert_eq!(
-            mgr.submit_or_defer("d2", &heavy("x2")),
+            mgr.submit_or_defer("d64", &heavy("x64")),
             Submission::Rejected(RejectReason::QueueFull)
         );
         assert_eq!(mgr.counters().rejected_queue_full, 1);

@@ -18,9 +18,11 @@ use crate::engine::{Engine, TaskParams, TenantSignal};
 use crate::executor::RunConfig;
 use crate::obs::{Histogram, TraceEvent};
 use crate::policy::AssignmentPolicy;
-use crate::supervisor::SupervisorConfig;
+use crate::supervisor::SupervisorMode;
 
-use super::guard::{GuardConfig, LadderRung, LadderTransition, ServeError, ServeGuard};
+use super::guard::{
+    GuardConfig, LadderRung, LadderTransition, ServeError, ServeGuard, SHED_KEEP_PPM,
+};
 use super::outcome::{ServeCounters, ServeOutcome, TenantOutcome};
 use super::submission::Deferred;
 
@@ -243,7 +245,7 @@ impl SessionManager {
             admitted: 0,
             bindings: Vec::new(),
             counters: ServeCounters::default(),
-            guard: ServeGuard::new(GuardConfig::default()),
+            guard: ServeGuard::new(false),
             deferred: VecDeque::new(),
             deferred_latency: Histogram::new(),
             guard_scratch: Vec::new(),
@@ -251,26 +253,24 @@ impl SessionManager {
         }
     }
 
-    /// Arms the tenant guard with `cfg` (see the [`super::guard`] module
-    /// docs).
+    /// Arms the tenant guard (see the [`super::guard`] module docs).
     ///
-    /// When the run's supervisor is disabled, arming the guard installs
-    /// [`SupervisorConfig::tenant_scoped`] — budget enforcement and
-    /// per-task quarantine stay on so overruns can be *attributed* and
-    /// cut, but the system-wide Degraded mode is off: one tenant's
-    /// faults never shed another tenant's optionals. A supervisor the
-    /// caller configured explicitly is left untouched.
+    /// When the run's supervisor is off, arming the guard arms it in a
+    /// tenant-scoped mode — budget enforcement and per-task quarantine
+    /// stay on so overruns can be *attributed* and cut, but the
+    /// system-wide Degraded mode is off: one tenant's faults never shed
+    /// another tenant's optionals. A supervisor the run armed is left
+    /// untouched.
     ///
     /// Call before the first submission.
     #[must_use]
-    pub fn with_guard(mut self, cfg: GuardConfig) -> SessionManager {
-        if cfg.enabled && !self.run.supervisor.enabled {
-            self.run.supervisor = SupervisorConfig::tenant_scoped();
-            self.des.eng.rearm_supervisor(self.run.supervisor);
+    pub fn with_guard(mut self, _armed: GuardConfig) -> SessionManager {
+        if !self.run.supervisor {
+            self.des.eng.rearm_supervisor(SupervisorMode::TenantScoped);
         }
         // The guard is the one consumer of the engine's tenant signals.
-        self.des.eng.arm_tenant_signals(cfg.enabled);
-        self.guard = ServeGuard::new(cfg);
+        self.des.eng.arm_tenant_signals();
+        self.guard = ServeGuard::new(true);
         self
     }
 
@@ -542,12 +542,11 @@ impl SessionManager {
 
     /// Enacts one ladder transition for tenant `pos`.
     fn apply_transition(&mut self, pos: usize, tr: LadderTransition) {
-        let keep_ppm = self.guard.cfg().shed_keep_ppm;
         let tenant = TenantId(pos as u32);
         match tr {
             LadderTransition::Shed => {
                 self.counters.sheds += 1;
-                self.set_tenant_keep(pos, Some(keep_ppm));
+                self.set_tenant_keep(pos, Some(SHED_KEEP_PPM));
                 self.des.eng.trace(self.des.now, TraceEvent::TenantShed { tenant });
             }
             LadderTransition::Quarantine => {
@@ -565,7 +564,7 @@ impl SessionManager {
             LadderTransition::Recover(to) => {
                 self.counters.recoveries += 1;
                 let keep = match to {
-                    LadderRung::Shed => Some(keep_ppm),
+                    LadderRung::Shed => Some(SHED_KEEP_PPM),
                     _ => None,
                 };
                 self.set_tenant_keep(pos, keep);

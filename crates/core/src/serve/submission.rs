@@ -2,11 +2,13 @@
 //! deferred-admission queue, and its admission rounds.
 
 use rtseed_analysis::{Admission, AdmissionDecision};
-use rtseed_model::{Span, TaskSpec, TenantId, TenantState, Time};
+use rtseed_model::{TaskSpec, TenantId, TenantState, Time};
 
 use crate::obs::TraceEvent;
 
-use super::guard::{LadderRung, RejectReason, ServeError, Submission};
+use super::guard::{
+    deferred_backoff, LadderRung, RejectReason, ServeError, Submission, QUEUE_DEPTH, RETRY_DEADLINE,
+};
 use super::session::{NameSlot, SessionManager};
 
 /// A submission parked on the bounded deferred-admission queue.
@@ -137,15 +139,14 @@ impl SessionManager {
     }
 
     /// Parks a submission on the deferred queue (or backpressures when
-    /// the queue is at [`GuardConfig::queue_depth`](super::GuardConfig::queue_depth)).
+    /// the queue holds [`QUEUE_DEPTH`] entries).
     pub(super) fn defer(
         &mut self,
         name: String,
         slot: NameSlot,
         tasks: Vec<TaskSpec>,
     ) -> Submission {
-        let cfg = self.guard.cfg();
-        if self.deferred.len() >= cfg.queue_depth {
+        if self.deferred.len() >= QUEUE_DEPTH {
             let reason = RejectReason::QueueFull;
             return Submission::Rejected(self.record_rejection(name, slot, reason));
         }
@@ -157,8 +158,8 @@ impl SessionManager {
             name,
             tasks,
             since: self.des.now,
-            deadline: self.des.now + cfg.retry_deadline,
-            next_retry: self.des.now + cfg.retry_backoff.max(Span::from_nanos(1)),
+            deadline: self.des.now + RETRY_DEADLINE,
+            next_retry: self.des.now + deferred_backoff(0),
             attempts: 0,
         });
         Submission::Deferred
@@ -223,17 +224,9 @@ impl SessionManager {
             return None;
         }
         d.attempts += 1;
-        let cfg = self.guard.cfg();
-        let mut backoff = cfg.retry_backoff.max(Span::from_nanos(1));
-        for _ in 0..d.attempts.min(32) {
-            if backoff >= cfg.retry_backoff_cap {
-                break;
-            }
-            backoff = (backoff * 2).min(cfg.retry_backoff_cap);
-        }
         // Strictly after `now` (deadline > now here), so retries make
-        // progress even with a degenerate zero backoff.
-        d.next_retry = (self.des.now + backoff.max(Span::from_nanos(1))).min(d.deadline);
+        // progress.
+        d.next_retry = (self.des.now + deferred_backoff(d.attempts)).min(d.deadline);
         Some(d)
     }
 }

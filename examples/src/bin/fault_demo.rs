@@ -12,7 +12,7 @@ use rtseed_trading::fault::{FeedFault, FeedFaultPlan};
 use rtseed_trading::market::SyntheticFeed;
 use rtseed_trading::{FaultyFeed, FeedError, FeedWatchdog, WatchdogConfig};
 
-fn simulate(supervisor: SupervisorConfig) -> Result<Outcome, Box<dyn std::error::Error>> {
+fn simulate(supervisor: bool) -> Result<Outcome, Box<dyn std::error::Error>> {
     // The paper's task (T = 1 s, m = w = 250 ms) with a seeded overload:
     // jobs 2–4 run their mandatory part at 5× the declared WCET.
     let task = TaskSpec::builder("τ1")
@@ -41,12 +41,12 @@ fn simulate(supervisor: SupervisorConfig) -> Result<Outcome, Box<dyn std::error:
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== 1. Seeded overload, no supervisor ===\n");
-    let unsupervised = simulate(SupervisorConfig::default())?;
+    let unsupervised = simulate(false)?;
     println!("QoS    : {}", unsupervised.qos);
     println!("Faults : {}\n", unsupervised.faults);
 
     println!("=== 2. Same fault seed, overload supervisor armed ===\n");
-    let supervised = simulate(SupervisorConfig::armed())?;
+    let supervised = simulate(true)?;
     println!("QoS    : {}", supervised.qos);
     println!("Faults : {}\n", supervised.faults);
     println!(

@@ -146,26 +146,21 @@ proptest! {
             Span::from_millis(50),
             |i| vec![heavy(&format!("g{i}"))],
         );
-        // Escalate quickly (evict at 3 strikes ≈ 300 ms) and give the
-        // deferral plenty of deadline to survive until then.
-        let guard = GuardConfig {
-            shed_after: 1,
-            quarantine_after: 1,
-            evict_after: 1,
-            retry_deadline: Span::from_millis(5_000),
-            ..GuardConfig::armed()
-        };
+        // One overrun strike a job: the adversary's tenth job brings the
+        // tenth strike and eviction in its tenth period (≈ 0.92 s in),
+        // inside the deferral's 1 s retry deadline, so it needs at least
+        // 10 jobs.
         let out = SessionManager::new(
             Topology::uniprocessor(),
             PartitionHeuristic::FirstFitDecreasing,
             AssignmentPolicy::OneByOne,
             RunConfig {
-                jobs: 8,
+                jobs: 12,
                 fault_plan: plan.faults.clone(),
                 ..RunConfig::default()
             },
         )
-        .with_guard(guard)
+        .with_guard(GuardConfig::armed())
         .run_with_churn(&plan.churn);
         prop_assert_eq!(out.counters.evictions, 1);
         prop_assert_eq!(out.counters.deferred_submissions, 1);
@@ -173,7 +168,7 @@ proptest! {
         prop_assert!(!out.deferred_latency.is_empty());
         let late = out.tenant("s0").unwrap();
         prop_assert_eq!(late.state, TenantState::Admitted);
-        prop_assert_eq!(late.qos.jobs(), 8);
+        prop_assert_eq!(late.qos.jobs(), 12);
         prop_assert_eq!(late.qos.deadline_misses(), 0);
     }
 }

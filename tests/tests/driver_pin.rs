@@ -16,10 +16,7 @@
 
 use rtseed::obs::{export, TraceConfig, TraceEvent};
 use rtseed::serve::{GuardConfig, SessionManager};
-use rtseed::{
-    AssignmentPolicy, GlobalExecutor, Outcome, RunConfig, SimExecutor, SupervisorConfig,
-    SystemConfig,
-};
+use rtseed::{AssignmentPolicy, GlobalExecutor, Outcome, RunConfig, SimExecutor, SystemConfig};
 use rtseed_analysis::{PartitionHeuristic, PlacementPolicy};
 use rtseed_model::{Span, TaskSet, TaskSpec, TenantState, Time, Topology};
 use rtseed_sim::{
@@ -106,7 +103,7 @@ fn shapes() -> Vec<Shape> {
 
 /// Fault scenario `index` (0 is a healthy machine) for a set whose
 /// shortest period is `unit`.
-fn scenario(index: usize, unit: Span, seed: u64) -> (FaultPlan, SupervisorConfig) {
+fn scenario(index: usize, unit: Span, seed: u64) -> (FaultPlan, bool) {
     let stalls = |plan: FaultPlan| {
         plan.with_cpu_stall(CpuStall {
             hw: 0,
@@ -149,11 +146,11 @@ fn scenario(index: usize, unit: Span, seed: u64) -> (FaultPlan, SupervisorConfig
     };
     let plan = FaultPlan::new(seed);
     match index {
-        0 => (FaultPlan::none(), SupervisorConfig::default()),
-        1 => (stalls(plan), SupervisorConfig::default()),
-        2 => (overruns(plan), SupervisorConfig::default()),
-        3 => (timers(plan), SupervisorConfig::default()),
-        _ => (timers(overruns(stalls(plan))), SupervisorConfig::armed()),
+        0 => (FaultPlan::none(), false),
+        1 => (stalls(plan), false),
+        2 => (overruns(plan), false),
+        3 => (timers(plan), false),
+        _ => (timers(overruns(stalls(plan))), true),
     }
 }
 const SCENARIOS: usize = 5;

@@ -103,8 +103,8 @@ fn zero_job_quota_leaves_no_task_live() {
 
 /// The native runtime's per-thread engine leaves fault injection and the
 /// supervisor to the simulator, whatever the run carries: under a ×10
-/// mandatory overrun on every job and a supervisor armed with half the
-/// declared WCET as budget it injects nothing and cuts nothing.
+/// mandatory overrun on every job and an armed supervisor it injects
+/// nothing and cuts nothing.
 #[test]
 fn single_task_engine_ignores_the_runs_fault_plan_and_supervisor() {
     let cfg = build_config(&[(100, 10, 10, 0, 0)], Topology::uniprocessor())
@@ -119,23 +119,21 @@ fn single_task_engine_ignores_the_runs_fault_plan_and_supervisor() {
             target: FaultTarget::Mandatory,
             factor: 10.0,
         }),
-        supervisor: SupervisorConfig {
-            budget_factor: 0.5,
-            ..SupervisorConfig::armed()
-        },
+        supervisor: true,
         ..RunConfig::default()
     };
     let ms = Span::from_millis;
     let at = |v: u64| Time::ZERO + ms(v);
 
     // The closed-set engine under the same run does both: 100 ms of
-    // demand, clipped to a 5 ms budget and cut when that is spent.
+    // demand, clipped to the 10 ms budget (the declared WCET) and cut when
+    // that is spent.
     let mut sim = Engine::new(&cfg, &run);
     sim.release(0, Time::ZERO);
-    assert_eq!(sim.on_dispatch(0, Cursor::Mandatory, 0, Time::ZERO), ms(5));
-    sim.bank(0, Cursor::Mandatory, ms(5));
-    sim.cut_if_over_budget(0, Cursor::Mandatory, at(5));
-    let faults = sim.finish(at(5)).faults;
+    assert_eq!(sim.on_dispatch(0, Cursor::Mandatory, 0, Time::ZERO), ms(10));
+    sim.bank(0, Cursor::Mandatory, ms(10));
+    sim.cut_if_over_budget(0, Cursor::Mandatory, at(10));
+    let faults = sim.finish(at(10)).faults;
     assert_eq!((faults.wcet_faults, faults.budget_cuts), (1, 1));
 
     let mut eng = Engine::single_task(&cfg, TaskId(0), &run);

@@ -25,10 +25,7 @@ use rtseed::obs::{
     export, MetricsRegistry, PipelineStage, QueueBand, QueueOp, Trace, TraceConfig, TraceEvent,
 };
 use rtseed::serve::{GuardConfig, RejectReason, ServeOutcome, SessionManager};
-use rtseed::{
-    AssignmentPolicy, GlobalExecutor, Outcome, RunConfig, SimExecutor, SupervisorConfig,
-    SystemConfig,
-};
+use rtseed::{AssignmentPolicy, GlobalExecutor, Outcome, RunConfig, SimExecutor, SystemConfig};
 use rtseed_analysis::{PartitionHeuristic, PlacementPolicy};
 use rtseed_bench::harness::{fnv1a, FNV_OFFSET};
 use rtseed_model::{
@@ -185,11 +182,7 @@ fn run_config(jobs: u64, fault_plan: FaultPlan, armed: bool, trace: TraceConfig)
         jobs,
         seed: 2014,
         fault_plan,
-        supervisor: if armed {
-            SupervisorConfig::armed()
-        } else {
-            SupervisorConfig::default()
-        },
+        supervisor: armed,
         trace,
         ..RunConfig::default()
     }

@@ -9,7 +9,6 @@ use rtseed::executor::{Outcome, RunConfig};
 use rtseed::obs::TraceConfig;
 use rtseed::policy::AssignmentPolicy;
 use rtseed::termination::TerminationMode;
-use rtseed::SupervisorConfig;
 use rtseed_model::{Span, TaskSet, TaskSpec, Topology};
 use rtseed_sim::{
     CpuStall, FaultPlan, FaultTarget, JobWindow, RandomOverruns, TimerFault,
@@ -78,7 +77,7 @@ fn acceptance_degraded_mode_saves_deadlines_and_recovers() {
         RunConfig {
             jobs: 8,
             fault_plan: overload_plan(),
-            supervisor: SupervisorConfig::armed(),
+            supervisor: true,
             ..Default::default()
         },
     );
@@ -132,7 +131,7 @@ fn chaos_cfg(seed: u64) -> RunConfig {
                 at: rtseed_model::Time::ZERO + Span::from_millis(7300),
                 duration: Span::from_millis(400),
             }),
-        supervisor: SupervisorConfig::armed(),
+        supervisor: true,
         ..Default::default()
     }
 }
