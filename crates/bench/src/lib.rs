@@ -5,10 +5,11 @@
 //! |---|---|
 //! | `paperfigs` | The paper's simulated evaluation (§V): Figs. 10–13, Table I, Figs. 3 and 8, three ablations and one shape verdict per claim, as `BENCH_paperfigs.json` ([`paperfigs`]) |
 //! | `native_overheads` | Δm/Δb/Δs/Δe on the real host with real load threads (wall-clock, report only) |
-//! | `simbench`, `churnbench`, `mcbench`, `ablate` | The four measured benches |
+//! | `mcbench`, `ablate` | The Monte-Carlo grid and the placement ablation, each self-checked |
 //!
-//! All of them but `native_overheads` share one command line, timing loop
-//! and schema-1 JSON writer: [`harness`].
+//! They share one command line, and all but `native_overheads` one
+//! schema-1 JSON writer: [`harness`].
+//! Layer and end-to-end timing is `perfbench`'s (its own package).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -293,6 +293,13 @@ impl<S: Substrate> Driver<S> {
         if self.eng.task_retired(work.task) && !self.eng.job_in_flight(work.task) {
             return;
         }
+        // The OD timer may have ended the part before its Δb signal landed:
+        // it must not run after its own optional deadline.
+        if let Cursor::Optional(k) = work.cursor {
+            if self.eng.part_ended(work.task, k as usize) {
+                return;
+            }
+        }
         S::ready(self, work);
         S::settle(self);
     }

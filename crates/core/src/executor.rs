@@ -265,9 +265,9 @@ pub struct Outcome {
     /// Real-time dispatches (global backend).
     pub dispatches: u64,
     /// Discrete events processed by the event loop (sim and global
-    /// backends; 0 for the native backend, which has no event loop). The
-    /// `simbench` harness divides this by wall-clock time to report
-    /// events/sec.
+    /// backends; 0 for the native backend, which has no event loop).
+    /// perfbench divides this by wall-clock time for its
+    /// `core.exec_sim.ns_per_event` row.
     pub events_processed: u64,
     /// What the privileged setup calls achieved (native backend).
     pub runtime: RuntimeReport,

@@ -183,17 +183,22 @@ impl TraceRecorder {
     }
 
     /// Re-arms the recorder for a new run under `config`, clearing any
-    /// recorded events and the drop counter. The ring's allocation is kept
-    /// when it is still useful (same-or-smaller capacity), so a reused
-    /// per-worker recorder stops touching the allocator after its first
-    /// run.
+    /// recorded events and the drop counter. An enabled recorder reserves
+    /// its ring as [`new`](TraceRecorder::new) does and keeps an allocation
+    /// that is already large enough, so recording into a reused recorder
+    /// does not touch the allocator. After
+    /// [`take_trace`](TraceRecorder::take_trace) moved the ring out with
+    /// its trace, that is one allocation here rather than a ring regrown
+    /// by doubling while the run records.
     pub fn reset(&mut self, config: TraceConfig) {
         self.enabled = config.enabled;
         self.capacity = config.capacity.max(1);
         self.head = 0;
         self.dropped = 0;
         self.ring.clear();
-        if !config.enabled {
+        if config.enabled {
+            self.ring.reserve(self.capacity.min(Self::RESERVED_AT_MOST));
+        } else {
             // Disabled recorders hold no storage (matches `new`).
             self.ring = Vec::new();
         }
@@ -420,6 +425,21 @@ mod tests {
         assert!(rec.ring.capacity() < capacity);
         // Disabled: nothing.
         assert_eq!(TraceRecorder::disabled().ring.capacity(), 0);
+    }
+
+    #[test]
+    fn reset_after_take_trace_reserves_the_ring_again() {
+        let config = TraceConfig::bounded(1 << 10);
+        let mut rec = TraceRecorder::new(config);
+        rec.record(t(0), released(0));
+        let trace = rec.take_trace();
+        assert_eq!(trace.len(), 1);
+        assert_eq!(rec.ring.capacity(), 0, "the ring moved out with the trace");
+        rec.reset(config);
+        assert!(rec.ring.capacity() >= 1 << 10);
+        // Disabled again: nothing.
+        rec.reset(TraceConfig::disabled());
+        assert_eq!(rec.ring.capacity(), 0);
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //! [`RtaCache`]: rtseed_analysis::RtaCache
 
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 use proptest::prelude::*;
 use rtseed_analysis::rmwp::RmwpAnalysis;
 use rtseed_analysis::{AdmissionDecision, AdmissionEngine, PartitionHeuristic, TaskKey};
-use rtseed_model::{Span, TaskId, TaskSet, TaskSpec};
+use rtseed_model::{Span, TaskId, TaskSet, TaskSpec, Topology};
 
 /// A small palette of schedulable shapes; (period, mandatory, windup) in
 /// milliseconds. Mixed periods exercise the RM ordering, mixed weights
@@ -292,4 +293,56 @@ fn eviction_resolves_survivors_from_their_costs() {
     assert_cache_matches_fresh_analysis(&eng, &specs);
     admit(&mut eng, &mut specs, ms("hi", 2, 1, 0));
     assert_cache_matches_fresh_analysis(&eng, &specs);
+}
+
+/// The incremental engine must decide the 1 000-tenant fill below at
+/// least this many times faster than full recompute. Both passes run in
+/// one process, seconds apart, so the ratio (hundreds of times, in a debug
+/// build too) is a property of the code, not of the host.
+const MIN_SPEEDUP: f64 = 5.0;
+
+/// At scale: 1 000 single-task tenants (T = 50 ms, m = w = 2 ms, two
+/// 10 ms parts) submitted to the 57×4 machine under worst-fit decreasing,
+/// once through the cached engine and once through its `without_cache()`
+/// twin. Every decision is equal, every tenant is admitted, and the
+/// incremental pass takes at most 1/[`MIN_SPEEDUP`] of the full pass's
+/// wall time.
+#[test]
+fn a_thousand_tenants_decide_alike_and_the_cache_pays() {
+    let hw = Topology::new(57, 4).unwrap().hw_threads() as usize;
+    let tenants: Vec<Vec<TaskSpec>> = (0..1000)
+        .map(|i| {
+            vec![TaskSpec::builder(format!("t{i}"))
+                .period(Span::from_millis(50))
+                .mandatory(Span::from_millis(2))
+                .windup(Span::from_millis(2))
+                .optional_parts(2, Span::from_millis(10))
+                .build()
+                .unwrap()]
+        })
+        .collect();
+    let fill = |mut eng: AdmissionEngine| {
+        let start = Instant::now();
+        let decisions: Vec<AdmissionDecision> =
+            tenants.iter().map(|tasks| eng.try_admit(tasks)).collect();
+        (decisions, start.elapsed().as_secs_f64())
+    };
+    let heuristic = PartitionHeuristic::WorstFitDecreasing;
+    let (incremental, incremental_s) = fill(AdmissionEngine::new(hw, heuristic));
+    let (full, full_s) = fill(AdmissionEngine::new(hw, heuristic).without_cache());
+
+    let diverged = incremental.iter().zip(&full).position(|(a, b)| a != b);
+    assert_eq!(
+        diverged, None,
+        "the first tenant the two engines decide differently"
+    );
+    assert!(incremental.iter().all(AdmissionDecision::is_admitted));
+    assert!(
+        full_s >= MIN_SPEEDUP * incremental_s,
+        "incremental {:.1} ms is only {:.1}× faster than full recompute {:.1} ms \
+         (floor {MIN_SPEEDUP}×)",
+        incremental_s * 1e3,
+        full_s / incremental_s,
+        full_s * 1e3
+    );
 }

@@ -4,6 +4,8 @@
 //! where their mechanisms coincide they must agree), and stale-event
 //! robustness of the engine's guard conditions.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 use rtseed::engine::{AfterMandatory, Cursor, Engine, OdAction, WindupCommand};
 use rtseed::prelude::*;
@@ -76,6 +78,65 @@ fn differential_fixed_workload_agrees() {
     let (c, t, d) = sim.qos.outcome_totals();
     assert!(c > 0 && t > 0, "exercise both outcomes: c/t/d = {c}/{t}/{d}");
     assert_eq!(sim.qos.jobs(), 10);
+}
+
+/// An optional part ends at its job's OD at the latest, also when the OD
+/// timer fires before the part's Δb-signalled `Ready` lands: 100 parts
+/// signalled one by one on 4×2 take longer than the 0.1 ms between the
+/// mandatory part's end (4 ms) and the OD (4.1 ms). A part the timer
+/// ended must not be queued when its signal arrives, on either driver.
+#[test]
+fn no_optional_part_starts_after_it_ended() {
+    let task = TaskSpec::builder("t0")
+        .period(Span::from_millis(10))
+        .mandatory(Span::from_millis(4))
+        .windup(Span::from_micros(5_900))
+        .optional_parts(100, Span::from_millis(10))
+        .build()
+        .unwrap();
+    let cfg = SystemConfig::build(
+        TaskSet::new(vec![task]).unwrap(),
+        Topology::new(4, 2).unwrap(),
+        AssignmentPolicy::OneByOne,
+    )
+    .expect("the task fits 4×2");
+    let run = RunConfig {
+        jobs: 4,
+        trace: TraceConfig::enabled(),
+        ..RunConfig::default()
+    };
+    let sim = SimExecutor::new(cfg.clone(), run.clone()).run();
+    let global = GlobalExecutor::from_config(&cfg, run).run();
+    for (driver, out) in [("sim", sim), ("global", global)] {
+        assert_eq!(out.trace.dropped(), 0, "{driver}: the whole run is traced");
+        let mut started = BTreeSet::new();
+        let mut ended = BTreeSet::new();
+        for (at, event) in out.trace.events() {
+            match event {
+                TraceEvent::OptionalStarted { job, part, .. } => {
+                    assert!(
+                        !ended.contains(&(job.seq, part.0)),
+                        "{driver}: {job} part {} started at {at}, after it ended",
+                        part.0
+                    );
+                    started.insert((job.seq, part.0));
+                }
+                TraceEvent::OptionalEnded { job, part, .. } => {
+                    assert!(
+                        ended.insert((job.seq, part.0)),
+                        "{driver}: {job} part {} ended twice",
+                        part.0
+                    );
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(ended.len(), 400, "{driver}: every part of every job ends");
+        assert!(
+            ended.difference(&started).next().is_some(),
+            "{driver}: some part ends before its signal lands (the case under test)"
+        );
+    }
 }
 
 /// A task with no job to run is never live, whichever constructor put it

@@ -27,7 +27,6 @@ use rtseed::obs::{
 use rtseed::serve::{GuardConfig, RejectReason, ServeOutcome, SessionManager};
 use rtseed::{AssignmentPolicy, GlobalExecutor, Outcome, RunConfig, SimExecutor, SystemConfig};
 use rtseed_analysis::{PartitionHeuristic, PlacementPolicy};
-use rtseed_bench::harness::{fnv1a, FNV_OFFSET};
 use rtseed_model::{
     HwThreadId, JobId, OptionalOutcome, PartId, Span, TaskId, TaskSet, TaskSpec, TenantId, Time,
     Topology,
@@ -47,6 +46,15 @@ struct Pin {
     jsonl: u64,
     chrome: u64,
     slices: u64,
+}
+
+/// FNV-1a 64-bit offset basis: the start value of a fingerprint.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds one word into an FNV-1a fingerprint.
+fn fnv1a(fp: &mut u64, v: u64) {
+    *fp ^= v;
+    *fp = fp.wrapping_mul(0x100_0000_01b3);
 }
 
 fn fold(fp: &mut u64, text: &str) {
